@@ -207,6 +207,7 @@ let run_smoke () =
       Forkroad.Registry.all
   in
   let failures = ref 0 in
+  Forkroad.Registry.measure_real_first ~quick:true sims;
   List.iter
     (fun exp ->
       let t0 = Unix.gettimeofday () in
@@ -434,10 +435,13 @@ let () =
   else if micro_only then run_bechamel ()
   else begin
     if selectors = [] then run_bechamel ();
-    List.iter
-      (fun exp ->
-        if want exp.Forkroad.Report.exp_id then run_experiment ~quick exp)
-      Forkroad.Registry.all;
+    let wanted =
+      List.filter
+        (fun exp -> want exp.Forkroad.Report.exp_id)
+        Forkroad.Registry.all
+    in
+    Forkroad.Registry.measure_real_first ~quick wanted;
+    List.iter (run_experiment ~quick) wanted;
     (match
        List.filter
          (fun s ->

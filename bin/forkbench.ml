@@ -48,6 +48,7 @@ let experiment_json exp report =
     ]
 
 let run_experiments ~quick ~format ~json exps =
+  Forkroad.Registry.measure_real_first ~quick exps;
   let reports =
     List.map
       (fun exp ->

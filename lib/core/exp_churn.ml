@@ -172,9 +172,39 @@ let real_rows ~quick =
     pool_row ();
   ]
 
+(* The real-OS block, measured once per [quick]. Spawnlib.Pool starts
+   its workers with Unix.fork, which OCaml 5 refuses once the process
+   has spawned a domain, so it is forced before any Par.map. *)
+let measure_real_block ~quick =
+  match real_rows ~quick with
+  | rows ->
+    let t =
+      Metrics.Table.create
+        [ "real-OS tactic"; "p50"; "p99"; "requests/s" ]
+    in
+    List.iter (Metrics.Table.add_row t) rows;
+    Report.Table
+      {
+        caption =
+          Printf.sprintf
+            "real OS, %d requests per tactic: creating a process per \
+             request vs dispatching to warm prefork workers"
+            (if quick then 10 else 100);
+        table = t;
+      }
+  | exception e ->
+    Report.Note
+      ("real-side churn skipped in this environment: " ^ Printexc.to_string e)
+
+let real_block =
+  let quick_block = lazy (measure_real_block ~quick:true)
+  and full_block = lazy (measure_real_block ~quick:false) in
+  fun ~quick -> Lazy.force (if quick then quick_block else full_block)
+
 (* ------------------------------------------------------------------ *)
 
 let run ~quick =
+  let real_block = real_block ~quick in
   let footprints = if quick then [ 16; 1024 ] else [ 16; 64; 256; 1024; 4096 ] in
   let n = if quick then 4 else 12 in
   let points =
@@ -248,27 +278,6 @@ let run ~quick =
                    (merged_hist s))
                styles) );
       ]
-  in
-  let real_block =
-    match real_rows ~quick with
-    | rows ->
-      let t =
-        Metrics.Table.create
-          [ "real-OS tactic"; "p50"; "p99"; "requests/s" ]
-      in
-      List.iter (Metrics.Table.add_row t) rows;
-      Report.Table
-        {
-          caption =
-            Printf.sprintf
-              "real OS, %d requests per tactic: creating a process per \
-               request vs dispatching to warm prefork workers"
-              (if quick then 10 else 100);
-          table = t;
-        }
-    | exception e ->
-      Report.Note
-        ("real-side churn skipped in this environment: " ^ Printexc.to_string e)
   in
   Report.make ~id:"E14" ~title:"churn: warm creation via zygote templates"
     [

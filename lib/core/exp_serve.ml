@@ -623,9 +623,48 @@ let real_rows ~quick =
     forkexec_row ();
   ]
 
+(* Measured once per [quick], before any Par.map: see
+   Exp_churn.real_block. *)
+let measure_real_block ~quick =
+  match real_rows ~quick with
+  | rows ->
+    let t =
+      Metrics.Table.create ~align:[ Metrics.Table.Left ]
+        [
+          "real-OS tactic";
+          "completed";
+          "errors";
+          "max in flight";
+          "p50";
+          "p99";
+          "p99.9";
+          "req/s";
+        ]
+    in
+    List.iter (Metrics.Table.add_row t) rows;
+    Report.Table
+      {
+        caption =
+          Printf.sprintf
+            "real OS, %d concurrent requests through a 4-worker \
+             Spawnlib.Pool select loop vs serial fork+exec"
+            (if quick then 300 else 2000);
+        table = t;
+      }
+  | exception e ->
+    Report.Note
+      ("real-side serving skipped in this environment: "
+     ^ Printexc.to_string e)
+
+let real_block =
+  let quick_block = lazy (measure_real_block ~quick:true)
+  and full_block = lazy (measure_real_block ~quick:false) in
+  fun ~quick -> Lazy.force (if quick then quick_block else full_block)
+
 (* ------------------------------------------------------------------ *)
 
 let run ~quick =
+  let real_block = real_block ~quick in
   let pts = Workload.Par.map run_point (points ~quick) in
   let table =
     Metrics.Table.create
@@ -710,37 +749,6 @@ let run ~quick =
                      ]))
                pts) );
       ]
-  in
-  let real_block =
-    match real_rows ~quick with
-    | rows ->
-      let t =
-        Metrics.Table.create ~align:[ Metrics.Table.Left ]
-          [
-            "real-OS tactic";
-            "completed";
-            "errors";
-            "max in flight";
-            "p50";
-            "p99";
-            "p99.9";
-            "req/s";
-          ]
-      in
-      List.iter (Metrics.Table.add_row t) rows;
-      Report.Table
-        {
-          caption =
-            Printf.sprintf
-              "real OS, %d concurrent requests through a 4-worker \
-               Spawnlib.Pool select loop vs serial fork+exec"
-              (if quick then 300 else 2000);
-          table = t;
-        }
-    | exception e ->
-      Report.Note
-        ("real-side serving skipped in this environment: "
-       ^ Printexc.to_string e)
   in
   Report.make ~id:"E17" ~title:"serving under load: prefork vs fork-per-request"
     [

@@ -12,13 +12,8 @@
    spinner threads hot on the other CPUs (a thread-pooled server, the
    shape the paper warns about) and creates children in a loop; the
    creation latency and total IPI count are swept over 1..64 CPUs for
-   each creation API.
-
-   The sweep also exercises the harness-level parallelism stack: sweep
-   points fan out over Workload.Par.map domains, and a separate
-   demonstration runs one 8-CPU workload with par_jobs 1 vs 4 to show
-   domain-parallel syscall execution changes wall time only — every
-   simulated number is bit-identical. *)
+   each creation API. Sweep points fan out over Workload.Par.map
+   domains, one kernel per point. *)
 
 type style = Fork | Vfork | Spawn | Zygote
 
@@ -41,12 +36,11 @@ let ok_or_die what = function
   | Ok v -> v
   | Error e -> invalid_arg ("Exp_smp: " ^ what ^ ": " ^ Ksim.Errno.to_string e)
 
-let config ~heap_mib ~cpus ~par_jobs =
+let config ~heap_mib ~cpus =
   {
     (Sim_driver.config_for ~heap_mib) with
     Ksim.Kernel.smp = true;
     cpus;
-    par_jobs;
     trace_capacity = Some 65_536;
   }
 
@@ -101,7 +95,7 @@ type point = {
 }
 
 let smp_point ~heap_mib ~iters (cpus, style) =
-  let config = config ~heap_mib ~cpus ~par_jobs:1 in
+  let config = config ~heap_mib ~cpus in
   let t, outcome =
     Sim_driver.boot_scenario ~config (point_body ~heap_mib ~cpus ~iters style)
   in
@@ -130,43 +124,6 @@ let smp_point ~heap_mib ~iters (cpus, style) =
     ipis = g.Ksim.Kstat.ipis_sent;
     steals = g.Ksim.Kstat.cpu_steals;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel execution demo: same workload, par_jobs 1 vs 4.
-   Eight freshly-spawned workers (disjoint COW families) touch and fork
-   on eight simulated CPUs, so each scheduling round offers the kernel
-   a batch of independent syscall cores to fan out over OCaml domains.
-   The simulated totals must be bit-identical; only wall time moves. *)
-
-let demo_worker =
-  Ksim.Program.make ~name:"/worker" (fun ~argv:_ () ->
-      let len = 32 * 1024 * 1024 in
-      let addr = ok_or_die "mmap" (Ksim.Api.mmap ~len ~perm:Vmem.Perm.rw) in
-      let chunk = len / 8 in
-      for i = 0 to 7 do
-        ignore
-          (ok_or_die "touch"
-             (Ksim.Api.touch ~addr:(addr + (i * chunk)) ~len:chunk))
-      done;
-      Ksim.Api.exit 0)
-
-let demo_run ~par_jobs =
-  let config = config ~heap_mib:128 ~cpus:8 ~par_jobs in
-  let t0 = Unix.gettimeofday () in
-  let t, outcome =
-    Sim_driver.boot_scenario ~config ~programs:[ demo_worker ] (fun () ->
-        let pids =
-          List.init 8 (fun _ -> ok_or_die "spawn" (Ksim.Api.spawn "/worker"))
-        in
-        List.iter
-          (fun pid -> ignore (ok_or_die "wait" (Ksim.Api.wait_for pid)))
-          pids)
-  in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  (match outcome with
-  | Ksim.Kernel.All_exited -> ()
-  | _ -> invalid_arg "Exp_smp: par demo did not run to completion");
-  (Vmem.Cost.total (Ksim.Kernel.cost t), wall_ms)
 
 (* ------------------------------------------------------------------ *)
 
@@ -201,8 +158,6 @@ let run ~quick =
           string_of_int p.ipis;
         ])
     points;
-  let cycles_j1, wall_j1 = demo_run ~par_jobs:1 in
-  let cycles_j4, wall_j4 = demo_run ~par_jobs:4 in
   let data =
     Metrics.Json.obj
       [
@@ -228,15 +183,6 @@ let run ~quick =
                      ]))
                points) );
         ("sweep_wall_ms", Metrics.Json.num sweep_wall_ms);
-        ( "par_demo",
-          Metrics.Json.obj
-            [
-              ("cycles_jobs1", Metrics.Json.num cycles_j1);
-              ("cycles_jobs4", Metrics.Json.num cycles_j4);
-              ("identical", Metrics.Json.bool (cycles_j1 = cycles_j4));
-              ("jobs1_wall_ms", Metrics.Json.num wall_j1);
-              ("jobs4_wall_ms", Metrics.Json.num wall_j4);
-            ] );
       ]
   in
   Report.make ~id:"E16" ~title:"smp: TLB shootdown scaling with core count"
@@ -258,11 +204,7 @@ let run ~quick =
          vfork borrows the address space without transmuting it, posix_spawn \
          builds a fresh image, and a zygote template pays its one shootdown \
          at freeze time — all three stay flat from 1 to 64 CPUs with zero \
-         per-creation IPIs. The par_demo block runs one 8-CPU workload with \
-         par_jobs 1 vs 4: simulated cycle totals are bit-identical (the \
-         kernel records each parallel core's charges and replays them in CPU \
-         order) — only wall time may change, and only on a multi-core host \
-         (on a single-core machine domain fan-out can only add overhead).";
+         per-creation IPIs.";
       Report.Data { name = "smp-scaling"; json = data };
     ]
 

@@ -1,11 +1,10 @@
 (* E7 — usage survey: process-creation call sites across a corpus, plus
-   the forklint v1-vs-v2 precision comparison on the labelled hazard
-   fixtures. *)
+   forklint's precision on the labelled hazard fixtures. *)
 
 let corpus_seed = 2019
 let corpus_size = 500
 
-(* Measure one rule set against a fixture's hand-labelled ground truth
+(* Score forklint against a fixture's hand-labelled ground truth
    ([hz_expected]): (reported, false positives, false negatives). *)
 let score truth reported =
   let fp = List.filter (fun f -> not (List.mem f truth)) reported in
@@ -13,71 +12,45 @@ let score truth reported =
   (List.length reported, List.length fp, List.length fn)
 
 let lint_precision () =
-  let triples ds =
-    List.map
-      (fun (d : Forklore.Diagnostic.t) -> (d.rule, d.line, d.col))
-      ds
-  in
   let table =
     Metrics.Table.create
       ~align:[ Metrics.Table.Left ]
-      [ "fixture"; "truth"; "v1 rep"; "v1 FP"; "v1 FN"; "v2 rep"; "v2 FP"; "v2 FN" ]
+      [ "fixture"; "truth"; "reported"; "FP"; "FN" ]
   in
-  let tot = Array.make 7 0 in
+  let tot = Array.make 4 0 in
   List.iter
     (fun (h : Forklore.Corpus.hazard) ->
       let truth = h.hz_expected in
-      let v1 =
-        triples
-          (Forklore.Rules.check_string ~rules:Forklore.Rules.v1
-             ~file:h.hz_name h.hz_source)
+      let reported =
+        List.map
+          (fun (d : Forklore.Diagnostic.t) -> (d.rule, d.line, d.col))
+          (Forklore.Rules.check_string ~file:h.hz_name h.hz_source)
       in
-      let v2 =
-        triples (Forklore.Rules.check_string ~file:h.hz_name h.hz_source)
-      in
-      let r1, fp1, fn1 = score truth v1 in
-      let r2, fp2, fn2 = score truth v2 in
-      List.iteri
-        (fun i v -> tot.(i) <- tot.(i) + v)
-        [ List.length truth; r1; fp1; fn1; r2; fp2; fn2 ];
-      Metrics.Table.add_row table
-        ([ h.hz_name; string_of_int (List.length truth) ]
-        @ List.map string_of_int [ r1; fp1; fn1; r2; fp2; fn2 ]))
+      let r, fp, fn = score truth reported in
+      let row = [ List.length truth; r; fp; fn ] in
+      List.iteri (fun i v -> tot.(i) <- tot.(i) + v) row;
+      Metrics.Table.add_row table (h.hz_name :: List.map string_of_int row))
     Forklore.Corpus.hazards;
   Metrics.Table.add_row table
     ("total" :: List.map string_of_int (Array.to_list tot));
-  let precision ~reported ~fp =
+  let truth = tot.(0) and reported = tot.(1) and fp = tot.(2) and fn = tot.(3) in
+  let precision =
     if reported = 0 then 1.0
     else float_of_int (reported - fp) /. float_of_int reported
   in
-  let recall ~truth ~fn =
+  let recall =
     if truth = 0 then 1.0 else float_of_int (truth - fn) /. float_of_int truth
   in
   let data =
     Metrics.Json.obj
       [
         ("fixtures", Metrics.Json.int (List.length Forklore.Corpus.hazards));
-        ("truth_findings", Metrics.Json.int tot.(0));
-        ( "v1",
-          Metrics.Json.obj
-            [
-              ("reported", Metrics.Json.int tot.(1));
-              ("false_positives", Metrics.Json.int tot.(2));
-              ("false_negatives", Metrics.Json.int tot.(3));
-              ( "precision",
-                Metrics.Json.num (precision ~reported:tot.(1) ~fp:tot.(2)) );
-              ("recall", Metrics.Json.num (recall ~truth:tot.(0) ~fn:tot.(3)));
-            ] );
-        ( "v2",
-          Metrics.Json.obj
-            [
-              ("reported", Metrics.Json.int tot.(4));
-              ("false_positives", Metrics.Json.int tot.(5));
-              ("false_negatives", Metrics.Json.int tot.(6));
-              ( "precision",
-                Metrics.Json.num (precision ~reported:tot.(4) ~fp:tot.(5)) );
-              ("recall", Metrics.Json.num (recall ~truth:tot.(0) ~fn:tot.(6)));
-            ] );
+        ("truth_findings", Metrics.Json.int truth);
+        ("reported", Metrics.Json.int reported);
+        ("false_positives", Metrics.Json.int fp);
+        ("false_negatives", Metrics.Json.int fn);
+        ("precision", Metrics.Json.num precision);
+        ("recall", Metrics.Json.num recall);
       ]
   in
   (table, data)
@@ -124,22 +97,20 @@ let run ~quick =
       Report.Table
         {
           caption =
-            "forklint precision: frozen v1 token rules vs v2 path-sensitive \
-             dataflow on the labelled hazard fixtures (rep = reported \
-             findings, FP/FN vs hand-labelled ground truth)";
+            "forklint precision on the labelled hazard fixtures (FP/FN vs \
+             hand-labelled ground truth)";
           table = precision_table;
         };
       Report.Data { name = "lint-precision"; json = precision_data };
       Report.Note
-        "every v1 false positive is a hazard pattern the token window \
-         cannot scope: work on the pid>0 parent branch \
-         (parent_path_work), stdio flushed through a helper before the \
-         fork (helper_flush), and a printf in a different function \
-         (cross_function). v2 resolves fork() return-value branches into \
-         child/parent/error regions on a per-function CFG, so those \
-         fixtures lint clean while the lock-across-fork and \
-         child-path-return hazards — invisible to v1 — are caught. Run \
-         `forkscan lint --format=sarif <dir>` for the CI-consumable \
+        "three fixtures hold hazard-shaped code a token window cannot \
+         scope: work on the pid>0 parent branch (parent_path_work), stdio \
+         flushed through a helper before the fork (helper_flush), and a \
+         printf in a different function (cross_function). forklint \
+         resolves fork() return-value branches into child/parent/error \
+         regions on a per-function CFG, so those fixtures lint clean while \
+         the lock-across-fork and child-path-return hazards are caught. \
+         Run `forkscan lint --format=sarif <dir>` for the CI-consumable \
          report.";
     ]
 

@@ -26,6 +26,15 @@ let all =
 
 let ids = List.map (fun e -> e.Report.exp_id) all
 
+let measure_real_first ~quick exps =
+  List.iter
+    (fun e ->
+      match e.Report.exp_id with
+      | "E14" -> ignore (Exp_churn.real_block ~quick)
+      | "E17" -> ignore (Exp_serve.real_block ~quick)
+      | _ -> ())
+    exps
+
 (* Filename-friendly names, matching the exp_*.ml module of each
    experiment — BENCH_<slug>.json is the bench harness's output name. *)
 let slug e =

@@ -130,8 +130,7 @@ let generate ?(packages = 200) ~seed () =
 type hazard = {
   hz_name : string;
   hz_source : string;
-  hz_expected : (string * int * int) list;  (* v2 (default rules) truth *)
-  hz_v1 : (string * int * int) list;  (* frozen v1 baseline's output *)
+  hz_expected : (string * int * int) list;
 }
 
 let src lines = String.concat "\n" lines ^ "\n"
@@ -168,16 +167,8 @@ let threaded_noexec =
         ("fork-in-threads", 14, 17);
         ("fork-no-exec", 14, 17);
         ("stdio-before-fork", 14, 17);
-        (* v2-only: the child falls through `if (pid == 0)` to main's
-           return — invisible to the token baseline *)
+        (* the child falls through `if (pid == 0)` to main's return *)
         ("child-path-return", 18, 5);
-      ];
-    hz_v1 =
-      [
-        ("fd-no-cloexec", 13, 14);
-        ("fork-in-threads", 14, 17);
-        ("fork-no-exec", 14, 17);
-        ("stdio-before-fork", 14, 17);
       ];
   }
 
@@ -196,7 +187,6 @@ let clean_spawn =
           "}";
         ];
     hz_expected = [];
-    hz_v1 = [];
   }
 
 let vfork_bad =
@@ -219,7 +209,6 @@ let vfork_bad =
           "}";
         ];
     hz_expected = [ ("vfork-misuse", 7, 9) ];
-    hz_v1 = [ ("vfork-misuse", 7, 9) ];
   }
 
 let vfork_no_exec =
@@ -245,7 +234,6 @@ let vfork_no_exec =
         ("vfork-misuse", 5, 9);
         ("vfork-misuse", 7, 5);
       ];
-    hz_v1 = [ ("vfork-misuse", 4, 9) ];
   }
 
 let stdio_fork =
@@ -268,7 +256,6 @@ let stdio_fork =
           "}";
         ];
     hz_expected = [ ("stdio-before-fork", 6, 17) ];
-    hz_v1 = [ ("stdio-before-fork", 6, 17) ];
   }
 
 let child_malloc =
@@ -292,7 +279,6 @@ let child_malloc =
           "}";
         ];
     hz_expected = [ ("unsafe-child-work", 7, 21) ];
-    hz_v1 = [ ("unsafe-child-work", 7, 21) ];
   }
 
 let cloexec_leak =
@@ -315,16 +301,15 @@ let cloexec_leak =
           "}";
         ];
     hz_expected = [ ("fd-no-cloexec", 5, 18) ];
-    hz_v1 = [ ("fd-no-cloexec", 5, 18) ];
   }
 
-(* --- v2 precision fixtures: each pins a v1 false-positive class that
-   the path-sensitive rules must NOT report, or a hazard only the CFG
-   can see. hz_v1 records the baseline's (wrong) output verbatim. *)
+(* --- precision fixtures: each pins a false-positive class of a
+   path-insensitive token scan that the path-sensitive rules must NOT
+   report, or a hazard only the CFG can see. *)
 
 (* Parent-path-only work: malloc/printf/free run only when pid > 0.
-   v1's token window cannot tell the branches apart and flags all
-   three; the dataflow knows the path's role excludes the child. *)
+   A token window cannot tell the branches apart; the dataflow knows
+   the path's role excludes the child. *)
 let parent_path_work =
   {
     hz_name = "parent_path_work.c";
@@ -351,17 +336,10 @@ let parent_path_work =
           "}";
         ];
     hz_expected = [];
-    hz_v1 =
-      [
-        ("unsafe-child-work", 9, 22);
-        ("unsafe-child-work", 10, 9);
-        ("unsafe-child-work", 11, 9);
-      ];
   }
 
 (* Flush via a helper: the one-level summary knows flush_all reaches
-   fflush, so the dirty-stdio fact dies before the fork. v1 only
-   recognises a literal fflush call. *)
+   fflush, so the dirty-stdio fact dies before the fork. *)
 let helper_flush =
   {
     hz_name = "helper_flush.c";
@@ -387,12 +365,11 @@ let helper_flush =
           "}";
         ];
     hz_expected = [];
-    hz_v1 = [ ("stdio-before-fork", 11, 17) ];
   }
 
 (* The stdio write lives in a different function that main never calls
-   before forking. v1 scans the whole file in token order and blames
-   the fork anyway; per-function CFGs keep the facts apart. *)
+   before forking. A whole-file token scan blames the fork anyway;
+   per-function CFGs keep the facts apart. *)
 let cross_function =
   {
     hz_name = "cross_function.c";
@@ -417,10 +394,9 @@ let cross_function =
           "}";
         ];
     hz_expected = [];
-    hz_v1 = [ ("stdio-before-fork", 9, 17) ];
   }
 
-(* A mutex held across the fork: only the v2 lock dataflow sees it. *)
+(* A mutex held across the fork: the lock dataflow sees it. *)
 let lock_across_fork =
   {
     hz_name = "lock_across_fork.c";
@@ -444,12 +420,10 @@ let lock_across_fork =
           "}";
         ];
     hz_expected = [ ("lock-across-fork", 8, 17) ];
-    hz_v1 = [];
   }
 
 (* The child execs only when access() succeeds; on the failure path it
-   falls through to `return -1` and keeps running the caller's code.
-   v1 sees an exec in the region and reports nothing. *)
+   falls through to `return -1` and keeps running the caller's code. *)
 let child_fallthrough =
   {
     hz_name = "child_fallthrough.c";
@@ -470,7 +444,6 @@ let child_fallthrough =
           "}";
         ];
     hz_expected = [ ("child-path-return", 9, 9) ];
-    hz_v1 = [];
   }
 
 let hazards =

@@ -35,16 +35,8 @@ type hazard = {
   hz_name : string;
   hz_source : string;
   hz_expected : (string * int * int) list;
-      (** ground-truth v2 findings as (rule id, line, col), 1-based, in
+      (** ground-truth findings as (rule id, line, col), 1-based, in
           {!Diagnostic.compare} order *)
-  hz_v1 : (string * int * int) list;
-      (** what the frozen v1 token rules report on the same source —
-          the baseline for the precision table. Where [hz_v1] has
-          entries missing from [hz_expected], those are v1 false
-          positives (parent-path-only work, flush-killed stdio,
-          cross-function confusion) that the dataflow rules eliminate;
-          where [hz_expected] has entries missing from [hz_v1], the
-          CFG found hazards the token scan cannot see. *)
 }
 
 val hazards : hazard list
@@ -53,5 +45,4 @@ val hazards : hazard list
     child-side work, locks held across fork, child fallthrough) plus
     clean programs (posix_spawn; parent-path-only work; helper-flushed
     stdio), each labelled with the exact findings
-    {!Rules.check_string} must report under the default v2 rules and
-    under {!Rules.v1}. *)
+    {!Rules.check_string} must report. *)

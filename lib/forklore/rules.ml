@@ -1,31 +1,17 @@
 (* The forklint rule registry.
 
-   v2: the default rules are dataflow rules — they consume the
-   {!Dataflow} observations computed over per-function {!Cfg}s, so a
-   hazard is only reported on a path that can actually be the forked
-   child (the true edge of [if (pid == 0)]), stdio facts are killed by
-   fflush, and fd facts must *reach* a fork on some path. The v1 token
-   rules (same ids, whole-file token-window heuristics — the level of
-   approximation the paper's own survey works at) are kept as {!v1}
-   so the corpus experiment can measure the precision win.
+   The rules are dataflow rules — they consume the {!Dataflow}
+   observations computed over per-function {!Cfg}s, so a hazard is only
+   reported on a path that can actually be the forked child (the true
+   edge of [if (pid == 0)]), stdio facts are killed by fflush, and fd
+   facts must *reach* a fork on some path.
 
-   Both layers share ids and metadata with [Ksim.Lint], the dynamic
+   The registry shares ids and metadata with [Ksim.Lint], the dynamic
    (trace-replay) checker, so static and dynamic findings cross-
    validate. *)
 
-type call = {
-  name : string;
-  line : int;
-  col : int;
-  tok_index : int;
-  depth : int;  (** brace depth at the call site *)
-}
-
 type ctx = {
   file : string;
-  toks : Lexer.token array;
-  depths : int array;  (** brace depth surrounding each token *)
-  calls : call list;  (** in source order *)
   results : Dataflow.result list;  (** one per parsed function *)
 }
 
@@ -40,123 +26,10 @@ type t = {
   check : ctx -> finding list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Context construction *)
-
-let build_ctx ~file toks =
-  let results = Dataflow.analyze_tokens toks in
-  let toks = Array.of_list toks in
-  let n = Array.length toks in
-  let depths = Array.make n 0 in
-  let d = ref 0 in
-  for i = 0 to n - 1 do
-    match toks.(i).Lexer.kind with
-    | Lexer.Punct "{" ->
-      depths.(i) <- !d;
-      incr d
-    | Lexer.Punct "}" ->
-      d := max 0 (!d - 1);
-      depths.(i) <- !d
-    | _ -> depths.(i) <- !d
-  done;
-  let calls = ref [] in
-  for i = 0 to n - 2 do
-    match (toks.(i).Lexer.kind, toks.(i + 1).Lexer.kind) with
-    | Lexer.Ident name, Lexer.Punct "(" when not (Lexer.is_keyword name) ->
-      calls :=
-        {
-          name;
-          line = toks.(i).Lexer.line;
-          col = toks.(i).Lexer.col;
-          tok_index = i;
-          depth = depths.(i);
-        }
-        :: !calls
-    | _ -> ()
-  done;
-  { file; toks; depths; calls = List.rev !calls; results }
-
-(* First token index after [idx] that closes the enclosing function:
-   a '}' back at depth 0. Array length when the file ends first. *)
-let region_end ctx idx =
-  let n = Array.length ctx.toks in
-  let rec go i =
-    if i >= n then n
-    else
-      match ctx.toks.(i).Lexer.kind with
-      | Lexer.Punct "}" when ctx.depths.(i) = 0 -> i
-      | _ -> go (i + 1)
-  in
-  go (idx + 1)
-
-let calls_between ctx a b =
-  List.filter (fun c -> c.tok_index > a && c.tok_index < b) ctx.calls
-
-(* Tokens of a call's argument list: everything between its '(' and the
-   matching ')'. *)
-let arg_tokens ctx call =
-  let n = Array.length ctx.toks in
-  let out = ref [] in
-  let rec go i depth =
-    if i >= n then ()
-    else
-      match ctx.toks.(i).Lexer.kind with
-      | Lexer.Punct "(" ->
-        if depth > 0 then out := ctx.toks.(i) :: !out;
-        go (i + 1) (depth + 1)
-      | Lexer.Punct ")" ->
-        if depth > 1 then begin
-          out := ctx.toks.(i) :: !out;
-          go (i + 1) (depth - 1)
-        end
-      | _ ->
-        if depth > 0 then out := ctx.toks.(i) :: !out;
-        go (i + 1) depth
-  in
-  go (call.tok_index + 1) 0;
-  List.rev !out
-
-let has_ident name toks =
-  List.exists
-    (fun t -> match t.Lexer.kind with Lexer.Ident i -> i = name | _ -> false)
-    toks
+let build_ctx ~file toks = { file; results = Dataflow.analyze_tokens toks }
 
 (* ------------------------------------------------------------------ *)
-(* Name sets (the v1 token rules keep their own lists so their
-   behaviour is frozen as the measured baseline) *)
-
-let fork_names = Dataflow.fork_names
-let vfork_names = Dataflow.vfork_names
-
-let creation_names =
-  [ "fork"; "vfork"; "clone"; "clone3"; "posix_spawn"; "posix_spawnp";
-    "system"; "popen" ]
-
-let escape_names = Dataflow.escape_names
-let stdio_names = Dataflow.stdio_names
-
-(* not async-signal-safe (or stdio-flushing) work that must not run in
-   the window between fork and exec — v1's short list; v2 consults the
-   full {!Signal_safety} table instead *)
-let unsafe_child_names =
-  [ "malloc"; "calloc"; "realloc"; "free"; "printf"; "fprintf"; "puts";
-    "fopen"; "fclose"; "exit"; "pthread_mutex_lock"; "pthread_mutex_unlock";
-    "pthread_create" ]
-
-let mem name names = List.mem name names
-
-let first_call ctx names =
-  List.find_opt (fun c -> mem c.name names) ctx.calls
-
-(* first escaping call (exec*/_exit) in (a, b) *)
-let first_escape between =
-  List.find_opt (fun c -> mem c.name escape_names) between
-
-(* ------------------------------------------------------------------ *)
-(* Shared metadata: id, severity, citation and hint are identical in
-   the v1 and v2 variants of a rule, so diagnostics stay comparable. *)
-
-let finding c msg = { f_line = c.line; f_col = c.col; f_message = msg }
+(* Rule metadata: id, severity, summary, citation and hint *)
 
 let meta_fork_in_threads =
   ( "fork-in-threads",
@@ -240,205 +113,7 @@ let make ~check (id, severity, summary, citation, hint) =
   { id; severity; summary; citation; hint; check }
 
 (* ------------------------------------------------------------------ *)
-(* v1: the frozen token-window baseline *)
-
-let v1_fork_in_threads =
-  make meta_fork_in_threads ~check:(fun ctx ->
-      match first_call ctx [ "pthread_create"; "thrd_create" ] with
-      | None -> []
-      | Some tc ->
-        List.filter_map
-          (fun c ->
-            if mem c.name fork_names && c.tok_index > tc.tok_index then
-              Some
-                (finding c
-                   (Printf.sprintf
-                      "%s() after this file starts threads (pthread_create \
-                       at line %d); in the child only the forking thread \
-                       exists and any mutex another thread held is orphaned"
-                      c.name tc.line))
-            else None)
-          ctx.calls)
-
-let v1_fork_no_exec =
-  make meta_fork_no_exec ~check:(fun ctx ->
-      List.filter_map
-        (fun c ->
-          if not (mem c.name fork_names) then None
-          else
-            let stop = region_end ctx c.tok_index in
-            let later = calls_between ctx c.tok_index stop in
-            if first_escape later <> None then None
-            else
-              Some
-                (finding c
-                   (Printf.sprintf
-                      "%s() but no exec*/_exit is reachable in the rest of \
-                       the enclosing function: the child keeps running with \
-                       the parent's entire inherited state"
-                      c.name)))
-        ctx.calls)
-
-let v1_stdio_before_fork =
-  make meta_stdio_before_fork ~check:(fun ctx ->
-      let last_stdio = ref None in
-      List.filter_map
-        (fun c ->
-          if mem c.name stdio_names then begin
-            last_stdio := Some c;
-            None
-          end
-          else if c.name = "fflush" then begin
-            last_stdio := None;
-            None
-          end
-          else if mem c.name (fork_names @ vfork_names) then
-            match !last_stdio with
-            | None -> None
-            | Some s ->
-              Some
-                (finding c
-                   (Printf.sprintf
-                      "%s() with unflushed stdio output (%s at line %d): \
-                       the child inherits and may re-flush the same bytes"
-                      c.name s.name s.line))
-          else None)
-        ctx.calls)
-
-let v1_unsafe_child_work =
-  make meta_unsafe_child_work ~check:(fun ctx ->
-      List.concat_map
-        (fun c ->
-          if not (mem c.name fork_names) then []
-          else
-            let stop = region_end ctx c.tok_index in
-            let later = calls_between ctx c.tok_index stop in
-            match first_escape later with
-            | None -> [] (* fork-no-exec's business *)
-            | Some e ->
-              List.filter_map
-                (fun o ->
-                  if
-                    o.tok_index < e.tok_index && mem o.name unsafe_child_names
-                  then
-                    Some
-                      (finding o
-                         (Printf.sprintf
-                            "%s() between fork (line %d) and %s (line %d); \
-                             it is not async-signal-safe and can deadlock \
-                             in the forked child"
-                            o.name c.line e.name e.line))
-                  else None)
-                later)
-        ctx.calls)
-
-let v1_fd_no_cloexec =
-  make meta_fd_no_cloexec ~check:(fun ctx ->
-      if first_call ctx creation_names = None then []
-      else
-        List.filter_map
-          (fun c ->
-            match c.name with
-            | "open" | "open64" | "openat" ->
-              if has_ident "O_CLOEXEC" (arg_tokens ctx c) then None
-              else
-                Some
-                  (finding c
-                     (Printf.sprintf
-                        "%s() without O_CLOEXEC in a file that creates \
-                         processes: the fd is inherited by every child"
-                        c.name))
-            | "socket" ->
-              if has_ident "SOCK_CLOEXEC" (arg_tokens ctx c) then None
-              else
-                Some
-                  (finding c
-                     "socket() without SOCK_CLOEXEC in a file that creates \
-                      processes: the fd is inherited by every child")
-            | "pipe" ->
-              Some
-                (finding c
-                   "pipe() cannot set CLOEXEC atomically; use pipe2(fds, \
-                    O_CLOEXEC)")
-            | "creat" ->
-              Some
-                (finding c
-                   "creat() cannot take O_CLOEXEC; use open(..., O_CREAT | \
-                    O_CLOEXEC, ...)")
-            | _ -> None)
-          ctx.calls)
-
-let v1_vfork_misuse =
-  make meta_vfork_misuse ~check:(fun ctx ->
-      List.concat_map
-        (fun c ->
-          if not (mem c.name vfork_names) then []
-          else
-            let stop = region_end ctx c.tok_index in
-            let later = calls_between ctx c.tok_index stop in
-            match first_escape later with
-            | None ->
-              [
-                finding c
-                  "vfork() but no execve/_exit is reachable in the \
-                   enclosing function; the child shares the parent's \
-                   address space and stack";
-              ]
-            | Some e ->
-              let bad_calls =
-                List.filter_map
-                  (fun o ->
-                    if
-                      o.tok_index < e.tok_index
-                      && not (mem o.name escape_names)
-                    then
-                      Some
-                        (finding o
-                           (Printf.sprintf
-                              "%s() in the vfork child window (vfork at \
-                               line %d, %s at line %d): only execve/_exit \
-                               are permitted there"
-                              o.name c.line e.name e.line))
-                    else None)
-                  later
-              in
-              let bad_return =
-                let rec scan i =
-                  if i >= e.tok_index then []
-                  else
-                    match ctx.toks.(i).Lexer.kind with
-                    | Lexer.Ident "return" ->
-                      [
-                        {
-                          f_line = ctx.toks.(i).Lexer.line;
-                          f_col = ctx.toks.(i).Lexer.col;
-                          f_message =
-                            Printf.sprintf
-                              "return in the vfork child window (vfork at \
-                               line %d): returning from the borrowed stack \
-                               frame is undefined behaviour"
-                              c.line;
-                        };
-                      ]
-                    | _ -> scan (i + 1)
-                in
-                scan (c.tok_index + 1)
-              in
-              bad_calls @ bad_return)
-        ctx.calls)
-
-let v1 =
-  [
-    v1_fork_in_threads;
-    v1_fork_no_exec;
-    v1_stdio_before_fork;
-    v1_unsafe_child_work;
-    v1_fd_no_cloexec;
-    v1_vfork_misuse;
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* v2: dataflow rules over {!Dataflow.obs} *)
+(* Dataflow rules over {!Dataflow.obs} *)
 
 let at (c : Cparse.call) msg =
   { f_line = c.Cparse.c_line; f_col = c.Cparse.c_col; f_message = msg }

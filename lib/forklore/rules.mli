@@ -2,14 +2,11 @@
 
     Each rule encodes one of the paper's fork hazards, with a severity,
     the paper section it operationalises and a fix hint naming the
-    spawnlib equivalent. The default {!all} rules are v2 {e dataflow}
-    rules: they consume {!Dataflow} observations computed over
-    per-function {!Cfg}s, so a hazard is only reported on a path that
-    can actually be the forked child, stdio facts are killed by
-    [fflush], and fd facts must reach a fork on some path. The frozen
-    {!v1} token-window heuristics (same rule ids) remain available as
-    the measured baseline for the corpus precision experiment.
-    [Ksim.Lint] reuses the same registry metadata for its dynamic
+    spawnlib equivalent. The {!all} rules are {e dataflow} rules: they
+    consume {!Dataflow} observations computed over per-function
+    {!Cfg}s, so a hazard is only reported on a path that can actually
+    be the forked child, stdio facts are killed by [fflush], and fd
+    facts must reach a fork on some path. [Ksim.Lint] reuses the same registry metadata for its dynamic
     (trace-replay) findings, so static and dynamic layers report
     identical rule ids.
 
@@ -27,23 +24,12 @@
     - [vfork-misuse] (Error): vfork child doing anything beyond
       exec/_exit (including return).
     - [lock-across-fork] (Error): a pthread mutex is held at a fork
-      site. v2-only.
+      site.
     - [child-path-return] (Warn): some child path reaches
-      return/function-exit without exec*/_exit. v2-only. *)
-
-type call = {
-  name : string;
-  line : int;
-  col : int;
-  tok_index : int;
-  depth : int;
-}
+      return/function-exit without exec*/_exit. *)
 
 type ctx = {
   file : string;
-  toks : Lexer.token array;
-  depths : int array;
-  calls : call list;
   results : Dataflow.result list;  (** one per parsed function *)
 }
 
@@ -59,11 +45,7 @@ type t = {
 }
 
 val all : t list
-(** The v2 dataflow registry, in documentation order. *)
-
-val v1 : t list
-(** The frozen token-window baseline (six rules, same ids as their v2
-    rewrites): what [exp_survey]'s precision table measures against. *)
+(** The dataflow registry, in documentation order. *)
 
 val find : string -> t option
 (** Look a rule up by id in {!all} (also used by [Ksim.Lint]). *)

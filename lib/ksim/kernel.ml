@@ -11,7 +11,6 @@ type config = {
   max_fds : int;
   fault : Fault.spec option;
   smp : bool;
-  par_jobs : int;
   demand_paging : bool;
   pager_readahead : int;
 }
@@ -30,7 +29,6 @@ let default_config =
     max_fds = 256;
     fault = None;
     smp = false;
-    par_jobs = 1;
     demand_paging = false;
     pager_readahead = 0;
   }
@@ -108,16 +106,6 @@ type t = {
      the clock to the nearest poll deadline like it does for alarms *)
   poll_deadlines : (Types.tid, int) Hashtbl.t;
   smp_st : smp_state option;
-  (* Record-and-replay hand-off of the parallel dispatch phase: the
-     per-round batch executor precomputes a whitelisted syscall's core
-     (address-space clone / touch) against scratch meters and parks the
-     result here, together with a thunk replaying the recorded charges
-     into the real meters; [attempt] consumes it in place of running the
-     core itself. Always [None] outside a dispatch_batch round. *)
-  mutable fork_override :
-    ((Vmem.Addr_space.t, Errno.t) result * (unit -> unit)) option;
-  mutable touch_override :
-    ((int, Vmem.Addr_space.fault_error) result * (unit -> unit)) option;
 }
 
 let create ?(config = default_config) () =
@@ -126,8 +114,6 @@ let create ?(config = default_config) () =
     invalid_arg
       (Printf.sprintf "Kernel.create: smp cpus must be 1..%d (got %d)"
          Vmem.Cpuset.max_cpus config.cpus);
-  if config.par_jobs < 1 then
-    invalid_arg "Kernel.create: par_jobs must be >= 1";
   let cost = Vmem.Cost.create ?params:config.cost_params () in
   let kstat = Kstat.create () in
   if config.smp then Kstat.enable_smp kstat ~cpus:config.cpus;
@@ -233,8 +219,6 @@ let create ?(config = default_config) () =
              rr = 0;
            }
        else None);
-    fork_override = None;
-    touch_override = None;
   }
 
 let config t = t.config
@@ -622,34 +606,12 @@ let make_forked_child t (parent : Proc.t) ~aspace ~body =
   ignore (new_thread t child ~is_main:true body);
   child
 
-let kernel_meters t =
-  { Vmem.Addr_space.m_cost = t.cost; m_tlb = t.tlb; m_blame = Some t.blame }
-
 let do_fork t (parent : Proc.t) ~eager body =
-  let cloned =
-    match t.fork_override with
-    | Some (r, replay) ->
-      (* the parallel phase already ran the clone against scratch
-         meters; replay its recorded charges here, inside the creation
-         event's Sync context, exactly where a sequential clone would
-         have charged them *)
-      t.fork_override <- None;
-      replay ();
-      (match r with
-      | Ok aspace -> Vmem.Addr_space.set_meters aspace (kernel_meters t)
-      | Error _ -> ());
-      r
-    | None -> (
-      let clone =
-        if eager then Vmem.Addr_space.clone_eager
-        else Vmem.Addr_space.clone_cow
-      in
-      match clone parent.Proc.aspace with
-      | Error (`Commit_limit | `Out_of_memory) -> Error Errno.ENOMEM
-      | Ok aspace -> Ok aspace)
+  let clone =
+    if eager then Vmem.Addr_space.clone_eager else Vmem.Addr_space.clone_cow
   in
-  match cloned with
-  | Error e -> Error e
+  match clone parent.Proc.aspace with
+  | Error (`Commit_limit | `Out_of_memory) -> Error Errno.ENOMEM
   | Ok aspace ->
     let child = make_forked_child t parent ~aspace ~body in
     (* the child's clone keeps mapping any template pages the parent
@@ -1272,17 +1234,9 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     in
     go 0
   | Sysreq.Touch { addr; len } -> (
-    match t.touch_override with
-    | Some (r, replay) ->
-      t.touch_override <- None;
-      replay ();
-      (match r with
-      | Ok pages -> Reply (Ok pages)
-      | Error e -> Reply (Error (mem_errno e)))
-    | None -> (
-      match touch_with_oom t proc ~addr ~len with
-      | Ok pages -> Reply (Ok pages)
-      | Error e -> Reply (Error (mem_errno e))))
+    match touch_with_oom t proc ~addr ~len with
+    | Ok pages -> Reply (Ok pages)
+    | Error e -> Reply (Error (mem_errno e)))
   | Sysreq.Thread_create body ->
     let thread = new_thread t proc ~is_main:false body in
     Reply (Ok thread.Proc.tid)
@@ -1901,8 +1855,11 @@ let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
   let proc = proc_of t th in
   Kstat.set_current t.kstat (Some proc.Proc.pid);
   let meta = is_accounting_op req in
-  let targs = if meta then [] else trace_args proc req in
-  let tdetail = if meta then Trace.D_none else trace_detail proc req in
+  (* the args only feed trace records: untraced machines skip building
+     them, and their parked entries carry the empty ones *)
+  let traced = (not meta) && Option.is_some t.trace in
+  let targs = if traced then trace_args proc req else [] in
+  let tdetail = if traced then trace_detail proc req else Trace.D_none in
   let entry_cycles = Vmem.Cost.total t.cost in
   if not meta then begin
     record_begin t proc th req ~args:targs ~detail:tdetail;
@@ -2106,8 +2063,7 @@ let pick_batch t s =
 
 (* Phase A of a round: charge the context switch, note the CPU in the
    space's mask, and run the thread until it performs a syscall (sets
-   [pending]) or returns. Dispatch is deferred to phase B so eligible
-   syscall cores of one round can execute concurrently. *)
+   [pending]) or returns. *)
 let run_slice t s (cpu, (th : Proc.thread)) =
   t.clock <- t.clock + 1;
   Vmem.Tlb.set_active t.tlb cpu;
@@ -2131,200 +2087,19 @@ let run_slice t s (cpu, (th : Proc.thread)) =
     r ()
   | None -> invalid_arg "Kernel.run: scheduled thread with nothing to run"
 
-(* Syscalls whose heavy core — the address-space walk — may run on a
-   worker domain: it touches only the caller's own space, that space's
-   COW family, and the (mutex-protected) frame allocator. *)
-type par_core =
-  | Core_fork of { eager : bool }
-  | Core_touch of { addr : int; len : int }
-
-let core_of_pending (Proc.Pending (req, _)) =
-  match req with
-  | Sysreq.Fork _ -> Some (Core_fork { eager = false })
-  | Sysreq.Fork_eager _ -> Some (Core_fork { eager = true })
-  | Sysreq.Touch { addr; len } -> Some (Core_touch { addr; len })
-  | _ -> None
-
-(* Requests that reach into a *different* process's address space
-   (embryo builders, template freeze/spawn): a round holding one runs
-   fully sequentially, because the family-disjointness check below only
-   covers each pending's own space. *)
-let crosses_aspaces (Proc.Pending (req, _)) =
-  match req with
-  | Sysreq.Pb_create | Sysreq.Pb_map _ | Sysreq.Pb_write _
-  | Sysreq.Pb_copy_fd _ | Sysreq.Pb_start _ | Sysreq.Template_freeze _
-  | Sysreq.Template_spawn _ ->
-    true
-  | _ -> false
-
-(* An ordered log of everything a core charged against its scratch
-   meters, replayed verbatim into the real meters at dispatch time. *)
-type scratch_entry =
-  | S_charge of (int * Vmem.Blame.kind) option * string * int * float
-  | S_ipi of int * int list * bool * int
-
-type par_task = {
-  pt_cpu : int;
-  pt_asp : Vmem.Addr_space.t;
-  pt_core : par_core;
-  pt_log : scratch_entry list ref;
-  mutable pt_fork : (Vmem.Addr_space.t, Errno.t) result option;
-  mutable pt_touch : (int, Vmem.Addr_space.fault_error) result option;
-}
-
-let prepare_task t s (cpu, th) core =
-  let asp = (proc_of t th).Proc.aspace in
-  let log = ref [] in
-  let sc_cost = Vmem.Cost.create ~params:(params t) () in
-  let sc_blame = Vmem.Blame.create () in
-  let sc_tlb = Vmem.Tlb.create ~cpus:s.ncpu ~tracked:true sc_cost in
-  Vmem.Tlb.set_active sc_tlb cpu;
-  Vmem.Cost.set_observer sc_cost
-    (Some
-       (fun cat ~n cycles ->
-         log :=
-           S_charge (Vmem.Blame.context sc_blame, cat, n, cycles) :: !log));
-  Vmem.Tlb.set_ipi_hook sc_tlb
-    (Some
-       (fun ~src ~dsts ~full ~n ->
-         log := S_ipi (src, Vmem.Cpuset.to_list dsts, full, n) :: !log));
-  Vmem.Addr_space.set_meters asp
-    {
-      Vmem.Addr_space.m_cost = sc_cost;
-      m_tlb = sc_tlb;
-      m_blame = Some sc_blame;
-    };
-  { pt_cpu = cpu; pt_asp = asp; pt_core = core; pt_log = log;
-    pt_fork = None; pt_touch = None }
-
-let run_core task =
-  match task.pt_core with
-  | Core_fork { eager } ->
-    let clone =
-      if eager then Vmem.Addr_space.clone_eager else Vmem.Addr_space.clone_cow
-    in
-    task.pt_fork <-
-      Some
-        (match clone task.pt_asp with
-        | Error (`Commit_limit | `Out_of_memory) -> Error Errno.ENOMEM
-        | Ok a -> Ok a)
-  | Core_touch { addr; len } ->
-    task.pt_touch <- Some (Vmem.Addr_space.touch_range task.pt_asp ~addr ~len)
-
-(* Replay the recorded charges into the real meters, reconstructing the
-   attribution context each was observed under. Runs with the
-   dispatching syscall's ambient blame context active, so context-free
-   charges land exactly where a sequential core would have put them. *)
-let replay_log t task () =
-  List.iter
-    (function
-      | S_charge (None, cat, n, cycles) ->
-        Vmem.Cost.charge ~n t.cost cat cycles
-      | S_charge (Some (id, kind), cat, n, cycles) ->
-        Vmem.Blame.with_context t.blame ~id kind (fun () ->
-            Vmem.Cost.charge ~n t.cost cat cycles)
-      | S_ipi (src, dsts, full, n) ->
-        Kstat.on_ipi t.kstat ~src ~dsts ~full ~n)
-    (List.rev !(task.pt_log))
-
-(* Phase B: dispatch every pending of the round in ascending CPU order.
-   Whitelisted cores of pendings whose COW family appears exactly once
-   in the round are precomputed first — concurrently when the kernel has
-   a worker pool — against scratch meters; each dispatch then replays
-   its recorded charges in its sequential position. The replay order
-   equals the sequential dispatch order, so every simulated number is
-   identical at any [par_jobs]. *)
-let dispatch_batch t s pool batch =
-  let pendings =
-    List.filter_map
-      (fun (cpu, (th : Proc.thread)) ->
-        match th.Proc.pending with
-        | Some p -> Some (cpu, th, p)
-        | None -> None)
-      batch
-  in
-  let family_of th = Vmem.Addr_space.family (proc_of t th).Proc.aspace in
-  let fam_count = Hashtbl.create 8 in
-  List.iter
-    (fun (_, th, _) ->
-      let fam = family_of th in
-      let n = Option.value ~default:0 (Hashtbl.find_opt fam_count fam) in
-      Hashtbl.replace fam_count fam (n + 1))
-    pendings;
-  let par_ok =
-    t.fault = None
-    && not (List.exists (fun (_, _, p) -> crosses_aspaces p) pendings)
-  in
-  let eligible =
-    if not par_ok then []
-    else
-      List.filter_map
-        (fun (cpu, th, p) ->
-          match core_of_pending p with
-          | Some core when Hashtbl.find fam_count (family_of th) = 1 -> (
-            match core with
-            | Core_touch _
-              when Vmem.Addr_space.pager_active (proc_of t th).Proc.aspace
-                   || Vmem.Frame.policy t.frames = Vmem.Frame.Demand ->
-              (* pager-backed (or Demand-policy) touches stay
-                 sequential: a failed first touch may OOM-kill another
-                 process of the round, which the precompute-against-
-                 scratch-meters detour cannot express *)
-              None
-            | Core_touch _ | Core_fork _ -> Some (cpu, th, core))
-          | Some _ | None -> None)
-        pendings
-  in
-  let tasks =
-    (* a single eligible core gains nothing from the scratch detour:
-       direct dispatch already is the sequential order *)
-    if List.length eligible < 2 then []
-    else
-      List.map (fun (cpu, th, core) -> prepare_task t s (cpu, th) core)
-        eligible
-  in
-  (match tasks with
-  | [] -> ()
-  | tasks ->
-    (match pool with
-    | Some pool ->
-      Workload.Par.Pool.run pool
-        (Array.of_list (List.map (fun task () -> run_core task) tasks))
-    | None -> List.iter run_core tasks);
-    (* cores done: point the spaces back at the kernel meters before any
-       dispatch charges *)
-    List.iter
-      (fun task -> Vmem.Addr_space.set_meters task.pt_asp (kernel_meters t))
-      tasks);
-  let task_for cpu = List.find_opt (fun task -> task.pt_cpu = cpu) tasks in
+(* Phase B: dispatch the round's pendings in ascending CPU order. It
+   waits for every slice of the round because a dispatch can end
+   threads picked later in the same round (exit and exec tear down
+   sibling threads); a thread that died that way is skipped. *)
+let dispatch_round t batch =
   List.iter
     (fun (cpu, (th : Proc.thread)) ->
       Vmem.Tlb.set_active t.tlb cpu;
-      if th.Proc.tstate = Proc.Exited then (
-        (* an earlier dispatch of this round killed the process, so
-           sequentially this syscall never ran: quietly undo the
-           precomputed clone (its charges were never replayed) *)
-        match task_for cpu with
-        | Some { pt_fork = Some (Ok aspace); _ } ->
-          Vmem.Addr_space.destroy aspace
-        | Some _ | None -> ())
-      else
+      if th.Proc.tstate <> Proc.Exited then
         match th.Proc.pending with
         | Some p ->
           th.Proc.pending <- None;
-          (match task_for cpu with
-          | Some task -> (
-            match task.pt_core with
-            | Core_fork _ ->
-              t.fork_override <-
-                Some (Option.get task.pt_fork, replay_log t task)
-            | Core_touch _ ->
-              t.touch_override <-
-                Some (Option.get task.pt_touch, replay_log t task))
-          | None -> ());
-          dispatch t th p;
-          t.fork_override <- None;
-          t.touch_override <- None
+          dispatch t th p
         | None -> if th.Proc.tstate = Proc.Running then thread_returned t th)
     batch
 
@@ -2332,51 +2107,33 @@ let queues_empty s = Array.for_all Queue.is_empty s.runqs
 
 let run_smp ~max_ticks t s =
   let deadline = t.clock + max_ticks in
-  (* the in-kernel pool draws from the same process-wide jobs budget as
-     Workload.Par.map, so a sweep harness fanning kernels out across
-     domains cannot be oversubscribed by the kernels' own pools: inner
-     pools then get zero workers and run their batches sequentially *)
-  let pool =
-    if t.config.par_jobs > 1 then
-      Some (Workload.Par.Pool.create ~workers:(t.config.par_jobs - 1))
-    else None
-  in
-  if Option.is_some pool then Vmem.Frame.set_threadsafe t.frames true;
-  let finally () =
-    match pool with
-    | Some p ->
-      Workload.Par.Pool.shutdown p;
-      Vmem.Frame.set_threadsafe t.frames false
-    | None -> ()
-  in
-  Fun.protect ~finally (fun () ->
-      let rec loop () =
-        if t.clock >= deadline then Tick_limit
-        else begin
-          check_alarms t;
-          match pick_batch t s with
-          | [] -> (
+  let rec loop () =
+    if t.clock >= deadline then Tick_limit
+    else begin
+      check_alarms t;
+      match pick_batch t s with
+      | [] -> (
+        retry_parked t;
+        if not (queues_empty s) then loop ()
+        else if t.parked = [] then All_exited
+        else
+          match next_timer_tick t with
+          | Some at when at > t.clock ->
+            t.clock <- at;
+            check_alarms t;
             retry_parked t;
-            if not (queues_empty s) then loop ()
-            else if t.parked = [] then All_exited
-            else
-              match next_timer_tick t with
-              | Some at when at > t.clock ->
-                t.clock <- at;
-                check_alarms t;
-                retry_parked t;
-                if queues_empty s && t.parked <> [] then
-                  Stalled (describe_stalls t)
-                else loop ()
-              | Some _ | None -> Stalled (describe_stalls t))
-          | batch ->
-            List.iter (run_slice t s) batch;
-            dispatch_batch t s pool batch;
-            retry_parked t;
-            loop ()
-        end
-      in
-      loop ())
+            if queues_empty s && t.parked <> [] then
+              Stalled (describe_stalls t)
+            else loop ()
+          | Some _ | None -> Stalled (describe_stalls t))
+      | batch ->
+        List.iter (run_slice t s) batch;
+        dispatch_round t batch;
+        retry_parked t;
+        loop ()
+    end
+  in
+  loop ()
 
 let run_seq ~max_ticks t =
   let deadline = t.clock + max_ticks in

@@ -48,16 +48,9 @@ type config = {
           [false] (the default) keeps the legacy single-queue scheduler
           and broadcast shootdown model — bit-identical to every
           historical BENCH number. With [smp], [cpus] must be in
-          1..{!Vmem.Cpuset.max_cpus}. *)
-  par_jobs : int;
-      (** SMP only: OCaml domains used to execute eligible syscall cores
-          of one scheduling round concurrently (fork's address-space
-          clone, large touches — when the round's pendings touch
-          disjoint COW families). The kernel records each core's charges
-          against scratch meters and replays them sequentially in CPU
-          order, so results are bit-identical at any value; [1] (the
-          default) runs everything in the calling domain. Workers come
-          from the shared {!Workload.Par} budget. *)
+          1..{!Vmem.Cpuset.max_cpus}. A scheduling round runs one slice
+          per CPU, then dispatches the round's syscalls in ascending CPU
+          order, all in the calling domain. *)
   demand_paging : bool;
       (** Install a simulated user-mode pager ({!Pager}) into every
           address space the kernel creates: exec maps image segments as
@@ -76,8 +69,7 @@ type config = {
 val default_config : config
 (** 1 GiB memory, 4 cpus, [Strict] commit, ASLR on, seed 42, FIFO
     scheduling, no tracing, 64 KiB pipes, 256 fds, no fault injection,
-    SMP off (legacy broadcast-TLB accounting), [par_jobs = 1], demand
-    paging off. *)
+    SMP off (legacy broadcast-TLB accounting), demand paging off. *)
 
 type t
 

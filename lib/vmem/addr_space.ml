@@ -3,9 +3,9 @@ type fault_error = [ `Segfault | `Perm_denied | `Out_of_memory ]
 (* A simulated user-mode pager: supplies the frame contents (and the
    modelled fetch cost) for pager-backed pages on their first touch.
    [fetch] resolves a lazy PTE's cookie; [fetch_backing] copies a page
-   out of a template backing table; both take the cost meter as an
-   argument because the SMP kernel swaps scratch meters in during its
-   record-and-replay phase and the closures are built once per space.
+   out of a template backing table; both take the faulting space's cost
+   meter as an argument, so one pager value can serve every space it is
+   installed into whatever meter each space charges.
    [deny] is the fault-injection hook, consulted once per pulled page
    (readahead included); [readahead] is how many immediately-following
    pager-backed pages one request also pulls in. *)
@@ -18,8 +18,8 @@ type pager = {
 
 type t = {
   frames : Frame.t;
-  mutable cost : Cost.t;
-  mutable tlb : Tlb.t;
+  cost : Cost.t;
+  tlb : Tlb.t;
   mutable regions : Vma.t Region_map.t;
   mutable pt : Page_table.t;
   mmap_base : int;
@@ -29,14 +29,10 @@ type t = {
   batched : bool;
       (** range-batched hot paths; [false] keeps the per-page reference
           walks as the oracle the batched paths are tested against *)
-  mutable blame : Blame.t option;
+  blame : Blame.t option;
   mutable blame_origin : int;
       (** id of the most recent {!Blame} sharing event this space took
           part in, or -1; COW breaks are deferred-charged to it *)
-  family : int;
-      (** clone lineage id: spaces whose frames may be COW-entangled
-          (fork children, template children) share a family; the SMP
-          kernel parallelises only across distinct families *)
   mutable cpumask : Cpuset.t;
       (** which simulated CPUs may cache translations of this space —
           maintained by the SMP scheduler; drives targeted shootdowns *)
@@ -51,21 +47,7 @@ type t = {
           here and faults inside them fall back to demand-zero *)
 }
 
-(* cost/tlb/blame are mutable only so the SMP kernel can swap scratch
-   meters in for the record-and-replay parallel phase; outside that
-   window they are fixed for the life of the space. *)
-type meters = { m_cost : Cost.t; m_tlb : Tlb.t; m_blame : Blame.t option }
-
-let meters t = { m_cost = t.cost; m_tlb = t.tlb; m_blame = t.blame }
-
-let set_meters t { m_cost; m_tlb; m_blame } =
-  t.cost <- m_cost;
-  t.tlb <- m_tlb;
-  t.blame <- m_blame
-
 let default_mmap_base = 0x7000_0000_0000
-
-let next_family = Atomic.make 0
 
 let create ?(mmap_base = default_mmap_base) ?(batched = true) ?blame ~frames
     ~cost ~tlb () =
@@ -84,7 +66,6 @@ let create ?(mmap_base = default_mmap_base) ?(batched = true) ?blame ~frames
     batched;
     blame;
     blame_origin = -1;
-    family = Atomic.fetch_and_add next_family 1;
     cpumask = Cpuset.empty;
     pager = None;
     backing = None;
@@ -102,7 +83,6 @@ let lazy_pages t = Page_table.lazy_count t.pt
 let pager_active t =
   t.pager <> None && (t.backing <> None || Page_table.lazy_count t.pt > 0)
 
-let family t = t.family
 let cpumask t = t.cpumask
 let note_cpu t ~cpu = t.cpumask <- Cpuset.add cpu t.cpumask
 
@@ -738,8 +718,6 @@ let clone_common t ~pt ~committed_charge =
     (* the kernel stamps the clone's sharing origin explicitly after the
        creating syscall succeeds; until then nothing is attributed *)
     blame_origin = -1;
-    (* COW entanglement with the source: same family *)
-    family = t.family;
     (* no CPU caches the clone's translations until it is scheduled *)
     cpumask = Cpuset.empty;
     pager = t.pager;

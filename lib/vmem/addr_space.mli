@@ -36,13 +36,6 @@ val frames : t -> Frame.t
 val cost : t -> Cost.t
 val mmap_base : t -> int
 
-val family : t -> int
-(** Clone-lineage id: spaces whose frames may be COW-entangled (a forked
-    child and its parent, children of one template) share a family. The
-    SMP kernel runs syscalls concurrently only across distinct families,
-    so refcount races between entangled spaces cannot arise. Fresh
-    spaces from {!create} get a new family; clones inherit. *)
-
 val cpumask : t -> Cpuset.t
 (** Which simulated CPUs may currently cache translations of this space.
     Maintained by the SMP scheduler via {!note_cpu}; consulted by the
@@ -54,17 +47,6 @@ val note_cpu : t -> cpu:int -> unit
     CPU on every scheduling step of a thread of this space (not just on
     context switch — a full shootdown collapses the mask to the sender,
     and still-running remote CPUs must be re-observed immediately). *)
-
-type meters = { m_cost : Cost.t; m_tlb : Tlb.t; m_blame : Blame.t option }
-(** The accounting sinks an address space charges into. Mutable only to
-    support the SMP kernel's record-and-replay parallel phase: each
-    concurrent task swaps in a scratch meter set, records the charges it
-    generates, and the kernel replays them into the real meters
-    sequentially in CPU order — so parallel execution never changes any
-    simulated number. *)
-
-val meters : t -> meters
-val set_meters : t -> meters -> unit
 
 type pager = {
   fetch : Cost.t -> cookie:int -> frame:Frame.frame -> unit;
@@ -81,10 +63,9 @@ type pager = {
       (** extra consecutive pager-backed pages pulled per request *)
 }
 (** A simulated user-mode pager (see the module comment of
-    {!Ksim.Pager}). The cost meter is passed to each closure at call
-    time because the SMP kernel swaps scratch meters in during its
-    record-and-replay phase while the closures live as long as the
-    space. *)
+    {!Ksim.Pager}). Each closure is passed the faulting space's cost
+    meter at call time, so a pager is built once, independently of any
+    space, and installed into as many spaces as need it. *)
 
 val set_pager : t -> pager option -> unit
 (** Install (or remove) the pager consulted on first-touch faults of
@@ -97,8 +78,7 @@ val pager_installed : t -> bool
 val pager_active : t -> bool
 (** A pager is installed {e and} this space has pager-backed pages
     (lazy PTEs or a template backing table) — i.e. faults may reach the
-    pager. The SMP kernel excludes such spaces' touches from its
-    parallel phase. *)
+    pager. *)
 
 val lazy_pages : t -> int
 (** Number of lazy (mapped-but-unbacked) PTEs. *)

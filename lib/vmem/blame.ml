@@ -91,8 +91,6 @@ let mark_failed t id =
 
 let event_of_child t pid = Hashtbl.find_opt t.by_child pid
 
-let context t = t.context
-
 let with_context t ~id which f =
   let saved = t.context in
   t.context <- Some (id, which);

@@ -60,12 +60,6 @@ val with_context : t -> id:int -> kind -> (unit -> 'a) -> 'a
     event [id]'s [kind] bucket; restores the previous context on exit
     (also on exception). Contexts nest by shadowing. *)
 
-val context : t -> (int * kind) option
-(** The currently active attribution context, if any. The SMP kernel's
-    record-and-replay path snapshots this on a scratch ledger so each
-    recorded charge can be replayed into the real ledger under the same
-    attribution. *)
-
 val find : t -> int -> event option
 
 val events : t -> event list

@@ -38,12 +38,6 @@ type t = {
   mutable deny_commit : (unit -> bool) option;
       (** fault-injection hook: consulted once per non-empty commit
           charge; [true] makes it fail with [`Commit_limit] *)
-  lock : Mutex.t;
-  mutable threadsafe : bool;
-      (** serialise the shared allocator state (free stack, spill and
-          data tables, commit pool) across OCaml domains; enabled by the
-          SMP kernel only while its parallel phase is live, so the
-          sequential paths never pay for the lock *)
 }
 
 let create ?(policy = Strict) ~frames () =
@@ -64,13 +58,7 @@ let create ?(policy = Strict) ~frames () =
     data_max = -1;
     deny_alloc = None;
     deny_commit = None;
-    lock = Mutex.create ();
-    threadsafe = false;
   }
-
-let set_threadsafe t b = t.threadsafe <- b
-let[@inline] lock t = if t.threadsafe then Mutex.lock t.lock
-let[@inline] unlock t = if t.threadsafe then Mutex.unlock t.lock
 
 let set_deny_alloc t hook = t.deny_alloc <- hook
 let set_deny_commit t hook = t.deny_commit <- hook
@@ -109,28 +97,21 @@ let push_free t f =
 
 let alloc t =
   if denied t.deny_alloc then Error `Out_of_memory
+  else if t.run_top > 0 then begin
+    let r = t.run_top - 1 in
+    let f = t.run_hi.(r) in
+    if f = t.run_lo.(r) then t.run_top <- r else t.run_hi.(r) <- f - 1;
+    rc_set t f 1;
+    t.used <- t.used + 1;
+    Ok f
+  end
+  else if t.next_fresh >= t.nframes then Error `Out_of_memory
   else begin
-    lock t;
-    let r =
-      if t.run_top > 0 then begin
-        let r = t.run_top - 1 in
-        let f = t.run_hi.(r) in
-        if f = t.run_lo.(r) then t.run_top <- r else t.run_hi.(r) <- f - 1;
-        rc_set t f 1;
-        t.used <- t.used + 1;
-        Ok f
-      end
-      else if t.next_fresh >= t.nframes then Error `Out_of_memory
-      else begin
-        let f = t.next_fresh in
-        t.next_fresh <- t.next_fresh + 1;
-        rc_set t f 1;
-        t.used <- t.used + 1;
-        Ok f
-      end
-    in
-    unlock t;
-    r
+    let f = t.next_fresh in
+    t.next_fresh <- t.next_fresh + 1;
+    rc_set t f 1;
+    t.used <- t.used + 1;
+    Ok f
   end
 
 (* With a deny hook installed, the batched path must consult it once per
@@ -155,14 +136,7 @@ let alloc_upto t n =
   if n < 0 then invalid_arg "Frame.alloc_upto: negative count";
   if t.deny_alloc <> None then alloc_upto_hooked t n
   else begin
-  lock t;
   let out = Array.make n 0 in
-  (* Only the shared free-list/counter manipulation needs the lock; the
-     refcount initialisation loop below runs outside it. The popped
-     frames are exclusively this caller's until it hands them out, so
-     no other domain can touch their count bytes, and byte stores to
-     distinct indices don't interfere. This keeps parallel SMP touch
-     cores from serialising on O(pages) work under the mutex. *)
   let k = ref 0 in
   (* recycled frames first, newest-freed first — the exact order [n]
      successive allocs would produce *)
@@ -180,7 +154,6 @@ let alloc_upto t n =
   let fresh0 = t.next_fresh in
   t.next_fresh <- t.next_fresh + fresh;
   t.used <- t.used + !k + fresh;
-  unlock t;
   for i = 0 to fresh - 1 do
     out.(!k + i) <- fresh0 + i
   done;
@@ -200,12 +173,10 @@ let incref_spilling t f c =
 
 let incref t f =
   check_frame t f "Frame.incref";
-  lock t;
   let c = rc_get t f in
   if c < immortal - 1 then rc_set t f (c + 1)
   else if c = immortal then ()
-  else incref_spilling t f c;
-  unlock t
+  else incref_spilling t f c
 
 let decref_spilled t f =
   let v = Hashtbl.find t.spill f - 1 in
@@ -217,31 +188,25 @@ let decref_spilled t f =
 
 let decref t f =
   check_frame t f "Frame.decref";
-  lock t;
   let c = rc_get t f in
-  let r =
-    if c = spilled then begin
-      decref_spilled t f;
-      false
+  if c = spilled then begin
+    decref_spilled t f;
+    false
+  end
+  else if c = immortal then false
+  else begin
+    rc_set t f (c - 1);
+    if c = 1 then begin
+      if f <= t.data_max then Hashtbl.remove t.data f;
+      push_free t f;
+      t.used <- t.used - 1;
+      true
     end
-    else if c = immortal then false
-    else begin
-      rc_set t f (c - 1);
-      if c = 1 then begin
-        if f <= t.data_max then Hashtbl.remove t.data f;
-        push_free t f;
-        t.used <- t.used - 1;
-        true
-      end
-      else false
-    end
-  in
-  unlock t;
-  r
+    else false
+  end
 
 let incref_many t fs n =
   if n < 0 || n > Array.length fs then invalid_arg "Frame.incref_many";
-  lock t;
   for i = 0 to n - 1 do
     let f = Array.unsafe_get fs i in
     if f < 0 || f >= t.nframes then check_frame t f "Frame.incref";
@@ -250,12 +215,10 @@ let incref_many t fs n =
     else if c < immortal - 1 then rc_set t f (c + 1)
     else if c = immortal then ()
     else incref_spilling t f c
-  done;
-  unlock t
+  done
 
 let decref_many t fs n =
   if n < 0 || n > Array.length fs then invalid_arg "Frame.decref_many";
-  lock t;
   for i = 0 to n - 1 do
     let f = Array.unsafe_get fs i in
     if f < 0 || f >= t.nframes then check_frame t f "Frame.decref";
@@ -270,22 +233,15 @@ let decref_many t fs n =
     else if c = immortal then ()
     else if c < spilled then rc_set t f (c - 1)
     else decref_spilled t f
-  done;
-  unlock t
+  done
 
 let refcount t f =
   if f < 0 || f >= t.nframes then 0
-  else begin
-    lock t;
-    let r =
-      match rc_get t f with
-      | c when c = spilled -> Hashtbl.find t.spill f
-      | c when c = immortal -> max_int
-      | c -> c
-    in
-    unlock t;
-    r
-  end
+  else
+    match rc_get t f with
+    | c when c = spilled -> Hashtbl.find t.spill f
+    | c when c = immortal -> max_int
+    | c -> c
 
 (* The immortal class: a pinned frame belongs to a sealed template, so
    it opts out of reference counting — incref/decref become no-ops,
@@ -321,32 +277,24 @@ let pinned t = t.pinned
 let commit t pages =
   if pages < 0 then invalid_arg "Frame.commit: negative";
   if pages > 0 && denied t.deny_commit then Error `Commit_limit
-  else begin
-    lock t;
-    let r =
-      match t.policy with
-      | Overcommit | Demand ->
-        (* Demand admits like Overcommit at commit time; the reckoning
-           moves to first-touch faults, where the kernel's OOM killer
-           frees pressure instead of refusing admission. *)
+  else
+    match t.policy with
+    | Overcommit | Demand ->
+      (* Demand admits like Overcommit at commit time; the reckoning
+         moves to first-touch faults, where the kernel's OOM killer
+         frees pressure instead of refusing admission. *)
+      t.committed <- t.committed + pages;
+      Ok ()
+    | Strict ->
+      if t.committed + pages > t.nframes then Error `Commit_limit
+      else begin
         t.committed <- t.committed + pages;
         Ok ()
-      | Strict ->
-        if t.committed + pages > t.nframes then Error `Commit_limit
-        else begin
-          t.committed <- t.committed + pages;
-          Ok ()
-        end
-    in
-    unlock t;
-    r
-  end
+      end
 
 let uncommit t pages =
   if pages < 0 then invalid_arg "Frame.uncommit: negative";
-  lock t;
-  t.committed <- max 0 (t.committed - pages);
-  unlock t
+  t.committed <- max 0 (t.committed - pages)
 
 let committed t = t.committed
 
@@ -364,50 +312,34 @@ let write_byte t f ~off v =
   if off < 0 || off >= Addr.page_size then
     invalid_arg "Frame.write_byte: offset";
   if v < 0 || v > 255 then invalid_arg "Frame.write_byte: byte value";
-  lock t;
-  Bytes.set (contents t f) off (Char.chr v);
-  unlock t
+  Bytes.set (contents t f) off (Char.chr v)
 
 let read_byte t f ~off =
   check_frame t f "Frame.read_byte";
   if off < 0 || off >= Addr.page_size then invalid_arg "Frame.read_byte: offset";
-  lock t;
-  let r =
-    match Hashtbl.find_opt t.data f with
-    | None -> 0
-    | Some b -> Char.code (Bytes.get b off)
-  in
-  unlock t;
-  r
+  match Hashtbl.find_opt t.data f with
+  | None -> 0
+  | Some b -> Char.code (Bytes.get b off)
 
 let blit_string t f ~off s =
   check_frame t f "Frame.blit_string";
   if off < 0 || off + String.length s > Addr.page_size then
     invalid_arg "Frame.blit_string: range";
-  lock t;
-  Bytes.blit_string s 0 (contents t f) off (String.length s);
-  unlock t
+  Bytes.blit_string s 0 (contents t f) off (String.length s)
 
 let read_string t f ~off ~len =
   check_frame t f "Frame.read_string";
   if off < 0 || len < 0 || off + len > Addr.page_size then
     invalid_arg "Frame.read_string: range";
-  lock t;
-  let r =
-    match Hashtbl.find_opt t.data f with
-    | None -> String.make len '\000'
-    | Some b -> Bytes.sub_string b off len
-  in
-  unlock t;
-  r
+  match Hashtbl.find_opt t.data f with
+  | None -> String.make len '\000'
+  | Some b -> Bytes.sub_string b off len
 
 let copy_contents t ~src ~dst =
   check_frame t src "Frame.copy_contents";
   check_frame t dst "Frame.copy_contents";
-  lock t;
-  (match Hashtbl.find_opt t.data src with
+  match Hashtbl.find_opt t.data src with
   | None -> ()
   | Some b ->
     Hashtbl.replace t.data dst (Bytes.copy b);
-    if dst > t.data_max then t.data_max <- dst);
-  unlock t
+    if dst > t.data_max then t.data_max <- dst

@@ -32,14 +32,6 @@ val create : ?policy:policy -> frames:int -> unit -> t
 val policy : t -> policy
 val set_policy : t -> policy -> unit
 
-val set_threadsafe : t -> bool -> unit
-(** Serialise the shared allocator state (free stack, spill/data tables,
-    commit pool) behind a mutex, for the SMP kernel's domain-parallel
-    phase. Off by default; the sequential paths never pay for the lock.
-    Per-frame refcount bytes of {e distinct} frames are already safe to
-    update concurrently — the kernel's family discipline guarantees no
-    two domains ever count the same frame. *)
-
 val set_deny_alloc : t -> (unit -> bool) option -> unit
 (** Install (or clear) a fault-injection hook consulted once per frame
     allocation, batched paths included; returning [true] fails that

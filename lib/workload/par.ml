@@ -44,178 +44,30 @@ let jobs () =
       cores)
     | None -> cores)
 
-(* One shared worker budget for the whole process: the harness's outer
-   sweep map and the SMP kernel's in-boot domain pool both draw their
-   extra domains from here, so the two layers of parallelism cannot
-   oversubscribe each other — at most [jobs () - 1] extra domains are
-   ever live, whoever spawned them. *)
-let live_extra = Atomic.make 0
-
-let acquire_workers want =
-  if want <= 0 then 0
-  else begin
-    let budget = jobs () - 1 in
-    let rec go () =
-      let cur = Atomic.get live_extra in
-      let grant = min want (max 0 (budget - cur)) in
-      if grant = 0 then 0
-      else if Atomic.compare_and_set live_extra cur (cur + grant) then grant
-      else go ()
-    in
-    go ()
-  end
-
-let release_workers n =
-  if n < 0 then invalid_arg "Par.release_workers: negative count";
-  if n > 0 then ignore (Atomic.fetch_and_add live_extra (-n))
-
 let map ?jobs:requested f xs =
   let jobs = match requested with Some n -> n | None -> jobs () in
   let n = List.length xs in
   if jobs <= 1 || n <= 1 then List.map f xs
   else begin
-    let grant = acquire_workers (min (jobs - 1) (n - 1)) in
-    if grant = 0 then List.map f xs
-    else
-      Fun.protect
-        ~finally:(fun () -> release_workers grant)
-        (fun () ->
-          let items = Array.of_list xs in
-          let results = Array.make n None in
-          let errors = Array.make n None in
-          let next = Atomic.make 0 in
-          let rec worker () =
-            let i = Atomic.fetch_and_add next 1 in
-            if i < n then begin
-              (match f items.(i) with
-              | r -> results.(i) <- Some r
-              | exception e -> errors.(i) <- Some e);
-              worker ()
-            end
-          in
-          let spawned = List.init grant (fun _ -> Domain.spawn worker) in
-          worker ();
-          List.iter Domain.join spawned;
-          (* deterministic error choice: the earliest-indexed failure wins *)
-          Array.iter (function Some e -> raise e | None -> ()) errors;
-          Array.to_list results
-          |> List.map (function Some r -> r | None -> assert false))
-  end
-
-(* A persistent worker pool for callers that run many small batches
-   (the SMP kernel runs one batch per scheduling round): domains are
-   spawned once, parked on a condition variable between batches, and
-   drawn from the shared budget above. *)
-module Pool = struct
-  type batch = {
-    tasks : (unit -> unit) array;
-    errors : exn option array;
-    next : int Atomic.t;
-    mutable completed : int;
-  }
-
-  type t = {
-    lock : Mutex.t;
-    cond : Condition.t;  (** workers: new generation or stop *)
-    done_cond : Condition.t;  (** submitter: batch completed *)
-    mutable batch : batch option;
-    mutable generation : int;
-    mutable stop : bool;
-    mutable domains : unit Domain.t list;
-    mutable acquired : int;  (** budget slots held until shutdown *)
-  }
-
-  (* Claim-and-run until the batch is drained. Each waking worker
-     captures its batch record, so a stale worker can never claim an
-     index from a later batch's counter. *)
-  let exec t b =
-    let n = Array.length b.tasks in
-    let rec claim () =
-      let i = Atomic.fetch_and_add b.next 1 in
+    let items = Array.of_list xs in
+    let results = Array.make n None in
+    let errors = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec worker () =
+      let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        (match b.tasks.(i) () with
-        | () -> ()
-        | exception e -> b.errors.(i) <- Some e);
-        Mutex.lock t.lock;
-        b.completed <- b.completed + 1;
-        if b.completed = n then Condition.broadcast t.done_cond;
-        Mutex.unlock t.lock;
-        claim ()
+        (match f items.(i) with
+        | r -> results.(i) <- Some r
+        | exception e -> errors.(i) <- Some e);
+        worker ()
       end
     in
-    claim ()
-
-  let worker t =
-    let rec loop gen =
-      Mutex.lock t.lock;
-      while (not t.stop) && t.generation = gen do
-        Condition.wait t.cond t.lock
-      done;
-      let stop = t.stop and gen' = t.generation and b = t.batch in
-      Mutex.unlock t.lock;
-      if not stop then begin
-        (match b with Some b -> exec t b | None -> ());
-        loop gen'
-      end
+    let spawned =
+      List.init (min (jobs - 1) (n - 1)) (fun _ -> Domain.spawn worker)
     in
-    loop 0
-
-  let create ~workers =
-    let grant = acquire_workers workers in
-    let t =
-      {
-        lock = Mutex.create ();
-        cond = Condition.create ();
-        done_cond = Condition.create ();
-        batch = None;
-        generation = 0;
-        stop = false;
-        domains = [];
-        acquired = grant;
-      }
-    in
-    t.domains <- List.init grant (fun _ -> Domain.spawn (fun () -> worker t));
-    t
-
-  let size t = List.length t.domains
-
-  let run t tasks =
-    let n = Array.length tasks in
-    if n > 0 then begin
-      if t.stop then invalid_arg "Par.Pool.run: pool is shut down";
-      let b =
-        {
-          tasks;
-          errors = Array.make n None;
-          next = Atomic.make 0;
-          completed = 0;
-        }
-      in
-      Mutex.lock t.lock;
-      t.batch <- Some b;
-      t.generation <- t.generation + 1;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.lock;
-      (* the submitting domain works too *)
-      exec t b;
-      Mutex.lock t.lock;
-      while b.completed < n do
-        Condition.wait t.done_cond t.lock
-      done;
-      Mutex.unlock t.lock;
-      (* deterministic error choice: the earliest-indexed failure wins *)
-      Array.iter (function Some e -> raise e | None -> ()) b.errors
-    end
-
-  let shutdown t =
-    if not t.stop then begin
-      Mutex.lock t.lock;
-      t.stop <- true;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.lock;
-      List.iter Domain.join t.domains;
-      t.domains <- [];
-      release_workers t.acquired;
-      t.acquired <- 0
-    end
-end
+    worker ();
+    List.iter Domain.join spawned;
+    (* deterministic error choice: the earliest-indexed failure wins *)
+    Array.iter (function Some e -> raise e | None -> ()) errors;
+    Array.to_list results |> List.map (function Some r -> r | None -> assert false)
+  end

@@ -29,49 +29,9 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] applies [f] to every element and returns the results in
     input order. With [jobs <= 1] (or at most one element) it is plain
     [List.map] in the calling domain — no domains are spawned. Otherwise
-    up to [min (jobs - 1) (length xs - 1)] worker domains are drawn from
-    the shared budget (see {!acquire_workers}) and the calling domain
-    also works; elements are claimed from an atomic counter. If the
-    budget is exhausted (e.g. inside a worker of an outer [map]) the
-    call degrades to sequential — the results are identical either way.
-    If any applications raise, the exception of the earliest-indexed
-    failing element is re-raised after all domains have been joined.
-    [jobs] defaults to {!jobs}[ ()]. *)
-
-val acquire_workers : int -> int
-(** [acquire_workers want] reserves up to [want] slots from the one
-    process-wide extra-domain budget of [jobs () - 1] and returns how
-    many were granted (possibly 0). Both {!map} and {!Pool.create} draw
-    from this budget, so nested parallel layers (sweep harness outside,
-    SMP kernel inside) cannot oversubscribe each other. Pair every
-    grant with {!release_workers}. *)
-
-val release_workers : int -> unit
-(** Return slots obtained from {!acquire_workers}.
-    @raise Invalid_argument on a negative count. *)
-
-(** A persistent worker pool for many small batches (the SMP kernel runs
-    one batch per scheduling round). Domains are spawned once at
-    {!Pool.create} from the shared budget and parked between batches. *)
-module Pool : sig
-  type t
-
-  val create : workers:int -> t
-  (** Spawn up to [workers] pool domains — fewer (possibly none) when
-      the shared budget is short. A zero-worker pool is legal: {!run}
-      then executes every task in the submitting domain. *)
-
-  val size : t -> int
-  (** Worker domains actually spawned. *)
-
-  val run : t -> (unit -> unit) array -> unit
-  (** Run one batch to completion; the submitting domain participates.
-      Tasks are claimed from an atomic counter, so the assignment of
-      tasks to domains is nondeterministic — callers must make tasks
-      order-independent. If tasks raise, the earliest-indexed exception
-      is re-raised after the batch has fully drained.
-      @raise Invalid_argument after {!shutdown}. *)
-
-  val shutdown : t -> unit
-  (** Join the pool domains and return their budget slots. Idempotent. *)
-end
+    [min (jobs - 1) (length xs - 1)] worker domains are spawned and the
+    calling domain also works; elements are claimed from an atomic
+    counter. Calls do not nest: [f] must not call [map] itself. If any
+    applications raise, the exception of the earliest-indexed failing
+    element is re-raised after all domains have been joined. [jobs]
+    defaults to {!jobs}[ ()]. *)

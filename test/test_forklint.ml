@@ -63,47 +63,18 @@ let test_threaded_fixture_detail () =
 let test_rule_registry () =
   check_int "eight rules" 8 (List.length Forklore.Rules.all);
   check_bool "find known" true (Forklore.Rules.find "vfork-misuse" <> None);
-  check_bool "find new v2 rules" true
+  check_bool "find the path-only rules" true
     (Forklore.Rules.find "lock-across-fork" <> None
     && Forklore.Rules.find "child-path-return" <> None);
   check_bool "find unknown" true (Forklore.Rules.find "no-such-rule" = None);
   (* ids are unique *)
   let ids = List.map (fun r -> r.Forklore.Rules.id) Forklore.Rules.all in
   check_int "unique ids" (List.length ids)
-    (List.length (List.sort_uniq String.compare ids));
-  (* the frozen v1 baseline: six rules, every id also a v2 id, and
-     identical metadata so precision comparisons are like-for-like *)
-  check_int "six v1 rules" 6 (List.length Forklore.Rules.v1);
-  List.iter
-    (fun (r1 : Forklore.Rules.t) ->
-      match Forklore.Rules.find r1.Forklore.Rules.id with
-      | None -> Alcotest.failf "v1 rule %s missing from v2" r1.Forklore.Rules.id
-      | Some r2 ->
-        check_bool "same severity" true
-          (r1.Forklore.Rules.severity = r2.Forklore.Rules.severity);
-        check_bool "same citation" true
-          (r1.Forklore.Rules.citation = r2.Forklore.Rules.citation))
-    Forklore.Rules.v1
-
-let test_v1_baseline () =
-  (* hz_v1 records what the token rules report; the precision table in
-     E7 is only meaningful if that baseline stays frozen *)
-  List.iter
-    (fun h ->
-      let got =
-        List.map finding_triple
-          (Forklore.Rules.check_string ~rules:Forklore.Rules.v1
-             ~file:h.Forklore.Corpus.hz_name h.Forklore.Corpus.hz_source)
-      in
-      if got <> h.Forklore.Corpus.hz_v1 then
-        Alcotest.failf "%s: v1 expected [%s] got [%s]" h.Forklore.Corpus.hz_name
-          (pp_triples h.Forklore.Corpus.hz_v1)
-          (pp_triples got))
-    Forklore.Corpus.hazards
+    (List.length (List.sort_uniq String.compare ids))
 
 let test_path_sensitivity_wins () =
   (* the acceptance fixtures: hazard-shaped code on non-child paths must
-     lint clean under v2 while v1 false-positives on every one *)
+     lint clean *)
   List.iter
     (fun name ->
       let h =
@@ -111,15 +82,10 @@ let test_path_sensitivity_wins () =
           (fun h -> h.Forklore.Corpus.hz_name = name)
           Forklore.Corpus.hazards
       in
-      let v2 =
+      let ds =
         Forklore.Rules.check_string ~file:name h.Forklore.Corpus.hz_source
       in
-      let v1 =
-        Forklore.Rules.check_string ~rules:Forklore.Rules.v1 ~file:name
-          h.Forklore.Corpus.hz_source
-      in
-      check_int (name ^ " clean under v2") 0 (List.length v2);
-      check_bool (name ^ " flagged by v1") true (v1 <> []))
+      check_int (name ^ " lints clean") 0 (List.length ds))
     [ "parent_path_work.c"; "helper_flush.c"; "cross_function.c" ]
 
 let test_rule_subset () =
@@ -477,7 +443,6 @@ let () =
           tc "hazard corpus ground truth" test_hazard_corpus_ground_truth;
           tc "threaded fixture detail" test_threaded_fixture_detail;
           tc "rule registry" test_rule_registry;
-          tc "v1 baseline frozen" test_v1_baseline;
           tc "path sensitivity wins" test_path_sensitivity_wins;
           tc "rule subset" test_rule_subset;
         ] );

@@ -1,7 +1,6 @@
 (* Tests for the SMP kernel: per-CPU scheduling, tracked TLB shootdown
    IPIs driven by per-address-space CPU masks, per-CPU kstat counters,
-   CPU trace lanes, and the record-and-replay guarantee that [par_jobs]
-   never changes a simulated number. *)
+   CPU trace lanes, and the CPU order of a round's syscall dispatch. *)
 
 module Api = Ksim.Api
 
@@ -11,12 +10,11 @@ let check_bool = Alcotest.(check bool)
 let prog ?text_kib ?data_kib name body =
   Ksim.Program.make ?text_kib ?data_kib ~name (fun ~argv () -> body argv)
 
-let smp_config ?(cpus = 4) ?(par_jobs = 1) ?(trace = false) () =
+let smp_config ?(cpus = 4) ?(trace = false) () =
   {
     Ksim.Kernel.default_config with
     Ksim.Kernel.smp = true;
     cpus;
-    par_jobs;
     aslr = false;
     commit_policy = Vmem.Frame.Overcommit;
     trace_capacity = (if trace then Some 8192 else None);
@@ -271,71 +269,58 @@ let prop_cpus_1_vs_4 =
       run 1 = run 4)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: par_jobs must never change any simulated number *)
+(* Round dispatch follows CPU order *)
 
-let deep_fingerprint t =
-  let blame_rows =
-    List.map
-      (fun (e : Vmem.Blame.event) ->
-        ( e.Vmem.Blame.id,
-          e.Vmem.Blame.style,
-          e.Vmem.Blame.parent,
-          e.Vmem.Blame.child,
-          e.Vmem.Blame.failed,
-          Vmem.Blame.sync_cycles e,
-          Vmem.Blame.deferred_cycles e ))
-      (Vmem.Blame.events (Ksim.Kernel.blame t))
+(* A round of [cpu1 munmap; cpu2 fork; cpu3 fork]: the munmap's commit
+   release must land before either fork charges its clone. Under Strict
+   commit at 6400 frames the two forks of 4 MiB spaces fit only once the
+   8 MiB mapping is gone. The three processes leave a shared barrier in
+   the same round; the freer then yields once more because [Api.fork]
+   spends a round on its atfork_list call before the fork itself. *)
+let test_round_dispatches_in_cpu_order () =
+  let ready = ref 0 in
+  let barrier () =
+    incr ready;
+    Api.yield ();
+    while !ready < 3 do
+      Api.yield ()
+    done
   in
-  ( Ksim.Kernel.console t,
-    List.map
-      (fun p -> (p.Ksim.Proc.pid, Ksim.Kernel.status_of t p.Ksim.Proc.pid))
-      (Ksim.Kernel.procs t),
-    Vmem.Cost.total (Ksim.Kernel.cost t),
-    Vmem.Cost.by_category_counts (Ksim.Kernel.cost t),
-    Ksim.Kstat.snapshot (Ksim.Kstat.global (Ksim.Kernel.kstat t)),
-    blame_rows )
-
-(* Disjoint-family workers (each spawned fresh, so distinct COW
-   families) forking and touching in the same scheduling rounds: this
-   is the shape that drives the parallel fork/touch cores. *)
-let par_workload ~workers ~pages =
-  let worker =
-    prog "/worker" (fun _ ->
-        let len = pages * 4096 in
-        let addr = ok (Api.mmap ~len ~perm:Vmem.Perm.rw) in
-        ignore (ok (Api.touch ~addr ~len));
-        let child =
-          ok (Api.fork ~child:(fun () -> ignore (ok (Api.touch ~addr ~len))))
+  let mib n = n * 1024 * 1024 in
+  let freer =
+    prog "/freer" (fun _ ->
+        let addr = ok (Api.mmap ~len:(mib 8) ~perm:Vmem.Perm.rw) in
+        barrier ();
+        Api.yield ();
+        ok (Api.munmap ~addr ~len:(mib 8)))
+  in
+  let forks = ref [] in
+  let forker =
+    prog "/forker" (fun _ ->
+        ignore (ok (Api.mmap ~len:(mib 4) ~perm:Vmem.Perm.rw));
+        barrier ();
+        let r = Api.fork ~child:(fun () -> ()) in
+        forks := r :: !forks;
+        Result.iter (fun pid -> ignore (ok (Api.wait_for pid))) r)
+  in
+  let config =
+    {
+      (smp_config ~cpus:4 ()) with
+      Ksim.Kernel.phys_pages = 6400;
+      commit_policy = Vmem.Frame.Strict;
+    }
+  in
+  let _, outcome =
+    boot ~config ~programs:[ freer; forker ] (fun _ ->
+        let pids =
+          List.map (fun p -> ok (Api.spawn p)) [ "/freer"; "/forker"; "/forker" ]
         in
-        (* break a page the child shares: deferred-blame COW charge *)
-        ignore (ok (Api.mem_write ~addr "w"));
-        ignore (ok (Api.wait_for child)))
-  in
-  let init _ =
-    let pids = List.init workers (fun _ -> ok (Api.spawn "/worker")) in
-    List.iter (fun pid -> ignore (ok (Api.wait_for pid))) pids
-  in
-  (init, [ worker ])
-
-let run_par ~par_jobs ~workers ~pages =
-  let init, programs = par_workload ~workers ~pages in
-  let t, outcome =
-    boot ~config:(smp_config ~cpus:4 ~par_jobs ()) ~programs init
+        List.iter (fun pid -> ignore (ok (Api.wait_for pid))) pids)
   in
   check_bool "all exited" true (outcome = Ksim.Kernel.All_exited);
-  deep_fingerprint t
-
-let test_par_jobs_bit_identical () =
-  let a = run_par ~par_jobs:1 ~workers:6 ~pages:24 in
-  let b = run_par ~par_jobs:4 ~workers:6 ~pages:24 in
-  check_bool "par_jobs=4 == par_jobs=1 (costs, kstat, blame, console)" true
-    (a = b)
-
-let prop_par_jobs_deterministic =
-  QCheck.Test.make ~count:10 ~name:"smp: par_jobs=3 bit-identical to par_jobs=1"
-    QCheck.(pair (int_range 2 6) (int_range 1 24))
-    (fun (workers, pages) ->
-      run_par ~par_jobs:1 ~workers ~pages = run_par ~par_jobs:3 ~workers ~pages)
+  check_int "both forks ran" 2 (List.length !forks);
+  check_bool "both forks see the munmap's freed commit" true
+    (List.for_all Result.is_ok !forks)
 
 (* cpus=1 SMP kernels keep the blame invariant: attributed cycles never
    exceed the cost meter (the exact partition property is test_vmem's;
@@ -379,9 +364,8 @@ let () =
       ("trace", [ Alcotest.test_case "cpu lanes" `Quick test_trace_cpu_lanes ]);
       ( "determinism",
         [
-          Alcotest.test_case "par_jobs bit-identical" `Quick
-            test_par_jobs_bit_identical;
+          Alcotest.test_case "round dispatches in cpu order" `Quick
+            test_round_dispatches_in_cpu_order;
           QCheck_alcotest.to_alcotest prop_cpus_1_vs_4;
-          QCheck_alcotest.to_alcotest prop_par_jobs_deterministic;
         ] );
     ]
