@@ -33,8 +33,9 @@ type trigger =
       (** fail the Nth frame allocation of the run (1-based) *)
   | Commit_nth of int  (** fail the Nth non-empty commit charge *)
   | Syscall_nth of { kind : string; nth : int; errno : Errno.t }
-      (** fail the Nth syscall named [kind] (see {!Sysreq.name}) with
-          [errno]; only fallible syscalls are counted *)
+      (** fail the Nth syscall named [kind] (the [name] of its
+          {!Sysreq.info}) with [errno]; only fallible syscalls are
+          counted *)
   | Frame_alloc_random of float
       (** fail each frame allocation with this probability *)
   | Commit_random of float

@@ -39,7 +39,7 @@ type parked =
       why : string;
       check : unit -> 'a option;
       k : ('a, unit) Effect.Deep.continuation;
-      req : 'a Sysreq.t;
+      info : 'a Sysreq.info;
       entry_cycles : float;  (** cost-meter reading at dispatch *)
       targs : (string * string) list;
       tdetail : Trace.detail;
@@ -887,45 +887,44 @@ let count_fds (proc : Proc.t) ~surviving_exec =
       if fd > 2 && ((not surviving_exec) || not cloexec) then incr n);
   !n
 
-let trace_args : type a. Proc.t -> a Sysreq.t -> (string * string) list =
+(* The string args and the typed detail of a traced request. {!Lint}
+   prefers the detail and falls back to the args only for hand-built
+   traces. *)
+let annotations :
+    type a. Proc.t -> a Sysreq.t -> (string * string) list * Trace.detail =
  fun proc req ->
   match req with
   | Sysreq.Fork _ | Sysreq.Fork_eager _ | Sysreq.Vfork _ ->
-    [ ("threads", string_of_int (List.length (Proc.live_threads proc))) ]
+    let live_threads = List.length (Proc.live_threads proc) in
+    ( [ ("threads", string_of_int live_threads) ],
+      Trace.D_fork { live_threads } )
   | Sysreq.Open (path, flags) ->
-    [ ("path", path); ("cloexec", string_of_bool flags.Types.cloexec) ]
+    let cloexec = flags.Types.cloexec in
+    ( [ ("path", path); ("cloexec", string_of_bool cloexec) ],
+      Trace.D_open { path; cloexec } )
   | Sysreq.Exec _ ->
-    [ ("inherited_fds", string_of_int (count_fds proc ~surviving_exec:true)) ]
+    let inherited_fds = count_fds proc ~surviving_exec:true in
+    ( [ ("inherited_fds", string_of_int inherited_fds) ],
+      Trace.D_exec { inherited_fds } )
   | Sysreq.Exit _ ->
-    [ ("open_fds", string_of_int (count_fds proc ~surviving_exec:false)) ]
-  | Sysreq.Template_spawn { tpl; _ } -> [ ("tpl", string_of_int tpl) ]
-  | Sysreq.Template_discard id -> [ ("tpl", string_of_int id) ]
+    let open_fds = count_fds proc ~surviving_exec:false in
+    ([ ("open_fds", string_of_int open_fds) ], Trace.D_exit { open_fds })
+  | Sysreq.Template_spawn { tpl; _ } ->
+    ([ ("tpl", string_of_int tpl) ], Trace.D_none)
+  | Sysreq.Template_discard id -> ([ ("tpl", string_of_int id) ], Trace.D_none)
   | Sysreq.Mutex_lock id | Sysreq.Mutex_unlock id | Sysreq.Mutex_trylock id ->
-    [ ("mutex", string_of_int id) ]
+    ([ ("mutex", string_of_int id) ], Trace.D_none)
   | Sysreq.Bind (_, port) | Sysreq.Connect (_, port) ->
-    [ ("port", string_of_int port) ]
-  | Sysreq.Listen { backlog; _ } -> [ ("backlog", string_of_int backlog) ]
+    ([ ("port", string_of_int port) ], Trace.D_none)
+  | Sysreq.Listen { backlog; _ } ->
+    ([ ("backlog", string_of_int backlog) ], Trace.D_none)
   | Sysreq.Poll { interests; timeout } ->
-    [
-      ("nfds", string_of_int (List.length interests));
-      ("timeout", string_of_int timeout);
-    ]
-  | _ -> []
-
-(* Typed twin of [trace_args]; {!Lint} prefers this and falls back to
-   the string args only for hand-built traces. *)
-let trace_detail : type a. Proc.t -> a Sysreq.t -> Trace.detail =
- fun proc req ->
-  match req with
-  | Sysreq.Fork _ | Sysreq.Fork_eager _ | Sysreq.Vfork _ ->
-    Trace.D_fork { live_threads = List.length (Proc.live_threads proc) }
-  | Sysreq.Open (path, flags) ->
-    Trace.D_open { path; cloexec = flags.Types.cloexec }
-  | Sysreq.Exec _ ->
-    Trace.D_exec { inherited_fds = count_fds proc ~surviving_exec:true }
-  | Sysreq.Exit _ ->
-    Trace.D_exit { open_fds = count_fds proc ~surviving_exec:false }
-  | _ -> Trace.D_none
+    ( [
+        ("nfds", string_of_int (List.length interests));
+        ("timeout", string_of_int timeout);
+      ],
+      Trace.D_none )
+  | _ -> ([], Trace.D_none)
 
 let now_ns t = Vmem.Cost.cycles_to_ns (Vmem.Cost.total t.cost)
 
@@ -1626,168 +1625,35 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
         Block (Printf.sprintf "poll(n=%d)" (List.length interests), check)
       end)
 
-let is_memory_op : type a. a Sysreq.t -> bool = function
-  | Sysreq.Mem_read _ | Sysreq.Mem_write _ | Sysreq.Touch _ -> true
-  | _ -> false
-
-(* Pure accounting requests: invisible to the cost model, the trace and
-   the syscall counters, so instrumented programs measure identically. *)
-let is_accounting_op : type a. a Sysreq.t -> bool = function
-  | Sysreq.Stdio_flushed _ -> true
-  | _ -> false
-
-let charge_syscall t req =
-  if not (is_memory_op req || is_accounting_op req) then
-    Vmem.Cost.charge t.cost "syscall" (params t).Vmem.Cost.syscall_base
-
-(* Errno-level result of a completed request, for the trace's typed End
-   events. [None] for requests whose replies cannot fail. *)
-let outcome_of : type a. a Sysreq.t -> a -> Trace.outcome option =
- fun req v ->
-  let of_result : type x. (x, Errno.t) result -> Trace.outcome option =
-    function
-    | Ok _ -> Some Trace.Ok_result
-    | Error e -> Some (Trace.Err e)
-  in
-  match req with
-  | Sysreq.Fork _ -> of_result v
-  | Sysreq.Fork_eager _ -> of_result v
-  | Sysreq.Vfork _ -> of_result v
-  | Sysreq.Spawn _ -> of_result v
-  | Sysreq.Exec _ -> of_result v
-  | Sysreq.Waitpid _ -> of_result v
-  | Sysreq.Kill _ -> of_result v
-  | Sysreq.Sigaction _ -> of_result v
-  | Sysreq.Open _ -> of_result v
-  | Sysreq.Close _ -> of_result v
-  | Sysreq.Read _ -> of_result v
-  | Sysreq.Write _ -> of_result v
-  | Sysreq.Dup _ -> of_result v
-  | Sysreq.Dup2 _ -> of_result v
-  | Sysreq.Set_cloexec _ -> of_result v
-  | Sysreq.Pipe -> of_result v
-  | Sysreq.Try_lock _ -> of_result v
-  | Sysreq.Unlock _ -> of_result v
-  | Sysreq.Mmap _ -> of_result v
-  | Sysreq.Munmap _ -> of_result v
-  | Sysreq.Brk _ -> of_result v
-  | Sysreq.Mem_read _ -> of_result v
-  | Sysreq.Mem_write _ -> of_result v
-  | Sysreq.Touch _ -> of_result v
-  | Sysreq.Thread_create _ -> of_result v
-  | Sysreq.Mutex_lock _ -> of_result v
-  | Sysreq.Mutex_unlock _ -> of_result v
-  | Sysreq.Mutex_trylock _ -> of_result v
-  | Sysreq.Mutex_reinit _ -> of_result v
-  | Sysreq.Chdir _ -> of_result v
-  | Sysreq.Pb_create -> of_result v
-  | Sysreq.Pb_map _ -> of_result v
-  | Sysreq.Pb_write _ -> of_result v
-  | Sysreq.Pb_copy_fd _ -> of_result v
-  | Sysreq.Pb_start _ -> of_result v
-  | Sysreq.Template_freeze _ -> of_result v
-  | Sysreq.Template_spawn _ -> of_result v
-  | Sysreq.Template_discard _ -> of_result v
-  | Sysreq.Socket -> of_result v
-  | Sysreq.Bind _ -> of_result v
-  | Sysreq.Listen _ -> of_result v
-  | Sysreq.Accept _ -> of_result v
-  | Sysreq.Connect _ -> of_result v
-  | Sysreq.Poll _ -> of_result v
-  | Sysreq.Getpid -> None
-  | Sysreq.Getppid -> None
-  | Sysreq.Gettid -> None
-  | Sysreq.Exit _ -> None
-  | Sysreq.Sigprocmask _ -> None
-  | Sysreq.Alarm _ -> None
-  | Sysreq.Mutex_create -> None
-  | Sysreq.Yield -> None
-  | Sysreq.Handled_signals _ -> None
-  | Sysreq.Getcwd -> None
-  | Sysreq.Atfork_register _ -> None
-  | Sysreq.Atfork_list -> None
-  | Sysreq.Stdio_flushed _ -> None
-
-(* How to build an injected-error reply for a request, or [None] when
-   the reply type cannot carry an errno (those are never injected). *)
-let injectable_errno : type a. a Sysreq.t -> (Errno.t -> a) option =
- fun req ->
-  let err : type x. Errno.t -> (x, Errno.t) result = fun e -> Error e in
-  match req with
-  | Sysreq.Fork _ -> Some err
-  | Sysreq.Fork_eager _ -> Some err
-  | Sysreq.Vfork _ -> Some err
-  | Sysreq.Spawn _ -> Some err
-  | Sysreq.Exec _ -> Some err
-  | Sysreq.Waitpid _ -> Some err
-  | Sysreq.Kill _ -> Some err
-  | Sysreq.Sigaction _ -> Some err
-  | Sysreq.Open _ -> Some err
-  | Sysreq.Close _ -> Some err
-  | Sysreq.Read _ -> Some err
-  | Sysreq.Write _ -> Some err
-  | Sysreq.Dup _ -> Some err
-  | Sysreq.Dup2 _ -> Some err
-  | Sysreq.Set_cloexec _ -> Some err
-  | Sysreq.Pipe -> Some err
-  | Sysreq.Try_lock _ -> Some err
-  | Sysreq.Unlock _ -> Some err
-  | Sysreq.Mmap _ -> Some err
-  | Sysreq.Munmap _ -> Some err
-  | Sysreq.Brk _ -> Some err
-  | Sysreq.Mem_read _ -> Some err
-  | Sysreq.Mem_write _ -> Some err
-  | Sysreq.Touch _ -> Some err
-  | Sysreq.Thread_create _ -> Some err
-  | Sysreq.Mutex_lock _ -> Some err
-  | Sysreq.Mutex_unlock _ -> Some err
-  | Sysreq.Mutex_trylock _ -> Some err
-  | Sysreq.Mutex_reinit _ -> Some err
-  | Sysreq.Chdir _ -> Some err
-  | Sysreq.Pb_create -> Some err
-  | Sysreq.Pb_map _ -> Some err
-  | Sysreq.Pb_write _ -> Some err
-  | Sysreq.Pb_copy_fd _ -> Some err
-  | Sysreq.Pb_start _ -> Some err
-  | Sysreq.Template_freeze _ -> Some err
-  | Sysreq.Template_spawn _ -> Some err
-  | Sysreq.Template_discard _ -> Some err
-  | Sysreq.Socket -> Some err
-  | Sysreq.Bind _ -> Some err
-  | Sysreq.Listen _ -> Some err
-  | Sysreq.Accept _ -> Some err
-  | Sysreq.Connect _ -> Some err
-  | Sysreq.Poll _ -> Some err
-  | Sysreq.Getpid -> None
-  | Sysreq.Getppid -> None
-  | Sysreq.Gettid -> None
-  | Sysreq.Exit _ -> None
-  | Sysreq.Sigprocmask _ -> None
-  | Sysreq.Alarm _ -> None
-  | Sysreq.Mutex_create -> None
-  | Sysreq.Yield -> None
-  | Sysreq.Handled_signals _ -> None
-  | Sysreq.Getcwd -> None
-  | Sysreq.Atfork_register _ -> None
-  | Sysreq.Atfork_list -> None
-  | Sysreq.Stdio_flushed _ -> None
+(* The errno-level outcome of a reply, for the trace's End events;
+   [None] for a total syscall. Dispatch computes it for every reply,
+   traced or not, so an errno outside the syscall's domain fails the run
+   wherever it happens. *)
+let reply_outcome : type a. a Sysreq.info -> a -> Trace.outcome option =
+ fun info v ->
+  match (info.Sysreq.reply, v) with
+  | Sysreq.Total, _ -> None
+  | Sysreq.Fallible _, Ok _ -> Some Trace.Ok_result
+  | Sysreq.Fallible _, Error e ->
+    if not (Sysreq.admits info e) then
+      invalid_arg
+        (Printf.sprintf "Kernel: %s replied %s, outside its errno domain"
+           info.Sysreq.name (Errno.to_string e));
+    Some (Trace.Err e)
 
 (* Consult the fault schedule at dispatch: for a fallible request, an
    armed trigger replaces the whole syscall with an [Error e] reply —
    the handler never runs, so there is nothing to roll back. *)
-let inject_syscall : type a. t -> a Sysreq.t -> (a * Errno.t) option =
- fun t req ->
-  match t.fault with
-  | None -> None
-  | Some fi -> (
-    match injectable_errno req with
+let inject_syscall : type a. t -> a Sysreq.info -> (a * Errno.t) option =
+ fun t info ->
+  match (t.fault, info.Sysreq.reply) with
+  | Some fi, Sysreq.Fallible _ -> (
+    match Fault.on_syscall fi ~kind:info.Sysreq.name with
     | None -> None
-    | Some err -> (
-      match Fault.on_syscall fi ~kind:(Sysreq.name req) with
-      | None -> None
-      | Some e ->
-        Kstat.on_injection t.kstat Fault.Syscall;
-        Some (err e, e)))
+    | Some e ->
+      Kstat.on_injection t.kstat Fault.Syscall;
+      Some (Error e, e))
+  | None, _ | Some _, Sysreq.Total -> None
 
 (* Frame-alloc / commit injections that fired while a handler ran, as
    extra span args — (site, count) deltas over the whole attempt. *)
@@ -1824,29 +1690,27 @@ let handler t (th : Proc.thread) : (unit, unit) Effect.Deep.handler =
         | _ -> None);
   }
 
-let park t th why check k ~req ~entry_cycles ~targs ~tdetail =
+let park t th why check k ~info ~entry_cycles ~targs ~tdetail =
   th.Proc.tstate <- Proc.Blocked why;
   t.parked <-
     t.parked
-    @ [ Parked { th; why; check; k; req; entry_cycles; targs; tdetail } ]
+    @ [ Parked { th; why; check; k; info; entry_cycles; targs; tdetail } ]
 
-let record_begin t proc (th : Proc.thread) req ~args ~detail =
+let record_begin t proc (th : Proc.thread) name ~args ~detail =
   match t.trace with
   | None -> ()
   | Some tr ->
-    Trace.record tr ~tick:t.clock ~pid:proc.Proc.pid ~tid:th.Proc.tid
-      (Sysreq.name req) ~phase:Trace.Begin ~args ~detail ~ts_ns:(now_ns t)
-      ?cpu:(cpu_of t th)
+    Trace.record tr ~tick:t.clock ~pid:proc.Proc.pid ~tid:th.Proc.tid name
+      ~phase:Trace.Begin ~args ~detail ~ts_ns:(now_ns t) ?cpu:(cpu_of t th)
 
 (* End events repeat the Begin's args/detail so consumers that filter by
    name (not phase) still see every annotation. *)
-let record_end t ~pid ~tid ~cpu req ~entry_cycles ~args ~detail outcome =
+let record_end t ~pid ~tid ~cpu name ~entry_cycles ~args ~detail outcome =
   match t.trace with
   | None -> ()
   | Some tr ->
     let now = Vmem.Cost.total t.cost in
-    Trace.record tr ~tick:t.clock ~pid ~tid (Sysreq.name req)
-      ~phase:Trace.End ~args ~detail
+    Trace.record tr ~tick:t.clock ~pid ~tid name ~phase:Trace.End ~args ~detail
       ~ts_ns:(Vmem.Cost.cycles_to_ns now)
       ~span_ns:(Vmem.Cost.cycles_to_ns (now -. entry_cycles))
       ?outcome ?cpu
@@ -1854,24 +1718,28 @@ let record_end t ~pid ~tid ~cpu req ~entry_cycles ~args ~detail outcome =
 let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
   let proc = proc_of t th in
   Kstat.set_current t.kstat (Some proc.Proc.pid);
-  let meta = is_accounting_op req in
+  let info = Sysreq.info req in
+  let name = info.Sysreq.name in
+  let meta = info.Sysreq.cost = Sysreq.Accounting in
   (* the args only feed trace records: untraced machines skip building
      them, and their parked entries carry the empty ones *)
-  let traced = (not meta) && Option.is_some t.trace in
-  let targs = if traced then trace_args proc req else [] in
-  let tdetail = if traced then trace_detail proc req else Trace.D_none in
+  let targs, tdetail =
+    if (not meta) && Option.is_some t.trace then annotations proc req
+    else ([], Trace.D_none)
+  in
   let entry_cycles = Vmem.Cost.total t.cost in
   if not meta then begin
-    record_begin t proc th req ~args:targs ~detail:tdetail;
-    Kstat.on_syscall t.kstat (Sysreq.name req);
-    charge_syscall t req
+    record_begin t proc th name ~args:targs ~detail:tdetail;
+    Kstat.on_syscall t.kstat name;
+    if info.Sysreq.cost = Sysreq.Syscall then
+      Vmem.Cost.charge t.cost "syscall" (params t).Vmem.Cost.syscall_base
   end;
-  match if meta then None else inject_syscall t req with
+  match if meta then None else inject_syscall t info with
   | Some (v, e) ->
-    record_end t ~pid:proc.Proc.pid ~tid:th.Proc.tid ~cpu:(cpu_of t th) req
+    record_end t ~pid:proc.Proc.pid ~tid:th.Proc.tid ~cpu:(cpu_of t th) name
       ~entry_cycles
       ~args:(("injected", Errno.to_string e) :: targs)
-      ~detail:tdetail (outcome_of req v);
+      ~detail:tdetail (reply_outcome info v);
     ready_thread t th (fun () -> Effect.Deep.continue k v)
   | None -> (
     let inj0 = injection_counts t in
@@ -1879,18 +1747,18 @@ let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
     | Reply v ->
       if not meta then
         record_end t ~pid:proc.Proc.pid ~tid:th.Proc.tid ~cpu:(cpu_of t th)
-          req ~entry_cycles
+          name ~entry_cycles
           ~args:(injection_marks t inj0 @ targs)
-          ~detail:tdetail (outcome_of req v);
+          ~detail:tdetail (reply_outcome info v);
       if th.Proc.tstate = Proc.Exited then ()
       else ready_thread t th (fun () -> Effect.Deep.continue k v)
     | Block (why, check) ->
-      park t th why check k ~req ~entry_cycles ~targs ~tdetail
+      park t th why check k ~info ~entry_cycles ~targs ~tdetail
     | Die ->
       (* Exec restarting the thread, or Exit: the request succeeded *)
       if not meta then
         record_end t ~pid:proc.Proc.pid ~tid:th.Proc.tid ~cpu:(cpu_of t th)
-          req ~entry_cycles ~args:targs ~detail:tdetail
+          name ~entry_cycles ~args:targs ~detail:tdetail
           (Some Trace.Ok_result))
 
 let thread_returned t (th : Proc.thread) =
@@ -1902,16 +1770,22 @@ let thread_returned t (th : Proc.thread) =
     (* main returning, or the last thread gone, ends the process *)
     kill_process t proc (Types.Exited 0)
 
-let step t (th : Proc.thread) =
+(* Run a thread until it performs a syscall (sets [pending]) or
+   returns. *)
+let enter t (th : Proc.thread) =
   th.Proc.tstate <- Proc.Running;
-  (match th.Proc.entry with
+  match th.Proc.entry with
   | Some (Proc.Start f) ->
     th.Proc.entry <- None;
     Effect.Deep.match_with f () (handler t th)
   | Some (Proc.Resume r) ->
     th.Proc.entry <- None;
     r ()
-  | None -> invalid_arg "Kernel.step: thread with nothing to run");
+  | None -> invalid_arg "Kernel.run: scheduled thread with nothing to run"
+
+(* End a slice: dispatch the syscall it stopped at, or retire the thread
+   if its body returned. *)
+let finish t (th : Proc.thread) =
   match th.Proc.pending with
   | Some p ->
     th.Proc.pending <- None;
@@ -1923,7 +1797,7 @@ let retry_parked t =
   t.parked <- [];
   let kept =
     List.filter
-      (fun (Parked { th; check; k; req; entry_cycles; targs; tdetail; _ }) ->
+      (fun (Parked { th; check; k; info; entry_cycles; targs; tdetail; _ }) ->
         if th.Proc.tstate = Proc.Exited then begin
           (* a thread that died mid-poll must not leave a stale deadline
              behind (it would make an all-parked machine jump the clock
@@ -1936,8 +1810,8 @@ let retry_parked t =
           | Some v ->
             if th.Proc.tstate <> Proc.Exited then begin
               record_end t ~pid:th.Proc.owner ~tid:th.Proc.tid
-                ~cpu:(cpu_of t th) req ~entry_cycles ~args:targs
-                ~detail:tdetail (outcome_of req v);
+                ~cpu:(cpu_of t th) info.Sysreq.name ~entry_cycles ~args:targs
+                ~detail:tdetail (reply_outcome info v);
               ready_thread t th (fun () -> Effect.Deep.continue k v)
             end;
             false
@@ -1945,24 +1819,6 @@ let retry_parked t =
       entries
   in
   t.parked <- t.parked @ kept
-
-let next_ready t =
-  (match t.config.sched with
-  | `Fifo -> ()
-  | `Random ->
-    (* rotate a random prefix so the pop is uniform-ish but deterministic *)
-    let n = Queue.length t.ready in
-    if n > 1 then
-      for _ = 1 to Prng.Splitmix.int t.rng ~bound:n do
-        Queue.add (Queue.pop t.ready) t.ready
-      done);
-  let rec pop () =
-    match Queue.take_opt t.ready with
-    | None -> None
-    | Some th when th.Proc.tstate = Proc.Exited -> pop ()
-    | Some th -> Some th
-  in
-  pop ()
 
 let check_alarms t =
   let due =
@@ -2000,13 +1856,13 @@ let describe_stalls t =
     t.parked
 
 (* ------------------------------------------------------------------ *)
-(* SMP scheduling *)
+(* Run queues and the run loop *)
 
 let pop_runq t q =
   (match t.config.sched with
   | `Fifo -> ()
   | `Random ->
-    (* same rotate-a-random-prefix trick as the single-CPU queue *)
+    (* rotate a random prefix so the pop is uniform-ish but deterministic *)
     let n = Queue.length q in
     if n > 1 then
       for _ = 1 to Prng.Splitmix.int t.rng ~bound:n do
@@ -2061,9 +1917,8 @@ let pick_batch t s =
   done;
   List.rev !batch
 
-(* Phase A of a round: charge the context switch, note the CPU in the
-   space's mask, and run the thread until it performs a syscall (sets
-   [pending]) or returns. *)
+(* Phase A of an SMP round: charge the context switch, note the CPU in
+   the space's mask, and enter the thread. *)
 let run_slice t s (cpu, (th : Proc.thread)) =
   t.clock <- t.clock + 1;
   Vmem.Tlb.set_active t.tlb cpu;
@@ -2077,15 +1932,7 @@ let run_slice t s (cpu, (th : Proc.thread)) =
      to its sender, and a still-running remote CPU re-caches the space
      the moment it runs again *)
   Vmem.Addr_space.note_cpu asp ~cpu;
-  th.Proc.tstate <- Proc.Running;
-  match th.Proc.entry with
-  | Some (Proc.Start f) ->
-    th.Proc.entry <- None;
-    Effect.Deep.match_with f () (handler t th)
-  | Some (Proc.Resume r) ->
-    th.Proc.entry <- None;
-    r ()
-  | None -> invalid_arg "Kernel.run: scheduled thread with nothing to run"
+  enter t th
 
 (* Phase B: dispatch the round's pendings in ascending CPU order. It
    waits for every slice of the round because a dispatch can end
@@ -2095,82 +1942,58 @@ let dispatch_round t batch =
   List.iter
     (fun (cpu, (th : Proc.thread)) ->
       Vmem.Tlb.set_active t.tlb cpu;
-      if th.Proc.tstate <> Proc.Exited then
-        match th.Proc.pending with
-        | Some p ->
-          th.Proc.pending <- None;
-          dispatch t th p
-        | None -> if th.Proc.tstate = Proc.Running then thread_returned t th)
+      if th.Proc.tstate <> Proc.Exited then finish t th)
     batch
 
-let queues_empty s = Array.for_all Queue.is_empty s.runqs
+(* One scheduling round: a single slice on the single-CPU machine, one
+   slice per CPU on an SMP one. [false] when no thread was ready. *)
+let run_round t =
+  match t.smp_st with
+  | None -> (
+    match pop_runq t t.ready with
+    | None -> false
+    | Some th ->
+      t.clock <- t.clock + 1;
+      enter t th;
+      finish t th;
+      true)
+  | Some s -> (
+    match pick_batch t s with
+    | [] -> false
+    | batch ->
+      List.iter (run_slice t s) batch;
+      dispatch_round t batch;
+      true)
 
-let run_smp ~max_ticks t s =
-  let deadline = t.clock + max_ticks in
-  let rec loop () =
-    if t.clock >= deadline then Tick_limit
-    else begin
-      check_alarms t;
-      match pick_batch t s with
-      | [] -> (
-        retry_parked t;
-        if not (queues_empty s) then loop ()
-        else if t.parked = [] then All_exited
-        else
-          match next_timer_tick t with
-          | Some at when at > t.clock ->
-            t.clock <- at;
-            check_alarms t;
-            retry_parked t;
-            if queues_empty s && t.parked <> [] then
-              Stalled (describe_stalls t)
-            else loop ()
-          | Some _ | None -> Stalled (describe_stalls t))
-      | batch ->
-        List.iter (run_slice t s) batch;
-        dispatch_round t batch;
-        retry_parked t;
-        loop ()
-    end
-  in
-  loop ()
-
-let run_seq ~max_ticks t =
-  let deadline = t.clock + max_ticks in
-  let rec loop () =
-    if t.clock >= deadline then Tick_limit
-    else begin
-      check_alarms t;
-      match next_ready t with
-      | Some th ->
-        t.clock <- t.clock + 1;
-        step t th;
-        retry_parked t;
-        loop ()
-      | None -> (
-        retry_parked t;
-        if not (Queue.is_empty t.ready) then loop ()
-        else if t.parked = [] then All_exited
-        else
-          (* blocked threads and an armed alarm or poll deadline: jump
-             time forward *)
-          match next_timer_tick t with
-          | Some at when at > t.clock ->
-            t.clock <- at;
-            check_alarms t;
-            retry_parked t;
-            if Queue.is_empty t.ready && t.parked <> [] then
-              Stalled (describe_stalls t)
-            else loop ()
-          | Some _ | None -> Stalled (describe_stalls t))
-    end
-  in
-  loop ()
+let idle t =
+  match t.smp_st with
+  | None -> Queue.is_empty t.ready
+  | Some s -> Array.for_all Queue.is_empty s.runqs
 
 let run ?(max_ticks = 10_000_000) t =
-  match t.smp_st with
-  | None -> run_seq ~max_ticks t
-  | Some s -> run_smp ~max_ticks t s
+  let deadline = t.clock + max_ticks in
+  let rec loop () =
+    if t.clock >= deadline then Tick_limit
+    else begin
+      check_alarms t;
+      let ran = run_round t in
+      retry_parked t;
+      if ran || not (idle t) then loop ()
+      else if t.parked = [] then All_exited
+      else
+        (* blocked threads and an armed alarm or poll deadline: jump
+           time forward *)
+        match next_timer_tick t with
+        | Some at when at > t.clock ->
+          t.clock <- at;
+          check_alarms t;
+          retry_parked t;
+          if idle t && t.parked <> [] then Stalled (describe_stalls t)
+          else loop ()
+        | Some _ | None -> Stalled (describe_stalls t)
+    end
+  in
+  loop ()
 
 let spawn_init t ?(argv = []) path =
   match find_program t path with

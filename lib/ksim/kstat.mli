@@ -17,7 +17,8 @@
 
 type counters = {
   mutable syscalls : int;  (** every dispatched request *)
-  by_kind : (string, int ref) Hashtbl.t;  (** per {!Sysreq.name} *)
+  by_kind : (string, int ref) Hashtbl.t;
+      (** per syscall name (the [name] of its {!Sysreq.info}) *)
   mutable forks : int;  (** fork + fork_eager *)
   mutable vforks : int;
   mutable spawns : int;

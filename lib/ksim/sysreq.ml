@@ -73,117 +73,145 @@ type 'a t =
 
 type _ Effect.t += Sys : 'a t -> 'a Effect.t
 
-let name : type a. a t -> string = function
-  | Getpid -> "getpid"
-  | Getppid -> "getppid"
-  | Gettid -> "gettid"
-  | Fork _ -> "fork"
-  | Fork_eager _ -> "fork_eager"
-  | Vfork _ -> "vfork"
-  | Spawn _ -> "posix_spawn"
-  | Exec _ -> "execve"
-  | Exit _ -> "exit"
-  | Waitpid _ -> "waitpid"
-  | Kill _ -> "kill"
-  | Sigaction _ -> "sigaction"
-  | Sigprocmask _ -> "sigprocmask"
-  | Alarm _ -> "alarm"
-  | Open _ -> "open"
-  | Close _ -> "close"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Dup _ -> "dup"
-  | Dup2 _ -> "dup2"
-  | Set_cloexec _ -> "set_cloexec"
-  | Pipe -> "pipe"
-  | Try_lock _ -> "try_lock"
-  | Unlock _ -> "unlock"
-  | Mmap _ -> "mmap"
-  | Munmap _ -> "munmap"
-  | Brk _ -> "brk"
-  | Mem_read _ -> "mem_read"
-  | Mem_write _ -> "mem_write"
-  | Touch _ -> "touch"
-  | Thread_create _ -> "thread_create"
-  | Mutex_create -> "mutex_create"
-  | Mutex_lock _ -> "mutex_lock"
-  | Mutex_unlock _ -> "mutex_unlock"
-  | Mutex_trylock _ -> "mutex_trylock"
-  | Mutex_reinit _ -> "mutex_reinit"
-  | Yield -> "yield"
-  | Handled_signals _ -> "handled_signals"
-  | Chdir _ -> "chdir"
-  | Getcwd -> "getcwd"
-  | Atfork_register _ -> "atfork_register"
-  | Atfork_list -> "atfork_list"
-  | Pb_create -> "pb_create"
-  | Pb_map _ -> "pb_map"
-  | Pb_write _ -> "pb_write"
-  | Pb_copy_fd _ -> "pb_copy_fd"
-  | Pb_start _ -> "pb_start"
-  | Stdio_flushed _ -> "stdio_flushed"
-  | Template_freeze _ -> "template_freeze"
-  | Template_spawn _ -> "template_spawn"
-  | Template_discard _ -> "template_discard"
-  | Socket -> "socket"
-  | Bind _ -> "bind"
-  | Listen _ -> "listen"
-  | Accept _ -> "accept"
-  | Connect _ -> "connect"
-  | Poll _ -> "poll"
+type _ reply =
+  | Fallible : Errno.t list -> ('a, Errno.t) result reply
+  | Total : 'a reply
 
-(* The documented errno domain of each fallible syscall: the specific
-   errnos its handler can produce, plus the transient set every fallible
-   syscall can reply with under fault injection ({!Fault.injectable}).
-   [test_fault] checks every traced reply against this table, so keep it
-   in sync with the handlers in [Kernel.attempt]. *)
-let errnos_of_name =
+type cost = Syscall | Memory | Accounting
+type 'a info = { name : string; reply : 'a reply; cost : cost }
+
+(* Every arm is a record of constants, allocated once at compile time,
+   and there is no wildcard arm: a new request does not compile until it
+   has a descriptor. The errno lists hold what each handler in
+   [Kernel.attempt] can reply; the kernel rejects any errno outside
+   [admits]. *)
+let info : type a. a t -> a info =
   let open Errno in
-  let injectable = [ EINTR; EAGAIN; ENOMEM ] in
-  let specific = function
-    | "fork" | "fork_eager" | "vfork" | "pb_create" | "thread_create" ->
-      Some []
-    | "posix_spawn" ->
-      Some [ ENOENT; ENOTDIR; EISDIR; EACCES; EEXIST; EINVAL; EBADF; EMFILE ]
-    | "execve" -> Some [ ENOENT; ENOTDIR; EISDIR; EACCES; EINVAL ]
-    | "waitpid" -> Some [ ECHILD ]
-    | "kill" -> Some [ ESRCH ]
-    | "sigaction" -> Some [ EINVAL ]
-    | "open" -> Some [ ENOENT; ENOTDIR; EISDIR; EACCES; EEXIST; EINVAL; EMFILE ]
-    | "close" | "set_cloexec" -> Some [ EBADF ]
-    | "read" -> Some [ EBADF; EINVAL ]
-    | "write" -> Some [ EBADF; EPIPE ]
-    | "dup" -> Some [ EBADF; EMFILE ]
-    | "dup2" -> Some [ EBADF; EMFILE; EINVAL ]
-    | "pipe" -> Some [ EMFILE ]
-    | "try_lock" -> Some [ EBADF; EINVAL ]
-    | "unlock" -> Some [ EBADF; EINVAL; EPERM ]
-    | "mmap" -> Some [ EINVAL ]
-    | "munmap" -> Some [ EINVAL ]
-    | "brk" -> Some [ EINVAL ]
-    | "mem_read" | "mem_write" | "touch" -> Some [ EFAULT; EACCES ]
-    | "mutex_lock" -> Some [ EINVAL; EDEADLK ]
-    | "mutex_unlock" -> Some [ EINVAL; EPERM ]
-    | "mutex_trylock" -> Some [ EINVAL ]
-    | "mutex_reinit" -> Some [ EINVAL ]
-    | "chdir" -> Some [ ENOENT; ENOTDIR; EACCES ]
-    | "pb_map" -> Some [ ESRCH; EPERM; EINVAL ]
-    | "pb_write" -> Some [ ESRCH; EPERM; EFAULT ]
-    | "pb_copy_fd" -> Some [ ESRCH; EPERM; EBADF; EMFILE ]
-    | "pb_start" -> Some [ ESRCH; EPERM; ENOENT; ENOTDIR; EISDIR; EACCES; EINVAL ]
-    | "template_freeze" -> Some [ ESRCH; EPERM; EINVAL; EBUSY ]
-    | "template_spawn" -> Some [ EINVAL ]
-    | "template_discard" -> Some [ EINVAL; EBUSY ]
-    | "socket" -> Some [ EMFILE ]
-    | "bind" -> Some [ EBADF; EINVAL; EADDRINUSE ]
-    | "listen" -> Some [ EBADF; EINVAL ]
-    | "accept" -> Some [ EBADF; EINVAL; EMFILE ]
-    | "connect" -> Some [ EBADF; EINVAL; ECONNREFUSED ]
-    | "poll" -> Some [ EBADF; EINVAL ]
-    | _ -> None
-  in
-  fun name ->
-    match specific name with
-    | None -> None
-    | Some extra ->
-      Some (extra @ List.filter (fun e -> not (List.mem e extra)) injectable)
+  function
+  | Getpid -> { name = "getpid"; reply = Total; cost = Syscall }
+  | Getppid -> { name = "getppid"; reply = Total; cost = Syscall }
+  | Gettid -> { name = "gettid"; reply = Total; cost = Syscall }
+  | Fork _ -> { name = "fork"; reply = Fallible []; cost = Syscall }
+  | Fork_eager _ -> { name = "fork_eager"; reply = Fallible []; cost = Syscall }
+  | Vfork _ -> { name = "vfork"; reply = Fallible []; cost = Syscall }
+  | Spawn _ ->
+    {
+      name = "posix_spawn";
+      reply =
+        Fallible
+          [ ENOENT; ENOTDIR; EISDIR; EACCES; EEXIST; EINVAL; EBADF; EMFILE ];
+      cost = Syscall;
+    }
+  | Exec _ ->
+    {
+      name = "execve";
+      reply = Fallible [ ENOENT; ENOTDIR; EISDIR; EACCES; EINVAL ];
+      cost = Syscall;
+    }
+  | Exit _ -> { name = "exit"; reply = Total; cost = Syscall }
+  | Waitpid _ -> { name = "waitpid"; reply = Fallible [ ECHILD ]; cost = Syscall }
+  | Kill _ -> { name = "kill"; reply = Fallible [ ESRCH ]; cost = Syscall }
+  | Sigaction _ ->
+    { name = "sigaction"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Sigprocmask _ -> { name = "sigprocmask"; reply = Total; cost = Syscall }
+  | Alarm _ -> { name = "alarm"; reply = Total; cost = Syscall }
+  | Open _ ->
+    {
+      name = "open";
+      reply =
+        Fallible [ ENOENT; ENOTDIR; EISDIR; EACCES; EEXIST; EINVAL; EMFILE ];
+      cost = Syscall;
+    }
+  | Close _ -> { name = "close"; reply = Fallible [ EBADF ]; cost = Syscall }
+  | Read _ -> { name = "read"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
+  | Write _ ->
+    { name = "write"; reply = Fallible [ EBADF; EPIPE; EINVAL ]; cost = Syscall }
+  | Dup _ -> { name = "dup"; reply = Fallible [ EBADF; EMFILE ]; cost = Syscall }
+  | Dup2 _ ->
+    { name = "dup2"; reply = Fallible [ EBADF; EMFILE; EINVAL ]; cost = Syscall }
+  | Set_cloexec _ ->
+    { name = "set_cloexec"; reply = Fallible [ EBADF ]; cost = Syscall }
+  | Pipe -> { name = "pipe"; reply = Fallible [ EMFILE ]; cost = Syscall }
+  | Try_lock _ ->
+    { name = "try_lock"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
+  | Unlock _ ->
+    { name = "unlock"; reply = Fallible [ EBADF; EINVAL; EPERM ]; cost = Syscall }
+  | Mmap _ -> { name = "mmap"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Munmap _ -> { name = "munmap"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Brk _ -> { name = "brk"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Mem_read _ ->
+    { name = "mem_read"; reply = Fallible [ EFAULT; EACCES; EINVAL ]; cost = Memory }
+  | Mem_write _ ->
+    { name = "mem_write"; reply = Fallible [ EFAULT; EACCES ]; cost = Memory }
+  | Touch _ -> { name = "touch"; reply = Fallible [ EFAULT; EACCES ]; cost = Memory }
+  | Thread_create _ ->
+    { name = "thread_create"; reply = Fallible []; cost = Syscall }
+  | Mutex_create -> { name = "mutex_create"; reply = Total; cost = Syscall }
+  | Mutex_lock _ ->
+    { name = "mutex_lock"; reply = Fallible [ EINVAL; EDEADLK ]; cost = Syscall }
+  | Mutex_unlock _ ->
+    { name = "mutex_unlock"; reply = Fallible [ EINVAL; EPERM ]; cost = Syscall }
+  | Mutex_trylock _ ->
+    { name = "mutex_trylock"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Mutex_reinit _ ->
+    { name = "mutex_reinit"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Yield -> { name = "yield"; reply = Total; cost = Syscall }
+  | Handled_signals _ -> { name = "handled_signals"; reply = Total; cost = Syscall }
+  | Chdir _ ->
+    { name = "chdir"; reply = Fallible [ ENOENT; ENOTDIR; EACCES ]; cost = Syscall }
+  | Getcwd -> { name = "getcwd"; reply = Total; cost = Syscall }
+  | Atfork_register _ -> { name = "atfork_register"; reply = Total; cost = Syscall }
+  | Atfork_list -> { name = "atfork_list"; reply = Total; cost = Syscall }
+  | Pb_create -> { name = "pb_create"; reply = Fallible []; cost = Syscall }
+  | Pb_map _ ->
+    { name = "pb_map"; reply = Fallible [ ESRCH; EPERM; EINVAL ]; cost = Syscall }
+  | Pb_write _ ->
+    {
+      name = "pb_write";
+      reply = Fallible [ ESRCH; EPERM; EINVAL; EFAULT; EACCES ];
+      cost = Syscall;
+    }
+  | Pb_copy_fd _ ->
+    {
+      name = "pb_copy_fd";
+      reply = Fallible [ ESRCH; EPERM; EINVAL; EBADF; EMFILE ];
+      cost = Syscall;
+    }
+  | Pb_start _ ->
+    {
+      name = "pb_start";
+      reply =
+        Fallible [ ESRCH; EPERM; ENOENT; ENOTDIR; EISDIR; EACCES; EINVAL ];
+      cost = Syscall;
+    }
+  | Stdio_flushed _ -> { name = "stdio_flushed"; reply = Total; cost = Accounting }
+  | Template_freeze _ ->
+    {
+      name = "template_freeze";
+      reply = Fallible [ ESRCH; EPERM; EINVAL; EBUSY ];
+      cost = Syscall;
+    }
+  | Template_spawn _ ->
+    { name = "template_spawn"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Template_discard _ ->
+    { name = "template_discard"; reply = Fallible [ EINVAL; EBUSY ]; cost = Syscall }
+  | Socket -> { name = "socket"; reply = Fallible [ EMFILE ]; cost = Syscall }
+  | Bind _ ->
+    { name = "bind"; reply = Fallible [ EBADF; EINVAL; EADDRINUSE ]; cost = Syscall }
+  | Listen _ ->
+    { name = "listen"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
+  | Accept _ ->
+    { name = "accept"; reply = Fallible [ EBADF; EINVAL; EMFILE ]; cost = Syscall }
+  | Connect _ ->
+    {
+      name = "connect";
+      reply = Fallible [ EBADF; EINVAL; ECONNREFUSED ];
+      cost = Syscall;
+    }
+  | Poll _ -> { name = "poll"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
+
+let admits : type a. a info -> Errno.t -> bool =
+ fun info e ->
+  match info.reply with
+  | Fallible errnos -> List.mem e errnos || List.mem e Fault.injectable
+  | Total -> false

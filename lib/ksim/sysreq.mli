@@ -166,12 +166,41 @@ type 'a t =
 
 type _ Effect.t += Sys : 'a t -> 'a Effect.t
 
-val name : 'a t -> string
-(** Syscall name for traces, e.g. ["fork"]. *)
+(** {2 Descriptors}
 
-val errnos_of_name : string -> Errno.t list option
-(** The documented errno domain of the named syscall: every errno its
-    reply may carry, including the transient failures a fault schedule
-    can inject ([EINTR], [EAGAIN], [ENOMEM] — {!Fault.injectable}).
-    [None] for syscalls that cannot fail (and for unknown names). Tests
-    assert every traced reply errno lies in this set. *)
+    Everything the kernel needs to know about a syscall besides its
+    handler, written once per constructor. *)
+
+(** The shape of a syscall's reply. *)
+type _ reply =
+  | Fallible : Errno.t list -> ('a, Errno.t) result reply
+      (** The reply is a result; the list holds the specific errnos the
+          handler can produce. Its errno domain is that list plus the
+          transients a fault schedule can inject ({!Fault.injectable}). *)
+  | Total : 'a reply  (** The reply carries no errno. *)
+
+(** What dispatch charges for a request. *)
+type cost =
+  | Syscall  (** a real syscall: pays the kernel-entry base cost *)
+  | Memory
+      (** a load, store or touch: pays only the fault costs it incurs *)
+  | Accounting
+      (** bookkeeping only: never charged, traced, counted or
+          fault-injected, so instrumented runs cost the same as bare
+          ones *)
+
+type 'a info = {
+  name : string;
+      (** e.g. ["fork"]: the name in traces, {!Kstat} and fault
+          triggers *)
+  reply : 'a reply;
+  cost : cost;
+}
+
+val info : 'a t -> 'a info
+(** The descriptor of a request's syscall. Allocates nothing. *)
+
+val admits : 'a info -> Errno.t -> bool
+(** Whether the errno lies in the syscall's errno domain. Always
+    [false] for a {!Total} syscall. The kernel raises
+    [Invalid_argument] on any reply outside the domain. *)

@@ -361,6 +361,18 @@ module Load = struct
     let t_start = Unix.gettimeofday () in
     let idle_rounds = ref 0 in
     while !completed + !errors < requests do
+      (* kill before refilling the window: requests sent to the dead slot
+         are never answered, so its EOF is always read and the crash
+         seen. Killed after the refill, a worker may already have echoed
+         all it held, leave the select set, and never be replaced. *)
+      (match kill_after with
+      | Some k when (not !killed) && !completed >= k ->
+        killed := true;
+        let s = slots.(0) in
+        if not s.dead then
+          (try Unix.kill (Process.pid s.cur.proc) Sys.sigkill
+           with Unix.Unix_error _ -> ())
+      | _ -> ());
       (* keep the window full: re-queued work first, then fresh ids *)
       while
         outstanding () < concurrency
@@ -376,14 +388,6 @@ module Load = struct
         let o = outstanding () in
         if o > !max_out then max_out := o
       done;
-      (match kill_after with
-      | Some k when (not !killed) && !completed >= k ->
-        killed := true;
-        let s = slots.(0) in
-        if not s.dead then
-          (try Unix.kill (Process.pid s.cur.proc) Sys.sigkill
-           with Unix.Unix_error _ -> ())
-      | _ -> ());
       let waiting =
         Array.to_list slots
         |> List.filter (fun s ->

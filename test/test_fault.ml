@@ -4,9 +4,10 @@
    Three layers:
    - unit tests on Ksim.Fault itself (validation, Nth/random triggers,
      determinism of a schedule's injection points);
-   - errno hygiene: exhaustive to_string/of_string round-trip, and every
-     errno a traced syscall actually replies with is in that syscall's
-     documented set (Sysreq.errnos_of_name);
+   - errno hygiene: exhaustive to_string/of_string round-trip, every
+     fallible syscall's descriptor (Sysreq.info) admits the injectable
+     errnos, and directed runs drive real failure paths, whose replies
+     the kernel itself checks against each syscall's domain;
    - the rollback invariants: a failed fork (strict commit or injected
      mid-copy) leaves frame counters, commit charges and the pid table
      exactly as they were; a failed builder start can be retried on the
@@ -34,11 +35,11 @@ let true_prog = prog "/bin/true" (fun _ -> Ksim.Api.exit 0)
 
 (* Boot a kernel whose init body can see the machine itself (to read
    fault occurrence counters and frame/kstat state mid-run). *)
-let boot_with ~config body =
+let boot_with ?(programs = []) ~config body =
   let tref = ref None in
   let init = prog "/sbin/init" (fun _ -> body (Option.get !tref)) in
   let t = Ksim.Kernel.create ~config () in
-  Ksim.Kernel.register_all t [ init; true_prog ];
+  Ksim.Kernel.register_all t (init :: true_prog :: programs);
   tref := Some t;
   (match Ksim.Kernel.spawn_init t "/sbin/init" with
   | Ok _ -> ()
@@ -153,38 +154,82 @@ let test_errno_roundtrip () =
     (List.length (List.sort_uniq compare names));
   check_bool "unknown is None" true (Ksim.Errno.of_string "ENOSUCH" = None)
 
-let test_errno_domains () =
-  (* every fallible syscall documents a domain, and the domain always
-     includes the injectable transients *)
-  List.iter
-    (fun name ->
-      match Ksim.Sysreq.errnos_of_name name with
-      | None -> Alcotest.failf "%s has no errno domain" name
-      | Some dom ->
-        List.iter
-          (fun e ->
-            check_bool
-              (Printf.sprintf "%s domain has %s" name (Ksim.Errno.to_string e))
-              true (List.mem e dom))
-          Ksim.Fault.injectable)
-    [
-      "fork"; "vfork"; "posix_spawn"; "execve"; "waitpid"; "open"; "close";
-      "read"; "write"; "mmap"; "munmap"; "kill"; "pipe"; "dup"; "dup2";
-      "pb_create"; "pb_start"; "template_freeze"; "template_spawn";
-      "template_discard";
-    ];
-  (* infallible syscalls have none *)
-  check_bool "getpid has no domain" true (Ksim.Sysreq.errnos_of_name "getpid" = None);
-  check_bool "unknown has no domain" true (Ksim.Sysreq.errnos_of_name "nosuch" = None)
+(* A request of any reply type, for tables of sample requests. *)
+type req = Req : 'a Ksim.Sysreq.t -> req
 
-(* Drive a handful of real failure paths and check every errno the
-   kernel actually replied with against the documented set. *)
+let test_errno_domains () =
+  (* every fallible syscall has a domain, and the domain always admits
+     the injectable transients *)
+  let nop () = () in
+  List.iter
+    (fun (name, Req req) ->
+      let info = Ksim.Sysreq.info req in
+      Alcotest.(check string) "descriptor name" name info.Ksim.Sysreq.name;
+      (match info.Ksim.Sysreq.reply with
+      | Ksim.Sysreq.Fallible _ -> ()
+      | Ksim.Sysreq.Total -> Alcotest.failf "%s has no errno domain" name);
+      List.iter
+        (fun e ->
+          check_bool
+            (Printf.sprintf "%s domain has %s" name (Ksim.Errno.to_string e))
+            true
+            (Ksim.Sysreq.admits info e))
+        Ksim.Fault.injectable)
+    Ksim.Sysreq.
+      [
+        ("fork", Req (Fork nop));
+        ("vfork", Req (Vfork nop));
+        ( "posix_spawn",
+          Req
+            (Spawn
+               {
+                 Ksim.Types.path = "/bin/true";
+                 argv = [];
+                 file_actions = [];
+                 attr = Ksim.Types.default_attr;
+               }) );
+        ("execve", Req (Exec { path = "/bin/true"; argv = [] }));
+        ("waitpid", Req (Waitpid Ksim.Types.Any_child));
+        ("open", Req (Open ("/missing", Ksim.Types.o_rdonly)));
+        ("close", Req (Close 3));
+        ("read", Req (Read (3, 1)));
+        ("write", Req (Write (3, "x")));
+        ("mmap", Req (Mmap { len = page; perm = Vmem.Perm.rw }));
+        ("munmap", Req (Munmap { addr = 0; len = page }));
+        ("kill", Req (Kill (2, Ksim.Usignal.SIGTERM)));
+        ("pipe", Req Pipe);
+        ("dup", Req (Dup 3));
+        ("dup2", Req (Dup2 { src = 3; dst = 4 }));
+        ("pb_create", Req Pb_create);
+        ("pb_start", Req (Pb_start { pid = 2; path = "/bin/true"; argv = [] }));
+        ("template_freeze", Req (Template_freeze { pid = None }));
+        ("template_spawn", Req (Template_spawn { tpl = 1; body = nop }));
+        ("template_discard", Req (Template_discard 1));
+      ];
+  (* infallible syscalls have none *)
+  check_bool "getpid has no domain" false
+    (List.exists
+       (Ksim.Sysreq.admits (Ksim.Sysreq.info Ksim.Sysreq.Getpid))
+       Ksim.Errno.all)
+
+(* The (syscall, errno) of every failed span in a trace, oldest first. *)
+let traced_errors t =
+  List.filter_map
+    (fun (e : Ksim.Trace.event) ->
+      match (e.Ksim.Trace.phase, e.Ksim.Trace.outcome) with
+      | Ksim.Trace.End, Some (Ksim.Trace.Err err) -> Some (e.Ksim.Trace.what, err)
+      | _ -> None)
+    (Ksim.Trace.events (Option.get (Ksim.Kernel.trace t)))
+
+let traced =
+  { Ksim.Kernel.default_config with Ksim.Kernel.trace_capacity = Some 4096 }
+
+(* Drive a handful of real failure paths. The kernel checks every reply
+   against its syscall's domain (an errno outside it raises), and the
+   trace records each failure as an errno outcome. *)
 let test_traced_errnos_in_domain () =
-  let config =
-    { Ksim.Kernel.default_config with Ksim.Kernel.trace_capacity = Some 4096 }
-  in
   let t, outcome =
-    boot_with ~config (fun _ ->
+    boot_with ~config:traced (fun _ ->
         expect_errno Ksim.Errno.ENOENT
           (Ksim.Api.openf ~flags:Ksim.Types.o_rdonly "/missing");
         expect_errno Ksim.Errno.EBADF (Ksim.Api.close 99);
@@ -197,25 +242,48 @@ let test_traced_errnos_in_domain () =
         | Ok _ -> Alcotest.fail "read of bad fd succeeded"))
   in
   all_exited outcome;
-  let tr = Option.get (Ksim.Kernel.trace t) in
-  let errors =
-    List.filter_map
-      (fun (e : Ksim.Trace.event) ->
-        match (e.Ksim.Trace.phase, e.Ksim.Trace.outcome) with
-        | Ksim.Trace.End, Some (Ksim.Trace.Err err) -> Some (e.Ksim.Trace.what, err)
-        | _ -> None)
-      (Ksim.Trace.events tr)
+  check_bool "saw failures" true (List.length (traced_errors t) >= 6)
+
+(* Failure paths no test workload reaches. Each errno must lie in its
+   syscall's domain, or the kernel raises. *)
+let test_drifted_errno_domains () =
+  let yielder =
+    prog "/bin/yielder" (fun _ ->
+        for _ = 1 to 3 do
+          Ksim.Api.yield ()
+        done;
+        Ksim.Api.exit 0)
   in
-  check_bool "saw failures" true (List.length errors >= 6);
-  List.iter
-    (fun (what, err) ->
-      match Ksim.Sysreq.errnos_of_name what with
-      | None -> Alcotest.failf "%s replied an errno but has no domain" what
-      | Some dom ->
-        check_bool
-          (Printf.sprintf "%s may reply %s" what (Ksim.Errno.to_string err))
-          true (List.mem err dom))
-    errors
+  let t, outcome =
+    boot_with ~programs:[ yielder ] ~config:traced (fun _ ->
+        let sock = ok (Ksim.Api.socket ()) in
+        expect_errno Ksim.Errno.EINVAL (Ksim.Api.write sock "x");
+        expect_errno Ksim.Errno.EINVAL
+          (Ksim.Api.mem_read ~addr:Ksim.Kernel.image_base ~len:(-1));
+        let pid = ok (Ksim.Api.pb_create ()) in
+        let addr = ok (Ksim.Api.pb_map ~pid ~len:page ~perm:Vmem.Perm.r) in
+        expect_errno Ksim.Errno.EACCES (Ksim.Api.pb_write ~pid ~addr "x");
+        expect_errno Ksim.Errno.EINVAL
+          (Ksim.Api.pb_copy_fd ~pid ~src:1 ~dst:100_000);
+        ok (Ksim.Api.pb_start ~pid "/bin/yielder");
+        (* a started child is no longer an embryo *)
+        expect_errno Ksim.Errno.EINVAL (Ksim.Api.pb_write ~pid ~addr "x");
+        expect_errno Ksim.Errno.EINVAL (Ksim.Api.pb_copy_fd ~pid ~src:1 ~dst:3);
+        ignore (ok (Ksim.Api.wait_for pid)))
+  in
+  all_exited outcome;
+  Alcotest.(check (list (pair string errno)))
+    "traced failures"
+    Ksim.Errno.
+      [
+        ("write", EINVAL);
+        ("mem_read", EINVAL);
+        ("pb_write", EACCES);
+        ("pb_copy_fd", EINVAL);
+        ("pb_write", EINVAL);
+        ("pb_copy_fd", EINVAL);
+      ]
+    (traced_errors t)
 
 (* ------------------------------------------------------------------ *)
 (* Rollback invariants *)
@@ -691,8 +759,20 @@ type fop =
   | F_freeze
   | F_tpl_spawn of int
   | F_tpl_discard of int
+  | F_sock_echo
+  | F_sock_write_unconnected
+  | F_sock_accept_unlistening
 
-let run_fop op =
+let with_socket f =
+  match Ksim.Api.socket () with
+  | Ok fd ->
+    f fd;
+    ignore (Ksim.Api.close fd)
+  | Error _ -> ()
+
+(* [port] is fresh for every op of a run, so a socket an injected
+   failure left open never holds it. *)
+let run_fop ~port op =
   match op with
   | F_mmap_touch pages -> (
     match Ksim.Api.mmap ~len:(pages * page) ~perm:Vmem.Perm.rw with
@@ -727,6 +807,28 @@ let run_fop op =
     | Ok _ | Error _ -> ())
   | F_tpl_discard id -> (
     match Ksim.Api.template_discard id with Ok _ | Error _ -> ())
+  | F_sock_echo ->
+    (* listen, connect to ourselves, accept, and echo a few bytes; each
+       step runs only once the steps before it succeeded, so none of
+       them blocks *)
+    with_socket (fun lfd ->
+        if
+          Result.is_ok (Ksim.Api.bind lfd ~port)
+          && Result.is_ok (Ksim.Api.listen lfd ~backlog:1)
+        then
+          with_socket (fun cfd ->
+              if Result.is_ok (Ksim.Api.connect cfd ~port) then
+                match Ksim.Api.accept lfd with
+                | Error _ -> ()
+                | Ok sfd ->
+                  (match Ksim.Api.write cfd "ping" with
+                  | Ok n when n > 0 -> ignore (Ksim.Api.read sfd n)
+                  | Ok _ | Error _ -> ());
+                  ignore (Ksim.Api.close sfd)))
+  | F_sock_write_unconnected ->
+    with_socket (fun fd -> ignore (Ksim.Api.write fd "x"))
+  | F_sock_accept_unlistening ->
+    with_socket (fun fd -> ignore (Ksim.Api.accept fd))
 
 let gen_fop =
   QCheck.Gen.oneof
@@ -744,6 +846,9 @@ let gen_fop =
       QCheck.Gen.return F_freeze;
       QCheck.Gen.map (fun n -> F_tpl_spawn (1 + n)) (QCheck.Gen.int_bound 2);
       QCheck.Gen.map (fun n -> F_tpl_discard (1 + n)) (QCheck.Gen.int_bound 2);
+      QCheck.Gen.return F_sock_echo;
+      QCheck.Gen.return F_sock_write_unconnected;
+      QCheck.Gen.return F_sock_accept_unlistening;
     ]
 
 let gen_errno = QCheck.Gen.oneofl Ksim.Fault.injectable
@@ -812,6 +917,9 @@ let show_fop = function
   | F_freeze -> "freeze"
   | F_tpl_spawn id -> Printf.sprintf "tpl_spawn%d" id
   | F_tpl_discard id -> Printf.sprintf "tpl_discard%d" id
+  | F_sock_echo -> "sock_echo"
+  | F_sock_write_unconnected -> "sock_write_unconnected"
+  | F_sock_accept_unlistening -> "sock_accept_unlistening"
 
 let show_case (seed, triggers, ops, (demand, readahead)) =
   Printf.sprintf "seed=%d faults=[%s] ops=[%s] demand=%b ra=%d" seed
@@ -842,7 +950,7 @@ let prop_fault_schedules =
       in
       let init =
         Ksim.Program.make ~name:"/sbin/init" (fun ~argv:_ () ->
-            List.iter run_fop ops;
+            List.iteri (fun i op -> run_fop ~port:(8000 + i) op) ops;
             ignore (Ksim.Api.wait_all ()))
       in
       match Ksim.Kernel.boot ~config ~programs:[ init; true_prog ] "/sbin/init" with
@@ -900,6 +1008,7 @@ let () =
           tc "round-trip" test_errno_roundtrip;
           tc "domains" test_errno_domains;
           tc "traced errnos in domain" test_traced_errnos_in_domain;
+          tc "drifted errno domains" test_drifted_errno_domains;
         ] );
       ( "rollback",
         [

@@ -410,7 +410,7 @@ let test_dynamic_spawn_is_clean () =
   Alcotest.(check (list string)) "spawn triggers no fork hazards" []
     (rule_ids (Ksim.Lint.check tr))
 
-let test_trace_args_present () =
+let test_fork_trace_annotations () =
   let tr =
     run_traced (fun () ->
         let pid = ok (Ksim.Api.fork ~child:(fun () -> Ksim.Api.exit 0)) in
@@ -468,6 +468,6 @@ let () =
           tc "lock across fork" test_dynamic_lock_across_fork;
           tc "unlocked fork clean" test_dynamic_unlocked_fork_is_clean;
           tc "spawn clean" test_dynamic_spawn_is_clean;
-          tc "trace args" test_trace_args_present;
+          tc "trace args" test_fork_trace_annotations;
         ] );
     ]
