@@ -9,6 +9,8 @@
      dune exec bench/main.exe -- --smoke      -- sim experiments, tiny
                                                  parameters, validate the
                                                  emitted BENCH_*.json
+                                                 (and quick F1-SIM's wall
+                                                 budget)
 
    Every experiment run also writes BENCH_<slug>.json — the full report
    (series points, per-point cost breakdowns, counters) plus run
@@ -200,6 +202,10 @@ let validate_bench_file path =
       if List.exists non_empty blocks then Ok ()
       else Error (path ^ ": no non-empty figure/table/data block"))
 
+(* Wall budget of the quick F1-SIM: the O(range) fast paths regressing
+   to per-page behaviour blow it even in the quick sweep. *)
+let f1_sim_budget_ms = 60_000.0
+
 let run_smoke () =
   let sims =
     List.filter
@@ -214,7 +220,16 @@ let run_smoke () =
       run_experiment ~print:false ~quick:true exp;
       let dt = Unix.gettimeofday () -. t0 in
       let file = bench_file exp in
-      match validate_bench_file file with
+      let verdict =
+        match validate_bench_file file with
+        | Ok () when exp.Forkroad.Report.exp_id = "F1-SIM"
+                     && dt *. 1000. > f1_sim_budget_ms ->
+          Error
+            (Printf.sprintf "quick F1-SIM took %.0f ms (budget %.0f ms)"
+               (dt *. 1000.) f1_sim_budget_ms)
+        | v -> v
+      in
+      match verdict with
       | Ok () ->
         Printf.printf "smoke %-7s ok    %s (%.1fs)\n%!"
           exp.Forkroad.Report.exp_id file dt
@@ -228,66 +243,6 @@ let run_smoke () =
     exit 1
   end;
   Printf.printf "bench smoke: %d sim experiments ok\n" (List.length sims)
-
-(* Perf smoke: a quick F1-SIM must finish inside a generous budget and
-   its BENCH json must carry the harness_wall_ms instrumentation. Guards
-   the O(range) fast paths (and the wall-clock plumbing itself) against
-   silent regression to per-page behaviour, where even the quick sweep
-   blows the budget. *)
-let perf_budget_ms = 60_000.0
-
-let run_perf_smoke () =
-  let exp =
-    List.find
-      (fun e -> e.Forkroad.Report.exp_id = "F1-SIM")
-      Forkroad.Registry.all
-  in
-  run_experiment ~print:false ~quick:true exp;
-  let file = bench_file exp in
-  let ic = open_in_bin file in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let fail msg =
-    Printf.eprintf "perf smoke: %s\n" msg;
-    exit 1
-  in
-  match Metrics.Json.of_string contents with
-  | Error e -> fail (Printf.sprintf "%s: parse error: %s" file e)
-  | Ok j -> (
-    let open Metrics.Json in
-    match
-      Option.bind (member "params" j) (member "harness_wall_ms")
-      |> Fun.flip Option.bind to_num
-    with
-    | None -> fail (file ^ ": params.harness_wall_ms missing")
-    | Some ms when ms > perf_budget_ms ->
-      fail
-        (Printf.sprintf "quick F1-SIM took %.0f ms (budget %.0f ms)" ms
-           perf_budget_ms)
-    | Some ms ->
-      Printf.printf "perf smoke: quick F1-SIM in %.0f ms (budget %.0f ms)\n"
-        ms perf_budget_ms)
-
-(* Fault smoke: quick E13 (pressure curves + injected-fault retry demo)
-   must run green and emit a valid BENCH_pressure.json. The @fault-smoke
-   alias pairs this with test/test_fault.exe's invariant checker. *)
-let run_fault_smoke () =
-  let exp =
-    List.find (fun e -> e.Forkroad.Report.exp_id = "E13") Forkroad.Registry.all
-  in
-  let t0 = Unix.gettimeofday () in
-  run_experiment ~print:false ~quick:true exp;
-  let file = bench_file exp in
-  match validate_bench_file file with
-  | Ok () ->
-    Printf.printf "fault smoke: quick E13 ok, %s valid (%.1fs)\n" file
-      (Unix.gettimeofday () -. t0)
-  | Error msg ->
-    Printf.eprintf "fault smoke: %s\n" msg;
-    exit 1
 
 (* bench regress --baseline DIR [--current DIR] [--report FILE]
                  [--wall-factor F] [--wall-slack-ms MS]
@@ -414,13 +369,9 @@ let () =
   in
   let quick = List.exists (fun a -> a = "--quick" || a = "-q") args in
   let smoke = List.exists (fun a -> a = "--smoke") args in
-  let perf_smoke = List.exists (fun a -> a = "--perf-smoke") args in
-  let fault_smoke = List.exists (fun a -> a = "--fault-smoke") args in
   let selectors =
     List.filter
-      (fun a ->
-        a <> "--quick" && a <> "-q" && a <> "--" && a <> "--smoke"
-        && a <> "--perf-smoke" && a <> "--fault-smoke")
+      (fun a -> a <> "--quick" && a <> "-q" && a <> "--" && a <> "--smoke")
       args
     |> List.map String.lowercase_ascii
   in
@@ -430,8 +381,6 @@ let () =
     || List.mem (String.lowercase_ascii id) selectors
   in
   if smoke then run_smoke ()
-  else if perf_smoke then run_perf_smoke ()
-  else if fault_smoke then run_fault_smoke ()
   else if micro_only then run_bechamel ()
   else begin
     if selectors = [] then run_bechamel ();

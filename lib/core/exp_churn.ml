@@ -97,18 +97,9 @@ let churn_point ~n ~heap_mib style =
     Vmem.Cost.total (Ksim.Kernel.cost t_churn)
     -. Vmem.Cost.total (Ksim.Kernel.cost t_base)
   in
-  let tr = Option.get (Ksim.Kernel.trace t_churn) in
   let ok_ns =
-    List.filter_map
-      (fun (e : Ksim.Trace.event) ->
-        if
-          e.Ksim.Trace.phase = Ksim.Trace.End
-          && e.Ksim.Trace.what = span_name style
-          && e.Ksim.Trace.pid = 1
-          && e.Ksim.Trace.outcome = Some Ksim.Trace.Ok_result
-        then Some e.Ksim.Trace.span_ns
-        else None)
-      (Ksim.Trace.events tr)
+    Sim_driver.ok_ns
+      (Sim_driver.end_spans t_churn ~what:(span_name style) ~pid:(( = ) 1))
   in
   {
     mib = heap_mib;

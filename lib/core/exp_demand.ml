@@ -140,22 +140,9 @@ type point = {
 }
 
 let harvest t ~style ~fmib ~frac ~touched =
-  let tr = Option.get (Ksim.Kernel.trace t) in
-  let spans what ~of_children =
-    List.filter_map
-      (fun (e : Ksim.Trace.event) ->
-        if
-          e.Ksim.Trace.phase = Ksim.Trace.End
-          && e.Ksim.Trace.what = what
-          && (if of_children then e.Ksim.Trace.pid <> 1
-              else e.Ksim.Trace.pid = 1)
-          && e.Ksim.Trace.outcome = Some Ksim.Trace.Ok_result
-        then Some e.Ksim.Trace.span_ns
-        else None)
-      (Ksim.Trace.events tr)
-  in
-  let create = spans (span_of style) ~of_children:false in
-  let touch = if touched then spans "touch" ~of_children:true else [] in
+  let spans what ~pid = Sim_driver.ok_ns (Sim_driver.end_spans t ~what ~pid) in
+  let create = spans (span_of style) ~pid:(( = ) 1) in
+  let touch = if touched then spans "touch" ~pid:(( <> ) 1) else [] in
   let warm =
     if List.length touch = List.length create then
       List.map2 ( +. ) create touch

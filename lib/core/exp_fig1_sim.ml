@@ -83,7 +83,7 @@ let run ~quick =
                      List.mem_assoc g m.Sim_driver.groups)
                    ms)
                rows)
-        Sim_driver.group_order
+        Profile.Subsys.group_order
     in
     let table =
       Metrics.Table.create

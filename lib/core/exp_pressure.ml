@@ -61,23 +61,8 @@ let pressure_point ~attempts ~fraction api =
           | Error _ -> ()
         done)
   in
-  let tr = Option.get (Ksim.Kernel.trace t) in
-  let ends =
-    List.filter
-      (fun (e : Ksim.Trace.event) ->
-        e.Ksim.Trace.phase = Ksim.Trace.End
-        && e.Ksim.Trace.what = span_name api
-        && e.Ksim.Trace.pid = 1)
-      (Ksim.Trace.events tr)
-  in
-  let ok_ns =
-    List.filter_map
-      (fun (e : Ksim.Trace.event) ->
-        match e.Ksim.Trace.outcome with
-        | Some Ksim.Trace.Ok_result -> Some e.Ksim.Trace.span_ns
-        | Some (Ksim.Trace.Err _) | None -> None)
-      ends
-  in
+  let ends = Sim_driver.end_spans t ~what:(span_name api) ~pid:(( = ) 1) in
+  let ok_ns = Sim_driver.ok_ns ends in
   let first_errno =
     List.find_map
       (fun (e : Ksim.Trace.event) ->

@@ -102,18 +102,9 @@ let smp_point ~heap_mib ~iters (cpus, style) =
   (match outcome with
   | Ksim.Kernel.All_exited -> ()
   | _ -> invalid_arg "Exp_smp: sweep point did not run to completion");
-  let tr = Option.get (Ksim.Kernel.trace t) in
   let ok_ns =
-    List.filter_map
-      (fun (e : Ksim.Trace.event) ->
-        if
-          e.Ksim.Trace.phase = Ksim.Trace.End
-          && e.Ksim.Trace.what = span_name style
-          && e.Ksim.Trace.pid = 1
-          && e.Ksim.Trace.outcome = Some Ksim.Trace.Ok_result
-        then Some e.Ksim.Trace.span_ns
-        else None)
-      (Ksim.Trace.events tr)
+    Sim_driver.ok_ns
+      (Sim_driver.end_spans t ~what:(span_name style) ~pid:(( = ) 1))
   in
   let g = Ksim.Kstat.global (Ksim.Kernel.kstat t) in
   {

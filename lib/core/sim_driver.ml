@@ -9,12 +9,6 @@ type measurement = {
   tlb : Vmem.Tlb.stats;
 }
 
-(* Subsystem grouping now lives in Profile.Subsys (the profiler needs
-   it per-pid, not just per-sweep-point); these aliases keep the public
-   Sim_driver API unchanged. *)
-let group_order = Profile.Subsys.group_order
-let groups_of_breakdown = Profile.Subsys.groups_of_breakdown
-
 let true_prog =
   Ksim.Program.make ~name:"/bin/true" (fun ~argv:_ () -> Ksim.Api.exit 0)
 
@@ -40,12 +34,28 @@ let run_scenario ?config ?programs body =
     cycles;
     ns = Vmem.Cost.cycles_to_ns cycles;
     breakdown;
-    groups = groups_of_breakdown breakdown;
+    groups = Profile.Subsys.groups_of_breakdown breakdown;
     counters = Ksim.Kstat.snapshot (Ksim.Kstat.global (Ksim.Kernel.kstat t));
     console = Ksim.Kernel.console t;
     outcome;
     tlb = Vmem.Tlb.stats (Ksim.Kernel.tlb t);
   }
+
+let end_spans t ~what ~pid =
+  List.filter
+    (fun (e : Ksim.Trace.event) ->
+      e.Ksim.Trace.phase = Ksim.Trace.End
+      && e.Ksim.Trace.what = what
+      && pid e.Ksim.Trace.pid)
+    (Ksim.Trace.events (Option.get (Ksim.Kernel.trace t)))
+
+let ok_ns ends =
+  List.filter_map
+    (fun (e : Ksim.Trace.event) ->
+      match e.Ksim.Trace.outcome with
+      | Some Ksim.Trace.Ok_result -> Some e.Ksim.Trace.span_ns
+      | Some (Ksim.Trace.Err _) | None -> None)
+    ends
 
 let config_for ~heap_mib =
   {
@@ -150,7 +160,7 @@ let creation_cost ?(vmas = 1) ~strategy ~heap_mib () =
     cycles;
     ns = Vmem.Cost.cycles_to_ns cycles;
     breakdown;
-    groups = groups_of_breakdown breakdown;
+    groups = Profile.Subsys.groups_of_breakdown breakdown;
     counters =
       List.filter_map
         (fun (k, n) ->

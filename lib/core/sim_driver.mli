@@ -11,9 +11,9 @@ type measurement = {
   ns : float;  (** cycles through {!Vmem.Cost.cycles_to_ns} *)
   breakdown : (string * float) list;
   groups : (string * float) list;
-      (** [breakdown] folded into subsystems (["pt-copy"], ["fault"],
-          ["frame-copy"], ["tlb"], ["exec"], ["other"]); the groups
-          partition the categories, so they sum to [cycles] exactly *)
+      (** [breakdown] folded into the {!Profile.Subsys} groups; the
+          groups partition the categories, so they sum to [cycles]
+          exactly *)
   counters : (string * int) list;
       (** {!Ksim.Kstat} counter activity (snapshot names); differential
           measurements report per-operation deltas, zeros dropped *)
@@ -21,12 +21,6 @@ type measurement = {
   outcome : Ksim.Kernel.outcome;
   tlb : Vmem.Tlb.stats;
 }
-
-val group_order : string list
-(** The subsystem group names in display order. *)
-
-val groups_of_breakdown : (string * float) list -> (string * float) list
-(** Fold any category breakdown into the subsystem groups above. *)
 
 val run_scenario :
   ?config:Ksim.Kernel.config ->
@@ -45,6 +39,16 @@ val boot_scenario :
     machine for callers that harvest state the measurement record
     doesn't carry — trace spans (E13's latency percentiles),
     fault-injection counts, per-pid counters. *)
+
+val end_spans :
+  Ksim.Kernel.t -> what:string -> pid:(Ksim.Types.pid -> bool) ->
+  Ksim.Trace.event list
+(** The End events of syscall [what] issued by pids that [pid] accepts,
+    oldest first: how the sweeps harvest per-syscall latencies.
+    @raise Invalid_argument on an untraced machine. *)
+
+val ok_ns : Ksim.Trace.event list -> float list
+(** The simulated span latencies of the successful ones, in order. *)
 
 val config_for : heap_mib:int -> Ksim.Kernel.config
 (** Overcommit, ASLR off (differential runs need identical prefixes),

@@ -207,7 +207,7 @@ let groups_table cost =
           Metrics.Units.cycles cycles;
           Printf.sprintf "%5.1f" (pct cycles total);
         ])
-    (Sim_driver.groups_of_breakdown (Vmem.Cost.by_category cost));
+    (Profile.Subsys.groups_of_breakdown (Vmem.Cost.by_category cost));
   t
 
 let counters_table counters =

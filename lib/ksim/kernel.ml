@@ -7,7 +7,6 @@ type config = {
   seed : int;
   sched : [ `Fifo | `Random ];
   trace_capacity : int option;
-  pipe_capacity : int;
   max_fds : int;
   fault : Fault.spec option;
   smp : bool;
@@ -25,7 +24,6 @@ let default_config =
     seed = 42;
     sched = `Fifo;
     trace_capacity = None;
-    pipe_capacity = 65536;
     max_fds = 256;
     fault = None;
     smp = false;
@@ -416,13 +414,18 @@ let load_image t prog aspace =
           rollback ~heap:true ~stack:(Some stack_base)
         | Ok _ -> Ok ())))
 
-(* Build a fresh address space holding [prog]'s image. *)
-let build_image t prog =
+(* An empty address space on this machine, at an ASLR-drawn mmap base. *)
+let fresh_aspace t =
   let mmap_base = mmap_base_floor + aslr_offset t in
   let aspace =
     Vmem.Addr_space.create ~mmap_base ~blame:t.blame ~frames:t.frames ~cost:t.cost ~tlb:t.tlb ()
   in
   Vmem.Addr_space.set_pager aspace t.pager;
+  aspace
+
+(* Build a fresh address space holding [prog]'s image. *)
+let build_image t prog =
+  let aspace = fresh_aspace t in
   match load_image t prog aspace with
   | Ok () -> Ok aspace
   | Error e ->
@@ -431,6 +434,21 @@ let build_image t prog =
 
 (* ------------------------------------------------------------------ *)
 (* Signals and process termination *)
+
+let retire_thread (th : Proc.thread) =
+  th.Proc.tstate <- Proc.Exited;
+  th.Proc.entry <- None;
+  th.Proc.pending <- None
+
+(* Give up [proc]'s address space (exit or exec): hand a vfork borrow
+   back to the parent, or drop the template deps and destroy an owned
+   space. *)
+let release_aspace t (proc : Proc.t) =
+  if proc.Proc.vfork_active then proc.Proc.vfork_active <- false
+  else begin
+    release_tpl_deps t proc;
+    Vmem.Addr_space.destroy proc.Proc.aspace
+  end
 
 let rec post_signal t (proc : Proc.t) sig_ =
   if Proc.is_alive proc then begin
@@ -457,23 +475,14 @@ and kill_process t (proc : Proc.t) status =
     proc.Proc.pstate <- Proc.Zombie status;
     Hashtbl.replace t.statuses proc.Proc.pid status;
     Hashtbl.remove t.alarms proc.Proc.pid;
-    List.iter
-      (fun (th : Proc.thread) ->
-        th.Proc.tstate <- Proc.Exited;
-        th.Proc.entry <- None;
-        th.Proc.pending <- None)
-      proc.Proc.threads;
+    List.iter retire_thread proc.Proc.threads;
     Fd_table.close_all proc.Proc.fdt;
     List.iter
       (fun (r : Vfs.regular) ->
         if r.Vfs.lock_owner = Some proc.Proc.pid then r.Vfs.lock_owner <- None)
       proc.Proc.held_locks;
     proc.Proc.held_locks <- [];
-    if proc.Proc.vfork_active then proc.Proc.vfork_active <- false
-    else begin
-      release_tpl_deps t proc;
-      Vmem.Addr_space.destroy proc.Proc.aspace
-    end;
+    release_aspace t proc;
     (* orphans go to init (pid 1) *)
     let init = find_proc t 1 in
     List.iter
@@ -564,6 +573,15 @@ let do_open t (proc : Proc.t) path flags =
     | Ok (Vfs.Dir _) ->
       if flags.Types.write then Error Errno.EISDIR else Error Errno.EACCES
 
+(* Give [ofd] the lowest free fd, or release it when the table is full
+   (open, socket, accept). *)
+let install_fd (proc : Proc.t) ~cloexec ofd =
+  match Fd_table.alloc proc.Proc.fdt ~cloexec ofd with
+  | Ok fd -> Ok fd
+  | Error e ->
+    Ofd.close ofd;
+    Error e
+
 (* ------------------------------------------------------------------ *)
 (* Process creation *)
 
@@ -580,9 +598,30 @@ let new_thread t proc ~is_main body =
   enqueue t th;
   th
 
-let charge_fd_inherit t fdt =
+(* The child's copy of an fd table (fork, spawn, template freeze and
+   zygote spawn), charged per inherited descriptor. *)
+let clone_fds t fdt =
+  let fdt = Fd_table.clone fdt in
   Vmem.Cost.charge t.cost "fd:inherit"
-    ((params t).Vmem.Cost.fd_clone *. float_of_int (Fd_table.count fdt))
+    ((params t).Vmem.Cost.fd_clone *. float_of_int (Fd_table.count fdt));
+  fdt
+
+(* Enter a new process in the pid table as [parent]'s child. *)
+let adopt t (parent : Proc.t) (child : Proc.t) =
+  Hashtbl.replace t.procs child.Proc.pid child;
+  parent.Proc.children <- child.Proc.pid :: parent.Proc.children
+
+(* The exec rule for signal dispositions, from the image [src] ran to
+   the one [dst] starts: ignored signals stay ignored, caught ones reset
+   to default. *)
+let exec_dispositions ~(src : Proc.t) (dst : Proc.t) =
+  List.iter
+    (fun s ->
+      match Proc.disposition src s with
+      | Usignal.Ignored -> Proc.set_disposition dst s Usignal.Ignored
+      | Usignal.Handler _ -> Proc.set_disposition dst s Usignal.Default
+      | Usignal.Default -> ())
+    Usignal.all
 
 (* Shared plumbing of fork and vfork: everything except the address
    space. Implements the POSIX inheritance matrix: dispositions and mask
@@ -590,8 +629,7 @@ let charge_fd_inherit t fdt =
    copied verbatim, alarms and file locks NOT inherited. *)
 let make_forked_child t (parent : Proc.t) ~aspace ~body =
   Vmem.Cost.charge t.cost "proc:create" (params t).Vmem.Cost.proc_create;
-  let fdt = Fd_table.clone parent.Proc.fdt in
-  charge_fd_inherit t fdt;
+  let fdt = clone_fds t parent.Proc.fdt in
   let child =
     Proc.make ~pid:(fresh_pid t) ~parent:parent.Proc.pid ~aspace ~fdt
       ~cwd:parent.Proc.cwd ~program:parent.Proc.program
@@ -601,8 +639,7 @@ let make_forked_child t (parent : Proc.t) ~aspace ~body =
   child.Proc.sigmask <- parent.Proc.sigmask;
   child.Proc.mutexes <- Sync.clone_table parent.Proc.mutexes;
   child.Proc.atfork <- parent.Proc.atfork;
-  Hashtbl.replace t.procs child.Proc.pid child;
-  parent.Proc.children <- child.Proc.pid :: parent.Proc.children;
+  adopt t parent child;
   ignore (new_thread t child ~is_main:true body);
   child
 
@@ -660,23 +697,15 @@ let do_spawn t (parent : Proc.t) (req : Types.spawn_req) =
     match build_image t prog with
     | Error e -> Error e
     | Ok aspace -> (
-      let fdt = Fd_table.clone parent.Proc.fdt in
-      charge_fd_inherit t fdt;
+      let fdt = clone_fds t parent.Proc.fdt in
       let child =
         Proc.make ~pid:(fresh_pid t) ~parent:parent.Proc.pid ~aspace ~fdt
           ~cwd:parent.Proc.cwd ~program:prog.Program.name
       in
-      (* signal setup: exec semantics plus the optional wholesale reset *)
-      if req.Types.attr.Types.reset_signals then
-        Array.fill child.Proc.sigdisp 0 (Array.length child.Proc.sigdisp)
-          Usignal.Default
-      else
-        List.iter
-          (fun s ->
-            match Proc.disposition parent s with
-            | Usignal.Ignored -> Proc.set_disposition child s Usignal.Ignored
-            | Usignal.Default | Usignal.Handler _ -> ())
-          Usignal.all;
+      (* signal setup: exec semantics, unless the attributes ask for the
+         wholesale reset the child already starts from *)
+      if not req.Types.attr.Types.reset_signals then
+        exec_dispositions ~src:parent child;
       child.Proc.sigmask <-
         (match req.Types.attr.Types.mask with
         | Some m -> m
@@ -695,8 +724,7 @@ let do_spawn t (parent : Proc.t) (req : Types.spawn_req) =
         Error e
       | Ok () ->
         Fd_table.close_cloexec child.Proc.fdt;
-        Hashtbl.replace t.procs child.Proc.pid child;
-        parent.Proc.children <- child.Proc.pid :: parent.Proc.children;
+        adopt t parent child;
         ignore
           (new_thread t child ~is_main:true
              (prog.Program.main ~argv:req.Types.argv));
@@ -712,26 +740,12 @@ let do_exec t (proc : Proc.t) (th : Proc.thread) path argv =
       (* only the calling thread survives *)
       List.iter
         (fun (other : Proc.thread) ->
-          if other.Proc.tid <> th.Proc.tid then begin
-            other.Proc.tstate <- Proc.Exited;
-            other.Proc.entry <- None;
-            other.Proc.pending <- None
-          end)
+          if other.Proc.tid <> th.Proc.tid then retire_thread other)
         proc.Proc.threads;
       proc.Proc.threads <- [ th ];
-      if proc.Proc.vfork_active then proc.Proc.vfork_active <- false
-      else begin
-        release_tpl_deps t proc;
-        Vmem.Addr_space.destroy proc.Proc.aspace
-      end;
+      release_aspace t proc;
       proc.Proc.aspace <- aspace;
-      (* caught signals reset to default; ignored stay ignored *)
-      List.iter
-        (fun s ->
-          match Proc.disposition proc s with
-          | Usignal.Handler _ -> Proc.set_disposition proc s Usignal.Default
-          | Usignal.Default | Usignal.Ignored -> ())
-        Usignal.all;
+      exec_dispositions ~src:proc proc;
       Fd_table.close_cloexec proc.Proc.fdt;
       (* mutex memory and atfork registrations die with the old image *)
       proc.Proc.mutexes <- Sync.create_table ();
@@ -928,20 +942,6 @@ let annotations :
 
 let now_ns t = Vmem.Cost.cycles_to_ns (Vmem.Cost.total t.cost)
 
-(* A successful fork/vfork/spawn additionally records the child pid, so
-   a trace replay can attribute the child's subsequent events to the
-   creation style that made it. *)
-let record_child t (proc : Proc.t) (th : Proc.thread) what ~style = function
-  | Error _ -> ()
-  | Ok child -> (
-    match t.trace with
-    | None -> ()
-    | Some tr ->
-      Trace.record tr ~tick:t.clock ~pid:proc.Proc.pid ~tid:th.Proc.tid what
-        ~args:[ ("child", string_of_int child) ]
-        ~detail:(Trace.D_child { child; style })
-        ~ts_ns:(now_ns t) ?cpu:(cpu_of t th))
-
 (* Blame-ledger plumbing. Every creation-shaped request allocates a
    ledger event and runs its handler under that event's Sync context:
    the setup half of the bill (page-table walk, VMA clones, PCB, fd
@@ -956,6 +956,30 @@ let creation_blame t ~style ~parent f =
   | Ok _ -> ()
   | Error _ -> Vmem.Blame.mark_failed t.blame ev);
   (ev, r)
+
+(* Every process-creating request runs through here: [f] builds the
+   child under a fresh ledger event, and a child it made is recorded on
+   that event, handed to [on_child] with the event id (origin stamps,
+   tags), and — when tracing — announced by a ["<trace_style>_child"]
+   instant, so a trace replay can attribute the child's subsequent
+   events to the creation style that made it. *)
+let create_child t (proc : Proc.t) (th : Proc.thread) ~style
+    ?(trace_style = style) ?(on_child = fun _ _ -> ()) f =
+  let ev, r = creation_blame t ~style ~parent:proc.Proc.pid f in
+  (match r with
+  | Error _ -> ()
+  | Ok child -> (
+    Vmem.Blame.set_child t.blame ev ~child;
+    on_child ev child;
+    match t.trace with
+    | None -> ()
+    | Some tr ->
+      Trace.record tr ~tick:t.clock ~pid:proc.Proc.pid ~tid:th.Proc.tid
+        (trace_style ^ "_child")
+        ~args:[ ("child", string_of_int child) ]
+        ~detail:(Trace.D_child { child; style = trace_style })
+        ~ts_ns:(now_ns t) ?cpu:(cpu_of t th)));
+  r
 
 let stamp_child_origin t ev child =
   match find_proc t child with
@@ -977,42 +1001,27 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
   | Sysreq.Getppid -> Reply proc.Proc.parent
   | Sysreq.Gettid -> Reply th.Proc.tid
   | Sysreq.Fork body ->
-    let ev, r =
-      creation_blame t ~style:"fork" ~parent:proc.Proc.pid (fun () ->
-          do_fork t proc ~eager:false body)
-    in
-    (match r with
-    | Error _ -> ()
-    | Ok child ->
-      Vmem.Blame.set_child t.blame ev ~child;
-      (* a COW fork re-downgrades every resident private page on BOTH
-         sides, so this event becomes the newest sharing origin of
-         parent and child alike *)
-      Vmem.Addr_space.set_blame_origin proc.Proc.aspace ev;
-      stamp_child_origin t ev child);
-    record_child t proc th "fork_child" ~style:"fork" r;
-    Reply r
+    Reply
+      (create_child t proc th ~style:"fork"
+         ~on_child:(fun ev child ->
+           (* a COW fork re-downgrades every resident private page on
+              BOTH sides, so this event becomes the newest sharing
+              origin of parent and child alike *)
+           Vmem.Addr_space.set_blame_origin proc.Proc.aspace ev;
+           stamp_child_origin t ev child)
+         (fun () -> do_fork t proc ~eager:false body))
   | Sysreq.Fork_eager body ->
-    let ev, r =
-      creation_blame t ~style:"fork_eager" ~parent:proc.Proc.pid (fun () ->
-          do_fork t proc ~eager:true body)
-    in
-    (* eager copies up front: no COW sharing, so no origin to stamp *)
-    (match r with
-    | Error _ -> ()
-    | Ok child -> Vmem.Blame.set_child t.blame ev ~child);
-    record_child t proc th "fork_child" ~style:"fork" r;
-    Reply r
+    (* eager copies up front: no COW sharing, so no origin to stamp; a
+       trace replays the child as a plain fork's *)
+    Reply
+      (create_child t proc th ~style:"fork_eager" ~trace_style:"fork"
+         (fun () -> do_fork t proc ~eager:true body))
   | Sysreq.Vfork body -> (
-    let ev, r =
-      creation_blame t ~style:"vfork" ~parent:proc.Proc.pid (fun () ->
-          do_vfork t proc body)
-    in
-    match r with
+    match
+      create_child t proc th ~style:"vfork" (fun () -> do_vfork t proc body)
+    with
     | Error e -> Reply (Error e)
     | Ok child_pid ->
-      Vmem.Blame.set_child t.blame ev ~child:child_pid;
-      record_child t proc th "vfork_child" ~style:"vfork" (Ok child_pid);
       (* the parent thread blocks until the child execs or exits *)
       Block
         ( "vfork",
@@ -1023,17 +1032,10 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
               if child.Proc.vfork_active && Proc.is_alive child then None
               else Some (Ok child_pid) ))
   | Sysreq.Spawn req ->
-    let ev, r =
-      creation_blame t ~style:"spawn" ~parent:proc.Proc.pid (fun () ->
-          do_spawn t proc req)
-    in
     (* spawn builds a fresh image: no sharing, hence no deferred bill —
        exactly the paper's point, now visible as an empty column *)
-    (match r with
-    | Error _ -> ()
-    | Ok child -> Vmem.Blame.set_child t.blame ev ~child);
-    record_child t proc th "spawn_child" ~style:"spawn" r;
-    Reply r
+    Reply
+      (create_child t proc th ~style:"spawn" (fun () -> do_spawn t proc req))
   | Sysreq.Exec { path; argv } -> (
     match do_exec t proc th path argv with
     | Error e -> Reply (Error e)
@@ -1098,15 +1100,10 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     if ticks = 0 then Hashtbl.remove t.alarms proc.Proc.pid
     else Hashtbl.replace t.alarms proc.Proc.pid (t.clock + ticks);
     Reply remaining
-  | Sysreq.Open (path, flags) -> (
-    match do_open t proc path flags with
-    | Error e -> Reply (Error e)
-    | Ok ofd -> (
-      match Fd_table.alloc proc.Proc.fdt ~cloexec:flags.Types.cloexec ofd with
-      | Ok fd -> Reply (Ok fd)
-      | Error e ->
-        Ofd.close ofd;
-        Reply (Error e)))
+  | Sysreq.Open (path, flags) ->
+    Reply
+      (Result.bind (do_open t proc path flags)
+         (install_fd proc ~cloexec:flags.Types.cloexec))
   | Sysreq.Close fd -> Reply (Fd_table.close proc.Proc.fdt fd)
   | Sysreq.Read (fd, n) -> (
     match Fd_table.get proc.Proc.fdt fd with
@@ -1142,7 +1139,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
   | Sysreq.Dup2 { src; dst } -> Reply (Fd_table.dup2 proc.Proc.fdt ~src ~dst)
   | Sysreq.Set_cloexec (fd, v) -> Reply (Fd_table.set_cloexec proc.Proc.fdt fd v)
   | Sysreq.Pipe -> (
-    let pipe = Pipe.create ~capacity:t.config.pipe_capacity () in
+    let pipe = Pipe.create () in
     let rofd = Ofd.make (Ofd.Pipe_read pipe) ~flags:Types.o_rdonly in
     let wofd =
       Ofd.make (Ofd.Pipe_write pipe)
@@ -1220,18 +1217,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       go 0
     end
   | Sysreq.Mem_write { addr; data } ->
-    let len = String.length data in
-    let rec go i =
-      if i >= len then Reply (Ok ())
-      else
-        match
-          Vmem.Addr_space.write_byte proc.Proc.aspace (addr + i)
-            (Char.code data.[i])
-        with
-        | Ok () -> go (i + 1)
-        | Error e -> Reply (Error (mem_errno e))
-    in
-    go 0
+    Reply (write_into proc.Proc.aspace addr data)
   | Sysreq.Touch { addr; len } -> (
     match touch_with_oom t proc ~addr ~len with
     | Ok pages -> Reply (Ok pages)
@@ -1298,30 +1284,18 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     Reply ()
   | Sysreq.Atfork_list -> Reply proc.Proc.atfork
   | Sysreq.Pb_create ->
-    let ev, r =
-      creation_blame t ~style:"builder" ~parent:proc.Proc.pid (fun () ->
-          Vmem.Cost.charge t.cost "proc:create"
-            (params t).Vmem.Cost.proc_create;
-          let mmap_base = mmap_base_floor + aslr_offset t in
-          let aspace =
-            Vmem.Addr_space.create ~mmap_base ~blame:t.blame ~frames:t.frames
-              ~cost:t.cost ~tlb:t.tlb ()
-          in
-          Vmem.Addr_space.set_pager aspace t.pager;
-          let child =
-            Proc.make ~pid:(fresh_pid t) ~parent:proc.Proc.pid ~aspace
-              ~fdt:(Fd_table.create ~max_fds:t.config.max_fds ())
-              ~cwd:proc.Proc.cwd ~program:"<embryo>"
-          in
-          Hashtbl.replace t.procs child.Proc.pid child;
-          proc.Proc.children <- child.Proc.pid :: proc.Proc.children;
-          Ok child.Proc.pid)
-    in
-    (match r with
-    | Error (_ : Errno.t) -> ()
-    | Ok child -> Vmem.Blame.set_child t.blame ev ~child);
-    record_child t proc th "builder_child" ~style:"builder" r;
-    Reply r
+    Reply
+      (create_child t proc th ~style:"builder" (fun () ->
+           Vmem.Cost.charge t.cost "proc:create"
+             (params t).Vmem.Cost.proc_create;
+           let aspace = fresh_aspace t in
+           let child =
+             Proc.make ~pid:(fresh_pid t) ~parent:proc.Proc.pid ~aspace
+               ~fdt:(Fd_table.create ~max_fds:t.config.max_fds ())
+               ~cwd:proc.Proc.cwd ~program:"<embryo>"
+           in
+           adopt t proc child;
+           Ok child.Proc.pid))
   | Sysreq.Pb_map { pid; len; perm } -> (
     match embryo_of t proc pid with
     | Error e -> Reply (Error e)
@@ -1410,8 +1384,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
                 Vmem.Addr_space.committed_pages target.Proc.aspace
               in
               let aspace = Vmem.Addr_space.seal target.Proc.aspace in
-              let fdt = Fd_table.clone target.Proc.fdt in
-              charge_fd_inherit t fdt;
+              let fdt = clone_fds t target.Proc.fdt in
               let id = t.next_tpl in
               t.next_tpl <- id + 1;
               let tpl =
@@ -1442,52 +1415,45 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
   | Sysreq.Template_spawn { tpl; body } -> (
     match find_template t tpl with
     | None -> Reply (Error Errno.EINVAL)
-    | Some template -> (
-      let ev, r =
-        creation_blame t ~style:"zygote" ~parent:proc.Proc.pid (fun () ->
-            (* the commit charge is the only fallible step and runs
-               first, so a failed spawn leaves template and machine
-               untouched *)
-            match
-              Vmem.Addr_space.clone_from_sealed
-                ~lazy_:t.config.demand_paging template.Template.aspace
-                ~commit_pages:template.Template.commit_pages
-            with
-            | Error `Commit_limit -> Error Errno.ENOMEM
-            | Ok (aspace, subtrees) ->
-              Vmem.Cost.charge t.cost "proc:create"
-                (params t).Vmem.Cost.proc_create;
-              let fdt = Fd_table.clone template.Template.fdt in
-              charge_fd_inherit t fdt;
-              let child =
-                Proc.make ~pid:(fresh_pid t) ~parent:proc.Proc.pid ~aspace
-                  ~fdt ~cwd:template.Template.cwd
-                  ~program:template.Template.program
-              in
-              Array.blit template.Template.sigdisp 0 child.Proc.sigdisp 0
-                (Array.length template.Template.sigdisp);
-              child.Proc.sigmask <- template.Template.sigmask;
-              child.Proc.tpl_deps <- [ template.Template.id ];
-              template.Template.live_deps <- template.Template.live_deps + 1;
-              template.Template.spawns <- template.Template.spawns + 1;
-              Hashtbl.replace t.procs child.Proc.pid child;
-              proc.Proc.children <- child.Proc.pid :: proc.Proc.children;
-              ignore (new_thread t child ~is_main:true body);
-              Kstat.on_template_spawn t.kstat ~subtrees
-                ~pages:template.Template.resident;
-              Ok child.Proc.pid)
-      in
-      match r with
-      | Error e -> Reply (Error e)
-      | Ok child ->
-        Vmem.Blame.set_child t.blame ev ~child;
-        Vmem.Blame.set_tag t.blame ev
-          (Printf.sprintf "tpl:%d" template.Template.id);
-        (* the child's writes COW away from the pinned template frames:
-           charge those breaks to this spawn *)
-        stamp_child_origin t ev child;
-        record_child t proc th "zygote_child" ~style:"zygote" (Ok child);
-        Reply (Ok child)))
+    | Some template ->
+      Reply
+        (create_child t proc th ~style:"zygote"
+           ~on_child:(fun ev child ->
+             Vmem.Blame.set_tag t.blame ev
+               (Printf.sprintf "tpl:%d" template.Template.id);
+             (* the child's writes COW away from the pinned template
+                frames: charge those breaks to this spawn *)
+             stamp_child_origin t ev child)
+           (fun () ->
+             (* the commit charge is the only fallible step and runs
+                first, so a failed spawn leaves template and machine
+                untouched *)
+             match
+               Vmem.Addr_space.clone_from_sealed
+                 ~lazy_:t.config.demand_paging template.Template.aspace
+                 ~commit_pages:template.Template.commit_pages
+             with
+             | Error `Commit_limit -> Error Errno.ENOMEM
+             | Ok (aspace, subtrees) ->
+               Vmem.Cost.charge t.cost "proc:create"
+                 (params t).Vmem.Cost.proc_create;
+               let fdt = clone_fds t template.Template.fdt in
+               let child =
+                 Proc.make ~pid:(fresh_pid t) ~parent:proc.Proc.pid ~aspace
+                   ~fdt ~cwd:template.Template.cwd
+                   ~program:template.Template.program
+               in
+               Array.blit template.Template.sigdisp 0 child.Proc.sigdisp 0
+                 (Array.length template.Template.sigdisp);
+               child.Proc.sigmask <- template.Template.sigmask;
+               child.Proc.tpl_deps <- [ template.Template.id ];
+               template.Template.live_deps <- template.Template.live_deps + 1;
+               template.Template.spawns <- template.Template.spawns + 1;
+               adopt t proc child;
+               ignore (new_thread t child ~is_main:true body);
+               Kstat.on_template_spawn t.kstat ~subtrees
+                 ~pages:template.Template.resident;
+               Ok child.Proc.pid)))
   | Sysreq.Template_discard id -> (
     match find_template t id with
     | None -> Reply (Error Errno.EINVAL)
@@ -1498,13 +1464,10 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
         Template.destroy template;
         Reply (Ok ())
       end)
-  | Sysreq.Socket -> (
-    let ofd = Ofd.make (Ofd.Socket (Socket.create ())) ~flags:sock_flags in
-    match Fd_table.alloc proc.Proc.fdt ~cloexec:false ofd with
-    | Ok fd -> Reply (Ok fd)
-    | Error e ->
-      Ofd.close ofd;
-      Reply (Error e))
+  | Sysreq.Socket ->
+    Reply
+      (install_fd proc ~cloexec:false
+         (Ofd.make (Ofd.Socket (Socket.create ())) ~flags:sock_flags))
   | Sysreq.Bind (fd, port) -> (
     match socket_of_fd proc fd with
     | Error e -> Reply (Error e)
@@ -1536,17 +1499,15 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
            one wins each connection, deterministically *)
         let accept_once () =
           match Socket.accept sk with
-          | Some conn_sk -> (
-            let ofd = Ofd.make (Ofd.Socket conn_sk) ~flags:sock_flags in
-            match Fd_table.alloc proc.Proc.fdt ~cloexec:false ofd with
-            | Ok newfd ->
-              Kstat.on_accept t.kstat ~pid:proc.Proc.pid;
-              Some (Ok newfd)
-            | Error e ->
-              (* releases the adopted server endpoint: the client sees
-                 EOF/EPIPE, not a connection leak *)
-              Ofd.close ofd;
-              Some (Error e))
+          | Some conn_sk ->
+            (* a full fd table releases the adopted server endpoint: the
+               client sees EOF/EPIPE, not a connection leak *)
+            let r =
+              install_fd proc ~cloexec:false
+                (Ofd.make (Ofd.Socket conn_sk) ~flags:sock_flags)
+            in
+            if Result.is_ok r then Kstat.on_accept t.kstat ~pid:proc.Proc.pid;
+            Some r
           | None -> (
             match Socket.state sk with
             | Socket.Listening _ -> None
@@ -1763,8 +1724,7 @@ let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
 
 let thread_returned t (th : Proc.thread) =
   let proc = proc_of t th in
-  th.Proc.tstate <- Proc.Exited;
-  th.Proc.entry <- None;
+  retire_thread th;
   if not (Proc.is_alive proc) then ()
   else if th.Proc.is_main || Proc.live_threads proc = [] then
     (* main returning, or the last thread gone, ends the process *)
@@ -1834,20 +1794,14 @@ let check_alarms t =
       | Some _ | None -> ())
     due
 
-let next_alarm_tick t =
-  Hashtbl.fold
-    (fun _ at acc ->
-      match acc with None -> Some at | Some best -> Some (min best at))
-    t.alarms None
-
 (* The nearest tick at which time itself unblocks someone: an armed
-   alarm or a parked poll's timeout. Both run loops jump the clock here
+   alarm or a parked poll's timeout. The run loop jumps the clock here
    when every thread is parked. *)
 let next_timer_tick t =
-  Hashtbl.fold
-    (fun _ at acc ->
-      match acc with None -> Some at | Some best -> Some (min best at))
-    t.poll_deadlines (next_alarm_tick t)
+  let earliest _ at acc =
+    match acc with None -> Some at | Some best -> Some (min best at)
+  in
+  Hashtbl.fold earliest t.poll_deadlines (Hashtbl.fold earliest t.alarms None)
 
 let describe_stalls t =
   List.map

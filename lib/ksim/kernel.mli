@@ -33,7 +33,6 @@ type config = {
   seed : int;
   sched : [ `Fifo | `Random ];  (** ready-queue discipline *)
   trace_capacity : int option;  (** [Some n] enables syscall tracing *)
-  pipe_capacity : int;
   max_fds : int;
   fault : Fault.spec option;
       (** [Some spec] arms deterministic fault injection: frame
@@ -68,7 +67,7 @@ type config = {
 
 val default_config : config
 (** 1 GiB memory, 4 cpus, [Strict] commit, ASLR on, seed 42, FIFO
-    scheduling, no tracing, 64 KiB pipes, 256 fds, no fault injection,
+    scheduling, no tracing, 256 fds, no fault injection,
     SMP off (legacy broadcast-TLB accounting), demand paging off. *)
 
 type t

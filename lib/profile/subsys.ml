@@ -1,36 +1,17 @@
 (* Subsystem grouping of the cost-meter categories. The groups
    partition every category, so their sum always equals the headline
    cycle count — the invariant both the bench report's breakdown and the
-   flamegraph's leaf frames rely on. The category set is small and the
-   function runs on every breakdown entry of every sweep point, so
-   resolved names are memoized (per domain — the harness may fan sweep
-   points out across domains). *)
-let group_of_uncached cat =
-  let has_prefix p =
-    String.length cat >= String.length p
-    && String.sub cat 0 (String.length p) = p
-  in
+   flamegraph's leaf frames rely on. *)
+let group_of cat =
   match cat with
   | "fork:pt-node" | "fork:pte" | "zygote:subtree" -> "pt-copy"
   | "fault:cow-copy" | "fork:eager-copy" -> "frame-copy"
   | _ ->
-    if has_prefix "fault:" then "fault"
-    else if has_prefix "pager:" then "pager"
-    else if has_prefix "tlb:" then "tlb"
-    else if has_prefix "exec:" then "exec"
+    if String.starts_with ~prefix:"fault:" cat then "fault"
+    else if String.starts_with ~prefix:"pager:" cat then "pager"
+    else if String.starts_with ~prefix:"tlb:" cat then "tlb"
+    else if String.starts_with ~prefix:"exec:" cat then "exec"
     else "other"
-
-let group_cache : (string, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let group_of cat =
-  let tbl = Domain.DLS.get group_cache in
-  match Hashtbl.find_opt tbl cat with
-  | Some g -> g
-  | None ->
-    let g = group_of_uncached cat in
-    Hashtbl.add tbl cat g;
-    g
 
 let group_order =
   [ "pt-copy"; "fault"; "pager"; "frame-copy"; "tlb"; "exec"; "other" ]

@@ -757,23 +757,27 @@ let shared_ranges t =
       else None)
     (Region_map.to_list t.regions)
 
+(* Every creation that copies the region map pays one vma_clone per
+   VMA: fork (COW or eager), template seal, zygote spawn. *)
+let charge_vma_clones t =
+  let n = Region_map.cardinal t.regions in
+  Cost.charge ~n t.cost "fork:vma" ((params t).Cost.vma_clone *. float_of_int n)
+
 let clone_cow t =
   alive t "Addr_space.clone_cow";
-  let p = params t in
   (* the child re-charges the parent's private commit: this is the
      accounting pressure that makes strict-commit systems reject big
      forks even though COW would copy almost nothing *)
   match Frame.commit t.frames t.committed with
   | Error `Commit_limit -> Error `Commit_limit
   | Ok () ->
-    Cost.charge ~n:(Region_map.cardinal t.regions) t.cost "fork:vma"
-      (p.Cost.vma_clone *. float_of_int (Region_map.cardinal t.regions));
+    charge_vma_clones t;
     let child_pt =
       if t.batched then
         (* lazy subtree sharing; the shared-VMA fixup is fused into the
            clone's single leaf pass *)
-        Page_table.clone_cow_shared t.pt ~frames:t.frames ~cost:t.cost
-          ~shared:(shared_ranges t)
+        Page_table.clone_cow_shared t.pt ~frames:t.frames ~own:Frame.incref
+          ~own_many:Frame.incref_many ~cost:t.cost ~shared:(shared_ranges t)
       else begin
         let pt = Page_table.clone_cow t.pt ~frames:t.frames ~cost:t.cost in
         fixup_shared t pt;
@@ -789,8 +793,7 @@ let clone_eager t =
   match Frame.commit t.frames t.committed with
   | Error `Commit_limit -> Error `Commit_limit
   | Ok () ->
-    Cost.charge ~n:(Region_map.cardinal t.regions) t.cost "fork:vma"
-      (p.Cost.vma_clone *. float_of_int (Region_map.cardinal t.regions));
+    charge_vma_clones t;
     let child_pt = Page_table.create () in
     let result =
       Page_table.fold_present t.pt ~init:(Ok ()) ~f:(fun acc ~vpn pte ->
@@ -833,25 +836,24 @@ let clone_eager t =
 (* Template (zygote) support.
 
    [seal] turns a warmed address space into an immutable template image:
-   one fork-shaped pass (charged at exactly the fork categories — the
-   freeze is an honest O(footprint) one-time cost) that downgrades
-   writable pages to read-only COW and pins every resident frame
-   immortal, so per-child spawns never touch those refcounts. The
-   source keeps running; its later writes COW away from the pinned
-   frames. The returned space is the template's handle: it carries the
-   sealed table, the region map and heap marker children inherit, and a
-   zero commit charge (each child re-charges its own commit; the
-   template object owns frames, not commit). *)
+   fork's own leaf pass (charged at exactly the fork categories — the
+   freeze is an honest O(footprint) one-time cost) downgrades writable
+   pages to read-only COW and, with {!Frame.pin} as its ownership
+   operation, pins every resident frame immortal, so per-child spawns
+   never touch those refcounts. The source keeps running; its later
+   writes COW away from the pinned frames. The returned space is the
+   template's handle: it carries the sealed table, the region map and
+   heap marker children inherit, and a zero commit charge (each child
+   re-charges its own commit; the template object owns frames, not
+   commit). *)
 let seal t =
   alive t "Addr_space.seal";
   if pager_active t then
     invalid_arg "Addr_space.seal: unresolved pager-backed pages";
-  let p = params t in
-  Cost.charge ~n:(Region_map.cardinal t.regions) t.cost "fork:vma"
-    (p.Cost.vma_clone *. float_of_int (Region_map.cardinal t.regions));
+  charge_vma_clones t;
   let tpl_pt =
-    Page_table.seal_cow t.pt ~frames:t.frames ~cost:t.cost
-      ~shared:(shared_ranges t)
+    Page_table.clone_cow_shared t.pt ~frames:t.frames ~own:Frame.pin
+      ~own_many:Frame.pin_many ~cost:t.cost ~shared:(shared_ranges t)
   in
   as_shootdown t;
   clone_common t ~pt:tpl_pt ~committed_charge:0
@@ -868,8 +870,7 @@ let clone_from_sealed ?(lazy_ = false) tpl ~commit_pages =
   match Frame.commit tpl.frames commit_pages with
   | Error `Commit_limit -> Error `Commit_limit
   | Ok () ->
-    Cost.charge ~n:(Region_map.cardinal tpl.regions) tpl.cost "fork:vma"
-      (p.Cost.vma_clone *. float_of_int (Region_map.cardinal tpl.regions));
+    charge_vma_clones tpl;
     if lazy_ then begin
       (* demand spawn: the child starts from an EMPTY table (one root
          node, charged as a single subtree) and records the sealed
@@ -903,19 +904,6 @@ let sole_owner t =
    single counted reference, then drop the table, freeing them. Only
    legal once nothing alive depends on the template (the kernel's
    live-dependant count gates this with EBUSY). *)
-let destroy_sealed t =
-  if not t.dead then begin
-    Cost.charge t.cost "proc:destroy" (params t).Cost.proc_destroy;
-    Page_table.fold_present t.pt ~init:() ~f:(fun () ~vpn:_ pte ->
-        Frame.unpin t.frames (Pte.frame pte));
-    ignore (Page_table.clear t.pt ~frames:t.frames);
-    Frame.uncommit t.frames t.committed;
-    t.committed <- 0;
-    t.regions <- Region_map.empty;
-    t.heap <- None;
-    t.dead <- true
-  end
-
 let destroy t =
   if not t.dead then begin
     Cost.charge t.cost "proc:destroy" (params t).Cost.proc_destroy;
@@ -926,6 +914,12 @@ let destroy t =
     t.heap <- None;
     t.dead <- true
   end
+
+let destroy_sealed t =
+  if not t.dead then
+    Page_table.fold_present t.pt ~init:() ~f:(fun () ~vpn:_ pte ->
+        Frame.unpin t.frames (Pte.frame pte));
+  destroy t
 
 let fold_resident t ~init ~f =
   Page_table.fold_present t.pt ~init ~f:(fun acc ~vpn pte -> f acc ~vpn ~pte)

@@ -184,8 +184,8 @@ val clone_eager : t -> (t, [> `Commit_limit | `Out_of_memory ]) result
     ablation baseline for E9. *)
 
 val seal : t -> t
-(** Freeze the address space into an immutable template image: one
-    fork-shaped pass (charged at the fork categories — freezing is an
+(** Freeze the address space into an immutable template image: fork's
+    own pass (charged at the fork categories — freezing is an
     honest O(footprint) one-time cost) downgrades writable pages to
     read-only COW, pins every resident frame into the immortal refcount
     class, and flushes the source TLB. The source space stays live (its

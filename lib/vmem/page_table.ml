@@ -430,7 +430,7 @@ let fork_transform pte ~shared_perm =
         true
     else pte
 
-let clone_cow_shared t ~frames ~cost ~shared =
+let clone_cow_shared t ~frames ~own ~own_many ~cost ~shared =
   let p = Cost.params cost in
   (* Charge what the eager walk would have: one pt_node_copy per table
      page (empty ones included — the eager walk copies those too) and
@@ -442,12 +442,13 @@ let clone_cow_shared t ~frames ~cost ~shared =
   let ptes = t.present + t.lazy_ in
   if ptes > 0 then
     Cost.charge ~n:ptes cost "fork:pte" (p.Cost.pte_copy *. float_of_int ptes);
-  (* One ascending pass over the leaves: incref every present frame and
-     apply the fork transform in place. A leaf still shared with an
-     earlier clone holds only PTEs the transform maps to themselves
-     (writable private pages were already downgraded by that clone, and
-     shared-VMA pages already sit at their region permission), so the
-     in-place write is invisible through the other table. *)
+  (* One ascending pass over the leaves: take ownership of every present
+     frame and apply the fork transform in place. A leaf still shared
+     with an earlier clone holds only PTEs the transform maps to
+     themselves (writable private pages were already downgraded by that
+     clone, and shared-VMA pages already sit at their region
+     permission), so the in-place write is invisible through the other
+     table. *)
   let shared_tail = ref shared in
   let scratch = Array.make Addr.entries_per_table 0 in
   let transform_leaf entries base =
@@ -466,12 +467,12 @@ let clone_cow_shared t ~frames ~cost ~shared =
       | [] -> false
     in
     if not overlaps_leaf then begin
-      (* the common private-only leaf: one batch downgrade + incref *)
+      (* the common private-only leaf: batch downgrade, batch ownership *)
       let k =
         Pte.downgrade_run entries ~lo:0 ~hi:(Addr.entries_per_table - 1)
           ~dst:scratch
       in
-      if k > 0 then Frame.incref_many frames scratch k
+      if k > 0 then own_many frames scratch k
     end
     else
       for i = 0 to Addr.entries_per_table - 1 do
@@ -486,76 +487,7 @@ let clone_cow_shared t ~frames ~cost ~shared =
             | (lo, _, rperm) :: _ when lo <= vpn -> Some rperm
             | _ -> None
           in
-          Frame.incref frames (Pte.frame pte);
-          let updated = fork_transform pte ~shared_perm:(perm_for ()) in
-          if updated <> pte then entries.(i) <- updated
-        end
-      done
-  in
-  let rec go node level vpn_prefix =
-    match node with
-    | Leaf l -> transform_leaf l.entries (vpn_prefix lsl Addr.index_bits)
-    | Inner i ->
-      for idx = 0 to Addr.entries_per_table - 1 do
-        match i.children.(idx) with
-        | None -> ()
-        | Some child ->
-          go child (level - 1) ((vpn_prefix lsl Addr.index_bits) lor idx)
-      done
-  in
-  go t.root (Addr.levels - 1) 0;
-  bump t.root;
-  { root = t.root; present = t.present; lazy_ = t.lazy_; nodes = t.nodes }
-
-(* Seal pass: identical shape (and identical cost charges) to
-   {!clone_cow_shared}, but the frames move into the immortal refcount
-   class instead of gaining a reference — a sealed template's pages are
-   owned by the template object, not counted per-child. The returned
-   table is the template's immutable handle; [t] stays usable by the
-   source process, whose later writes COW away from the pinned frames. *)
-let seal_cow t ~frames ~cost ~shared =
-  let p = Cost.params cost in
-  Cost.charge ~n:t.nodes cost "fork:pt-node"
-    (p.Cost.pt_node_copy *. float_of_int t.nodes);
-  let ptes = t.present + t.lazy_ in
-  if ptes > 0 then
-    Cost.charge ~n:ptes cost "fork:pte" (p.Cost.pte_copy *. float_of_int ptes);
-  let shared_tail = ref shared in
-  let scratch = Array.make Addr.entries_per_table 0 in
-  let transform_leaf entries base =
-    let rec advance () =
-      match !shared_tail with
-      | (_, hi, _) :: rest when hi < base ->
-        shared_tail := rest;
-        advance ()
-      | l -> l
-    in
-    let overlaps_leaf =
-      match advance () with
-      | (lo, _, _) :: _ -> lo <= base + Addr.entries_per_table - 1
-      | [] -> false
-    in
-    if not overlaps_leaf then begin
-      let k =
-        Pte.downgrade_run entries ~lo:0 ~hi:(Addr.entries_per_table - 1)
-          ~dst:scratch
-      in
-      if k > 0 then Frame.pin_many frames scratch k
-    end
-    else
-      for i = 0 to Addr.entries_per_table - 1 do
-        let pte = entries.(i) in
-        if Pte.present pte then begin
-          let vpn = base lor i in
-          let rec perm_for () =
-            match !shared_tail with
-            | (_, hi, _) :: rest when hi < vpn ->
-              shared_tail := rest;
-              perm_for ()
-            | (lo, _, rperm) :: _ when lo <= vpn -> Some rperm
-            | _ -> None
-          in
-          Frame.pin frames (Pte.frame pte);
+          own frames (Pte.frame pte);
           let updated = fork_transform pte ~shared_perm:(perm_for ()) in
           if updated <> pte then entries.(i) <- updated
         end

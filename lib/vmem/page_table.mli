@@ -130,31 +130,24 @@ val clone_cow : t -> frames:Frame.t -> cost:Cost.t -> t
 val clone_cow_shared :
   t ->
   frames:Frame.t ->
+  own:(Frame.t -> Frame.frame -> unit) ->
+  own_many:(Frame.t -> Frame.frame array -> int -> unit) ->
   cost:Cost.t ->
   shared:(int * int * Perm.t) list ->
   t
 (** Fork the table with lazy subtree sharing: charges exactly what
     {!clone_cow} would ([pt_node_copy] per node, [pte_copy] per present
-    entry, each frame incref'd), but the child shares every node with
-    the parent until one side writes. [shared] lists the vpn ranges
-    [(lo, hi, perm)] of shared VMAs, ascending and disjoint: their pages
-    are pinned at the region permission with COW clear (the
-    {!clone_cow}-then-fixup result), all other writable pages are
-    downgraded to read-only COW in both tables. *)
-
-val seal_cow :
-  t ->
-  frames:Frame.t ->
-  cost:Cost.t ->
-  shared:(int * int * Perm.t) list ->
-  t
-(** Seal the table into a template image: the same transform pass (and
-    the same [pt_node_copy]/[pte_copy] charges) as {!clone_cow_shared},
-    but every resident frame is moved into the immortal refcount class
-    ({!Frame.pin}) instead of gaining a reference. The returned table is
-    the template's handle; [t] remains usable by the source process,
-    whose later writes COW away from the pinned frames. The caller owes
-    the source TLB flush the downgrade requires. *)
+    entry), but the child shares every node with the parent until one
+    side writes. [shared] lists the vpn ranges [(lo, hi, perm)] of
+    shared VMAs, ascending and disjoint: their pages are pinned at the
+    region permission with COW clear (the {!clone_cow}-then-fixup
+    result), all other writable pages are downgraded to read-only COW in
+    both tables. [own frames f] (or [own_many frames fs n] for a leaf's
+    batch) takes ownership of every resident frame: a fork passes
+    {!Frame.incref}/{!Frame.incref_many}, a template seal
+    {!Frame.pin}/{!Frame.pin_many}, so the sealed table's frames become
+    immortal instead of gaining a reference. The caller owes the TLB
+    flush the downgrade requires. *)
 
 val clone_sealed : t -> cost:Cost.t -> t * int
 (** Clone a sealed template table for a zygote child in O(top-level

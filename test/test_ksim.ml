@@ -2139,6 +2139,61 @@ let test_blame_spawn_has_no_deferred () =
       (Vmem.Blame.deferred_cycles e)
   | evs -> Alcotest.failf "expected 1 blame event, got %d" (List.length evs)
 
+(* The bookkeeping every creation syscall owes, checked on all six of
+   them at once: one ledger row per request in issue order (a failed
+   one flagged), and one D_child instant per created process, under the
+   style a trace replay attributes the child to. Eager fork replays as
+   a plain fork. *)
+let test_blame_creation_bookkeeping () =
+  let config =
+    { Ksim.Kernel.default_config with Ksim.Kernel.trace_capacity = Some 4096 }
+  in
+  let t, outcome =
+    boot ~config
+      ~programs:[ prog "/bin/true" (fun _ -> Ksim.Api.exit 0) ]
+      (fun _ ->
+        let exit0 () = Ksim.Api.exit 0 in
+        let wait pid = ignore (ok (Ksim.Api.wait_for pid)) in
+        wait (ok (Ksim.Api.fork ~child:exit0));
+        wait (ok (Ksim.Api.fork_eager ~child:exit0));
+        wait (ok (Ksim.Api.vfork ~child:exit0));
+        wait (ok (Ksim.Api.spawn "/bin/true"));
+        expect_errno Ksim.Errno.ENOENT (Ksim.Api.spawn "/bin/missing");
+        let embryo = ok (Ksim.Api.pb_create ()) in
+        ok (Ksim.Api.pb_start ~pid:embryo "/bin/true");
+        wait embryo;
+        let tpl = ok (Ksim.Api.freeze ()) in
+        wait (ok (Ksim.Api.spawn_from_template tpl ~child:exit0));
+        exit0 ())
+  in
+  all_exited outcome;
+  let events = Vmem.Blame.events (Ksim.Kernel.blame t) in
+  check_str "ledger rows"
+    "fork fork_eager vfork spawn spawn(failed) builder freeze zygote"
+    (String.concat " "
+       (List.map
+          (fun (e : Vmem.Blame.event) ->
+            if e.Vmem.Blame.failed then e.Vmem.Blame.style ^ "(failed)"
+            else e.Vmem.Blame.style)
+          events));
+  let instants =
+    List.filter_map
+      (fun (e : Ksim.Trace.event) ->
+        match e.Ksim.Trace.detail with
+        | Ksim.Trace.D_child { child; style } ->
+          Some (e.Ksim.Trace.what ^ "/" ^ style, child)
+        | _ -> None)
+      (Ksim.Trace.events (Option.get (Ksim.Kernel.trace t)))
+  in
+  check_str "child instants"
+    "fork_child/fork fork_child/fork vfork_child/vfork spawn_child/spawn \
+     builder_child/builder zygote_child/zygote"
+    (String.concat " " (List.map fst instants));
+  Alcotest.(check (list int))
+    "instants name the ledger's children"
+    (List.filter_map (fun (e : Vmem.Blame.event) -> e.Vmem.Blame.child) events)
+    (List.map snd instants)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let tc n f = Alcotest.test_case n `Quick f
 
@@ -2295,6 +2350,7 @@ let () =
           tc "deferred to latest fork" test_blame_deferred_to_latest_fork;
           tc "child COW copies" test_blame_child_cow_copies;
           tc "spawn has no deferred" test_blame_spawn_has_no_deferred;
+          tc "creation bookkeeping" test_blame_creation_bookkeeping;
         ] );
       qsuite "robustness" [ prop_random_programs ];
       qsuite "blame-props" [ prop_blame_partition ];
