@@ -84,7 +84,7 @@ let () =
     Printf.printf
       "what COW charged for it: %s of page copies (parent re-dirtying \
        while the child lived), %s of page-table copying at fork\n"
-      (Metrics.Units.cycles (Vmem.Cost.get cost "fault:cow-copy"))
+      (Metrics.Units.cycles (Vmem.Cost.get cost Fault_cow_copy))
       (Metrics.Units.cycles
-         (Vmem.Cost.get cost "fork:pte" +. Vmem.Cost.get cost "fork:pt-node"));
+         (Vmem.Cost.get cost Fork_pte +. Vmem.Cost.get cost Fork_pt_node));
     Format.printf "simulation outcome: %a@." Ksim.Kernel.pp_outcome outcome

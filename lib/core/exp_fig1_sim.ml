@@ -83,7 +83,7 @@ let run ~quick =
                      List.mem_assoc g m.Sim_driver.groups)
                    ms)
                rows)
-        Profile.Subsys.group_order
+        Vmem.Cost.group_order
     in
     let table =
       Metrics.Table.create

@@ -1,12 +1,11 @@
 type measurement = {
   cycles : float;
   ns : float;
-  breakdown : (string * float) list;
+  breakdown : (Vmem.Cost.cat * float) list;
   groups : (string * float) list;
   counters : (string * int) list;
   console : string;
   outcome : Ksim.Kernel.outcome;
-  tlb : Vmem.Tlb.stats;
 }
 
 let true_prog =
@@ -29,16 +28,17 @@ let run_scenario ?config ?programs body =
   let t, outcome = boot_scenario ?config ?programs body in
   let cost = Ksim.Kernel.cost t in
   let cycles = Vmem.Cost.total cost in
-  let breakdown = Vmem.Cost.by_category cost in
+  let breakdown =
+    List.map (fun (cat, (c, _)) -> (cat, c)) (Vmem.Cost.entries cost)
+  in
   {
     cycles;
     ns = Vmem.Cost.cycles_to_ns cycles;
     breakdown;
-    groups = Profile.Subsys.groups_of_breakdown breakdown;
+    groups = Vmem.Cost.groups breakdown;
     counters = Ksim.Kstat.snapshot (Ksim.Kstat.global (Ksim.Kernel.kstat t));
     console = Ksim.Kernel.console t;
     outcome;
-    tlb = Vmem.Tlb.stats (Ksim.Kernel.tlb t);
   }
 
 let end_spans t ~what ~pid =
@@ -160,7 +160,7 @@ let creation_cost ?(vmas = 1) ~strategy ~heap_mib () =
     cycles;
     ns = Vmem.Cost.cycles_to_ns cycles;
     breakdown;
-    groups = Profile.Subsys.groups_of_breakdown breakdown;
+    groups = Vmem.Cost.groups breakdown;
     counters =
       List.filter_map
         (fun (k, n) ->

@@ -9,17 +9,16 @@
 type measurement = {
   cycles : float;
   ns : float;  (** cycles through {!Vmem.Cost.cycles_to_ns} *)
-  breakdown : (string * float) list;
+  breakdown : (Vmem.Cost.cat * float) list;
+      (** per-category cycles, {!Vmem.Cost.entries} order *)
   groups : (string * float) list;
-      (** [breakdown] folded into the {!Profile.Subsys} groups; the
-          groups partition the categories, so they sum to [cycles]
-          exactly *)
+      (** [breakdown] folded by {!Vmem.Cost.groups}; the groups
+          partition the categories, so they sum to [cycles] exactly *)
   counters : (string * int) list;
       (** {!Ksim.Kstat} counter activity (snapshot names); differential
           measurements report per-operation deltas, zeros dropped *)
   console : string;
   outcome : Ksim.Kernel.outcome;
-  tlb : Vmem.Tlb.stats;
 }
 
 val run_scenario :

@@ -207,7 +207,8 @@ let groups_table cost =
           Metrics.Units.cycles cycles;
           Printf.sprintf "%5.1f" (pct cycles total);
         ])
-    (Profile.Subsys.groups_of_breakdown (Vmem.Cost.by_category cost));
+    (Vmem.Cost.groups
+       (List.map (fun (cat, (c, _)) -> (cat, c)) (Vmem.Cost.entries cost)));
   t
 
 let counters_table counters =

@@ -328,7 +328,7 @@ let aslr_offset t =
    never reclaim) and make any retry fail on [`Overlap]. *)
 let load_image t prog aspace =
   let p = params t in
-  Vmem.Cost.charge t.cost "exec:base" p.Vmem.Cost.exec_base;
+  Vmem.Cost.charge t.cost Exec_base p.Vmem.Cost.exec_base;
   (* With a pager each image segment becomes one run of lazy PTEs
      carrying image cookies — O(segments) instead of O(pages), the
      near-constant-time exec of the demand-paging study. [page0] numbers
@@ -602,7 +602,7 @@ let new_thread t proc ~is_main body =
    zygote spawn), charged per inherited descriptor. *)
 let clone_fds t fdt =
   let fdt = Fd_table.clone fdt in
-  Vmem.Cost.charge t.cost "fd:inherit"
+  Vmem.Cost.charge t.cost Fd_inherit
     ((params t).Vmem.Cost.fd_clone *. float_of_int (Fd_table.count fdt));
   fdt
 
@@ -628,7 +628,7 @@ let exec_dispositions ~(src : Proc.t) (dst : Proc.t) =
    copied, pending signals cleared, only the calling thread, mutex memory
    copied verbatim, alarms and file locks NOT inherited. *)
 let make_forked_child t (parent : Proc.t) ~aspace ~body =
-  Vmem.Cost.charge t.cost "proc:create" (params t).Vmem.Cost.proc_create;
+  Vmem.Cost.charge t.cost Proc_create (params t).Vmem.Cost.proc_create;
   let fdt = clone_fds t parent.Proc.fdt in
   let child =
     Proc.make ~pid:(fresh_pid t) ~parent:parent.Proc.pid ~aspace ~fdt
@@ -693,7 +693,7 @@ let do_spawn t (parent : Proc.t) (req : Types.spawn_req) =
   match find_program t req.Types.path with
   | None -> Error Errno.ENOENT (* reported synchronously, unlike fork+exec *)
   | Some prog -> (
-    Vmem.Cost.charge t.cost "proc:create" (params t).Vmem.Cost.proc_create;
+    Vmem.Cost.charge t.cost Proc_create (params t).Vmem.Cost.proc_create;
     match build_image t prog with
     | Error e -> Error e
     | Ok aspace -> (
@@ -1286,7 +1286,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
   | Sysreq.Pb_create ->
     Reply
       (create_child t proc th ~style:"builder" (fun () ->
-           Vmem.Cost.charge t.cost "proc:create"
+           Vmem.Cost.charge t.cost Proc_create
              (params t).Vmem.Cost.proc_create;
            let aspace = fresh_aspace t in
            let child =
@@ -1321,7 +1321,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       | Error e -> Reply (Error e)
       | Ok ofd -> (
         builder_blame t pid (fun () ->
-            Vmem.Cost.charge t.cost "fd:inherit" (params t).Vmem.Cost.fd_clone);
+            Vmem.Cost.charge t.cost Fd_inherit (params t).Vmem.Cost.fd_clone);
         Ofd.incref ofd;
         match Fd_table.alloc child.Proc.fdt ~at_least:dst ~cloexec:false ofd with
         | Ok got when got = dst -> Reply (Ok ())
@@ -1435,7 +1435,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
              with
              | Error `Commit_limit -> Error Errno.ENOMEM
              | Ok (aspace, subtrees) ->
-               Vmem.Cost.charge t.cost "proc:create"
+               Vmem.Cost.charge t.cost Proc_create
                  (params t).Vmem.Cost.proc_create;
                let fdt = clone_fds t template.Template.fdt in
                let child =
@@ -1693,7 +1693,7 @@ let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
     record_begin t proc th name ~args:targs ~detail:tdetail;
     Kstat.on_syscall t.kstat name;
     if info.Sysreq.cost = Sysreq.Syscall then
-      Vmem.Cost.charge t.cost "syscall" (params t).Vmem.Cost.syscall_base
+      Vmem.Cost.charge t.cost Syscall (params t).Vmem.Cost.syscall_base
   end;
   match if meta then None else inject_syscall t info with
   | Some (v, e) ->
@@ -1953,7 +1953,7 @@ let spawn_init t ?(argv = []) path =
   match find_program t path with
   | None -> Error Errno.ENOENT
   | Some prog -> (
-    Vmem.Cost.charge t.cost "proc:create" (params t).Vmem.Cost.proc_create;
+    Vmem.Cost.charge t.cost Proc_create (params t).Vmem.Cost.proc_create;
     match build_image t prog with
     | Error e -> Error e
     | Ok aspace ->

@@ -40,11 +40,8 @@ type counters = {
   mutable accept_queue_peak : int;
   mutable poll_wakeups : int;
   mutable poll_timeouts : int;
-  mutable cycles : float;
-  by_cost : (string, cost_entry) Hashtbl.t;
+  by_cost : Vmem.Cost.t;
 }
-
-and cost_entry = { mutable cost_cycles : float; mutable cost_events : int }
 
 let make_counters () =
   {
@@ -89,8 +86,7 @@ let make_counters () =
     accept_queue_peak = 0;
     poll_wakeups = 0;
     poll_timeouts = 0;
-    cycles = 0.0;
-    by_cost = Hashtbl.create 16;
+    by_cost = Vmem.Cost.create ();
   }
 
 (* Per-CPU machine-wide dimension, present only on SMP machines: where
@@ -145,17 +141,18 @@ let pid_counters t pid = Hashtbl.find_opt t.by_pid pid
 let pids t =
   Hashtbl.fold (fun pid _ acc -> pid :: acc) t.by_pid [] |> List.sort compare
 
-(* Apply [f] to the global counters and, when a current pid is set, to
-   that pid's counters too — every update below goes through here so the
-   two views can never disagree. *)
 let pid_slot t pid =
-  match Hashtbl.find_opt t.by_pid pid with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.by_pid pid with
+  | c -> c
+  | exception Not_found ->
     let c = make_counters () in
     Hashtbl.add t.by_pid pid c;
     c
 
+(* Apply [f] to the global counters and, when a current pid is set, to
+   that pid's counters too — every update below goes through here (or,
+   for [on_cost], follows the same rule without the closure) so the two
+   views can never disagree. *)
 let update t f =
   f t.global;
   match t.current with
@@ -183,47 +180,47 @@ let on_syscall t kind =
       | "execve" -> c.execs <- c.execs + 1
       | _ -> ())
 
-(* The Cost observer: translate cycle-meter categories into typed
-   counters. Categories without a counter still contribute cycles. *)
-let on_cost t category ~n cycles =
-  update t (fun c ->
-      c.cycles <- c.cycles +. cycles;
-      (match Hashtbl.find_opt c.by_cost category with
-      | Some e ->
-        e.cost_cycles <- e.cost_cycles +. cycles;
-        e.cost_events <- e.cost_events + n
-      | None ->
-        Hashtbl.add c.by_cost category
-          { cost_cycles = cycles; cost_events = n });
-      match category with
-      | "fault:base" -> c.faults <- c.faults + n
-      | "fault:cow-copy" ->
-        c.cow_breaks <- c.cow_breaks + n;
-        c.minor_faults <- c.minor_faults + n;
-        c.frames_copied <- c.frames_copied + n
-      | "fault:cow-reuse" ->
-        c.cow_breaks <- c.cow_breaks + n;
-        c.minor_faults <- c.minor_faults + n;
-        c.cow_reuses <- c.cow_reuses + n
-      | "fault:zero-fill" ->
-        c.minor_faults <- c.minor_faults + n;
-        c.frames_zeroed <- c.frames_zeroed + n
-      | "pager:request" -> c.major_faults <- c.major_faults + n
-      | "pager:fetch-zero" | "pager:fetch-image" | "pager:fetch-template" ->
-        c.pages_fetched <- c.pages_fetched + n
-      | "pager:readahead-hit" -> c.readahead_hits <- c.readahead_hits + n
-      | "fork:pt-node" -> c.pt_pages_copied <- c.pt_pages_copied + n
-      | "fork:pte" -> c.ptes_copied <- c.ptes_copied + n
-      | "fork:eager-copy" -> c.frames_copied <- c.frames_copied + n
-      | "tlb:flush" -> c.tlb_flushes <- c.tlb_flushes + n
-      | "tlb:shootdown" -> c.tlb_shootdowns <- c.tlb_shootdowns + n
-      | "tlb:invlpg" -> c.tlb_invlpgs <- c.tlb_invlpgs + n
-      | _ -> ())
+(* The Cost observer: every charge lands in the ledger, and the
+   categories a typed counter mirrors move it too. *)
+let record c (cat : Vmem.Cost.cat) ~n cycles =
+  Vmem.Cost.add c.by_cost cat ~n cycles;
+  match cat with
+  | Fault_base -> c.faults <- c.faults + n
+  | Fault_cow_copy ->
+    c.cow_breaks <- c.cow_breaks + n;
+    c.minor_faults <- c.minor_faults + n;
+    c.frames_copied <- c.frames_copied + n
+  | Fault_cow_reuse ->
+    c.cow_breaks <- c.cow_breaks + n;
+    c.minor_faults <- c.minor_faults + n;
+    c.cow_reuses <- c.cow_reuses + n
+  | Fault_zero_fill ->
+    c.minor_faults <- c.minor_faults + n;
+    c.frames_zeroed <- c.frames_zeroed + n
+  | Pager_request -> c.major_faults <- c.major_faults + n
+  | Pager_fetch_zero | Pager_fetch_image | Pager_fetch_template ->
+    c.pages_fetched <- c.pages_fetched + n
+  | Pager_readahead_hit -> c.readahead_hits <- c.readahead_hits + n
+  | Fork_pt_node -> c.pt_pages_copied <- c.pt_pages_copied + n
+  | Fork_pte -> c.ptes_copied <- c.ptes_copied + n
+  | Fork_eager_copy -> c.frames_copied <- c.frames_copied + n
+  | Tlb_flush -> c.tlb_flushes <- c.tlb_flushes + n
+  | Tlb_shootdown -> c.tlb_shootdowns <- c.tlb_shootdowns + n
+  | Tlb_invlpg -> c.tlb_invlpgs <- c.tlb_invlpgs + n
+  | Syscall | Proc_create | Proc_destroy | Fork_vma | Zygote_subtree
+  | Exec_base | Exec_load_page | Fd_inherit ->
+    ()
+
+let on_cost t cat ~n cycles =
+  record t.global cat ~n cycles;
+  match t.current with
+  | None -> ()
+  | Some pid -> record (pid_slot t pid) cat ~n cycles
 
 (* IPI observer (tracked-TLB mode): [dsts] are the remote CPUs actually
    interrupted (the sender is never among them), [n] pages per dst
    ([full] = whole-AS flush). Charged cycles arrive separately through
-   [on_cost] ("tlb:shootdown"); this hook only moves the counters. *)
+   [on_cost] ([Tlb_shootdown]); this hook only moves the counters. *)
 let on_ipi t ~src ~dsts ~full ~n =
   let k = List.length dsts in
   if k > 0 && n > 0 then begin
@@ -384,24 +381,11 @@ let snapshot c =
   if c.poll_wakeups = 0 then []
   else [ ("poll-wakeups", c.poll_wakeups); ("poll-timeouts", c.poll_timeouts) ]
 
-let cycles c = c.cycles
-
-(* Per-category cycle spend of one (per-pid or global) counter set,
-   descending cycles, name as tie-break — the profiler's input for
-   attributing subsystem groups to tree nodes. Kept out of [snapshot]
-   and [to_json] so pre-existing BENCH output stays bit-identical. *)
-let cost_categories c =
-  Hashtbl.fold
-    (fun k (e : cost_entry) acc -> (k, (e.cost_cycles, e.cost_events)) :: acc)
-    c.by_cost []
-  |> List.sort (fun (ka, (ca, _)) (kb, (cb, _)) ->
-         match Float.compare cb ca with 0 -> compare ka kb | d -> d)
-
 let to_json c =
   Metrics.Json.obj
     (List.map (fun (k, v) -> (k, Metrics.Json.int v)) (snapshot c)
     @ [
-        ("cycles", Metrics.Json.num c.cycles);
+        ("cycles", Metrics.Json.num (Vmem.Cost.total c.by_cost));
         ( "by-kind",
           Metrics.Json.obj
             (List.map (fun (k, n) -> (k, Metrics.Json.int n)) (kinds c)) );

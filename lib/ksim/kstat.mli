@@ -7,9 +7,10 @@
       {!set_current} just before so memory-subsystem work is attributed
       to the calling process;
     - the shared {!Vmem.Cost} meter's observer hook calls {!on_cost}
-      with every (category, event count, cycles) charge, which this
-      module translates into typed counters (faults, COW breaks, frames
-      copied, page-table pages copied, TLB flushes/shootdowns, ...);
+      with every (category, event count, cycles) charge, which lands in
+      [by_cost] and moves the typed counters that mirror a category
+      (faults, COW breaks, frames copied, page-table pages copied, TLB
+      flushes/shootdowns, ...);
     - {!Stdio} flush accounting arrives via {!on_stdio_flush}.
 
     Counters are cheap plain ints; reading them never perturbs the
@@ -23,7 +24,7 @@ type counters = {
   mutable vforks : int;
   mutable spawns : int;
   mutable execs : int;
-  mutable faults : int;  (** page faults taken ("fault:base") *)
+  mutable faults : int;  (** page faults taken ([Fault_base]) *)
   mutable cow_breaks : int;  (** COW write faults, copy or in-place *)
   mutable cow_reuses : int;  (** COW breaks resolved without a copy *)
   mutable frames_copied : int;  (** COW-break + eager-fork frame copies *)
@@ -47,7 +48,7 @@ type counters = {
   mutable inj_syscalls : int;  (** injected syscall-reply errnos *)
   mutable inj_pager_fetches : int;  (** injected pager-pull denials *)
   mutable major_faults : int;
-      (** first-touch faults served by the pager ("pager:request") *)
+      (** first-touch faults served by the pager ([Pager_request]) *)
   mutable minor_faults : int;
       (** demand-zero fills + COW breaks — faults needing no pager *)
   mutable pages_fetched : int;  (** pages the pager pulled (readahead incl.) *)
@@ -72,13 +73,10 @@ type counters = {
   mutable accept_queue_peak : int;  (** deepest accept queue observed *)
   mutable poll_wakeups : int;  (** poll() returns, ready or timed out *)
   mutable poll_timeouts : int;  (** poll() returns with nothing ready *)
-  mutable cycles : float;  (** simulated cycles attributed here *)
-  by_cost : (string, cost_entry) Hashtbl.t;
-      (** full per-category (cycles, events) spend — the profiler's
-          per-pid analogue of {!Vmem.Cost.by_category_counts} *)
+  by_cost : Vmem.Cost.t;
+      (** every cycle attributed here, by category: the per-pid copy of
+          the kernel's meter. Not part of {!snapshot}. *)
 }
-
-and cost_entry = { mutable cost_cycles : float; mutable cost_events : int }
 
 type smp = {
   smp_cpus : int;
@@ -117,8 +115,11 @@ val pids : t -> Types.pid list
 (** Sorted pids with per-pid counters. *)
 
 val on_syscall : t -> string -> unit
-val on_cost : t -> string -> n:int -> float -> unit
-(** Shaped to plug directly into {!Vmem.Cost.set_observer}. *)
+val on_cost : t -> Vmem.Cost.cat -> n:int -> float -> unit
+(** Shaped to plug directly into {!Vmem.Cost.set_observer}. Adds the
+    charge to the global and the current pid's [by_cost] and moves the
+    counters that mirror its category; allocates nothing once the pid
+    has a slot. *)
 
 val on_injection : t -> Fault.site -> unit
 (** Record one injected failure at the given {!Fault.site}. *)
@@ -172,12 +173,5 @@ val snapshot : counters -> (string * int) list
 (** Every integer counter as a (name, value) list with stable names
     ("cow-breaks", "tlb-shootdowns", ...); subtracting two snapshots
     pointwise gives the counter activity between them. *)
-
-val cycles : counters -> float
-
-val cost_categories : counters -> (string * (float * int)) list
-(** Per-category (cycles, events) spend of one counter set, descending
-    cycles then name. Not part of {!snapshot}/{!to_json}, so existing
-    BENCH output is unchanged. *)
 
 val to_json : counters -> Metrics.Json.t

@@ -23,15 +23,15 @@ let make ~frames ~deny ~readahead () =
     match decode cookie with
     | `Zero ->
       (* a fresh frame already reads as zeroes; only the cost is real *)
-      Vmem.Cost.charge cost "pager:fetch-zero" p.Vmem.Cost.pager_fetch_zero
+      Vmem.Cost.charge cost Pager_fetch_zero p.Vmem.Cost.pager_fetch_zero
     | `Image _ ->
       (* image geometry is modelled, not stored: there are no bytes to
          pull, but the page-sized read from the image is charged *)
-      Vmem.Cost.charge cost "pager:fetch-image" p.Vmem.Cost.pager_fetch_image
+      Vmem.Cost.charge cost Pager_fetch_image p.Vmem.Cost.pager_fetch_image
   in
   let fetch_backing cost ~src ~dst =
     let p = Vmem.Cost.params cost in
-    Vmem.Cost.charge cost "pager:fetch-template"
+    Vmem.Cost.charge cost Pager_fetch_template
       p.Vmem.Cost.pager_fetch_template;
     Vmem.Frame.copy_contents frames ~src ~dst
   in

@@ -7,14 +7,14 @@
     cookie means. Three page sources are modelled:
 
     - {e zero-fill} ([zero_cookie]): anonymous demand memory served by
-      the pager (charged ["pager:fetch-zero"]);
+      the pager (charged [Pager_fetch_zero]);
     - {e image-backed} ([image_cookie]): a page of the executable image,
-      installed lazily by a demand-paged exec (["pager:fetch-image"]);
+      installed lazily by a demand-paged exec ([Pager_fetch_image]);
     - {e template-backed} (no cookie — the backing-table path): a page
       copied out of a sealed zygote template on first touch
-      (["pager:fetch-template"]).
+      ([Pager_fetch_template]).
 
-    Each first-touch fault additionally charges one ["pager:request"]
+    Each first-touch fault additionally charges one [Pager_request]
     upcall, amortised over [readahead + 1] pages when readahead pulls
     neighbours in — the batching policy knob of E18.
 

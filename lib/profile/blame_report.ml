@@ -36,16 +36,17 @@ let table blame =
   in
   List.iter
     (fun (ev : Vmem.Blame.event) ->
-      let copies = Vmem.Blame.deferred_count ev "fault:cow-copy" in
-      let reuses = Vmem.Blame.deferred_count ev "fault:cow-reuse" in
+      let deferred = ev.Vmem.Blame.deferred in
+      let copies = Vmem.Cost.count deferred Fault_cow_copy in
+      let reuses = Vmem.Cost.count deferred Fault_cow_reuse in
       Metrics.Table.add_row t
         [
           string_of_int ev.Vmem.Blame.id;
           ev.Vmem.Blame.style;
           string_of_int ev.Vmem.Blame.parent;
           child_string ev;
-          Metrics.Units.cycles (Vmem.Blame.sync_cycles ev);
-          Metrics.Units.cycles (Vmem.Blame.deferred_cycles ev);
+          Metrics.Units.cycles (Vmem.Cost.total ev.Vmem.Blame.sync);
+          Metrics.Units.cycles (Vmem.Cost.total deferred);
           string_of_int (copies + reuses);
           string_of_int copies;
         ])

@@ -11,7 +11,7 @@ type node = {
   creation_span_ns : float;
   last_ns : float;
   cycles : float;
-  cost : (string * (float * int)) list;
+  cost : (Vmem.Cost.cat * (float * int)) list;
   groups : (string * float) list;
   counters : (string * int) list;
   mutable children : node list;
@@ -96,8 +96,8 @@ let build machine =
     let cycles, cost, counters =
       match Ksim.Kstat.pid_counters kstat pid with
       | Some c ->
-        ( Ksim.Kstat.cycles c,
-          Ksim.Kstat.cost_categories c,
+        ( Vmem.Cost.total c.Ksim.Kstat.by_cost,
+          Vmem.Cost.entries c.Ksim.Kstat.by_cost,
           Ksim.Kstat.snapshot c )
       | None -> (0.0, [], [])
     in
@@ -111,8 +111,7 @@ let build machine =
       cycles;
       cost;
       groups =
-        Subsys.groups_of_breakdown
-          (List.map (fun (cat, (cyc, _)) -> (cat, cyc)) cost);
+        Vmem.Cost.groups (List.map (fun (cat, (cyc, _)) -> (cat, cyc)) cost);
       counters;
       children = [];
     }

@@ -20,9 +20,10 @@ type node = {
           parent); 0 when unknown *)
   last_ns : float;  (** timestamp of this pid's last trace event *)
   cycles : float;  (** simulated cycles attributed to this pid *)
-  cost : (string * (float * int)) list;
-      (** per-category (cycles, events), descending cycles *)
-  groups : (string * float) list;  (** per-subsystem-group cycles *)
+  cost : (Vmem.Cost.cat * (float * int)) list;
+      (** per-category (cycles, events), {!Vmem.Cost.entries} order *)
+  groups : (string * float) list;
+      (** per-subsystem-group cycles, {!Vmem.Cost.groups} *)
   counters : (string * int) list;  (** {!Ksim.Kstat.snapshot} *)
   mutable children : node list;  (** creation order (ascending pid) *)
 }

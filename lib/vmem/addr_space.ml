@@ -349,7 +349,7 @@ let demand_fill t ~vpn ~perm =
   match Frame.alloc t.frames with
   | Error `Out_of_memory -> Error `Out_of_memory
   | Ok frame ->
-    Cost.charge t.cost "fault:zero-fill" p.Cost.frame_zero;
+    Cost.charge t.cost Fault_zero_fill p.Cost.frame_zero;
     Page_table.map t.pt ~vpn (Pte.make ~frame ~perm ());
     Ok ()
 
@@ -358,7 +358,7 @@ let break_cow t ~vpn ~pte ~region_perm =
   let frame = Pte.frame pte in
   if Frame.refcount t.frames frame = 1 then begin
     (* last sharer: take the page back in place *)
-    Cost.tally t.cost "fault:cow-reuse";
+    Cost.tally t.cost Fault_cow_reuse;
     ignore
       (Page_table.update t.pt ~vpn (fun pte ->
            Pte.with_cow (Pte.with_perm pte region_perm) false));
@@ -369,7 +369,7 @@ let break_cow t ~vpn ~pte ~region_perm =
     match Frame.alloc t.frames with
     | Error `Out_of_memory -> Error `Out_of_memory
     | Ok fresh ->
-      Cost.charge t.cost "fault:cow-copy" p.Cost.frame_copy;
+      Cost.charge t.cost Fault_cow_copy p.Cost.frame_copy;
       Frame.copy_contents t.frames ~src:frame ~dst:fresh;
       ignore (Frame.decref t.frames frame);
       Page_table.map t.pt ~vpn (Pte.make ~frame:fresh ~perm:region_perm ());
@@ -423,8 +423,8 @@ let pager_fill t pg ~vpn ~perm ~src ~prefetched =
 let pager_fault t pg ~region_perm ~region_stop ~vpn ~src =
   let p = params t in
   deferred_blame t (fun () ->
-      Cost.charge t.cost "fault:base" p.Cost.fault_base;
-      Cost.charge t.cost "pager:request" p.Cost.pager_request;
+      Cost.charge t.cost Fault_base p.Cost.fault_base;
+      Cost.charge t.cost Pager_request p.Cost.pager_request;
       match pager_fill t pg ~vpn ~perm:region_perm ~src ~prefetched:false with
       | Error _ as e -> e
       | Ok () ->
@@ -471,7 +471,7 @@ let fault t ~addr ~write =
               pager_fault t pg ~region_perm:vma.Vma.perm ~region_stop:rstop
                 ~vpn ~src)
           | None ->
-            Cost.charge t.cost "fault:base" p.Cost.fault_base;
+            Cost.charge t.cost Fault_base p.Cost.fault_base;
             demand_fill t ~vpn ~perm:vma.Vma.perm
         end
         else if write && not (Pte.perm pte).Perm.write then begin
@@ -479,10 +479,10 @@ let fault t ~addr ~write =
             (* the deferred half of a fork's bill: charge the break to
                the sharing event that created this COW mapping *)
             deferred_blame t (fun () ->
-                Cost.charge t.cost "fault:base" p.Cost.fault_base;
+                Cost.charge t.cost Fault_base p.Cost.fault_base;
                 break_cow t ~vpn ~pte ~region_perm:vma.Vma.perm)
           else begin
-            Cost.charge t.cost "fault:base" p.Cost.fault_base;
+            Cost.charge t.cost Fault_base p.Cost.fault_base;
             (* stale protection (e.g. mprotect round-trip): refresh in place *)
             ignore
               (Page_table.update t.pt ~vpn (fun pte ->
@@ -495,7 +495,7 @@ let fault t ~addr ~write =
           if Pte.prefetched pte then
             (* first real access to a page readahead pulled in: the
                prefetch paid off — count the hit, clear the mark *)
-            Cost.tally t.cost "pager:readahead-hit";
+            Cost.tally t.cost Pager_readahead_hit;
           ignore
             (Page_table.update t.pt ~vpn (fun pte ->
                  let pte = Pte.clear_prefetched (Pte.mark_accessed pte) in
@@ -525,22 +525,22 @@ let touch_covered_batched t ~rperm ~vpn0 ~vpn1 ~count =
   let n_base_cow = ref 0 and n_invlpg_cow = ref 0 in
   let flush_charges () =
     if !n_base > 0 then
-      Cost.charge ~n:!n_base t.cost "fault:base"
+      Cost.charge ~n:!n_base t.cost Fault_base
         (p.Cost.fault_base *. float_of_int !n_base);
     if !n_zero > 0 then
-      Cost.charge ~n:!n_zero t.cost "fault:zero-fill"
+      Cost.charge ~n:!n_zero t.cost Fault_zero_fill
         (p.Cost.frame_zero *. float_of_int !n_zero);
     invalidate t ~n:!n_invlpg;
     if !n_base_cow > 0 || !n_reuse > 0 || !n_copy > 0 || !n_invlpg_cow > 0
     then
       deferred_blame t (fun () ->
           if !n_base_cow > 0 then
-            Cost.charge ~n:!n_base_cow t.cost "fault:base"
+            Cost.charge ~n:!n_base_cow t.cost Fault_base
               (p.Cost.fault_base *. float_of_int !n_base_cow);
           if !n_reuse > 0 then
-            Cost.charge ~n:!n_reuse t.cost "fault:cow-reuse" 0.0;
+            Cost.charge ~n:!n_reuse t.cost Fault_cow_reuse 0.0;
           if !n_copy > 0 then
-            Cost.charge ~n:!n_copy t.cost "fault:cow-copy"
+            Cost.charge ~n:!n_copy t.cost Fault_cow_copy
               (p.Cost.frame_copy *. float_of_int !n_copy);
           invalidate t ~n:!n_invlpg_cow)
   in
@@ -693,7 +693,7 @@ let map_image_page t ~addr ~perm ?data ~kind () =
       match Frame.alloc t.frames with
       | Error `Out_of_memory -> Error `Out_of_memory
       | Ok frame ->
-        Cost.charge t.cost "exec:load-page" (params t).Cost.exec_per_page;
+        Cost.charge t.cost Exec_load_page (params t).Cost.exec_per_page;
         (match data with
         | Some s -> Frame.blit_string t.frames frame ~off:0 s
         | None -> ());
@@ -761,7 +761,7 @@ let shared_ranges t =
    VMA: fork (COW or eager), template seal, zygote spawn. *)
 let charge_vma_clones t =
   let n = Region_map.cardinal t.regions in
-  Cost.charge ~n t.cost "fork:vma" ((params t).Cost.vma_clone *. float_of_int n)
+  Cost.charge ~n t.cost Fork_vma ((params t).Cost.vma_clone *. float_of_int n)
 
 let clone_cow t =
   alive t "Addr_space.clone_cow";
@@ -821,7 +821,7 @@ let clone_eager t =
               match Frame.alloc t.frames with
               | Error `Out_of_memory -> Error `Out_of_memory
               | Ok fresh ->
-                Cost.charge t.cost "fork:eager-copy" p.Cost.frame_copy;
+                Cost.charge t.cost Fork_eager_copy p.Cost.frame_copy;
                 Frame.copy_contents t.frames ~src:(Pte.frame pte) ~dst:fresh;
                 Page_table.map child_pt ~vpn (Pte.make ~frame:fresh ~perm ());
                 Ok ()))
@@ -877,7 +877,7 @@ let clone_from_sealed ?(lazy_ = false) tpl ~commit_pages =
          table as its fault-time backing — O(1) in the template's
          footprint; each page is fetched privately on first touch *)
       let child = clone_common tpl ~pt:(Page_table.create ()) ~committed_charge:commit_pages in
-      Cost.charge tpl.cost "zygote:subtree" p.Cost.pt_node_copy;
+      Cost.charge tpl.cost Zygote_subtree p.Cost.pt_node_copy;
       child.backing <- Some tpl.pt;
       child.backing_holes <- [];
       Ok (child, 0)
@@ -906,7 +906,7 @@ let sole_owner t =
    live-dependant count gates this with EBUSY). *)
 let destroy t =
   if not t.dead then begin
-    Cost.charge t.cost "proc:destroy" (params t).Cost.proc_destroy;
+    Cost.charge t.cost Proc_destroy (params t).Cost.proc_destroy;
     ignore (Page_table.clear t.pt ~frames:t.frames);
     Frame.uncommit t.frames t.committed;
     t.committed <- 0;

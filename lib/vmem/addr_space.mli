@@ -198,12 +198,12 @@ val clone_from_sealed :
 (** Spawn a child space from a sealed template in O(shared subtrees):
     charge [commit_pages] of commit (the only fallible step, performed
     first so failure leaves the template untouched), then share the
-    sealed table by bumping its root — one ["zygote:subtree"] charge per
+    sealed table by bumping its root — one [Zygote_subtree] charge per
     occupied root slot, independent of footprint. Returns the child and
     the number of subtrees shared.
 
     With [~lazy_:true] (demand spawn) the child instead starts from an
-    empty table (one ["zygote:subtree"] charge, subtree count 0) and
+    empty table (one [Zygote_subtree] charge, subtree count 0) and
     records the sealed table as its fault-time {e backing}: each page
     is pulled privately by the pager on first touch, so spawn cost is
     independent even of the template's root fan-out and untouched pages

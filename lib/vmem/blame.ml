@@ -5,10 +5,6 @@
 
 type kind = Sync | Deferred
 
-type entry = { mutable cycles : float; mutable events : int }
-
-type bucket = (string, entry) Hashtbl.t
-
 type event = {
   id : int;
   style : string;
@@ -16,47 +12,32 @@ type event = {
   mutable child : int option;
   mutable failed : bool;
   mutable tag : string option;
-  sync : bucket;
-  deferred : bucket;
+  sync : Cost.t;
+  deferred : Cost.t;
 }
 
 type t = {
   events : (int, event) Hashtbl.t;
   by_child : (int, int) Hashtbl.t;
   mutable next_id : int;
-  mutable context : (int * kind) option;
-  unattributed : bucket;
+  unattributed : Cost.t;
+  mutable target : Cost.t;  (* the bucket the active context picked *)
 }
 
 let create () =
+  let unattributed = Cost.create () in
   {
     events = Hashtbl.create 16;
     by_child = Hashtbl.create 16;
     next_id = 1;
-    context = None;
-    unattributed = Hashtbl.create 16;
+    unattributed;
+    target = unattributed;
   }
-
-let bucket_add (b : bucket) category ~n cycles =
-  match Hashtbl.find_opt b category with
-  | Some e ->
-    e.cycles <- e.cycles +. cycles;
-    e.events <- e.events + n
-  | None -> Hashtbl.add b category { cycles; events = n }
 
 (* Observer hook: the kernel chains this after Kstat.on_cost on the one
    Cost observer slot, so every charge lands in exactly one bucket —
    the partition property the QCheck test asserts is structural. *)
-let on_cost t category ~n cycles =
-  match t.context with
-  | None -> bucket_add t.unattributed category ~n cycles
-  | Some (id, which) -> (
-    match Hashtbl.find_opt t.events id with
-    | None -> bucket_add t.unattributed category ~n cycles
-    | Some ev ->
-      bucket_add
-        (match which with Sync -> ev.sync | Deferred -> ev.deferred)
-        category ~n cycles)
+let on_cost t cat ~n cycles = Cost.add t.target cat ~n cycles
 
 let new_event t ~style ~parent =
   let id = t.next_id in
@@ -69,8 +50,8 @@ let new_event t ~style ~parent =
       child = None;
       failed = false;
       tag = None;
-      sync = Hashtbl.create 8;
-      deferred = Hashtbl.create 8;
+      sync = Cost.create ();
+      deferred = Cost.create ();
     };
   id
 
@@ -92,41 +73,27 @@ let mark_failed t id =
 let event_of_child t pid = Hashtbl.find_opt t.by_child pid
 
 let with_context t ~id which f =
-  let saved = t.context in
-  t.context <- Some (id, which);
-  Fun.protect ~finally:(fun () -> t.context <- saved) f
+  let saved = t.target in
+  (t.target <-
+     match (find t id, which) with
+     | None, _ -> t.unattributed
+     | Some ev, Sync -> ev.sync
+     | Some ev, Deferred -> ev.deferred);
+  Fun.protect ~finally:(fun () -> t.target <- saved) f
 
 let events t =
   Hashtbl.fold (fun _ ev acc -> ev :: acc) t.events []
   |> List.sort (fun a b -> compare a.id b.id)
 
-let bucket_categories (b : bucket) =
-  Hashtbl.fold (fun k e acc -> (k, (e.cycles, e.events)) :: acc) b []
-  |> List.sort (fun (ka, (ca, _)) (kb, (cb, _)) ->
-         match Float.compare cb ca with 0 -> compare ka kb | c -> c)
-
-let bucket_cycles (b : bucket) =
-  Hashtbl.fold (fun _ e acc -> acc +. e.cycles) b 0.0
-
-let sync_cycles ev = bucket_cycles ev.sync
-let deferred_cycles ev = bucket_cycles ev.deferred
-
-let deferred_count ev category =
-  match Hashtbl.find_opt ev.deferred category with
-  | Some e -> e.events
-  | None -> 0
-
-let unattributed t = bucket_categories t.unattributed
-
 (* Per-category grand totals over every bucket (sync + deferred of every
-   event, plus unattributed), sorted by category name: if blame sees
-   every charge exactly once, this equals the Cost meter's own
-   by-category tallies — integer-valued cost params make the float sums
-   exact, so the comparison is [=], not approximate. *)
+   event, plus unattributed): if blame sees every charge exactly once,
+   this equals the Cost meter's own per-category tallies — integer-valued
+   cost params make the float sums exact, so the comparison is [=], not
+   approximate. *)
 let totals t =
-  let acc : bucket = Hashtbl.create 32 in
-  let merge (b : bucket) =
-    Hashtbl.iter (fun k (e : entry) -> bucket_add acc k ~n:e.events e.cycles) b
+  let acc = Cost.create () in
+  let merge b =
+    List.iter (fun (c, (cycles, n)) -> Cost.add acc c ~n cycles) (Cost.entries b)
   in
   merge t.unattributed;
   Hashtbl.iter
@@ -134,20 +101,20 @@ let totals t =
       merge ev.sync;
       merge ev.deferred)
     t.events;
-  Hashtbl.fold (fun k e l -> (k, (e.cycles, e.events)) :: l) acc []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  acc
 
-let bucket_to_json (b : bucket) =
+let bucket_to_json b =
   let open Metrics.Json in
   obj
     [
-      ("cycles", num (bucket_cycles b));
+      ("cycles", num (Cost.total b));
       ( "categories",
         obj
           (List.map
-             (fun (k, (c, n)) ->
-               (k, obj [ ("cycles", num c); ("events", int n) ]))
-             (bucket_categories b)) );
+             (fun (c, (cycles, n)) ->
+               ( (Cost.info c).name,
+                 obj [ ("cycles", num cycles); ("events", int n) ] ))
+             (Cost.entries b)) );
     ]
 
 let event_to_json ev =

@@ -27,19 +27,18 @@ type event = private {
   mutable child : int option;  (** created pid, once known *)
   mutable failed : bool;
   mutable tag : string option;  (** e.g. ["tpl:3"] for template events *)
-  sync : (string, entry) Hashtbl.t;
-  deferred : (string, entry) Hashtbl.t;
+  sync : Cost.t;  (** paid during the creating syscall *)
+  deferred : Cost.t;  (** paid later, breaking the sharing it made *)
 }
-
-and entry = { mutable cycles : float; mutable events : int }
 
 type t
 
 val create : unit -> t
 
-val on_cost : t -> string -> n:int -> float -> unit
+val on_cost : t -> Cost.cat -> n:int -> float -> unit
 (** Observer body; the kernel chains it after [Kstat.on_cost] on the
-    single {!Cost.set_observer} slot. *)
+    single {!Cost.set_observer} slot. One {!Cost.add} into the bucket
+    the active context picked; allocates nothing. *)
 
 val new_event : t -> style:string -> parent:int -> int
 (** Allocate a ledger event; returns its id. Event ids are their own
@@ -57,30 +56,17 @@ val event_of_child : t -> int -> int option
 
 val with_context : t -> id:int -> kind -> (unit -> 'a) -> 'a
 (** [with_context t ~id kind f] runs [f] with charges attributed to
-    event [id]'s [kind] bucket; restores the previous context on exit
-    (also on exception). Contexts nest by shadowing. *)
+    event [id]'s [kind] bucket (unattributed if [id] is unknown), picked
+    once on entry; restores the previous context on exit (also on
+    exception). Contexts nest by shadowing. *)
 
 val find : t -> int -> event option
 
 val events : t -> event list
 (** All events, ascending id (creation order — deterministic). *)
 
-val bucket_categories :
-  (string, entry) Hashtbl.t -> (string * (float * int)) list
-(** Per-category (cycles, events) of one bucket, sorted by descending
-    cycles then category name. *)
-
-val sync_cycles : event -> float
-val deferred_cycles : event -> float
-
-val deferred_count : event -> string -> int
-(** Deferred event count for one category (e.g. ["fault:cow-copy"]). *)
-
-val unattributed : t -> (string * (float * int)) list
-
-val totals : t -> (string * (float * int)) list
-(** Grand totals across every bucket, sorted by category name. Equals
-    the {!Cost} meter's per-category (cycles, events) — the partition
-    property the QCheck test asserts. *)
+val totals : t -> Cost.t
+(** Grand totals across every bucket. Its {!Cost.entries} equal the
+    kernel meter's — the partition property the QCheck test asserts. *)
 
 val to_json : t -> Metrics.Json.t

@@ -14,7 +14,6 @@ type params = {
   exec_base : float;
   exec_per_page : float;
   fd_clone : float;
-  sched_switch : float;
   pager_request : float;
   pager_fetch_zero : float;
   pager_fetch_image : float;
@@ -40,7 +39,6 @@ let default =
     exec_base = 900_000.0;
     exec_per_page = 450.0;
     fd_clone = 120.0;
-    sched_switch = 3_000.0;
     pager_request = 3_000.0;
     pager_fetch_zero = 1_000.0;
     pager_fetch_image = 2_400.0;
@@ -50,67 +48,131 @@ let default =
 let ghz = 3.0
 let cycles_to_ns c = c /. ghz
 
-type entry = { mutable cycles : float; mutable events : int }
+type cat =
+  | Syscall | Proc_create | Proc_destroy
+  | Fork_vma | Fork_pt_node | Fork_pte | Fork_eager_copy | Zygote_subtree
+  | Fault_base | Fault_zero_fill | Fault_cow_copy | Fault_cow_reuse
+  | Pager_request | Pager_fetch_zero | Pager_fetch_image
+  | Pager_fetch_template | Pager_readahead_hit
+  | Tlb_flush | Tlb_shootdown | Tlb_invlpg
+  | Exec_base | Exec_load_page | Fd_inherit
 
+type info = { idx : int; name : string; group : string }
+
+(* The one category table. Constant records, so a lookup allocates
+   nothing; [idx] is the declaration position. *)
+let info = function
+  | Syscall -> { idx = 0; name = "syscall"; group = "other" }
+  | Proc_create -> { idx = 1; name = "proc:create"; group = "other" }
+  | Proc_destroy -> { idx = 2; name = "proc:destroy"; group = "other" }
+  | Fork_vma -> { idx = 3; name = "fork:vma"; group = "other" }
+  | Fork_pt_node -> { idx = 4; name = "fork:pt-node"; group = "pt-copy" }
+  | Fork_pte -> { idx = 5; name = "fork:pte"; group = "pt-copy" }
+  | Fork_eager_copy ->
+    { idx = 6; name = "fork:eager-copy"; group = "frame-copy" }
+  | Zygote_subtree -> { idx = 7; name = "zygote:subtree"; group = "pt-copy" }
+  | Fault_base -> { idx = 8; name = "fault:base"; group = "fault" }
+  | Fault_zero_fill -> { idx = 9; name = "fault:zero-fill"; group = "fault" }
+  | Fault_cow_copy ->
+    { idx = 10; name = "fault:cow-copy"; group = "frame-copy" }
+  | Fault_cow_reuse -> { idx = 11; name = "fault:cow-reuse"; group = "fault" }
+  | Pager_request -> { idx = 12; name = "pager:request"; group = "pager" }
+  | Pager_fetch_zero -> { idx = 13; name = "pager:fetch-zero"; group = "pager" }
+  | Pager_fetch_image ->
+    { idx = 14; name = "pager:fetch-image"; group = "pager" }
+  | Pager_fetch_template ->
+    { idx = 15; name = "pager:fetch-template"; group = "pager" }
+  | Pager_readahead_hit ->
+    { idx = 16; name = "pager:readahead-hit"; group = "pager" }
+  | Tlb_flush -> { idx = 17; name = "tlb:flush"; group = "tlb" }
+  | Tlb_shootdown -> { idx = 18; name = "tlb:shootdown"; group = "tlb" }
+  | Tlb_invlpg -> { idx = 19; name = "tlb:invlpg"; group = "tlb" }
+  | Exec_base -> { idx = 20; name = "exec:base"; group = "exec" }
+  | Exec_load_page -> { idx = 21; name = "exec:load-page"; group = "exec" }
+  | Fd_inherit -> { idx = 22; name = "fd:inherit"; group = "other" }
+
+let all =
+  [ Syscall; Proc_create; Proc_destroy;
+    Fork_vma; Fork_pt_node; Fork_pte; Fork_eager_copy; Zygote_subtree;
+    Fault_base; Fault_zero_fill; Fault_cow_copy; Fault_cow_reuse;
+    Pager_request; Pager_fetch_zero; Pager_fetch_image;
+    Pager_fetch_template; Pager_readahead_hit;
+    Tlb_flush; Tlb_shootdown; Tlb_invlpg;
+    Exec_base; Exec_load_page; Fd_inherit ]
+
+let ncats = List.length all
+
+let group_order =
+  [ "pt-copy"; "fault"; "pager"; "frame-copy"; "tlb"; "exec"; "other" ]
+
+(* Slot [ncats] of [cycles] is the running total. Keeping it in the
+   float array instead of a mutable float field is what lets a charge
+   add without boxing. *)
 type t = {
   params : params;
-  mutable total : float;
-  by_cat : (string, entry) Hashtbl.t;
-  mutable observer : (string -> n:int -> float -> unit) option;
+  cycles : Float.Array.t;
+  events : int array;
+  mutable charged : int;  (* bit [idx]: the category was ever charged *)
+  mutable observer : (cat -> n:int -> float -> unit) option;
 }
 
 let create ?(params = default) () =
-  { params; total = 0.0; by_cat = Hashtbl.create 16; observer = None }
+  {
+    params;
+    cycles = Float.Array.make (ncats + 1) 0.0;
+    events = Array.make ncats 0;
+    charged = 0;
+    observer = None;
+  }
 
 let params t = t.params
 let set_observer t obs = t.observer <- obs
 
-let charge ?(n = 1) t category cycles =
-  if cycles < 0.0 then invalid_arg "Cost.charge: negative charge";
+let add t cat ~n cycles =
+  let i = (info cat).idx in
+  Float.Array.set t.cycles i (Float.Array.get t.cycles i +. cycles);
+  Float.Array.set t.cycles ncats (Float.Array.get t.cycles ncats +. cycles);
+  t.events.(i) <- t.events.(i) + n;
+  t.charged <- t.charged lor (1 lsl i)
+
+let charge ?(n = 1) t cat cycles =
+  if not (cycles >= 0.0) then invalid_arg "Cost.charge: negative or NaN charge";
   if n < 0 then invalid_arg "Cost.charge: negative event count";
-  t.total <- t.total +. cycles;
-  (match Hashtbl.find_opt t.by_cat category with
-  | Some e ->
-    e.cycles <- e.cycles +. cycles;
-    e.events <- e.events + n
-  | None -> Hashtbl.add t.by_cat category { cycles; events = n });
-  match t.observer with None -> () | Some f -> f category ~n cycles
+  add t cat ~n cycles;
+  match t.observer with None -> () | Some f -> f cat ~n cycles
 
-let tally t category = charge t category 0.0
+let tally t cat = charge t cat 0.0
+let total t = Float.Array.get t.cycles ncats
+let get t cat = Float.Array.get t.cycles (info cat).idx
+let count t cat = t.events.((info cat).idx)
 
-let total t = t.total
-
-let by_category t =
-  Hashtbl.fold (fun k e acc -> (k, e.cycles) :: acc) t.by_cat []
-  |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
+let entries t =
+  List.filter_map
+    (fun c ->
+      if t.charged land (1 lsl (info c).idx) = 0 then None
+      else Some (c, (get t c, count t c)))
+    all
+  |> List.sort (fun (a, (x, _)) (b, (y, _)) ->
+         match Float.compare y x with
+         | 0 -> String.compare (info a).name (info b).name
+         | d -> d)
 
 let by_category_counts t =
-  Hashtbl.fold (fun k e acc -> (k, (e.cycles, e.events)) :: acc) t.by_cat []
-  |> List.sort (fun (_, (a, _)) (_, (b, _)) -> Float.compare b a)
+  List.map (fun (c, e) -> ((info c).name, e)) (entries t)
 
-let get t category =
-  match Hashtbl.find_opt t.by_cat category with
-  | Some e -> e.cycles
-  | None -> 0.0
-
-let count t category =
-  match Hashtbl.find_opt t.by_cat category with
-  | Some e -> e.events
-  | None -> 0
-
-let reset t =
-  t.total <- 0.0;
-  Hashtbl.reset t.by_cat
+let groups breakdown =
+  List.filter_map
+    (fun g ->
+      List.fold_left
+        (fun sum (c, cycles) ->
+          if String.equal (info c).group g then
+            Some (Option.value sum ~default:0.0 +. cycles)
+          else sum)
+        None breakdown
+      |> Option.map (fun sum -> (g, sum)))
+    group_order
 
 let delta t f =
-  let before = t.total in
+  let before = total t in
   let result = f () in
-  (result, t.total -. before)
-
-let pp_breakdown ppf t =
-  Format.fprintf ppf "total %s@\n" (Metrics.Units.cycles t.total);
-  List.iter
-    (fun (cat, (c, n)) ->
-      Format.fprintf ppf "  %-20s %10s  (%d events)@\n" cat
-        (Metrics.Units.cycles c) n)
-    (by_category_counts t)
+  (result, total t -. before)

@@ -25,7 +25,6 @@ type params = {
   exec_base : float;  (** image open + headers + loader setup *)
   exec_per_page : float;  (** map one text/data page (no I/O model) *)
   fd_clone : float;  (** duplicate one fd-table slot *)
-  sched_switch : float;  (** context switch *)
   pager_request : float;
       (** dispatch one first-touch fault batch to the user-mode pager
           (upcall + reply; amortised over the batch by readahead) *)
@@ -43,47 +42,89 @@ val ghz : float
 
 val cycles_to_ns : float -> float
 
+type cat =
+  | Syscall | Proc_create | Proc_destroy
+  | Fork_vma | Fork_pt_node | Fork_pte | Fork_eager_copy | Zygote_subtree
+  | Fault_base | Fault_zero_fill | Fault_cow_copy | Fault_cow_reuse
+  | Pager_request | Pager_fetch_zero | Pager_fetch_image
+  | Pager_fetch_template | Pager_readahead_hit
+  | Tlb_flush | Tlb_shootdown | Tlb_invlpg
+  | Exec_base | Exec_load_page | Fd_inherit
+(** The meter's categories; {!info} gives each its slot, report name and
+    group. [Fault_cow_reuse] (a COW break resolved in place) and
+    [Pager_readahead_hit] are tallied at 0 cycles. *)
+
+type info = {
+  idx : int;  (** declaration position: the category's slot in a {!t} *)
+  name : string;  (** report name, e.g. ["fault:cow-copy"] *)
+  group : string;  (** subsystem group, one of {!group_order} *)
+}
+
+val info : cat -> info
+(** The one category table. Allocates nothing. *)
+
+val all : cat list
+(** Every category, in declaration order. *)
+
+val group_order : string list
+(** The subsystem groups in display order:
+    pt-copy, fault, pager, frame-copy, tlb, exec, other. The groups
+    partition the categories, so group sums equal the headline cycle
+    count. *)
+
 type t
-(** A mutable meter: accumulated cycles and event counts, per category. *)
+(** A per-category ledger: cycles and event counts per category, plus a
+    running total. The kernel's meter, each {!Ksim.Kstat} per-pid
+    ledger and each {!Blame} bucket is one. *)
 
 val create : ?params:params -> unit -> t
 val params : t -> params
 
-val charge : ?n:int -> t -> string -> float -> unit
-(** [charge m category cycles] adds [cycles] (may be a multiple of a
-    [params] field) under [category] and bumps the category's event
-    count by [n] (default 1; pass the multiplicity when one call
-    accounts for many identical operations, e.g. the PTEs copied by a
-    fork). Negative charges or counts raise [Invalid_argument]. *)
+val charge : ?n:int -> t -> cat -> float -> unit
+(** [charge m cat cycles] adds [cycles] (may be a multiple of a
+    [params] field) under [cat], bumps the category's event count by
+    [n] (default 1; pass the multiplicity when one call accounts for
+    many identical operations, e.g. the PTEs copied by a fork), then
+    calls the observer. Negative or NaN cycles and negative counts
+    raise [Invalid_argument]. *)
 
-val tally : t -> string -> unit
-(** [tally m category] records an event that costs no cycles —
-    equivalent to [charge ~n:1 m category 0.]. Used for counters such as
-    in-place COW reuse where the interesting datum is the count. *)
+val tally : t -> cat -> unit
+(** [tally m cat] records an event that costs no cycles — equivalent to
+    [charge ~n:1 m cat 0.]. Used for counters such as in-place COW
+    reuse where the interesting datum is the count. *)
 
-val set_observer : t -> (string -> n:int -> float -> unit) option -> unit
-(** [set_observer m (Some f)] arranges for [f category ~n cycles] to be
+val add : t -> cat -> n:int -> float -> unit
+(** The unchecked part of {!charge}: add to the ledger, call no
+    observer. Allocates nothing. For ledgers that copy a charge
+    already checked by {!charge}. *)
+
+val set_observer : t -> (cat -> n:int -> float -> unit) option -> unit
+(** [set_observer m (Some f)] arranges for [f cat ~n cycles] to be
     called on every subsequent {!charge}/{!tally}, after the meter has
     been updated. The kernel uses this to feed its per-pid statistics;
     at most one observer is active at a time. [None] removes it. *)
 
 val total : t -> float
-val by_category : t -> (string * float) list
-(** Sorted by descending cost. *)
+(** Every cycle charged, summed in charge order. *)
 
-val by_category_counts : t -> (string * (float * int)) list
-(** Like {!by_category} but each category carries (cycles, events). *)
-
-val get : t -> string -> float
+val get : t -> cat -> float
 (** Cycles charged under one category (0. if never charged). *)
 
-val count : t -> string -> int
+val count : t -> cat -> int
 (** Events recorded under one category (0 if never charged). *)
 
-val reset : t -> unit
+val entries : t -> (cat * (float * int)) list
+(** Every category ever charged (a zero charge included) with its
+    (cycles, events), by descending cycles, ties by name. *)
+
+val by_category_counts : t -> (string * (float * int)) list
+(** {!entries} with the categories' names. *)
+
+val groups : (cat * float) list -> (string * float) list
+(** Fold a per-category breakdown into per-group sums in
+    {!group_order}, omitting groups with no entries. Each group sums in
+    list order. *)
 
 val delta : t -> (unit -> 'a) -> 'a * float
 (** [delta m f] runs [f] and returns its result together with the cycles
     charged to [m] during the call. *)
-
-val pp_breakdown : Format.formatter -> t -> unit

@@ -370,14 +370,14 @@ let clone_cow t ~frames ~cost =
   let lazies = ref 0 in
   let rec copy node =
     incr nodes;
-    Cost.charge cost "fork:pt-node" p.Cost.pt_node_copy;
+    Cost.charge cost Fork_pt_node p.Cost.pt_node_copy;
     match node with
     | Leaf l ->
       let dst = Array.make Addr.entries_per_table Pte.absent in
       for i = 0 to Addr.entries_per_table - 1 do
         let pte = l.entries.(i) in
         if Pte.present pte then begin
-          Cost.charge cost "fork:pte" p.Cost.pte_copy;
+          Cost.charge cost Fork_pte p.Cost.pte_copy;
           incr present;
           Frame.incref frames (Pte.frame pte);
           let shared =
@@ -395,7 +395,7 @@ let clone_cow t ~frames ~cost =
         else if Pte.lazy_ pte then begin
           (* an unbacked entry is still a PTE word the fork copies; both
              sides keep the cookie and fault their page independently *)
-          Cost.charge cost "fork:pte" p.Cost.pte_copy;
+          Cost.charge cost Fork_pte p.Cost.pte_copy;
           incr lazies;
           dst.(i) <- pte
         end
@@ -437,11 +437,11 @@ let clone_cow_shared t ~frames ~own ~own_many ~cost ~shared =
      one pte_copy per present entry. All cost parameters are
      integer-valued, so n summed charges and one charge of n*c are the
      same float exactly. *)
-  Cost.charge ~n:t.nodes cost "fork:pt-node"
+  Cost.charge ~n:t.nodes cost Fork_pt_node
     (p.Cost.pt_node_copy *. float_of_int t.nodes);
   let ptes = t.present + t.lazy_ in
   if ptes > 0 then
-    Cost.charge ~n:ptes cost "fork:pte" (p.Cost.pte_copy *. float_of_int ptes);
+    Cost.charge ~n:ptes cost Fork_pte (p.Cost.pte_copy *. float_of_int ptes);
   (* One ascending pass over the leaves: take ownership of every present
      frame and apply the fork transform in place. A leaf still shared
      with an earlier clone holds only PTEs the transform maps to
@@ -525,7 +525,7 @@ let clone_sealed t ~cost =
         0 i.children
   in
   let n = max subtrees 1 in
-  Cost.charge ~n cost "zygote:subtree" (p.Cost.pt_node_copy *. float_of_int n);
+  Cost.charge ~n cost Zygote_subtree (p.Cost.pt_node_copy *. float_of_int n);
   bump t.root;
   ({ root = t.root; present = t.present; lazy_ = t.lazy_; nodes = t.nodes },
    subtrees)

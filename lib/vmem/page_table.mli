@@ -154,7 +154,7 @@ val clone_sealed : t -> cost:Cost.t -> t * int
     subtrees): the frames behind it are immortal and the PTEs are
     already in post-fork form, so the clone bumps the root and charges
     one [pt_node_copy] per occupied root slot — cost proportional to the
-    root fan-out (category ["zygote:subtree"]), not the footprint.
+    root fan-out (category [Zygote_subtree]), not the footprint.
     Returns the child table and the number of subtrees shared. *)
 
 val clear : t -> frames:Frame.t -> int

@@ -1,9 +1,3 @@
-type stats = {
-  local_flushes : int;
-  shootdowns : int;
-  invalidations : int;
-}
-
 type ipi_hook = src:int -> dsts:Cpuset.t -> full:bool -> n:int -> unit
 
 type t = {
@@ -33,12 +27,12 @@ let active_cpu t = t.active
 let set_ipi_hook t hook = t.ipi_hook <- hook
 
 let flush_local t =
-  Cost.charge t.cost "tlb:flush" (Cost.params t.cost).Cost.tlb_flush
+  Cost.charge t.cost Tlb_flush (Cost.params t.cost).Cost.tlb_flush
 
 let shootdown t =
   let p = Cost.params t.cost in
-  Cost.charge t.cost "tlb:flush" p.Cost.tlb_flush;
-  Cost.charge t.cost "tlb:shootdown"
+  Cost.charge t.cost Tlb_flush p.Cost.tlb_flush;
+  Cost.charge t.cost Tlb_shootdown
     (p.Cost.tlb_shootdown *. float_of_int (t.ncpus - 1))
 
 let ipi t ~dsts ~full ~n =
@@ -47,7 +41,7 @@ let ipi t ~dsts ~full ~n =
   let k = Cpuset.count (Cpuset.remove t.active dsts) in
   let events = n * k in
   if events > 0 then begin
-    Cost.charge ~n:events t.cost "tlb:shootdown"
+    Cost.charge ~n:events t.cost Tlb_shootdown
       ((Cost.params t.cost).Cost.tlb_shootdown *. float_of_int events);
     match t.ipi_hook with
     | None -> ()
@@ -56,17 +50,10 @@ let ipi t ~dsts ~full ~n =
   end
 
 let invalidate_page t =
-  Cost.charge t.cost "tlb:invlpg" (Cost.params t.cost).Cost.tlb_invlpg
+  Cost.charge t.cost Tlb_invlpg (Cost.params t.cost).Cost.tlb_invlpg
 
 let invalidate_pages t ~n =
   if n < 0 then invalid_arg "Tlb.invalidate_pages: negative count";
   if n > 0 then
-    Cost.charge ~n t.cost "tlb:invlpg"
+    Cost.charge ~n t.cost Tlb_invlpg
       ((Cost.params t.cost).Cost.tlb_invlpg *. float_of_int n)
-
-let stats t =
-  {
-    local_flushes = Cost.count t.cost "tlb:flush";
-    shootdowns = Cost.count t.cost "tlb:shootdown";
-    invalidations = Cost.count t.cost "tlb:invlpg";
-  }

@@ -12,17 +12,9 @@
       pre-SMP model and every historical BENCH number embeds it.
     - {b tracked}: the SMP kernel knows which CPUs actually cache a
       mapping (the per-address-space {!Cpuset} mask) and charges one
-      ["tlb:shootdown"] event per IPI actually sent, via {!ipi}. *)
+      [Tlb_shootdown] event per IPI actually sent, via {!ipi}. *)
 
 type t
-
-type stats = {
-  local_flushes : int;
-  shootdowns : int;
-      (** legacy: full-AS remote flushes (one event, all CPUs);
-          tracked: individual IPIs sent *)
-  invalidations : int;  (** single-page invalidations *)
-}
 
 type ipi_hook = src:int -> dsts:Cpuset.t -> full:bool -> n:int -> unit
 (** Fired by {!ipi} after charging: [src] the sending CPU, [dsts] the
@@ -62,8 +54,8 @@ val shootdown : t -> unit
 val ipi : t -> dsts:Cpuset.t -> full:bool -> n:int -> unit
 (** Tracked mode: send a shootdown IPI for [n] pages ([full] = whole
     address space) to every CPU in [dsts] except the active one.
-    Charges [n * |dsts \ {active}|] ["tlb:shootdown"] events (so
-    [Cost.count "tlb:shootdown"] is the total IPI count), then fires
+    Charges [n * |dsts \ {active}|] [Tlb_shootdown] events (so
+    [Cost.count m Tlb_shootdown] is the total IPI count), then fires
     the hook. No-op when the effective destination set is empty.
     @raise Invalid_argument on an untracked [t] or [n < 0]. *)
 
@@ -75,6 +67,3 @@ val invalidate_pages : t -> n:int -> unit
     event count as [n] {!invalidate_page} calls. No-op at [n = 0].
     @raise Invalid_argument if [n < 0]. *)
 
-val stats : t -> stats
-(** Derived from the event counts the shared {!Cost} meter recorded
-    under the ["tlb:*"] categories, so [Cost.reset] also resets these. *)

@@ -1606,7 +1606,8 @@ let test_kstat_counters () =
   check_int "cow breaks" pages (counter g "cow-breaks");
   check_bool "faults counted" true (counter g "faults" >= pages);
   check_bool "ptes copied" true (counter g "ptes-copied" >= pages);
-  check_bool "cycles attributed" true (Ksim.Kstat.cycles g > 0.0);
+  check_bool "cycles attributed" true
+    (Vmem.Cost.total g.Ksim.Kstat.by_cost > 0.0);
   check_bool "fork kind" true
     (List.assoc_opt "fork" (Ksim.Kstat.kinds g) = Some 1);
   (* snapshot totals match the per-kind sum *)
@@ -1640,6 +1641,38 @@ let test_kstat_per_pid () =
     let parent = Option.get (Ksim.Kstat.pid_counters ks 1) in
     check_int "parent cow breaks" 0 (counter parent "cow-breaks");
     check_bool "parent zero-fills" true (counter parent "frames-zeroed" >= pages)
+
+(* A charge through the kernel's observer chain (the meter, Kstat's
+   global and per-pid ledgers, the blame bucket the context picked)
+   allocates nothing. Minor words repeat exactly for a fixed program, so
+   the bound can be this tight. *)
+let test_kstat_charge_allocates_nothing () =
+  let t = Ksim.Kernel.create () in
+  let cost = Ksim.Kernel.cost t and blame = Ksim.Kernel.blame t in
+  let kstat = Ksim.Kernel.kstat t in
+  Ksim.Kstat.set_current kstat (Some 7);
+  let id = Vmem.Blame.new_event blame ~style:"fork" ~parent:7 in
+  let cycles = (Vmem.Cost.params cost).Vmem.Cost.fault_base in
+  let words =
+    Vmem.Blame.with_context blame ~id Vmem.Blame.Deferred (fun () ->
+        (* the first charge allocates pid 7's counters *)
+        Vmem.Cost.tally cost Fault_cow_reuse;
+        let before = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          Vmem.Cost.charge cost Fault_base cycles;
+          Vmem.Cost.tally cost Fault_cow_reuse
+        done;
+        Gc.minor_words () -. before)
+  in
+  check_bool
+    (Printf.sprintf "%.0f minor words for 20000 charges" words)
+    true (words <= 20_000.0);
+  let pid = Option.get (Ksim.Kstat.pid_counters kstat 7) in
+  check_int "per-pid faults" 10_000 pid.Ksim.Kstat.faults;
+  check_int "per-pid reuses" 10_001 pid.Ksim.Kstat.cow_reuses;
+  let ev = Option.get (Vmem.Blame.find blame id) in
+  check_int "blamed faults" 10_000
+    (Vmem.Cost.count ev.Vmem.Blame.deferred Fault_base)
 
 let test_kstat_stdio_double_flush () =
   let buffered = 512 in
@@ -1692,7 +1725,7 @@ let creation_cycles ~use_spawn ~heap_pages =
         ignore (ok (Ksim.Api.wait_for pid)))
   in
   ignore outcome;
-  Vmem.Cost.get (Ksim.Kernel.cost t) "fork:pte"
+  Vmem.Cost.get (Ksim.Kernel.cost t) Fork_pte
 
 let test_fork_cost_scales_spawn_does_not () =
   let fork_small = creation_cycles ~use_spawn:false ~heap_pages:64 in
@@ -1936,7 +1969,7 @@ let zygote_subtree_cycles ~heap_pages =
         ignore (ok (Ksim.Api.wait_for pid)))
   in
   all_exited outcome;
-  Vmem.Cost.get (Ksim.Kernel.cost t) "zygote:subtree"
+  Vmem.Cost.get (Ksim.Kernel.cost t) Zygote_subtree
 
 let test_zygote_cost_flat () =
   let small = zygote_subtree_cycles ~heap_pages:64 in
@@ -2052,9 +2085,8 @@ let prop_blame_partition =
       match Ksim.Kernel.boot ~programs:[ init; true_prog ] "/sbin/init" with
       | Error _ -> false
       | Ok (t, _) ->
-        let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-        Vmem.Blame.totals (Ksim.Kernel.blame t)
-        = by_name (Vmem.Cost.by_category_counts (Ksim.Kernel.cost t)))
+        Vmem.Cost.entries (Vmem.Blame.totals (Ksim.Kernel.blame t))
+        = Vmem.Cost.entries (Ksim.Kernel.cost t))
 
 (* Deferred charges go to the event that created the sharing being
    broken — the most recent one. Two sequential forks: the parent's
@@ -2079,15 +2111,16 @@ let test_blame_deferred_to_latest_fork () =
     check_str "both forks" "fork/fork"
       (e1.Vmem.Blame.style ^ "/" ^ e2.Vmem.Blame.style);
     check_bool "sync cost on both" true
-      (Vmem.Blame.sync_cycles e1 > 0.0 && Vmem.Blame.sync_cycles e2 > 0.0);
+      (Vmem.Cost.total e1.Vmem.Blame.sync > 0.0
+      && Vmem.Cost.total e2.Vmem.Blame.sync > 0.0);
     (* both children exited untouched: the only COW activity is the
        parent's, and it breaks the sharing of the *second* fork *)
     check_int "first fork: no deferred reuse" 0
-      (Vmem.Blame.deferred_count e1 "fault:cow-reuse");
+      (Vmem.Cost.count e1.Vmem.Blame.deferred Fault_cow_reuse);
     check_int "second fork: all reuse breaks" pages
-      (Vmem.Blame.deferred_count e2 "fault:cow-reuse");
+      (Vmem.Cost.count e2.Vmem.Blame.deferred Fault_cow_reuse);
     check_bool "second fork deferred cycles > 0" true
-      (Vmem.Blame.deferred_cycles e2 > 0.0)
+      (Vmem.Cost.total e2.Vmem.Blame.deferred > 0.0)
   | evs -> Alcotest.failf "expected 2 blame events, got %d" (List.length evs)
 
 (* A child writing to inherited pages is charged back to the fork that
@@ -2112,7 +2145,7 @@ let test_blame_child_cow_copies () =
   match Vmem.Blame.events (Ksim.Kernel.blame t) with
   | [ e ] ->
     check_int "copies charged to the fork" pages
-      (Vmem.Blame.deferred_count e "fault:cow-copy")
+      (Vmem.Cost.count e.Vmem.Blame.deferred Fault_cow_copy)
   | evs -> Alcotest.failf "expected 1 blame event, got %d" (List.length evs)
 
 (* Spawn creates no COW sharing: its event carries sync cost only, and
@@ -2133,10 +2166,10 @@ let test_blame_spawn_has_no_deferred () =
   match Vmem.Blame.events (Ksim.Kernel.blame t) with
   | [ e ] ->
     check_str "spawn style" "spawn" e.Vmem.Blame.style;
-    check_bool "sync cost" true (Vmem.Blame.sync_cycles e > 0.0);
+    check_bool "sync cost" true (Vmem.Cost.total e.Vmem.Blame.sync > 0.0);
     Alcotest.(check (float 0.0))
       "no deferred" 0.0
-      (Vmem.Blame.deferred_cycles e)
+      (Vmem.Cost.total e.Vmem.Blame.deferred)
   | evs -> Alcotest.failf "expected 1 blame event, got %d" (List.length evs)
 
 (* The bookkeeping every creation syscall owes, checked on all six of
@@ -2230,6 +2263,7 @@ let () =
           tc "counters" test_kstat_counters;
           tc "per-pid" test_kstat_per_pid;
           tc "stdio double flush" test_kstat_stdio_double_flush;
+          tc "charge allocates nothing" test_kstat_charge_allocates_nothing;
         ] );
       ( "kernel-basics",
         [

@@ -337,7 +337,9 @@ let test_smp1_blame_partition () =
   let blame_total =
     List.fold_left
       (fun acc e ->
-        acc +. Vmem.Blame.sync_cycles e +. Vmem.Blame.deferred_cycles e)
+        acc
+        +. Vmem.Cost.total e.Vmem.Blame.sync
+        +. Vmem.Cost.total e.Vmem.Blame.deferred)
       0.0
       (Vmem.Blame.events (Ksim.Kernel.blame t))
   in

@@ -439,6 +439,65 @@ let prop_rm_invariant =
          = List.fold_left (fun acc (s, e, ()) -> acc + e - s) 0 l)
 
 (* ------------------------------------------------------------------ *)
+(* Cost *)
+
+let test_cost_table () =
+  let names = List.map (fun c -> (Vmem.Cost.info c).name) Vmem.Cost.all in
+  check_int "unique names" 23 (List.length (List.sort_uniq compare names));
+  List.iteri
+    (fun i c ->
+      let { Vmem.Cost.idx; name; group } = Vmem.Cost.info c in
+      check_int (name ^ " slot") i idx;
+      check_bool (name ^ " group") true (List.mem group Vmem.Cost.group_order))
+    Vmem.Cost.all;
+  (* one category's charge moves its own slot and the total, no other *)
+  List.iter
+    (fun c ->
+      let m = Vmem.Cost.create () in
+      Vmem.Cost.charge ~n:3 m c 7.0;
+      Alcotest.(check (float 0.0)) "total" 7.0 (Vmem.Cost.total m);
+      List.iter
+        (fun d ->
+          Alcotest.(check (float 0.0))
+            "cycles" (if d = c then 7.0 else 0.0) (Vmem.Cost.get m d);
+          check_int "events" (if d = c then 3 else 0) (Vmem.Cost.count m d))
+        Vmem.Cost.all)
+    Vmem.Cost.all;
+  (* descending cycles, ties by name whichever is charged first, and a
+     zero charge of zero events is still listed *)
+  List.iter
+    (fun tied ->
+      let m = Vmem.Cost.create () in
+      List.iter (fun c -> Vmem.Cost.charge m c 12_600.0) tied;
+      Vmem.Cost.charge ~n:0 m Fork_vma 0.0;
+      Vmem.Cost.charge m Fault_base 20_000.0;
+      Alcotest.(check (list (pair string (pair (float 0.0) int))))
+        "entries"
+        [
+          ("fault:base", (20_000.0, 1));
+          ("exec:load-page", (12_600.0, 1));
+          ("syscall", (12_600.0, 1));
+          ("fork:vma", (0.0, 0));
+        ]
+        (Vmem.Cost.by_category_counts m))
+    [ [ Vmem.Cost.Syscall; Exec_load_page ]; [ Exec_load_page; Syscall ] ]
+
+(* A NaN charge would poison every total after it, so it is rejected
+   like a negative one, leaving the meter as it was. *)
+let test_cost_rejects_nan () =
+  let m = Vmem.Cost.create () in
+  Vmem.Cost.charge m Fault_base 2_500.0;
+  List.iter
+    (fun bad ->
+      check_bool "rejected" true
+        (match Vmem.Cost.charge m Fault_base bad with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ Float.nan; -1.0 ];
+  Alcotest.(check (float 0.0)) "total" 2_500.0 (Vmem.Cost.total m);
+  check_int "events" 1 (Vmem.Cost.count m Fault_base)
+
+(* ------------------------------------------------------------------ *)
 (* Tlb *)
 
 let test_tlb_accounting () =
@@ -447,16 +506,15 @@ let test_tlb_accounting () =
   Vmem.Tlb.flush_local tlb;
   Vmem.Tlb.shootdown tlb;
   Vmem.Tlb.invalidate_page tlb;
-  let s = Vmem.Tlb.stats tlb in
-  check_int "flushes" 2 s.Vmem.Tlb.local_flushes;
+  check_int "flushes" 2 (Vmem.Cost.count cost Tlb_flush);
   (* shootdown counts its own local flush *)
-  check_int "shootdowns" 1 s.Vmem.Tlb.shootdowns;
-  check_int "invl" 1 s.Vmem.Tlb.invalidations;
+  check_int "shootdowns" 1 (Vmem.Cost.count cost Tlb_shootdown);
+  check_int "invl" 1 (Vmem.Cost.count cost Tlb_invlpg);
   let p = Vmem.Cost.params cost in
   Alcotest.(check (float 0.01))
     "shootdown cycles"
     (p.Vmem.Cost.tlb_shootdown *. 3.0)
-    (Vmem.Cost.get cost "tlb:shootdown")
+    (Vmem.Cost.get cost Tlb_shootdown)
 
 (* ------------------------------------------------------------------ *)
 (* Addr_space *)
@@ -927,10 +985,10 @@ let prop_batched_oracle =
              {
                Vmem.Addr_space.fetch =
                  (fun cost ~cookie:_ ~frame:_ ->
-                   Vmem.Cost.charge cost "pager:fetch-zero" 100.0);
+                   Vmem.Cost.charge cost Pager_fetch_zero 100.0);
                fetch_backing =
                  (fun cost ~src ~dst ->
-                   Vmem.Cost.charge cost "pager:fetch-template" 60.0;
+                   Vmem.Cost.charge cost Pager_fetch_template 60.0;
                    Vmem.Frame.copy_contents fr ~src ~dst);
                deny = (fun () -> false);
                readahead;
@@ -1088,6 +1146,11 @@ let () =
           tc "find gap" test_rm_find_gap;
         ] );
       qsuite "region-map-props" [ prop_rm_invariant ];
+      ( "cost",
+        [
+          tc "category table" test_cost_table;
+          tc "nan rejected" test_cost_rejects_nan;
+        ] );
       ("tlb", [ tc "accounting" test_tlb_accounting ]);
       ( "addr-space",
         [
