@@ -12,8 +12,6 @@ type trigger =
 
 type spec = { seed : int; triggers : trigger list }
 
-let no_faults = { seed = 0; triggers = [] }
-
 let injectable = Errno.[ ENOMEM; EAGAIN; EINTR ]
 
 let validate spec =

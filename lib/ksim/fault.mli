@@ -20,7 +20,9 @@
     against the same programs injects at exactly the same points.
     Occurrence counting is per-machine and starts at 1 at boot. Every
     injection is recorded in {!Kstat} (per-site counters) and, for
-    traced runs, stamped on the syscall's span args as ["injected"]. *)
+    traced runs, in the typed [injected] field of the syscall's End
+    event ({!Trace.injected}): the injected reply's errno, or the
+    frame-alloc and commit denials its handler met. *)
 
 type site =
   | Frame_alloc  (** a physical frame allocation *)
@@ -48,9 +50,6 @@ type trigger =
       (** fail each pager page pull with this probability *)
 
 type spec = { seed : int; triggers : trigger list }
-
-val no_faults : spec
-(** Empty schedule, seed 0 — injects nothing. *)
 
 val injectable : Errno.t list
 (** Errnos a syscall-dispatch trigger may carry:

@@ -35,12 +35,15 @@ type parked =
   | Parked : {
       th : Proc.thread;
       why : string;
+      deadline : int option;
+          (** tick at which [check] times out (a poll's timeout); the
+              run loop jumps an all-parked machine's clock to the
+              nearest one *)
       check : unit -> 'a option;
       k : ('a, unit) Effect.Deep.continuation;
       info : 'a Sysreq.info;
       entry_cycles : float;  (** cost-meter reading at dispatch *)
-      targs : (string * string) list;
-      tdetail : Trace.detail;
+      detail : Trace.detail;
     }
       -> parked
 
@@ -99,10 +102,6 @@ type t = {
      when the socket's final close moves it to [Closed]; lookups treat
      stale entries as free and [bind] reclaims them. *)
   socks : (int, Socket.t) Hashtbl.t;
-  (* tid -> absolute tick at which that thread's in-progress poll times
-     out; folded into [next_timer_tick] so an all-parked machine jumps
-     the clock to the nearest poll deadline like it does for alarms *)
-  poll_deadlines : (Types.tid, int) Hashtbl.t;
   smp_st : smp_state option;
 }
 
@@ -206,7 +205,6 @@ let create ?(config = default_config) () =
     templates = Hashtbl.create 4;
     next_tpl = 1;
     socks = Hashtbl.create 8;
-    poll_deadlines = Hashtbl.create 8;
     smp_st =
       (if config.smp then
          Some
@@ -756,9 +754,12 @@ let do_exec t (proc : Proc.t) (th : Proc.thread) path argv =
 (* ------------------------------------------------------------------ *)
 (* The syscall engine *)
 
+(* [Block (why, deadline, check)] parks the caller until [check]
+   returns a reply. [why] names the wait in stall reports; [deadline] is
+   the tick at which [check] gives up on its own (a poll's timeout). *)
 type 'a action =
   | Reply of 'a
-  | Block of string * (unit -> 'a option)
+  | Block of string * int option * (unit -> 'a option)
   | Die
 
 let try_wait t (proc : Proc.t) target =
@@ -891,54 +892,37 @@ let embryo_of t (proc : Proc.t) pid =
     else if child.Proc.threads <> [] then Error Errno.EINVAL
     else Ok child
 
-(* Structured detail attached to traced events, consumed by {!Lint}:
-   live thread count at fork time, cloexec state at open, fds that
-   would survive an exec, fds still open at exit. *)
-
 let count_fds (proc : Proc.t) ~surviving_exec =
   let n = ref 0 in
   Fd_table.iter proc.Proc.fdt (fun fd _ ~cloexec ->
       if fd > 2 && ((not surviving_exec) || not cloexec) then incr n);
   !n
 
-(* The string args and the typed detail of a traced request. {!Lint}
-   prefers the detail and falls back to the args only for hand-built
-   traces. *)
-let annotations :
-    type a. Proc.t -> a Sysreq.t -> (string * string) list * Trace.detail =
+(* The typed detail of a traced request, consumed by {!Lint}, the span
+   tree and the exporters: live thread count at fork time, cloexec state
+   at open, fds that would survive an exec, fds still open at exit, and
+   the ids a request names. *)
+let annotations : type a. Proc.t -> a Sysreq.t -> Trace.detail =
  fun proc req ->
   match req with
   | Sysreq.Fork _ | Sysreq.Fork_eager _ | Sysreq.Vfork _ ->
-    let live_threads = List.length (Proc.live_threads proc) in
-    ( [ ("threads", string_of_int live_threads) ],
-      Trace.D_fork { live_threads } )
+    Trace.D_fork { live_threads = List.length (Proc.live_threads proc) }
   | Sysreq.Open (path, flags) ->
-    let cloexec = flags.Types.cloexec in
-    ( [ ("path", path); ("cloexec", string_of_bool cloexec) ],
-      Trace.D_open { path; cloexec } )
+    Trace.D_open { path; cloexec = flags.Types.cloexec }
   | Sysreq.Exec _ ->
-    let inherited_fds = count_fds proc ~surviving_exec:true in
-    ( [ ("inherited_fds", string_of_int inherited_fds) ],
-      Trace.D_exec { inherited_fds } )
+    Trace.D_exec { inherited_fds = count_fds proc ~surviving_exec:true }
   | Sysreq.Exit _ ->
-    let open_fds = count_fds proc ~surviving_exec:false in
-    ([ ("open_fds", string_of_int open_fds) ], Trace.D_exit { open_fds })
-  | Sysreq.Template_spawn { tpl; _ } ->
-    ([ ("tpl", string_of_int tpl) ], Trace.D_none)
-  | Sysreq.Template_discard id -> ([ ("tpl", string_of_int id) ], Trace.D_none)
-  | Sysreq.Mutex_lock id | Sysreq.Mutex_unlock id | Sysreq.Mutex_trylock id ->
-    ([ ("mutex", string_of_int id) ], Trace.D_none)
-  | Sysreq.Bind (_, port) | Sysreq.Connect (_, port) ->
-    ([ ("port", string_of_int port) ], Trace.D_none)
-  | Sysreq.Listen { backlog; _ } ->
-    ([ ("backlog", string_of_int backlog) ], Trace.D_none)
+    Trace.D_exit { open_fds = count_fds proc ~surviving_exec:false }
+  | Sysreq.Template_spawn { tpl; _ } -> Trace.D_tpl { tpl }
+  | Sysreq.Template_discard tpl -> Trace.D_tpl { tpl }
+  | Sysreq.Mutex_lock mutex | Sysreq.Mutex_unlock mutex
+  | Sysreq.Mutex_trylock mutex ->
+    Trace.D_mutex { mutex }
+  | Sysreq.Bind (_, port) | Sysreq.Connect (_, port) -> Trace.D_port { port }
+  | Sysreq.Listen { backlog; _ } -> Trace.D_listen { backlog }
   | Sysreq.Poll { interests; timeout } ->
-    ( [
-        ("nfds", string_of_int (List.length interests));
-        ("timeout", string_of_int timeout);
-      ],
-      Trace.D_none )
-  | _ -> ([], Trace.D_none)
+    Trace.D_poll { nfds = List.length interests; timeout }
+  | _ -> Trace.D_none
 
 let now_ns t = Vmem.Cost.cycles_to_ns (Vmem.Cost.total t.cost)
 
@@ -976,7 +960,6 @@ let create_child t (proc : Proc.t) (th : Proc.thread) ~style
     | Some tr ->
       Trace.record tr ~tick:t.clock ~pid:proc.Proc.pid ~tid:th.Proc.tid
         (trace_style ^ "_child")
-        ~args:[ ("child", string_of_int child) ]
         ~detail:(Trace.D_child { child; style = trace_style })
         ~ts_ns:(now_ns t) ?cpu:(cpu_of t th)));
   r
@@ -1025,6 +1008,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       (* the parent thread blocks until the child execs or exits *)
       Block
         ( "vfork",
+          None,
           fun () ->
             match find_proc t child_pid with
             | None -> Some (Ok child_pid)
@@ -1055,6 +1039,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     | `Wait ->
       Block
         ( "waitpid",
+          None,
           fun () ->
             match try_wait t proc target with
             | `Got r -> Some (Ok r)
@@ -1118,7 +1103,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       in
       match read_once () with
       | Some r -> Reply r
-      | None -> Block (Printf.sprintf "read(fd=%d)" fd, read_once)))
+      | None -> Block (Printf.sprintf "read(fd=%d)" fd, None, read_once)))
   | Sysreq.Write (fd, data) -> (
     match Fd_table.get proc.Proc.fdt fd with
     | Error e -> Reply (Error e)
@@ -1134,7 +1119,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       in
       match write_once () with
       | Some r -> Reply r
-      | None -> Block (Printf.sprintf "write(fd=%d)" fd, write_once)))
+      | None -> Block (Printf.sprintf "write(fd=%d)" fd, None, write_once)))
   | Sysreq.Dup fd -> Reply (Fd_table.dup proc.Proc.fdt fd)
   | Sysreq.Dup2 { src; dst } -> Reply (Fd_table.dup2 proc.Proc.fdt ~src ~dst)
   | Sysreq.Set_cloexec (fd, v) -> Reply (Fd_table.set_cloexec proc.Proc.fdt fd v)
@@ -1241,7 +1226,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       in
       match take () with
       | Some r -> Reply r
-      | None -> Block (Printf.sprintf "mutex_lock(%d)" id, take)))
+      | None -> Block (Printf.sprintf "mutex_lock(%d)" id, None, take)))
   | Sysreq.Mutex_unlock id -> (
     match find_mutex proc id with
     | None -> Reply (Error Errno.EINVAL)
@@ -1518,7 +1503,8 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
         in
         match accept_once () with
         | Some r -> Reply r
-        | None -> Block (Printf.sprintf "accept(fd=%d)" fd, accept_once))))
+        | None ->
+          Block (Printf.sprintf "accept(fd=%d)" fd, None, accept_once))))
   | Sysreq.Connect (fd, port) -> (
     match socket_of_fd proc fd with
     | Error e -> Reply (Error e)
@@ -1552,39 +1538,27 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     match lookup [] interests with
     | Error e -> Reply (Error e)
     | Ok pairs ->
-      let scan () = List.filter_map (fun (i, ofd) -> poll_ready i ofd) pairs in
-      let ready = scan () in
-      if ready <> [] || timeout = 0 then begin
-        (* timeout=0 is the non-blocking probe: report current readiness
-           (possibly []) without parking *)
-        Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid
-          ~timed_out:(ready = []);
-        Reply (Ok ready)
-      end
-      else begin
-        let deadline =
-          if timeout < 0 then None else Some (t.clock + timeout)
-        in
-        (match deadline with
-        | Some d -> Hashtbl.replace t.poll_deadlines th.Proc.tid d
-        | None -> ());
-        let check () =
-          let ready = scan () in
-          if ready <> [] then begin
-            Hashtbl.remove t.poll_deadlines th.Proc.tid;
-            Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:false;
-            Some (Ok ready)
-          end
-          else
-            match deadline with
-            | Some d when t.clock >= d ->
-              Hashtbl.remove t.poll_deadlines th.Proc.tid;
-              Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:true;
-              Some (Ok [])
-            | Some _ | None -> None
-        in
-        Block (Printf.sprintf "poll(n=%d)" (List.length interests), check)
-      end)
+      (* one check serves the first call and every wake-up; a zero
+         timeout's deadline is now, so the first call is the
+         non-blocking probe and reports current readiness (possibly []) *)
+      let deadline = if timeout < 0 then None else Some (t.clock + timeout) in
+      let check () =
+        match List.filter_map (fun (i, ofd) -> poll_ready i ofd) pairs with
+        | [] -> (
+          match deadline with
+          | Some d when t.clock >= d ->
+            Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:true;
+            Some (Ok [])
+          | Some _ | None -> None)
+        | ready ->
+          Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:false;
+          Some (Ok ready)
+      in
+      match check () with
+      | Some r -> Reply r
+      | None ->
+        let why = Printf.sprintf "poll(n=%d)" (List.length interests) in
+        Block (why, deadline, check))
 
 (* The errno-level outcome of a reply, for the trace's End events;
    [None] for a total syscall. Dispatch computes it for every reply,
@@ -1616,22 +1590,25 @@ let inject_syscall : type a. t -> a Sysreq.info -> (a * Errno.t) option =
       Some (Error e, e))
   | None, _ | Some _, Sysreq.Total -> None
 
-(* Frame-alloc / commit injections that fired while a handler ran, as
-   extra span args — (site, count) deltas over the whole attempt. *)
-let injection_marks t before =
-  match (t.fault, before) with
-  | Some fi, (a0, c0) ->
-    let mark name n0 n1 acc =
-      if n1 > n0 then (name, string_of_int (n1 - n0)) :: acc else acc
-    in
-    mark "injected_frame_allocs" a0 (Fault.injected fi Fault.Frame_alloc)
-      (mark "injected_commits" c0 (Fault.injected fi Fault.Commit) [])
-  | None, _ -> []
-
 let injection_counts t =
   match t.fault with
   | Some fi -> (Fault.injected fi Fault.Frame_alloc, Fault.injected fi Fault.Commit)
   | None -> (0, 0)
+
+(* The injections one traced syscall met, for its End event: the
+   dispatch-time [reply] that replaced it, and the frame-alloc and
+   commit denials since [injection_counts] read [before]. Untraced
+   machines build nothing. *)
+let injections t ~reply before =
+  match (t.trace, t.fault) with
+  | Some _, Some fi ->
+    let a0, c0 = before in
+    let frame_allocs = Fault.injected fi Fault.Frame_alloc - a0 in
+    let commits = Fault.injected fi Fault.Commit - c0 in
+    if reply = None && frame_allocs = 0 && commits = 0 then
+      Trace.no_injections
+    else { Trace.reply; frame_allocs; commits }
+  | None, _ | Some _, None -> Trace.no_injections
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
@@ -1651,76 +1628,79 @@ let handler t (th : Proc.thread) : (unit, unit) Effect.Deep.handler =
         | _ -> None);
   }
 
-let park t th why check k ~info ~entry_cycles ~targs ~tdetail =
+let park t th why deadline check k ~info ~entry_cycles ~detail =
   th.Proc.tstate <- Proc.Blocked why;
   t.parked <-
     t.parked
-    @ [ Parked { th; why; check; k; info; entry_cycles; targs; tdetail } ]
+    @ [ Parked { th; why; deadline; check; k; info; entry_cycles; detail } ]
 
-let record_begin t proc (th : Proc.thread) name ~args ~detail =
+let record_begin t proc (th : Proc.thread) name ~detail =
   match t.trace with
   | None -> ()
   | Some tr ->
     Trace.record tr ~tick:t.clock ~pid:proc.Proc.pid ~tid:th.Proc.tid name
-      ~phase:Trace.Begin ~args ~detail ~ts_ns:(now_ns t) ?cpu:(cpu_of t th)
+      ~phase:Trace.Begin ~detail ~ts_ns:(now_ns t) ?cpu:(cpu_of t th)
 
-(* End events repeat the Begin's args/detail so consumers that filter by
-   name (not phase) still see every annotation. *)
-let record_end t ~pid ~tid ~cpu name ~entry_cycles ~args ~detail outcome =
-  match t.trace with
-  | None -> ()
-  | Some tr ->
+(* End a syscall: record its End event, then run [resume] (which hands
+   the reply to the caller) unless the syscall ended its thread. The End
+   repeats the Begin's detail so consumers that filter by name (not
+   phase) still see every annotation. *)
+let complete t (th : Proc.thread) ~info ~entry_cycles ~detail ~injected
+    outcome resume =
+  (match t.trace with
+  | Some tr when info.Sysreq.cost <> Sysreq.Accounting ->
     let now = Vmem.Cost.total t.cost in
-    Trace.record tr ~tick:t.clock ~pid ~tid name ~phase:Trace.End ~args ~detail
+    Trace.record tr ~tick:t.clock ~pid:th.Proc.owner ~tid:th.Proc.tid
+      info.Sysreq.name ~phase:Trace.End ~detail ~injected
       ~ts_ns:(Vmem.Cost.cycles_to_ns now)
       ~span_ns:(Vmem.Cost.cycles_to_ns (now -. entry_cycles))
-      ?outcome ?cpu
+      ?outcome ?cpu:(cpu_of t th)
+  | Some _ | None -> ());
+  match th.Proc.tstate with
+  | Proc.Running | Proc.Blocked _ -> ready_thread t th resume
+  | Proc.Exited (* exit, or a fatal signal *)
+  | Proc.Ready (* exec restarted it at the new image *) ->
+    ()
 
 let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
   let proc = proc_of t th in
   Kstat.set_current t.kstat (Some proc.Proc.pid);
   let info = Sysreq.info req in
-  let name = info.Sysreq.name in
   let meta = info.Sysreq.cost = Sysreq.Accounting in
-  (* the args only feed trace records: untraced machines skip building
-     them, and their parked entries carry the empty ones *)
-  let targs, tdetail =
+  (* the detail only feeds trace records: untraced machines skip
+     building it, and their parked entries carry [D_none] *)
+  let detail =
     if (not meta) && Option.is_some t.trace then annotations proc req
-    else ([], Trace.D_none)
+    else Trace.D_none
   in
   let entry_cycles = Vmem.Cost.total t.cost in
   if not meta then begin
-    record_begin t proc th name ~args:targs ~detail:tdetail;
-    Kstat.on_syscall t.kstat name;
+    record_begin t proc th info.Sysreq.name ~detail;
+    Kstat.on_syscall t.kstat req;
     if info.Sysreq.cost = Sysreq.Syscall then
       Vmem.Cost.charge t.cost Syscall (params t).Vmem.Cost.syscall_base
   end;
+  let inj0 = injection_counts t in
   match if meta then None else inject_syscall t info with
   | Some (v, e) ->
-    record_end t ~pid:proc.Proc.pid ~tid:th.Proc.tid ~cpu:(cpu_of t th) name
-      ~entry_cycles
-      ~args:(("injected", Errno.to_string e) :: targs)
-      ~detail:tdetail (reply_outcome info v);
-    ready_thread t th (fun () -> Effect.Deep.continue k v)
+    complete t th ~info ~entry_cycles ~detail
+      ~injected:(injections t ~reply:(Some e) inj0)
+      (reply_outcome info v)
+      (fun () -> Effect.Deep.continue k v)
   | None -> (
-    let inj0 = injection_counts t in
     match attempt t proc th req with
     | Reply v ->
-      if not meta then
-        record_end t ~pid:proc.Proc.pid ~tid:th.Proc.tid ~cpu:(cpu_of t th)
-          name ~entry_cycles
-          ~args:(injection_marks t inj0 @ targs)
-          ~detail:tdetail (reply_outcome info v);
-      if th.Proc.tstate = Proc.Exited then ()
-      else ready_thread t th (fun () -> Effect.Deep.continue k v)
-    | Block (why, check) ->
-      park t th why check k ~info ~entry_cycles ~targs ~tdetail
+      complete t th ~info ~entry_cycles ~detail
+        ~injected:(injections t ~reply:None inj0)
+        (reply_outcome info v)
+        (fun () -> Effect.Deep.continue k v)
+    | Block (why, deadline, check) ->
+      park t th why deadline check k ~info ~entry_cycles ~detail
     | Die ->
-      (* Exec restarting the thread, or Exit: the request succeeded *)
-      if not meta then
-        record_end t ~pid:proc.Proc.pid ~tid:th.Proc.tid ~cpu:(cpu_of t th)
-          name ~entry_cycles ~args:targs ~detail:tdetail
-          (Some Trace.Ok_result))
+      (* Exec restarting the thread, or Exit: the request succeeded and
+         there is no caller left to resume *)
+      complete t th ~info ~entry_cycles ~detail ~injected:Trace.no_injections
+        (Some Trace.Ok_result) ignore)
 
 let thread_returned t (th : Proc.thread) =
   let proc = proc_of t th in
@@ -1757,25 +1737,19 @@ let retry_parked t =
   t.parked <- [];
   let kept =
     List.filter
-      (fun (Parked { th; check; k; info; entry_cycles; targs; tdetail; _ }) ->
-        if th.Proc.tstate = Proc.Exited then begin
-          (* a thread that died mid-poll must not leave a stale deadline
-             behind (it would make an all-parked machine jump the clock
-             to a tick nobody is waiting for) *)
-          Hashtbl.remove t.poll_deadlines th.Proc.tid;
+      (fun (Parked { th; check; k; info; entry_cycles; detail; _ }) ->
+        (* a thread that died while parked leaves, deadline and all *)
+        th.Proc.tstate <> Proc.Exited
+        &&
+        match check () with
+        | Some v ->
+          (* the check itself may end the thread (a write's SIGPIPE) *)
+          if th.Proc.tstate <> Proc.Exited then
+            complete t th ~info ~entry_cycles ~detail
+              ~injected:Trace.no_injections (reply_outcome info v)
+              (fun () -> Effect.Deep.continue k v);
           false
-        end
-        else
-          match check () with
-          | Some v ->
-            if th.Proc.tstate <> Proc.Exited then begin
-              record_end t ~pid:th.Proc.owner ~tid:th.Proc.tid
-                ~cpu:(cpu_of t th) info.Sysreq.name ~entry_cycles ~args:targs
-                ~detail:tdetail (reply_outcome info v);
-              ready_thread t th (fun () -> Effect.Deep.continue k v)
-            end;
-            false
-          | None -> true)
+        | None -> true)
       entries
   in
   t.parked <- t.parked @ kept
@@ -1798,10 +1772,14 @@ let check_alarms t =
    alarm or a parked poll's timeout. The run loop jumps the clock here
    when every thread is parked. *)
 let next_timer_tick t =
-  let earliest _ at acc =
+  let earliest at acc =
     match acc with None -> Some at | Some best -> Some (min best at)
   in
-  Hashtbl.fold earliest t.poll_deadlines (Hashtbl.fold earliest t.alarms None)
+  List.fold_left
+    (fun acc (Parked { deadline; _ }) ->
+      match deadline with Some d -> earliest d acc | None -> acc)
+    (Hashtbl.fold (fun _ at acc -> earliest at acc) t.alarms None)
+    t.parked
 
 let describe_stalls t =
   List.map

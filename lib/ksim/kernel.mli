@@ -38,7 +38,8 @@ type config = {
       (** [Some spec] arms deterministic fault injection: frame
           allocations, commit charges and fallible syscall replies fail
           according to the schedule (see {!Fault}). Injections land in
-          {!Kstat} and, when tracing, on the span's args. *)
+          {!Kstat} and, when tracing, in the End event's typed
+          [injected] field ({!Trace.injected}). *)
   smp : bool;
       (** [true] turns [cpus] into real simulated CPUs: per-CPU run
           queues with affinity + work stealing, per-address-space CPU

@@ -151,8 +151,8 @@ let pid_slot t pid =
 
 (* Apply [f] to the global counters and, when a current pid is set, to
    that pid's counters too — every update below goes through here (or,
-   for [on_cost], follows the same rule without the closure) so the two
-   views can never disagree. *)
+   for [on_syscall] and [on_cost], follows the same rule without the
+   closure) so the two views can never disagree. *)
 let update t f =
   f t.global;
   match t.current with
@@ -167,18 +167,25 @@ let update_for t pid f =
   f t.global;
   f (pid_slot t pid)
 
-let on_syscall t kind =
-  update t (fun c ->
-      c.syscalls <- c.syscalls + 1;
-      (match Hashtbl.find_opt c.by_kind kind with
-      | Some r -> incr r
-      | None -> Hashtbl.add c.by_kind kind (ref 1));
-      match kind with
-      | "fork" | "fork_eager" -> c.forks <- c.forks + 1
-      | "vfork" -> c.vforks <- c.vforks + 1
-      | "posix_spawn" -> c.spawns <- c.spawns + 1
-      | "execve" -> c.execs <- c.execs + 1
-      | _ -> ())
+let count_syscall : type a. counters -> string -> a Sysreq.t -> unit =
+ fun c kind req ->
+  c.syscalls <- c.syscalls + 1;
+  (match Hashtbl.find_opt c.by_kind kind with
+  | Some r -> incr r
+  | None -> Hashtbl.add c.by_kind kind (ref 1));
+  match req with
+  | Sysreq.Fork _ | Sysreq.Fork_eager _ -> c.forks <- c.forks + 1
+  | Sysreq.Vfork _ -> c.vforks <- c.vforks + 1
+  | Sysreq.Spawn _ -> c.spawns <- c.spawns + 1
+  | Sysreq.Exec _ -> c.execs <- c.execs + 1
+  | _ -> ()
+
+let on_syscall t req =
+  let kind = (Sysreq.info req).Sysreq.name in
+  count_syscall t.global kind req;
+  match t.current with
+  | None -> ()
+  | Some pid -> count_syscall (pid_slot t pid) kind req
 
 (* The Cost observer: every charge lands in the ledger, and the
    categories a typed counter mirrors move it too. *)
@@ -198,7 +205,7 @@ let record c (cat : Vmem.Cost.cat) ~n cycles =
     c.minor_faults <- c.minor_faults + n;
     c.frames_zeroed <- c.frames_zeroed + n
   | Pager_request -> c.major_faults <- c.major_faults + n
-  | Pager_fetch_zero | Pager_fetch_image | Pager_fetch_template ->
+  | Pager_fetch_image | Pager_fetch_template ->
     c.pages_fetched <- c.pages_fetched + n
   | Pager_readahead_hit -> c.readahead_hits <- c.readahead_hits + n
   | Fork_pt_node -> c.pt_pages_copied <- c.pt_pages_copied + n

@@ -3,7 +3,7 @@
     One {!t} per kernel instance holds a global {!counters} record plus
     one per pid. The kernel feeds it from two directions:
 
-    - syscall dispatch calls {!on_syscall} with the request name, and
+    - syscall dispatch calls {!on_syscall} with the request, and
       {!set_current} just before so memory-subsystem work is attributed
       to the calling process;
     - the shared {!Vmem.Cost} meter's observer hook calls {!on_cost}
@@ -114,7 +114,11 @@ val pid_counters : t -> Types.pid -> counters option
 val pids : t -> Types.pid list
 (** Sorted pids with per-pid counters. *)
 
-val on_syscall : t -> string -> unit
+val on_syscall : t -> 'a Sysreq.t -> unit
+(** Count one dispatched request: [syscalls], its [by_kind] entry (keyed
+    by its {!Sysreq.info} name) and, for a creation or exec, the typed
+    counter its constructor names. *)
+
 val on_cost : t -> Vmem.Cost.cat -> n:int -> float -> unit
 (** Shaped to plug directly into {!Vmem.Cost.set_observer}. Adds the
     charge to the global and the current pid's [by_cost] and moves the

@@ -5,6 +5,11 @@
    same hazard are the same rule, and the two layers can be
    cross-validated fixture-for-fixture.
 
+   Everything it knows about an event comes from the event's typed
+   [Trace.detail] (live threads at fork, the child a creation made, fds
+   an exec inherits, the mutex a lock names); the trace holds no string
+   arguments to fall back on.
+
    Positions: [file] is the trace name, [line] is the 1-based event
    sequence number the finding anchors to, [col] is always 1. *)
 
@@ -55,24 +60,6 @@ let check ?(file = "<ksim-trace>") tr =
   in
   let diags = ref [] in
   let line_of (e : Trace.event) = e.Trace.seq + 1 in
-  (* Typed span detail is authoritative when present; string args remain
-     as a fallback for hand-built traces. *)
-  let threads_of (e : Trace.event) =
-    match e.Trace.detail with
-    | Trace.D_fork { live_threads } -> Some live_threads
-    | _ -> Trace.int_arg e "threads"
-  in
-  let child_of (e : Trace.event) =
-    match e.Trace.detail with
-    | Trace.D_child { child; _ } -> Some child
-    | _ -> Trace.int_arg e "child"
-  in
-  let inherited_fds_of (e : Trace.event) =
-    match e.Trace.detail with
-    | Trace.D_exec { inherited_fds } -> Some inherited_fds
-    | _ -> Trace.int_arg e "inherited_fds"
-  in
-  let mutex_of (e : Trace.event) = Trace.int_arg e "mutex" in
   let flag_held_locks (e : Trace.event) s =
     match s.held with
     | [] -> ()
@@ -92,47 +79,38 @@ let check ?(file = "<ksim-trace>") tr =
     (match e.Trace.what with
     | "fork" | "fork_eager" | "vfork" when s.held <> [] -> flag_held_locks e s
     | _ -> ());
-    (match e.Trace.what with
-    | "mutex_lock" -> (
-      match mutex_of e with
-      | Some id when not (List.mem id s.held) -> s.held <- id :: s.held
-      | Some _ | None -> ())
-    | "mutex_unlock" -> (
-      match mutex_of e with
-      | Some id -> s.held <- List.filter (fun h -> h <> id) s.held
-      | None -> ())
+    (match (e.Trace.what, e.Trace.detail) with
+    | "mutex_lock", Trace.D_mutex { mutex } ->
+      if not (List.mem mutex s.held) then s.held <- mutex :: s.held
+    | "mutex_unlock", Trace.D_mutex { mutex } ->
+      s.held <- List.filter (fun h -> h <> mutex) s.held
     | _ -> ());
-    (match e.Trace.what with
-    | "fork" | "fork_eager" -> (
-      match threads_of e with
-      | Some n when n > 1 ->
-        emit diags "fork-in-threads" ~file ~line:(line_of e)
-          (Printf.sprintf
-             "pid %d forked with %d live threads; only the forking thread \
-              exists in the child and any mutex the others held is orphaned"
-             e.Trace.pid n)
-      | Some _ | None -> ())
-    | "fork_child" | "vfork_child" | "spawn_child" -> (
-      match child_of e with
-      | None -> ()
-      | Some child ->
-        let cs = state child in
-        cs.origin <-
-          Some
-            (match e.Trace.what with
-            | "fork_child" -> Forked
-            | "vfork_child" -> Vforked
-            | _ -> Spawned);
-        cs.born_seq <- e.Trace.seq)
-    | "execve" ->
-      (match inherited_fds_of e with
-      | Some n when n > 0 ->
+    (match (e.Trace.what, e.Trace.detail) with
+    | ("fork" | "fork_eager"), Trace.D_fork { live_threads = n } when n > 1 ->
+      emit diags "fork-in-threads" ~file ~line:(line_of e)
+        (Printf.sprintf
+           "pid %d forked with %d live threads; only the forking thread \
+            exists in the child and any mutex the others held is orphaned"
+           e.Trace.pid n)
+    | ( ("fork_child" | "vfork_child" | "spawn_child"),
+        Trace.D_child { child; _ } ) ->
+      let cs = state child in
+      cs.origin <-
+        Some
+          (match e.Trace.what with
+          | "fork_child" -> Forked
+          | "vfork_child" -> Vforked
+          | _ -> Spawned);
+      cs.born_seq <- e.Trace.seq
+    | "execve", detail ->
+      (match detail with
+      | Trace.D_exec { inherited_fds = n } when n > 0 ->
         emit diags "fd-no-cloexec" ~file ~line:(line_of e)
           (Printf.sprintf
              "pid %d execed with %d inherited fd(s) beyond stdio not marked \
               close-on-exec"
              e.Trace.pid n)
-      | Some _ | None -> ());
+      | _ -> ());
       if (not s.execed) && s.origin = Some Forked then
         List.iter
           (fun (pe : Trace.event) ->
@@ -144,7 +122,7 @@ let check ?(file = "<ksim-trace>") tr =
                    pe.Trace.pid pe.Trace.what))
           (List.rev s.pre_exec);
       s.execed <- true
-    | "exit" -> s.exited <- true
+    | "exit", _ -> s.exited <- true
     | _ -> ());
     (* a vfork child may only exec or exit; anything else it runs is
        borrowing the parent's address space and stack *)

@@ -1,19 +1,15 @@
 let tag_bits = 2
 let tag_mask = (1 lsl tag_bits) - 1
-let tag_zero = 0
 let tag_image = 1
 
-let zero_cookie = tag_zero
 let image_stride = 1 lsl tag_bits
 let image_cookie ~page =
   if page < 0 then invalid_arg "Pager.image_cookie: negative page";
   (page lsl tag_bits) lor tag_image
 
 let decode cookie =
-  match cookie land tag_mask with
-  | 0 -> `Zero
-  | 1 -> `Image (cookie lsr tag_bits)
-  | _ -> invalid_arg "Pager: unknown cookie tag"
+  if cookie land tag_mask = tag_image then `Image (cookie lsr tag_bits)
+  else invalid_arg "Pager: unknown cookie tag"
 
 let make ~frames ~deny ~readahead () =
   if readahead < 0 then invalid_arg "Pager.make: negative readahead";
@@ -21,9 +17,6 @@ let make ~frames ~deny ~readahead () =
     ignore frame;
     let p = Vmem.Cost.params cost in
     match decode cookie with
-    | `Zero ->
-      (* a fresh frame already reads as zeroes; only the cost is real *)
-      Vmem.Cost.charge cost Pager_fetch_zero p.Vmem.Cost.pager_fetch_zero
     | `Image _ ->
       (* image geometry is modelled, not stored: there are no bytes to
          pull, but the page-sized read from the image is charged *)

@@ -4,10 +4,8 @@
     space calls on first-touch (major) faults; this module is where
     their behaviour — the fetch-cost model per pulled page and the
     private cookie encoding — lives, keeping vmem ignorant of what a
-    cookie means. Three page sources are modelled:
+    cookie means. Two page sources are modelled:
 
-    - {e zero-fill} ([zero_cookie]): anonymous demand memory served by
-      the pager (charged [Pager_fetch_zero]);
     - {e image-backed} ([image_cookie]): a page of the executable image,
       installed lazily by a demand-paged exec ([Pager_fetch_image]);
     - {e template-backed} (no cookie — the backing-table path): a page
@@ -22,9 +20,6 @@
     pager port (Mach) would implement; here the pager is a trusted
     closure and only its costs are simulated. *)
 
-val zero_cookie : int
-(** Cookie for pager-served demand-zero pages. *)
-
 val image_cookie : page:int -> int
 (** Cookie for page [page] (0-based) of an executable image.
     @raise Invalid_argument on a negative page. *)
@@ -35,7 +30,7 @@ val image_stride : int
     Pass as [~stride] to {!Vmem.Addr_space.map_lazy} when installing an
     image segment in one call. *)
 
-val decode : int -> [ `Zero | `Image of int ]
+val decode : int -> [ `Image of int ]
 (** Inverse of the encoders (exposed for tests and trace dumps).
     @raise Invalid_argument on an unknown tag. *)
 

@@ -87,7 +87,6 @@ let set_disposition t s d = t.sigdisp.(Usignal.number s) <- d
 let live_threads t =
   List.filter (fun th -> th.tstate <> Exited) t.threads
 
-let find_thread t tid = List.find_opt (fun th -> th.tid = tid) t.threads
 let is_alive t = t.pstate = Alive
 
 let count_handler_run t name =
@@ -96,8 +95,3 @@ let count_handler_run t name =
 
 let handler_runs t name =
   Option.value ~default:0 (Hashtbl.find_opt t.handler_runs name)
-
-let pp_state ppf = function
-  | Alive -> Format.pp_print_string ppf "alive"
-  | Zombie st -> Format.fprintf ppf "zombie(%a)" Types.pp_status st
-  | Reaped st -> Format.fprintf ppf "reaped(%a)" Types.pp_status st

@@ -71,8 +71,6 @@ val make :
 val disposition : t -> Usignal.t -> Usignal.disposition
 val set_disposition : t -> Usignal.t -> Usignal.disposition -> unit
 val live_threads : t -> thread list
-val find_thread : t -> Types.tid -> thread option
 val is_alive : t -> bool
 val count_handler_run : t -> string -> unit
 val handler_runs : t -> string -> int
-val pp_state : Format.formatter -> state -> unit

@@ -13,4 +13,3 @@ let make ?(text_kib = 64) ?(data_kib = 16) ~name main =
 let pages bytes = (bytes + Vmem.Addr.page_size - 1) / Vmem.Addr.page_size
 let text_pages t = pages t.text_bytes
 let data_pages t = pages t.data_bytes
-let image_pages t = text_pages t + data_pages t

@@ -23,4 +23,3 @@ val make :
 
 val text_pages : t -> int
 val data_pages : t -> int
-val image_pages : t -> int

@@ -19,8 +19,6 @@ let clone_table table =
     table.mutexes;
   fresh
 
-let fresh_table_ids table = table.next_id
-
 let held_by_missing_thread table ~live_tids =
   Hashtbl.fold
     (fun _ m acc ->

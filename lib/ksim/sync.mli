@@ -26,9 +26,6 @@ val clone_table : table -> table
 (** fork: duplicate every mutex record {e including its owner field} —
     the child inherits locks held by threads it doesn't have. *)
 
-val fresh_table_ids : table -> int
-(** Next id to be allocated (for tests). *)
-
 val held_by_missing_thread : table -> live_tids:Types.tid list -> t list
 (** Mutexes whose owner is not among [live_tids] — the orphaned locks
     that make a post-fork child deadlock-prone. *)

@@ -7,8 +7,17 @@ type detail =
   | D_exit of { open_fds : int }
   | D_open of { path : string; cloexec : bool }
   | D_child of { child : Types.pid; style : string }
+  | D_tpl of { tpl : int }
+  | D_mutex of { mutex : int }
+  | D_port of { port : int }
+  | D_listen of { backlog : int }
+  | D_poll of { nfds : int; timeout : int }
 
 type outcome = Ok_result | Err of Errno.t
+
+type injected = { reply : Errno.t option; frame_allocs : int; commits : int }
+
+let no_injections = { reply = None; frame_allocs = 0; commits = 0 }
 
 type event = {
   seq : int;
@@ -17,8 +26,8 @@ type event = {
   tid : Types.tid;
   what : string;
   phase : phase;
-  args : (string * string) list;
   detail : detail;
+  injected : injected;
   ts_ns : float;
   span_ns : float;
   outcome : outcome option;
@@ -35,8 +44,8 @@ let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity <= 0";
   { capacity; ring = Array.make capacity None; total = 0 }
 
-let record ?(args = []) ?(phase = Instant) ?(detail = D_none) ?(ts_ns = 0.0)
-    ?(span_ns = 0.0) ?outcome ?cpu t ~tick ~pid ~tid what =
+let record ?(phase = Instant) ?(detail = D_none) ?(injected = no_injections)
+    ?(ts_ns = 0.0) ?(span_ns = 0.0) ?outcome ?cpu t ~tick ~pid ~tid what =
   let e =
     {
       seq = t.total;
@@ -45,8 +54,8 @@ let record ?(args = []) ?(phase = Instant) ?(detail = D_none) ?(ts_ns = 0.0)
       tid;
       what;
       phase;
-      args;
       detail;
+      injected;
       ts_ns;
       span_ns;
       outcome;
@@ -67,10 +76,6 @@ let events t =
   !out
 
 let total t = t.total
-
-let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  t.total <- 0
 
 (* Single substring scan, hoisted so [find] allocates nothing per
    candidate position: compare in place, short-circuiting on the first
@@ -94,11 +99,6 @@ let contains_substring hay needle =
 let find t ~pattern =
   List.filter (fun e -> contains_substring e.what pattern) (events t)
 
-let arg e key = List.assoc_opt key e.args
-
-let int_arg e key =
-  match arg e key with Some v -> int_of_string_opt v | None -> None
-
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
@@ -115,11 +115,30 @@ let detail_fields = function
     [ ("path", Metrics.Json.str path); ("cloexec", Metrics.Json.bool cloexec) ]
   | D_child { child; style } ->
     [ ("child", Metrics.Json.int child); ("style", Metrics.Json.str style) ]
+  | D_tpl { tpl } -> [ ("tpl", Metrics.Json.int tpl) ]
+  | D_mutex { mutex } -> [ ("mutex", Metrics.Json.int mutex) ]
+  | D_port { port } -> [ ("port", Metrics.Json.int port) ]
+  | D_listen { backlog } -> [ ("backlog", Metrics.Json.int backlog) ]
+  | D_poll { nfds; timeout } ->
+    [ ("nfds", Metrics.Json.int nfds); ("timeout", Metrics.Json.int timeout) ]
 
 let outcome_fields = function
   | None -> []
   | Some Ok_result -> [ ("result", Metrics.Json.str "ok") ]
   | Some (Err e) -> [ ("result", Metrics.Json.str (Errno.to_string e)) ]
+
+let injection_fields { reply; frame_allocs; commits } =
+  let count key n = if n > 0 then [ (key, Metrics.Json.int n) ] else [] in
+  (match reply with
+  | Some e -> [ ("injected", Metrics.Json.str (Errno.to_string e)) ]
+  | None -> [])
+  @ count "injected_frame_allocs" frame_allocs
+  @ count "injected_commits" commits
+
+(* The annotation keys of one event: outcome, detail, injections. *)
+let annotation_fields e =
+  outcome_fields e.outcome @ detail_fields e.detail
+  @ injection_fields e.injected
 
 let event_json e =
   Metrics.Json.obj
@@ -137,17 +156,7 @@ let event_json e =
     @ (match e.cpu with
       | Some c -> [ ("cpu", Metrics.Json.int c) ]
       | None -> [])
-    @ outcome_fields e.outcome
-    @ detail_fields e.detail
-    @
-    match e.args with
-    | [] -> []
-    | args ->
-      [
-        ( "args",
-          Metrics.Json.obj
-            (List.map (fun (k, v) -> (k, Metrics.Json.str v)) args) );
-      ])
+    @ annotation_fields e)
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in
@@ -278,14 +287,12 @@ let to_chrome ?(lanes = `Pid) t =
       | Instant -> [ ("s", Metrics.Json.str "t") ]
       | Begin | End -> []
     in
-    let args =
-      outcome_fields e.outcome
-      @ detail_fields e.detail
-      @ List.map (fun (k, v) -> (k, Metrics.Json.str v)) e.args
-    in
     Metrics.Json.obj
       (common @ scope
-      @ match args with [] -> [] | a -> [ ("args", Metrics.Json.obj a) ])
+      @
+      match annotation_fields e with
+      | [] -> []
+      | a -> [ ("args", Metrics.Json.obj a) ])
   in
   let metadata =
     match lanes with

@@ -3,17 +3,21 @@
 
     Syscalls are recorded as typed {e spans}: a [Begin] event at
     dispatch and an [End] event at completion carrying the errno-level
-    outcome and the simulated-time duration. Flat [Instant] events
-    (child creation, ad-hoc test events) coexist with spans in the same
-    ring. *)
+    outcome, the simulated-time duration and any fault injections. Both
+    carry the syscall's typed {!detail}; there are no string arguments.
+    Flat [Instant] events (child creation, ad-hoc test events) coexist
+    with spans in the same ring. *)
 
 type phase =
   | Begin  (** syscall entry *)
-  | End  (** syscall completion (carries [span_ns] and [outcome]) *)
+  | End
+      (** syscall completion (carries [span_ns], [outcome] and
+          [injected]) *)
   | Instant  (** flat event; the default for {!record} *)
 
-(** Structured detail the kernel attaches to events, consumed by
-    {!Lint} without re-parsing the string [args]. *)
+(** The typed annotation the kernel attaches to a syscall's Begin and
+    End events and to creation instants: the one record {!Lint}, the
+    span tree and both exporters read. *)
 type detail =
   | D_none
   | D_fork of { live_threads : int }  (** threads live at fork time *)
@@ -21,10 +25,26 @@ type detail =
   | D_exit of { open_fds : int }  (** fds still open at exit *)
   | D_open of { path : string; cloexec : bool }
   | D_child of { child : Types.pid; style : string }
-      (** a fork/vfork/spawn produced [child]; [style] is
-          ["fork"], ["vfork"] or ["spawn"] *)
+      (** a creation produced [child]; [style] is ["fork"], ["vfork"],
+          ["spawn"], ["zygote"] or ["builder"] *)
+  | D_tpl of { tpl : int }  (** template spawn and discard *)
+  | D_mutex of { mutex : int }  (** lock, unlock and trylock *)
+  | D_port of { port : int }  (** bind and connect *)
+  | D_listen of { backlog : int }
+  | D_poll of { nfds : int; timeout : int }
 
 type outcome = Ok_result | Err of Errno.t
+
+(** Fault injections that hit one syscall, carried by its End event. *)
+type injected = {
+  reply : Errno.t option;
+      (** the errno a dispatch-time trigger replied in place of running
+          the syscall *)
+  frame_allocs : int;  (** frame allocations denied while it ran *)
+  commits : int;  (** commit charges denied while it ran *)
+}
+
+val no_injections : injected
 
 type event = {
   seq : int;  (** monotonically increasing across drops *)
@@ -33,10 +53,8 @@ type event = {
   tid : Types.tid;
   what : string;
   phase : phase;
-  args : (string * string) list;
-      (** stringly detail, kept for backwards compatibility; the typed
-          [detail] field is authoritative when not [D_none] *)
   detail : detail;
+  injected : injected;  (** [End] events; else {!no_injections} *)
   ts_ns : float;  (** simulated time when the event was recorded *)
   span_ns : float;  (** [End] events: simulated duration; else [0.] *)
   outcome : outcome option;  (** [End] events of syscalls *)
@@ -51,9 +69,9 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity 4096 events; older events are dropped. *)
 
 val record :
-  ?args:(string * string) list ->
   ?phase:phase ->
   ?detail:detail ->
+  ?injected:injected ->
   ?ts_ns:float ->
   ?span_ns:float ->
   ?outcome:outcome ->
@@ -71,18 +89,15 @@ val events : t -> event list
 val total : t -> int
 (** Events ever recorded, including dropped ones. *)
 
-val clear : t -> unit
-
 val find : t -> pattern:string -> event list
 (** Events whose [what] contains [pattern] as a substring. *)
-
-val arg : event -> string -> string option
-val int_arg : event -> string -> int option
 
 val phase_string : phase -> string
 (** ["B"], ["E"] or ["i"] — the Chrome trace_event phase letters. *)
 
 val event_json : event -> Metrics.Json.t
+(** One flat object: the event's fields, then its outcome, detail and
+    injections, each key once. *)
 
 val to_jsonl : t -> string
 (** One compact JSON object per line, oldest first. *)

@@ -31,7 +31,6 @@ let o_wronly =
     cloexec = false }
 
 let o_rdwr = { o_rdonly with write = true; create = true }
-let o_append = { o_wronly with trunc = false; append = true }
 let with_cloexec flags = { flags with cloexec = true }
 
 type file_action =

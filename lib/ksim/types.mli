@@ -24,8 +24,6 @@ val o_wronly : open_flags
 (** write-only + create + trunc, the common "open for writing" shape *)
 
 val o_rdwr : open_flags
-val o_append : open_flags
-(** write + create + append *)
 
 val with_cloexec : open_flags -> open_flags
 

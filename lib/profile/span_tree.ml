@@ -19,34 +19,20 @@ type node = {
 
 type t = { roots : node list; nodes : node list; total_cycles : float }
 
-(* Trace names of the syscall whose End event closes a creation of the
-   given style. The D_child instant is recorded inside the handler, so
-   the matching End is the first one at or after it. For vfork the span
-   includes the parent's block until the child execs or exits — that IS
-   vfork's cost to the parent, so the attribution is the honest one. *)
-let end_names_of_style = function
-  | "fork" -> [ "fork"; "fork_eager" ]
-  | "vfork" -> [ "vfork" ]
-  | "spawn" -> [ "posix_spawn" ]
-  | "zygote" -> [ "template_spawn" ]
-  | "builder" -> [ "pb_create" ]
-  | _ -> []
-
 let build machine =
   let events =
     match Ksim.Kernel.trace machine with
     | Some tr -> Ksim.Trace.events tr
     | None -> []
   in
-  (* genealogy: child pid -> (parent, style, creation timestamp) *)
+  (* genealogy: child pid -> (style, the D_child instant announcing it) *)
   let genealogy = Hashtbl.create 16 in
   List.iter
     (fun (e : Ksim.Trace.event) ->
       match e.Ksim.Trace.detail with
       | Ksim.Trace.D_child { child; style } ->
         if not (Hashtbl.mem genealogy child) then
-          Hashtbl.add genealogy child
-            (e.Ksim.Trace.pid, style, e.Ksim.Trace.ts_ns)
+          Hashtbl.add genealogy child (style, e)
       | _ -> ())
     events;
   let ends =
@@ -54,12 +40,16 @@ let build machine =
       (fun (e : Ksim.Trace.event) -> e.Ksim.Trace.phase = Ksim.Trace.End)
       events
   in
-  let creation_span ~parent ~style ~created_ns =
-    let names = end_names_of_style style in
+  (* The D_child instant is recorded inside the creating syscall's
+     handler, so that syscall's End is the creating thread's next End
+     event. For vfork the span includes the parent's block until the
+     child execs or exits — that IS vfork's cost to the parent, so the
+     attribution is the honest one. *)
+  let creation_span (c : Ksim.Trace.event) =
     let matches (e : Ksim.Trace.event) =
-      e.Ksim.Trace.pid = parent
-      && List.mem e.Ksim.Trace.what names
-      && e.Ksim.Trace.ts_ns >= created_ns
+      e.Ksim.Trace.pid = c.Ksim.Trace.pid
+      && e.Ksim.Trace.tid = c.Ksim.Trace.tid
+      && e.Ksim.Trace.seq > c.Ksim.Trace.seq
     in
     match List.find_opt matches ends with
     | Some e -> e.Ksim.Trace.span_ns
@@ -86,11 +76,8 @@ let build machine =
   let node_of pid =
     let parent, style, created_ns, creation_span_ns =
       match Hashtbl.find_opt genealogy pid with
-      | Some (parent, style, created_ns) ->
-        ( Some parent,
-          style,
-          created_ns,
-          creation_span ~parent ~style ~created_ns )
+      | Some (style, c) ->
+        (Some c.Ksim.Trace.pid, style, c.Ksim.Trace.ts_ns, creation_span c)
       | None -> (None, "root", 0.0, 0.0)
     in
     let cycles, cost, counters =

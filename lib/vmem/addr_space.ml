@@ -73,8 +73,6 @@ let create ?(mmap_base = default_mmap_base) ?(batched = true) ?blame ~frames
   }
 
 let set_pager t pg = t.pager <- pg
-let pager_installed t = t.pager <> None
-let has_backing t = t.backing <> None
 let lazy_pages t = Page_table.lazy_count t.pt
 
 (* Demand paging is live in this space: faults may need the pager. The
@@ -932,9 +930,3 @@ let committed_pages t = t.committed
 let vma_count t = Region_map.cardinal t.regions
 let regions t = Region_map.to_list t.regions
 let pt_nodes t = Page_table.node_count t.pt
-
-let pp_layout ppf t =
-  Region_map.iter
-    (fun s e vma ->
-      Format.fprintf ppf "%a-%a %a@\n" Addr.pp s Addr.pp e Vma.pp vma)
-    t.regions

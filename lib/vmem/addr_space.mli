@@ -73,8 +73,6 @@ val set_pager : t -> pager option -> unit
     {!clone_from_sealed}; with no pager and no lazy pages every fault
     path is bit-identical to the eager simulator. *)
 
-val pager_installed : t -> bool
-
 val pager_active : t -> bool
 (** A pager is installed {e and} this space has pager-backed pages
     (lazy PTEs or a template backing table) — i.e. faults may reach the
@@ -82,9 +80,6 @@ val pager_active : t -> bool
 
 val lazy_pages : t -> int
 (** Number of lazy (mapped-but-unbacked) PTEs. *)
-
-val has_backing : t -> bool
-(** True for lazy-zygote children still backed by their template. *)
 
 val set_blame_origin : t -> int -> unit
 (** Stamp the {!Blame} event id that most recently made this space's
@@ -238,6 +233,3 @@ val committed_pages : t -> int
 val vma_count : t -> int
 val regions : t -> (int * int * Vma.t) list
 val pt_nodes : t -> int
-
-val pp_layout : Format.formatter -> t -> unit
-(** /proc/pid/maps-style dump, for examples and debugging. *)

@@ -15,7 +15,6 @@ type params = {
   exec_per_page : float;
   fd_clone : float;
   pager_request : float;
-  pager_fetch_zero : float;
   pager_fetch_image : float;
   pager_fetch_template : float;
 }
@@ -40,7 +39,6 @@ let default =
     exec_per_page = 450.0;
     fd_clone = 120.0;
     pager_request = 3_000.0;
-    pager_fetch_zero = 1_000.0;
     pager_fetch_image = 2_400.0;
     pager_fetch_template = 1_600.0;
   }
@@ -52,7 +50,7 @@ type cat =
   | Syscall | Proc_create | Proc_destroy
   | Fork_vma | Fork_pt_node | Fork_pte | Fork_eager_copy | Zygote_subtree
   | Fault_base | Fault_zero_fill | Fault_cow_copy | Fault_cow_reuse
-  | Pager_request | Pager_fetch_zero | Pager_fetch_image
+  | Pager_request | Pager_fetch_image
   | Pager_fetch_template | Pager_readahead_hit
   | Tlb_flush | Tlb_shootdown | Tlb_invlpg
   | Exec_base | Exec_load_page | Fd_inherit
@@ -77,25 +75,24 @@ let info = function
     { idx = 10; name = "fault:cow-copy"; group = "frame-copy" }
   | Fault_cow_reuse -> { idx = 11; name = "fault:cow-reuse"; group = "fault" }
   | Pager_request -> { idx = 12; name = "pager:request"; group = "pager" }
-  | Pager_fetch_zero -> { idx = 13; name = "pager:fetch-zero"; group = "pager" }
   | Pager_fetch_image ->
-    { idx = 14; name = "pager:fetch-image"; group = "pager" }
+    { idx = 13; name = "pager:fetch-image"; group = "pager" }
   | Pager_fetch_template ->
-    { idx = 15; name = "pager:fetch-template"; group = "pager" }
+    { idx = 14; name = "pager:fetch-template"; group = "pager" }
   | Pager_readahead_hit ->
-    { idx = 16; name = "pager:readahead-hit"; group = "pager" }
-  | Tlb_flush -> { idx = 17; name = "tlb:flush"; group = "tlb" }
-  | Tlb_shootdown -> { idx = 18; name = "tlb:shootdown"; group = "tlb" }
-  | Tlb_invlpg -> { idx = 19; name = "tlb:invlpg"; group = "tlb" }
-  | Exec_base -> { idx = 20; name = "exec:base"; group = "exec" }
-  | Exec_load_page -> { idx = 21; name = "exec:load-page"; group = "exec" }
-  | Fd_inherit -> { idx = 22; name = "fd:inherit"; group = "other" }
+    { idx = 15; name = "pager:readahead-hit"; group = "pager" }
+  | Tlb_flush -> { idx = 16; name = "tlb:flush"; group = "tlb" }
+  | Tlb_shootdown -> { idx = 17; name = "tlb:shootdown"; group = "tlb" }
+  | Tlb_invlpg -> { idx = 18; name = "tlb:invlpg"; group = "tlb" }
+  | Exec_base -> { idx = 19; name = "exec:base"; group = "exec" }
+  | Exec_load_page -> { idx = 20; name = "exec:load-page"; group = "exec" }
+  | Fd_inherit -> { idx = 21; name = "fd:inherit"; group = "other" }
 
 let all =
   [ Syscall; Proc_create; Proc_destroy;
     Fork_vma; Fork_pt_node; Fork_pte; Fork_eager_copy; Zygote_subtree;
     Fault_base; Fault_zero_fill; Fault_cow_copy; Fault_cow_reuse;
-    Pager_request; Pager_fetch_zero; Pager_fetch_image;
+    Pager_request; Pager_fetch_image;
     Pager_fetch_template; Pager_readahead_hit;
     Tlb_flush; Tlb_shootdown; Tlb_invlpg;
     Exec_base; Exec_load_page; Fd_inherit ]

@@ -28,7 +28,6 @@ type params = {
   pager_request : float;
       (** dispatch one first-touch fault batch to the user-mode pager
           (upcall + reply; amortised over the batch by readahead) *)
-  pager_fetch_zero : float;  (** pager supplies one demand-zero page *)
   pager_fetch_image : float;
       (** pager pulls one page from the executable image *)
   pager_fetch_template : float;
@@ -46,7 +45,7 @@ type cat =
   | Syscall | Proc_create | Proc_destroy
   | Fork_vma | Fork_pt_node | Fork_pte | Fork_eager_copy | Zygote_subtree
   | Fault_base | Fault_zero_fill | Fault_cow_copy | Fault_cow_reuse
-  | Pager_request | Pager_fetch_zero | Pager_fetch_image
+  | Pager_request | Pager_fetch_image
   | Pager_fetch_template | Pager_readahead_hit
   | Tlb_flush | Tlb_shootdown | Tlb_invlpg
   | Exec_base | Exec_load_page | Fd_inherit

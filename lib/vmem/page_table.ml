@@ -142,7 +142,6 @@ let present_count t = t.present
 let lazy_count t = t.lazy_
 let node_count t = t.nodes
 let note_mapped t n = t.present <- t.present + n
-let note_lazy t n = t.lazy_ <- t.lazy_ + n
 
 let fold_present t ~init ~f =
   (* vpn is reconstructed incrementally: at each level the child index

@@ -110,11 +110,6 @@ val note_mapped : t -> int -> unit
 (** Adjust the present-entry counter by [n] — for range fillers writing
     through {!fold_leaves}. *)
 
-val note_lazy : t -> int -> unit
-(** Adjust the lazy-entry counter by [n] — for batched fault paths that
-    convert lazy entries to present through {!fold_leaves} (which must
-    also {!note_mapped} the same count). *)
-
 val clone_cow : t -> frames:Frame.t -> cost:Cost.t -> t
 (** Duplicate the table for a forked child: every table node is copied
     (charged as [pt_node_copy]), every present entry visited (charged as

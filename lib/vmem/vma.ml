@@ -17,11 +17,6 @@ let crop ~old_start ~start ~stop:_ t =
     { t with kind = File { path; offset = offset + (start - old_start) } }
   | Anon | Heap | Stack | Text _ | Data _ | Guard -> t
 
-let is_file_backed t =
-  match t.kind with
-  | File _ | Text _ | Data _ -> true
-  | Anon | Heap | Stack | Guard -> false
-
 let kind_name t =
   match t.kind with
   | Anon -> "anon"

@@ -22,6 +22,5 @@ val crop : old_start:int -> start:int -> stop:int -> t -> t
     offset, other kinds are unchanged. Matches the signature
     {!Region_map.carve} expects. *)
 
-val is_file_backed : t -> bool
 val kind_name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -962,11 +962,11 @@ let prop_fault_schedules =
         let honest =
           List.for_all
             (fun (e : Ksim.Trace.event) ->
-              match Ksim.Trace.arg e "injected" with
+              match e.Ksim.Trace.injected.Ksim.Trace.reply with
               | None -> true
-              | Some label -> (
+              | Some injected -> (
                 match e.Ksim.Trace.outcome with
-                | Some (Ksim.Trace.Err err) -> Ksim.Errno.to_string err = label
+                | Some (Ksim.Trace.Err err) -> err = injected
                 | Some Ksim.Trace.Ok_result | None -> false))
             (Ksim.Trace.events (Option.get (Ksim.Kernel.trace t)))
         in

@@ -422,15 +422,19 @@ let test_fork_trace_annotations () =
   check_bool "fork event present" true (forks <> []);
   List.iter
     (fun e ->
-      match Ksim.Trace.int_arg e "threads" with
-      | Some n -> check_int "single-threaded fork" 1 n
-      | None -> Alcotest.fail "fork event lost its threads arg")
+      match e.Ksim.Trace.detail with
+      | Ksim.Trace.D_fork { live_threads } ->
+        check_int "single-threaded fork" 1 live_threads
+      | _ -> Alcotest.fail "fork event lost its D_fork detail")
     forks;
   let children = Ksim.Trace.find tr ~pattern:"fork_child" in
   check_bool "fork_child recorded" true (children <> []);
   check_bool "child pid attached" true
     (List.for_all
-       (fun e -> Ksim.Trace.int_arg e "child" <> None)
+       (fun e ->
+         match e.Ksim.Trace.detail with
+         | Ksim.Trace.D_child { style = "fork"; _ } -> true
+         | _ -> false)
        children)
 
 let tc n f = Alcotest.test_case n `Quick f

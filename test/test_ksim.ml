@@ -1503,9 +1503,10 @@ let test_trace_spans () =
   check_bool "fork ok" true (e.Ksim.Trace.outcome = Some Ksim.Trace.Ok_result);
   check_bool "span positive" true (e.Ksim.Trace.span_ns > 0.0);
   check_bool "time advances" true (e.Ksim.Trace.ts_ns >= b.Ksim.Trace.ts_ns);
-  (* args are repeated on the End event so name-based filters see them *)
+  (* the detail is repeated on the End event so name-based filters see it *)
   check_bool "end keeps args" true
-    (Ksim.Trace.arg e "threads" = Ksim.Trace.arg b "threads");
+    (b.Ksim.Trace.detail = Ksim.Trace.D_fork { live_threads = 1 }
+    && e.Ksim.Trace.detail = b.Ksim.Trace.detail);
   (* a blocking syscall still gets its End on completion *)
   let wait_e = of_phase Ksim.Trace.End "waitpid" in
   check_int "one waitpid end" 1 (List.length wait_e);
@@ -1578,6 +1579,142 @@ let test_trace_exporters () =
              Option.bind (Metrics.Json.member "ph" ev) Metrics.Json.to_str
              = Some "M")
            evs))
+
+(* Each annotation a syscall carries reaches each exporter exactly once:
+   no JSON object repeats a key, and every key of an event's typed
+   detail and injections appears once in that event's JSON. The run
+   covers every detail constructor and one injected reply. *)
+let test_trace_annotations_once () =
+  let spec =
+    {
+      Ksim.Fault.seed = 1;
+      triggers =
+        [
+          Ksim.Fault.Syscall_nth
+            { kind = "close"; nth = 1; errno = Ksim.Errno.EINTR };
+        ];
+    }
+  in
+  let config = { traced_config with Ksim.Kernel.fault = Some spec } in
+  let t, outcome =
+    boot ~config ~programs:[ true_prog ] (fun _ ->
+        let tpl = ok (Ksim.Api.freeze ()) in
+        let z =
+          ok
+            (Ksim.Api.spawn_from_template tpl ~child:(fun () ->
+                 Ksim.Api.exit 0))
+        in
+        ignore (ok (Ksim.Api.wait_for z));
+        (* init froze itself, so it still holds the template: EBUSY *)
+        ignore (Ksim.Api.template_discard tpl);
+        let pid =
+          ok
+            (Ksim.Api.fork ~child:(fun () ->
+                 ignore (Ksim.Api.exec "/bin/true");
+                 Ksim.Api.exit 1))
+        in
+        ignore (ok (Ksim.Api.wait_for pid));
+        let fd = ok (Ksim.Api.openf ~flags:Ksim.Types.o_wronly "/tmp/once") in
+        (match Ksim.Api.close fd with
+        | Error Ksim.Errno.EINTR -> ()
+        | Ok () | Error _ -> Alcotest.fail "close was not injected");
+        let m = Ksim.Api.mutex_create () in
+        ok (Ksim.Api.mutex_lock m);
+        ok (Ksim.Api.mutex_unlock m);
+        let srv = ok (Ksim.Api.socket ()) in
+        ok (Ksim.Api.bind srv ~port:7100);
+        ok (Ksim.Api.listen srv ~backlog:4);
+        let cli = ok (Ksim.Api.socket ()) in
+        ok (Ksim.Api.connect cli ~port:7100);
+        ignore (ok (Ksim.Api.poll ~timeout:0 [ Ksim.Types.pollin srv ]));
+        Ksim.Api.exit 0)
+  in
+  all_exited outcome;
+  let tr = Option.get (Ksim.Kernel.trace t) in
+  let evs = Ksim.Trace.events tr in
+  let detail_keys (e : Ksim.Trace.event) =
+    match e.Ksim.Trace.detail with
+    | Ksim.Trace.D_none -> []
+    | Ksim.Trace.D_fork _ -> [ "live_threads" ]
+    | Ksim.Trace.D_exec _ -> [ "inherited_fds" ]
+    | Ksim.Trace.D_exit _ -> [ "open_fds" ]
+    | Ksim.Trace.D_open _ -> [ "path"; "cloexec" ]
+    | Ksim.Trace.D_child _ -> [ "child"; "style" ]
+    | Ksim.Trace.D_tpl _ -> [ "tpl" ]
+    | Ksim.Trace.D_mutex _ -> [ "mutex" ]
+    | Ksim.Trace.D_port _ -> [ "port" ]
+    | Ksim.Trace.D_listen _ -> [ "backlog" ]
+    | Ksim.Trace.D_poll _ -> [ "nfds"; "timeout" ]
+  in
+  let annotation_keys (e : Ksim.Trace.event) =
+    detail_keys e
+    @
+    match e.Ksim.Trace.injected.Ksim.Trace.reply with
+    | Some _ -> [ "injected" ]
+    | None -> []
+  in
+  (* the run reached every detail constructor and the injection *)
+  List.iter
+    (fun key ->
+      check_bool ("traced " ^ key) true
+        (List.exists (fun e -> List.mem key (annotation_keys e)) evs))
+    [
+      "live_threads"; "inherited_fds"; "open_fds"; "path"; "child"; "tpl";
+      "mutex"; "port"; "backlog"; "nfds"; "injected";
+    ];
+  (* every key of every object in [j], failing on an object that
+     repeats one *)
+  let rec keys (j : Metrics.Json.t) =
+    match j with
+    | Metrics.Json.Obj fields ->
+      let own = List.map fst fields in
+      check_int "no repeated key" (List.length own)
+        (List.length (List.sort_uniq compare own));
+      own @ List.concat_map (fun (_, v) -> keys v) fields
+    | Metrics.Json.Arr items -> List.concat_map keys items
+    | Metrics.Json.Null | Metrics.Json.Bool _ | Metrics.Json.Int _
+    | Metrics.Json.Num _ | Metrics.Json.Str _ ->
+      []
+  in
+  let once (e : Ksim.Trace.event) j =
+    let all = keys j in
+    List.iter
+      (fun key ->
+        check_int
+          (Printf.sprintf "%s %s once" e.Ksim.Trace.what key)
+          1
+          (List.length (List.filter (String.equal key) all)))
+      (annotation_keys e)
+  in
+  let lines =
+    String.split_on_char '\n' (Ksim.Trace.to_jsonl tr)
+    |> List.filter (fun l -> l <> "")
+  in
+  check_int "one line per event" (List.length evs) (List.length lines);
+  List.iter2
+    (fun e l ->
+      match Metrics.Json.of_string l with
+      | Error msg -> Alcotest.fail ("jsonl line: " ^ msg)
+      | Ok j -> once e j)
+    evs lines;
+  let chrome = Ksim.Trace.to_chrome tr in
+  ignore (keys chrome);
+  let spans =
+    match
+      Option.bind
+        (Metrics.Json.member "traceEvents" chrome)
+        Metrics.Json.to_list
+    with
+    | None -> Alcotest.fail "no traceEvents"
+    | Some all ->
+      List.filter
+        (fun ev ->
+          Option.bind (Metrics.Json.member "ph" ev) Metrics.Json.to_str
+          <> Some "M")
+        all
+  in
+  check_int "one chrome event per event" (List.length evs) (List.length spans);
+  List.iter2 once evs spans
 
 (* ------------------------------------------------------------------ *)
 (* Kstat counters *)
@@ -2257,6 +2394,7 @@ let () =
           tc "spans" test_trace_spans;
           tc "span errno" test_trace_span_errno;
           tc "exporters" test_trace_exporters;
+          tc "annotations exported once" test_trace_annotations_once;
         ] );
       ( "kstat",
         [

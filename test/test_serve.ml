@@ -80,6 +80,64 @@ let test_poll_timeout_expires () =
          n_ready := List.length evs));
   check_int "no events" 0 !n_ready
 
+(* A timed-out poll ends exactly [timeout] ticks after it began: the
+   deadline its parked entry holds is where an all-parked machine jumps
+   the clock. *)
+let test_poll_timeout_on_deadline () =
+  let timeout = 7 in
+  let init =
+    Ksim.Program.make ~name:"/sbin/init" (fun ~argv:_ () ->
+        let r, _w = ok "pipe" (Ksim.Api.pipe ()) in
+        ignore (ok "poll" (Ksim.Api.poll ~timeout [ Ksim.Types.pollin r ])))
+  in
+  let config =
+    { Ksim.Kernel.default_config with Ksim.Kernel.trace_capacity = Some 256 }
+  in
+  match Ksim.Kernel.boot ~config ~programs:[ init ] "/sbin/init" with
+  | Error _ -> Alcotest.fail "boot failed"
+  | Ok (t, _outcome) -> (
+    let polls phase =
+      List.filter
+        (fun (e : Ksim.Trace.event) ->
+          e.Ksim.Trace.what = "poll" && e.Ksim.Trace.phase = phase)
+        (Ksim.Trace.events (Option.get (Ksim.Kernel.trace t)))
+    in
+    match (polls Ksim.Trace.Begin, polls Ksim.Trace.End) with
+    | [ b ], [ e ] ->
+      check_int "ticks from begin to end" timeout
+        (e.Ksim.Trace.tick - b.Ksim.Trace.tick)
+    | _ -> Alcotest.fail "expected one poll span")
+
+(* A poller that dies while parked takes its deadline with it: once the
+   only other thread blocks for good, the machine reports the stall at
+   once instead of first jumping the clock to the dead poll's
+   timeout. *)
+let test_dead_poller_leaves_no_deadline () =
+  let timeout = 1_000_000 in
+  let init =
+    Ksim.Program.make ~name:"/sbin/init" (fun ~argv:_ () ->
+        let pr, _pw = ok "pipe" (Ksim.Api.pipe ()) in
+        let r, _w = ok "pipe" (Ksim.Api.pipe ()) in
+        let child =
+          ok "fork"
+            (Ksim.Api.fork ~child:(fun () ->
+                 ignore (Ksim.Api.poll ~timeout [ Ksim.Types.pollin pr ])))
+        in
+        (* let the child reach its poll and park *)
+        Ksim.Api.yield ();
+        ok "kill" (Ksim.Api.kill child Ksim.Usignal.SIGKILL);
+        (* init holds the write end itself: this read never returns *)
+        ignore (Ksim.Api.read r 1))
+  in
+  match Ksim.Kernel.boot ~programs:[ init ] "/sbin/init" with
+  | Error _ -> Alcotest.fail "boot failed"
+  | Ok (t, Ksim.Kernel.Stalled [ { Ksim.Kernel.pid = 1; _ } ]) ->
+    check_bool "clock below the dead poll's deadline" true
+      (Ksim.Kernel.clock t < timeout)
+  | Ok (_, outcome) ->
+    Alcotest.failf "expected init alone stalled, got %a"
+      Ksim.Kernel.pp_outcome outcome
+
 (* ------------------------------------------------------------------ *)
 (* accept-queue overflow *)
 
@@ -234,6 +292,10 @@ let () =
           tc "err on write side" `Quick test_poll_err_on_write_side;
           tc "timeout=0 probe" `Quick test_poll_timeout_zero_probe;
           tc "timeout expires" `Quick test_poll_timeout_expires;
+          tc "timeout ends on its deadline" `Quick
+            test_poll_timeout_on_deadline;
+          tc "dead poller leaves no deadline" `Quick
+            test_dead_poller_leaves_no_deadline;
         ] );
       ( "socket",
         [

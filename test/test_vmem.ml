@@ -443,7 +443,7 @@ let prop_rm_invariant =
 
 let test_cost_table () =
   let names = List.map (fun c -> (Vmem.Cost.info c).name) Vmem.Cost.all in
-  check_int "unique names" 23 (List.length (List.sort_uniq compare names));
+  check_int "unique names" 22 (List.length (List.sort_uniq compare names));
   List.iteri
     (fun i c ->
       let { Vmem.Cost.idx; name; group } = Vmem.Cost.info c in
@@ -985,7 +985,7 @@ let prop_batched_oracle =
              {
                Vmem.Addr_space.fetch =
                  (fun cost ~cookie:_ ~frame:_ ->
-                   Vmem.Cost.charge cost Pager_fetch_zero 100.0);
+                   Vmem.Cost.charge cost Pager_fetch_image 100.0);
                fetch_backing =
                  (fun cost ~src ~dst ->
                    Vmem.Cost.charge cost Pager_fetch_template 60.0;
