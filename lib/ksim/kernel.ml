@@ -34,14 +34,13 @@ let default_config =
 type parked =
   | Parked : {
       th : Proc.thread;
-      why : string;
+      req : 'a Sysreq.t;  (** names the wait in stall reports *)
       deadline : int option;
           (** tick at which [check] times out (a poll's timeout); the
               run loop jumps an all-parked machine's clock to the
               nearest one *)
       check : unit -> 'a option;
       k : ('a, unit) Effect.Deep.continuation;
-      info : 'a Sysreq.info;
       entry_cycles : float;  (** cost-meter reading at dispatch *)
       detail : Trace.detail;
     }
@@ -49,18 +48,6 @@ type parked =
 
 type stall = { pid : Types.pid; tid : Types.tid; why : string }
 type outcome = All_exited | Stalled of stall list | Tick_limit
-
-(* SMP machines replace the single ready queue with per-CPU run queues.
-   Threads have an affinity home ([Proc.thread.cpu]); idle CPUs steal
-   from the longest remote queue. *)
-type smp_state = {
-  ncpu : int;
-  runqs : Proc.thread Queue.t array;  (* indexed by home CPU *)
-  last_as : Vmem.Addr_space.t option array;
-      (* the space last run on each CPU, for context-switch flush
-         accounting. Compared with [==] only — it may be destroyed. *)
-  mutable rr : int;  (* round-robin placement cursor for new threads *)
-}
 
 let pp_outcome ppf = function
   | All_exited -> Format.pp_print_string ppf "all-exited"
@@ -80,11 +67,18 @@ type t = {
   vfs : Vfs.t;
   programs : (string, Program.t) Hashtbl.t;
   procs : (Types.pid, Proc.t) Hashtbl.t;
-  statuses : (Types.pid, Types.status) Hashtbl.t;
   alarms : (Types.pid, int) Hashtbl.t;
   mutable next_pid : int;
   mutable next_tid : int;
-  ready : Proc.thread Queue.t;
+  (* One run queue per CPU: [cpus] of them on an SMP machine, one
+     otherwise. A thread has an affinity home ([Proc.thread.cpu]); an
+     idle CPU steals from the longest remote queue. *)
+  runqs : Proc.thread Queue.t array;
+  picked : Proc.thread option array;  (* each CPU's slice this round *)
+  last_as : Vmem.Addr_space.t option array;
+      (* the space last run on each CPU, for context-switch flush
+         accounting. Compared with [==] only — it may be destroyed. *)
+  mutable rr : int;  (* round-robin placement cursor for new threads *)
   mutable parked : parked list;
   mutable clock : int;
   rng : Prng.Splitmix.t;
@@ -102,7 +96,6 @@ type t = {
      when the socket's final close moves it to [Closed]; lookups treat
      stale entries as free and [bind] reclaims them. *)
   socks : (int, Socket.t) Hashtbl.t;
-  smp_st : smp_state option;
 }
 
 let create ?(config = default_config) () =
@@ -181,6 +174,7 @@ let create ?(config = default_config) () =
       (Some
          (fun ~src ~dsts ~full ~n ->
            Kstat.on_ipi kstat ~src ~dsts:(Vmem.Cpuset.to_list dsts) ~full ~n));
+  let ncpu = if config.smp then config.cpus else 1 in
   {
     config;
     frames;
@@ -189,11 +183,13 @@ let create ?(config = default_config) () =
     vfs = Vfs.create ();
     programs = Hashtbl.create 16;
     procs = Hashtbl.create 64;
-    statuses = Hashtbl.create 64;
     alarms = Hashtbl.create 8;
     next_pid = 1;
     next_tid = 1;
-    ready = Queue.create ();
+    runqs = Array.init ncpu (fun _ -> Queue.create ());
+    picked = Array.make ncpu None;
+    last_as = Array.make ncpu None;
+    rr = 0;
     parked = [];
     clock = 0;
     rng = Prng.Splitmix.create ~seed:config.seed;
@@ -205,16 +201,6 @@ let create ?(config = default_config) () =
     templates = Hashtbl.create 4;
     next_tpl = 1;
     socks = Hashtbl.create 8;
-    smp_st =
-      (if config.smp then
-         Some
-           {
-             ncpu = config.cpus;
-             runqs = Array.init config.cpus (fun _ -> Queue.create ());
-             last_as = Array.make config.cpus None;
-             rr = 0;
-           }
-       else None);
   }
 
 let config t = t.config
@@ -237,7 +223,12 @@ let procs t =
   Hashtbl.fold (fun _ p acc -> p :: acc) t.procs []
   |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
 
-let status_of t pid = Hashtbl.find_opt t.statuses pid
+(* Processes never leave [procs], so a reaped one still has its status. *)
+let status_of t pid =
+  match find_proc t pid with
+  | Some { Proc.pstate = Proc.Zombie st | Proc.Reaped st; _ } -> Some st
+  | Some { Proc.pstate = Proc.Alive; _ } | None -> None
+
 let params t = Vmem.Cost.params t.cost
 
 let fresh_pid t =
@@ -284,15 +275,12 @@ let proc_of t (th : Proc.thread) =
   | Some p -> p
   | None -> invalid_arg "Kernel: thread without process"
 
-let enqueue t th =
-  match t.smp_st with
-  | None -> Queue.add th t.ready
-  | Some s -> Queue.add th s.runqs.(th.Proc.cpu)
+let enqueue t th = Queue.add th t.runqs.(th.Proc.cpu)
 
 (* Traced events carry their CPU only on SMP machines, so single-CPU
    trace JSON (and the chrome goldens) are byte-identical to before. *)
 let cpu_of t (th : Proc.thread) =
-  match t.smp_st with Some _ -> Some th.Proc.cpu | None -> None
+  if t.config.smp then Some th.Proc.cpu else None
 
 let ready_thread t th resume =
   th.Proc.entry <- Some (Proc.Resume resume);
@@ -471,7 +459,6 @@ and deliver_signal t proc sig_ =
 and kill_process t (proc : Proc.t) status =
   if Proc.is_alive proc then begin
     proc.Proc.pstate <- Proc.Zombie status;
-    Hashtbl.replace t.statuses proc.Proc.pid status;
     Hashtbl.remove t.alarms proc.Proc.pid;
     List.iter retire_thread proc.Proc.threads;
     Fd_table.close_all proc.Proc.fdt;
@@ -587,11 +574,8 @@ let new_thread t proc ~is_main body =
   let th = Proc.make_thread ~tid:(fresh_tid t) ~owner:proc.Proc.pid ~is_main body in
   (* round-robin placement: deterministic, and it spreads a fork storm
      across every CPU, which is what makes the shootdown study honest *)
-  (match t.smp_st with
-  | Some s ->
-    th.Proc.cpu <- s.rr mod s.ncpu;
-    s.rr <- s.rr + 1
-  | None -> ());
+  th.Proc.cpu <- t.rr mod Array.length t.runqs;
+  t.rr <- t.rr + 1;
   proc.Proc.threads <- proc.Proc.threads @ [ th ];
   enqueue t th;
   th
@@ -754,12 +738,14 @@ let do_exec t (proc : Proc.t) (th : Proc.thread) path argv =
 (* ------------------------------------------------------------------ *)
 (* The syscall engine *)
 
-(* [Block (why, deadline, check)] parks the caller until [check]
-   returns a reply. [why] names the wait in stall reports; [deadline] is
-   the tick at which [check] gives up on its own (a poll's timeout). *)
+(* [Block (deadline, check)] is a syscall that may have to wait. The
+   dispatcher runs [check] right away; while it returns [None], the
+   caller stays parked and [check] re-runs at every wake-up. [deadline]
+   is the tick at which [check] gives up on its own (a poll's
+   timeout). *)
 type 'a action =
   | Reply of 'a
-  | Block of string * int option * (unit -> 'a option)
+  | Block of int option * (unit -> 'a option)
   | Die
 
 let try_wait t (proc : Proc.t) target =
@@ -1007,8 +993,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     | Ok child_pid ->
       (* the parent thread blocks until the child execs or exits *)
       Block
-        ( "vfork",
-          None,
+        ( None,
           fun () ->
             match find_proc t child_pid with
             | None -> Some (Ok child_pid)
@@ -1032,19 +1017,14 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
   | Sysreq.Exit code ->
     kill_process t proc (Types.Exited code);
     Die
-  | Sysreq.Waitpid target -> (
-    match try_wait t proc target with
-    | `No_children -> Reply (Error Errno.ECHILD)
-    | `Got r -> Reply (Ok r)
-    | `Wait ->
-      Block
-        ( "waitpid",
-          None,
-          fun () ->
-            match try_wait t proc target with
-            | `Got r -> Some (Ok r)
-            | `No_children -> Some (Error Errno.ECHILD)
-            | `Wait -> None ))
+  | Sysreq.Waitpid target ->
+    Block
+      ( None,
+        fun () ->
+          match try_wait t proc target with
+          | `Got r -> Some (Ok r)
+          | `No_children -> Some (Error Errno.ECHILD)
+          | `Wait -> None )
   | Sysreq.Kill (pid, sig_) -> (
     match find_proc t pid with
     | Some target when Proc.is_alive target ->
@@ -1093,33 +1073,29 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
   | Sysreq.Read (fd, n) -> (
     match Fd_table.get proc.Proc.fdt fd with
     | Error e -> Reply (Error e)
-    | Ok ofd -> (
-      let read_once () =
-        match Ofd.read ofd n with
-        | Ofd.Data s -> Some (Ok s)
-        | Ofd.End_of_file -> Some (Ok "")
-        | Ofd.Fail e -> Some (Error e)
-        | Ofd.Retry -> None
-      in
-      match read_once () with
-      | Some r -> Reply r
-      | None -> Block (Printf.sprintf "read(fd=%d)" fd, None, read_once)))
+    | Ok ofd ->
+      Block
+        ( None,
+          fun () ->
+            match Ofd.read ofd n with
+            | Ofd.Data s -> Some (Ok s)
+            | Ofd.End_of_file -> Some (Ok "")
+            | Ofd.Fail e -> Some (Error e)
+            | Ofd.Retry -> None ))
   | Sysreq.Write (fd, data) -> (
     match Fd_table.get proc.Proc.fdt fd with
     | Error e -> Reply (Error e)
-    | Ok ofd -> (
-      let write_once () =
-        match Ofd.write ofd data with
-        | Ofd.Wrote n -> Some (Ok n)
-        | Ofd.Fail_write e -> Some (Error e)
-        | Ofd.Broken_pipe ->
-          post_signal t proc Usignal.SIGPIPE;
-          Some (Error Errno.EPIPE)
-        | Ofd.Retry_write -> None
-      in
-      match write_once () with
-      | Some r -> Reply r
-      | None -> Block (Printf.sprintf "write(fd=%d)" fd, None, write_once)))
+    | Ok ofd ->
+      Block
+        ( None,
+          fun () ->
+            match Ofd.write ofd data with
+            | Ofd.Wrote n -> Some (Ok n)
+            | Ofd.Fail_write e -> Some (Error e)
+            | Ofd.Broken_pipe ->
+              post_signal t proc Usignal.SIGPIPE;
+              Some (Error Errno.EPIPE)
+            | Ofd.Retry_write -> None ))
   | Sysreq.Dup fd -> Reply (Fd_table.dup proc.Proc.fdt fd)
   | Sysreq.Dup2 { src; dst } -> Reply (Fd_table.dup2 proc.Proc.fdt ~src ~dst)
   | Sysreq.Set_cloexec (fd, v) -> Reply (Fd_table.set_cloexec proc.Proc.fdt fd v)
@@ -1214,19 +1190,17 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
   | Sysreq.Mutex_lock id -> (
     match find_mutex proc id with
     | None -> Reply (Error Errno.EINVAL)
-    | Some m -> (
-      let take () =
-        match m.Sync.state with
-        | Sync.Unlocked ->
-          m.Sync.state <- Sync.Locked_by th.Proc.tid;
-          Some (Ok ())
-        | Sync.Locked_by owner when owner = th.Proc.tid ->
-          Some (Error Errno.EDEADLK)
-        | Sync.Locked_by _ -> None
-      in
-      match take () with
-      | Some r -> Reply r
-      | None -> Block (Printf.sprintf "mutex_lock(%d)" id, None, take)))
+    | Some m ->
+      Block
+        ( None,
+          fun () ->
+            match m.Sync.state with
+            | Sync.Unlocked ->
+              m.Sync.state <- Sync.Locked_by th.Proc.tid;
+              Some (Ok ())
+            | Sync.Locked_by owner when owner = th.Proc.tid ->
+              Some (Error Errno.EDEADLK)
+            | Sync.Locked_by _ -> None ))
   | Sysreq.Mutex_unlock id -> (
     match find_mutex proc id with
     | None -> Reply (Error Errno.EINVAL)
@@ -1414,8 +1388,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
                 first, so a failed spawn leaves template and machine
                 untouched *)
              match
-               Vmem.Addr_space.clone_from_sealed
-                 ~lazy_:t.config.demand_paging template.Template.aspace
+               Vmem.Addr_space.clone_from_sealed template.Template.aspace
                  ~commit_pages:template.Template.commit_pages
              with
              | Error `Commit_limit -> Error Errno.ENOMEM
@@ -1478,33 +1451,31 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       | Socket.Fresh | Socket.Bound _ | Socket.Connected _ | Socket.Closed
         ->
         Reply (Error Errno.EINVAL)
-      | Socket.Listening _ -> (
+      | Socket.Listening _ ->
         (* re-polled while parked; several accepters may park on one
            listener (the per-worker accept idiom) and the longest-parked
            one wins each connection, deterministically *)
-        let accept_once () =
-          match Socket.accept sk with
-          | Some conn_sk ->
-            (* a full fd table releases the adopted server endpoint: the
-               client sees EOF/EPIPE, not a connection leak *)
-            let r =
-              install_fd proc ~cloexec:false
-                (Ofd.make (Ofd.Socket conn_sk) ~flags:sock_flags)
-            in
-            if Result.is_ok r then Kstat.on_accept t.kstat ~pid:proc.Proc.pid;
-            Some r
-          | None -> (
-            match Socket.state sk with
-            | Socket.Listening _ -> None
-            | Socket.Fresh | Socket.Bound _ | Socket.Connected _
-            | Socket.Closed ->
-              (* listener closed while we were parked *)
-              Some (Error Errno.EINVAL))
-        in
-        match accept_once () with
-        | Some r -> Reply r
-        | None ->
-          Block (Printf.sprintf "accept(fd=%d)" fd, None, accept_once))))
+        Block
+          ( None,
+            fun () ->
+              match Socket.accept sk with
+              | Some conn_sk ->
+                (* a full fd table releases the adopted server endpoint:
+                   the client sees EOF/EPIPE, not a connection leak *)
+                let r =
+                  install_fd proc ~cloexec:false
+                    (Ofd.make (Ofd.Socket conn_sk) ~flags:sock_flags)
+                in
+                if Result.is_ok r then
+                  Kstat.on_accept t.kstat ~pid:proc.Proc.pid;
+                Some r
+              | None -> (
+                match Socket.state sk with
+                | Socket.Listening _ -> None
+                | Socket.Fresh | Socket.Bound _ | Socket.Connected _
+                | Socket.Closed ->
+                  (* listener closed while we were parked *)
+                  Some (Error Errno.EINVAL)) )))
   | Sysreq.Connect (fd, port) -> (
     match socket_of_fd proc fd with
     | Error e -> Reply (Error e)
@@ -1538,27 +1509,23 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     match lookup [] interests with
     | Error e -> Reply (Error e)
     | Ok pairs ->
-      (* one check serves the first call and every wake-up; a zero
-         timeout's deadline is now, so the first call is the
-         non-blocking probe and reports current readiness (possibly []) *)
+      (* a zero timeout's deadline is now, so the dispatcher's first
+         check is the non-blocking probe and reports current readiness
+         (possibly []) *)
       let deadline = if timeout < 0 then None else Some (t.clock + timeout) in
-      let check () =
-        match List.filter_map (fun (i, ofd) -> poll_ready i ofd) pairs with
-        | [] -> (
-          match deadline with
-          | Some d when t.clock >= d ->
-            Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:true;
-            Some (Ok [])
-          | Some _ | None -> None)
-        | ready ->
-          Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:false;
-          Some (Ok ready)
-      in
-      match check () with
-      | Some r -> Reply r
-      | None ->
-        let why = Printf.sprintf "poll(n=%d)" (List.length interests) in
-        Block (why, deadline, check))
+      Block
+        ( deadline,
+          fun () ->
+            match List.filter_map (fun (i, ofd) -> poll_ready i ofd) pairs with
+            | [] -> (
+              match deadline with
+              | Some d when t.clock >= d ->
+                Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:true;
+                Some (Ok [])
+              | Some _ | None -> None)
+            | ready ->
+              Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:false;
+              Some (Ok ready) ))
 
 (* The errno-level outcome of a reply, for the trace's End events;
    [None] for a total syscall. Dispatch computes it for every reply,
@@ -1613,8 +1580,7 @@ let injections t ~reply before =
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
 
-let handler t (th : Proc.thread) : (unit, unit) Effect.Deep.handler =
-  ignore t;
+let handler (th : Proc.thread) : (unit, unit) Effect.Deep.handler =
   {
     Effect.Deep.retc = (fun () -> ());
     exnc = (fun e -> raise e);
@@ -1628,11 +1594,10 @@ let handler t (th : Proc.thread) : (unit, unit) Effect.Deep.handler =
         | _ -> None);
   }
 
-let park t th why deadline check k ~info ~entry_cycles ~detail =
-  th.Proc.tstate <- Proc.Blocked why;
+let park t th req ~deadline ~check k ~entry_cycles ~detail =
+  th.Proc.tstate <- Proc.Blocked;
   t.parked <-
-    t.parked
-    @ [ Parked { th; why; deadline; check; k; info; entry_cycles; detail } ]
+    t.parked @ [ Parked { th; req; deadline; check; k; entry_cycles; detail } ]
 
 let record_begin t proc (th : Proc.thread) name ~detail =
   match t.trace with
@@ -1657,10 +1622,19 @@ let complete t (th : Proc.thread) ~info ~entry_cycles ~detail ~injected
       ?outcome ?cpu:(cpu_of t th)
   | Some _ | None -> ());
   match th.Proc.tstate with
-  | Proc.Running | Proc.Blocked _ -> ready_thread t th resume
+  | Proc.Running | Proc.Blocked -> ready_thread t th resume
   | Proc.Exited (* exit, or a fatal signal *)
   | Proc.Ready (* exec restarted it at the new image *) ->
     ()
+
+(* End a syscall with a reply [v] made within its dispatch: an injected
+   fault's ([fault] is its errno), the handler's, or the first check's.
+   The End reports every injection since [inj0]. *)
+let reply t th k ~info ~entry_cycles ~detail ~fault inj0 v =
+  complete t th ~info ~entry_cycles ~detail
+    ~injected:(injections t ~reply:fault inj0)
+    (reply_outcome info v)
+    (fun () -> Effect.Deep.continue k v)
 
 let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
   let proc = proc_of t th in
@@ -1683,19 +1657,17 @@ let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
   let inj0 = injection_counts t in
   match if meta then None else inject_syscall t info with
   | Some (v, e) ->
-    complete t th ~info ~entry_cycles ~detail
-      ~injected:(injections t ~reply:(Some e) inj0)
-      (reply_outcome info v)
-      (fun () -> Effect.Deep.continue k v)
+    reply t th k ~info ~entry_cycles ~detail ~fault:(Some e) inj0 v
   | None -> (
     match attempt t proc th req with
-    | Reply v ->
-      complete t th ~info ~entry_cycles ~detail
-        ~injected:(injections t ~reply:None inj0)
-        (reply_outcome info v)
-        (fun () -> Effect.Deep.continue k v)
-    | Block (why, deadline, check) ->
-      park t th why deadline check k ~info ~entry_cycles ~detail
+    | Reply v -> reply t th k ~info ~entry_cycles ~detail ~fault:None inj0 v
+    | Block (deadline, check) -> (
+      (* every wait starts with one try: a parked syscall is one whose
+         check has already said no *)
+      match check () with
+      | Some v ->
+        reply t th k ~info ~entry_cycles ~detail ~fault:None inj0 v
+      | None -> park t th req ~deadline ~check k ~entry_cycles ~detail)
     | Die ->
       (* Exec restarting the thread, or Exit: the request succeeded and
          there is no caller left to resume *)
@@ -1712,12 +1684,12 @@ let thread_returned t (th : Proc.thread) =
 
 (* Run a thread until it performs a syscall (sets [pending]) or
    returns. *)
-let enter t (th : Proc.thread) =
+let enter (th : Proc.thread) =
   th.Proc.tstate <- Proc.Running;
   match th.Proc.entry with
   | Some (Proc.Start f) ->
     th.Proc.entry <- None;
-    Effect.Deep.match_with f () (handler t th)
+    Effect.Deep.match_with f () (handler th)
   | Some (Proc.Resume r) ->
     th.Proc.entry <- None;
     r ()
@@ -1737,17 +1709,19 @@ let retry_parked t =
   t.parked <- [];
   let kept =
     List.filter
-      (fun (Parked { th; check; k; info; entry_cycles; detail; _ }) ->
+      (fun (Parked { th; req; check; k; entry_cycles; detail; _ }) ->
         (* a thread that died while parked leaves, deadline and all *)
         th.Proc.tstate <> Proc.Exited
         &&
         match check () with
         | Some v ->
           (* the check itself may end the thread (a write's SIGPIPE) *)
-          if th.Proc.tstate <> Proc.Exited then
+          if th.Proc.tstate <> Proc.Exited then begin
+            let info = Sysreq.info req in
             complete t th ~info ~entry_cycles ~detail
               ~injected:Trace.no_injections (reply_outcome info v)
-              (fun () -> Effect.Deep.continue k v);
+              (fun () -> Effect.Deep.continue k v)
+          end;
           false
         | None -> true)
       entries
@@ -1781,10 +1755,21 @@ let next_timer_tick t =
     (Hashtbl.fold (fun _ at acc -> earliest at acc) t.alarms None)
     t.parked
 
+(* What a parked syscall waits on, for stall reports: the fd or mutex it
+   names, a poll's set size, or just the syscall. *)
+let stall_reason : type a. a Sysreq.t -> string = function
+  | Sysreq.Read (fd, _) -> Printf.sprintf "read(fd=%d)" fd
+  | Sysreq.Write (fd, _) -> Printf.sprintf "write(fd=%d)" fd
+  | Sysreq.Accept fd -> Printf.sprintf "accept(fd=%d)" fd
+  | Sysreq.Mutex_lock id -> Printf.sprintf "mutex_lock(%d)" id
+  | Sysreq.Poll { interests; _ } ->
+    Printf.sprintf "poll(n=%d)" (List.length interests)
+  | req -> (Sysreq.info req).Sysreq.name
+
 let describe_stalls t =
   List.map
-    (fun (Parked { th; why; _ }) ->
-      { pid = th.Proc.owner; tid = th.Proc.tid; why })
+    (fun (Parked { th; req; _ }) ->
+      { pid = th.Proc.owner; tid = th.Proc.tid; why = stall_reason req })
     t.parked
 
 (* ------------------------------------------------------------------ *)
@@ -1810,12 +1795,13 @@ let pop_runq t q =
 
 (* Steal from the longest remote queue still holding at least two
    entries (always leave the victim its own next slice); ties break to
-   the lowest CPU index, keeping the policy deterministic. *)
-let steal t s ~thief =
+   the lowest CPU index, keeping the policy deterministic. A one-CPU
+   machine has no remote queue. *)
+let steal t ~thief =
   let best = ref None in
-  for cpu = 0 to s.ncpu - 1 do
+  for cpu = 0 to Array.length t.runqs - 1 do
     if cpu <> thief then begin
-      let n = Queue.length s.runqs.(cpu) in
+      let n = Queue.length t.runqs.(cpu) in
       if n >= 2 then
         match !best with
         | Some (_, bn) when bn >= n -> ()
@@ -1825,82 +1811,70 @@ let steal t s ~thief =
   match !best with
   | None -> None
   | Some (victim, _) -> (
-    match pop_runq t s.runqs.(victim) with
+    match pop_runq t t.runqs.(victim) with
     | None -> None
     | Some th ->
       th.Proc.cpu <- thief;
       Kstat.set_current t.kstat None;
       Kstat.on_steal t.kstat ~cpu:thief;
-      Kstat.on_migration t.kstat ~cpu:thief;
       Some th)
 
-(* One scheduling round: at most one thread slice per CPU, own queue
-   first, then work stealing. *)
-let pick_batch t s =
-  let batch = ref [] in
-  for cpu = 0 to s.ncpu - 1 do
-    match
-      match pop_runq t s.runqs.(cpu) with
-      | Some th -> Some th
-      | None -> steal t s ~thief:cpu
-    with
-    | Some th -> batch := (cpu, th) :: !batch
-    | None -> ()
-  done;
-  List.rev !batch
-
-(* Phase A of an SMP round: charge the context switch, note the CPU in
-   the space's mask, and enter the thread. *)
-let run_slice t s (cpu, (th : Proc.thread)) =
+(* A slice: charge the context switch, note the CPU in the space's mask,
+   and enter the thread. The CPU bookkeeping models the tracked TLB, so
+   a non-SMP machine (broadcast shootdowns) skips it. *)
+let run_slice t cpu (th : Proc.thread) =
   t.clock <- t.clock + 1;
-  Vmem.Tlb.set_active t.tlb cpu;
-  let asp = (proc_of t th).Proc.aspace in
-  (match s.last_as.(cpu) with
-  | Some prev when prev == asp -> ()
-  | Some _ | None ->
-    s.last_as.(cpu) <- Some asp;
-    Vmem.Tlb.flush_local t.tlb);
-  (* unconditionally, not just on switch: a shootdown collapses the mask
-     to its sender, and a still-running remote CPU re-caches the space
-     the moment it runs again *)
-  Vmem.Addr_space.note_cpu asp ~cpu;
-  enter t th
+  if t.config.smp then begin
+    Vmem.Tlb.set_active t.tlb cpu;
+    let asp = (proc_of t th).Proc.aspace in
+    (match t.last_as.(cpu) with
+    | Some prev when prev == asp -> ()
+    | Some _ | None ->
+      t.last_as.(cpu) <- Some asp;
+      Vmem.Tlb.flush_local t.tlb);
+    (* unconditionally, not just on switch: a shootdown collapses the
+       mask to its sender, and a still-running remote CPU re-caches the
+       space the moment it runs again *)
+    Vmem.Addr_space.note_cpu asp ~cpu
+  end;
+  enter th
 
-(* Phase B: dispatch the round's pendings in ascending CPU order. It
-   waits for every slice of the round because a dispatch can end
-   threads picked later in the same round (exit and exec tear down
-   sibling threads); a thread that died that way is skipped. *)
-let dispatch_round t batch =
-  List.iter
-    (fun (cpu, (th : Proc.thread)) ->
-      Vmem.Tlb.set_active t.tlb cpu;
-      if th.Proc.tstate <> Proc.Exited then finish t th)
-    batch
-
-(* One scheduling round: a single slice on the single-CPU machine, one
-   slice per CPU on an SMP one. [false] when no thread was ready. *)
+(* One scheduling round, the same on every machine; [false] when no
+   thread was ready. Its three phases keep this order, on which the
+   [Random] scheduler's draws and the Kstat attribution of switch
+   charges depend:
+   1. every CPU in ascending order pops its own queue, or else steals;
+   2. every picked thread runs its slice;
+   3. the round's syscalls are dispatched in ascending CPU order. This
+      waits for every slice because a dispatch can end threads picked
+      later in the same round (exit and exec tear down sibling
+      threads); a thread that died that way is skipped. *)
 let run_round t =
-  match t.smp_st with
-  | None -> (
-    match pop_runq t t.ready with
-    | None -> false
+  let ncpu = Array.length t.runqs in
+  let ran = ref false in
+  for cpu = 0 to ncpu - 1 do
+    let pick =
+      match pop_runq t t.runqs.(cpu) with
+      | Some _ as pick -> pick
+      | None -> steal t ~thief:cpu
+    in
+    t.picked.(cpu) <- pick;
+    if Option.is_some pick then ran := true
+  done;
+  for cpu = 0 to ncpu - 1 do
+    match t.picked.(cpu) with Some th -> run_slice t cpu th | None -> ()
+  done;
+  for cpu = 0 to ncpu - 1 do
+    match t.picked.(cpu) with
+    | None -> ()
     | Some th ->
-      t.clock <- t.clock + 1;
-      enter t th;
-      finish t th;
-      true)
-  | Some s -> (
-    match pick_batch t s with
-    | [] -> false
-    | batch ->
-      List.iter (run_slice t s) batch;
-      dispatch_round t batch;
-      true)
+      t.picked.(cpu) <- None;
+      if t.config.smp then Vmem.Tlb.set_active t.tlb cpu;
+      if th.Proc.tstate <> Proc.Exited then finish t th
+  done;
+  !ran
 
-let idle t =
-  match t.smp_st with
-  | None -> Queue.is_empty t.ready
-  | Some s -> Array.for_all Queue.is_empty s.runqs
+let idle t = Array.for_all Queue.is_empty t.runqs
 
 let run ?(max_ticks = 10_000_000) t =
   let deadline = t.clock + max_ticks in

@@ -45,12 +45,13 @@ type config = {
           queues with affinity + work stealing, per-address-space CPU
           masks, and tracked TLB shootdowns that IPI only the remote
           CPUs actually caching the space (see {!Vmem.Tlb.ipi}).
-          [false] (the default) keeps the legacy single-queue scheduler
-          and broadcast shootdown model — bit-identical to every
-          historical BENCH number. With [smp], [cpus] must be in
-          1..{!Vmem.Cpuset.max_cpus}. A scheduling round runs one slice
-          per CPU, then dispatches the round's syscalls in ascending CPU
-          order, all in the calling domain. *)
+          [false] (the default) schedules one CPU and keeps the
+          broadcast shootdown model, which [cpus] still sizes —
+          bit-identical to every historical BENCH number. With [smp],
+          [cpus] must be in 1..{!Vmem.Cpuset.max_cpus}. Every machine
+          runs the same scheduling round: one slice per CPU, then the
+          round's syscalls are dispatched in ascending CPU order, all in
+          the calling domain. *)
   demand_paging : bool;
       (** Install a simulated user-mode pager ({!Pager}) into every
           address space the kernel creates: exec maps image segments as
@@ -130,7 +131,7 @@ val run : ?max_ticks:int -> t -> outcome
     processes may be spawned between runs. *)
 
 val status_of : t -> Types.pid -> Types.status option
-(** Exit status of a terminated process (recorded even after reaping). *)
+(** Exit status of a terminated process, zombie or reaped. *)
 
 val find_proc : t -> Types.pid -> Proc.t option
 val procs : t -> Proc.t list

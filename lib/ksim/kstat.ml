@@ -246,17 +246,17 @@ let on_ipi t ~src ~dsts ~full ~n =
       end
   end
 
+(* A steal moves the thread's home to the thief, so every steal is also
+   a migration. *)
 let on_steal t ~cpu =
-  update t (fun c -> c.cpu_steals <- c.cpu_steals + 1);
+  update t (fun c ->
+      c.cpu_steals <- c.cpu_steals + 1;
+      c.cpu_migrations <- c.cpu_migrations + 1);
   match t.smp with
   | None -> ()
-  | Some s -> s.steals.(cpu) <- s.steals.(cpu) + 1
-
-let on_migration t ~cpu =
-  update t (fun c -> c.cpu_migrations <- c.cpu_migrations + 1);
-  match t.smp with
-  | None -> ()
-  | Some s -> s.migrations.(cpu) <- s.migrations.(cpu) + 1
+  | Some s ->
+    s.steals.(cpu) <- s.steals.(cpu) + 1;
+    s.migrations.(cpu) <- s.migrations.(cpu) + 1
 
 let on_injection t site =
   update t (fun c ->

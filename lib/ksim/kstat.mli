@@ -37,7 +37,8 @@ type counters = {
   mutable tlb_invlpgs : int;  (** single-page invalidations *)
   mutable ipis_sent : int;  (** tracked-TLB shootdown IPIs sent *)
   mutable ipis_received : int;  (** ... and received (equal in total) *)
-  mutable cpu_migrations : int;  (** threads moved to another CPU *)
+  mutable cpu_migrations : int;
+      (** threads moved to another CPU (each steal moves one) *)
   mutable cpu_steals : int;  (** scheduler work-steal events *)
   mutable stdio_flushed_bytes : int;  (** bytes written by Stdio.flush *)
   mutable stdio_double_flushed_bytes : int;
@@ -140,10 +141,9 @@ val on_ipi : t -> src:int -> dsts:int list -> full:bool -> n:int -> unit
     separately through {!on_cost}; this only moves counters. *)
 
 val on_steal : t -> cpu:int -> unit
-(** CPU [cpu] stole a runnable thread from another CPU's queue. *)
-
-val on_migration : t -> cpu:int -> unit
-(** A thread changed home to CPU [cpu]. *)
+(** CPU [cpu] stole a runnable thread from another CPU's queue, which
+    also migrates the thread's home to [cpu]: counts one steal and one
+    migration. *)
 
 val on_stdio_flush : t -> bytes:int -> inherited:int -> unit
 

@@ -3,7 +3,7 @@ type pending =
       'a Sysreq.t * ('a, unit) Effect.Deep.continuation
       -> pending
 
-type thread_state = Ready | Running | Blocked of string | Exited
+type thread_state = Ready | Running | Blocked | Exited
 type entry = Start of (unit -> unit) | Resume of (unit -> unit)
 
 type thread = {

@@ -11,7 +11,13 @@ type pending =
       'a Sysreq.t * ('a, unit) Effect.Deep.continuation
       -> pending
 
-type thread_state = Ready | Running | Blocked of string | Exited
+type thread_state =
+  | Ready
+  | Running
+  | Blocked
+      (** parked in a syscall whose check said "not yet"; the kernel's
+          parked entry holds the request, which names the wait *)
+  | Exited
 
 type entry = Start of (unit -> unit) | Resume of (unit -> unit)
 

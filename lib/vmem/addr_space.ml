@@ -81,12 +81,8 @@ let lazy_pages t = Page_table.lazy_count t.pt
 let pager_active t =
   t.pager <> None && (t.backing <> None || Page_table.lazy_count t.pt > 0)
 
-let cpumask t = t.cpumask
 let note_cpu t ~cpu = t.cpumask <- Cpuset.add cpu t.cpumask
-
 let set_blame_origin t id = t.blame_origin <- id
-
-let blame_origin t = if t.blame_origin >= 0 then Some t.blame_origin else None
 
 (* Run [f] with charges deferred-attributed to this space's sharing
    origin: wraps only the COW-break paths, so a space that never forked
@@ -506,6 +502,12 @@ let touch t addr = fault t ~addr ~write:true
 
 exception Fault_stop of fault_error
 
+(* One leaf's worth of frame numbers, reused by every demand fill on
+   this domain: a fill allocates no frame array, which would be a
+   major-heap block per leaf. *)
+let fill_frames =
+  Domain.DLS.new_key (fun () -> Array.make Addr.entries_per_table 0)
+
 (* Batched write-fault of [vpn0, vpn1], all inside one VMA whose
    permission allows writes: the same per-page state transitions as
    [fault ~write:true], but each leaf is located once and the cost
@@ -550,8 +552,8 @@ let touch_covered_batched t ~rperm ~vpn0 ~vpn1 ~count =
      the failing page of a short allocation still pays fault_base, like
      the per-page walk, and a wholly-failed run creates no leaf *)
   let fill ~n ~get_entries ~i0 =
-    let frames = Frame.alloc_upto t.frames n in
-    let m = Array.length frames in
+    let frames = Domain.DLS.get fill_frames in
+    let m = Frame.alloc_upto t.frames ~into:frames n in
     n_base := !n_base + m;
     n_zero := !n_zero + m;
     if m > 0 then begin
@@ -860,16 +862,14 @@ let seal t =
    The commit charge is the only fallible step and runs first, so a
    failed spawn leaves the template (and the machine) untouched —
    the transactional invariant the fault-injection tests check. *)
-let clone_from_sealed ?(lazy_ = false) tpl ~commit_pages =
+let clone_from_sealed tpl ~commit_pages =
   alive tpl "Addr_space.clone_from_sealed";
-  if lazy_ && tpl.pager = None then
-    invalid_arg "Addr_space.clone_from_sealed: lazy spawn but no pager";
   let p = params tpl in
   match Frame.commit tpl.frames commit_pages with
   | Error `Commit_limit -> Error `Commit_limit
   | Ok () ->
     charge_vma_clones tpl;
-    if lazy_ then begin
+    if tpl.pager <> None then begin
       (* demand spawn: the child starts from an EMPTY table (one root
          node, charged as a single subtree) and records the sealed
          table as its fault-time backing — O(1) in the template's

@@ -36,17 +36,15 @@ val frames : t -> Frame.t
 val cost : t -> Cost.t
 val mmap_base : t -> int
 
-val cpumask : t -> Cpuset.t
-(** Which simulated CPUs may currently cache translations of this space.
-    Maintained by the SMP scheduler via {!note_cpu}; consulted by the
-    tracked-shootdown paths so fork/munmap/mprotect IPI only the CPUs
-    that actually hold stale entries. Empty until first scheduled. *)
-
 val note_cpu : t -> cpu:int -> unit
-(** The scheduler's half of the mask contract: called for the running
-    CPU on every scheduling step of a thread of this space (not just on
-    context switch — a full shootdown collapses the mask to the sender,
-    and still-running remote CPUs must be re-observed immediately). *)
+(** Add [cpu] to the space's CPU mask: the simulated CPUs that may
+    currently cache its translations, empty until first scheduled. The
+    tracked-shootdown paths consult the mask, so fork/munmap/mprotect
+    IPI only the CPUs that actually hold stale entries. The SMP
+    scheduler calls this for the running CPU on every scheduling step of
+    a thread of this space (not just on context switch — a full
+    shootdown collapses the mask to the sender, and still-running remote
+    CPUs must be re-observed immediately). *)
 
 type pager = {
   fetch : Cost.t -> cookie:int -> frame:Frame.frame -> unit;
@@ -69,8 +67,9 @@ type pager = {
 
 val set_pager : t -> pager option -> unit
 (** Install (or remove) the pager consulted on first-touch faults of
-    pager-backed pages. Must be installed before {!map_lazy} or a lazy
-    {!clone_from_sealed}; with no pager and no lazy pages every fault
+    pager-backed pages. Must be installed before {!map_lazy}; a template
+    sealed from a space with a pager spawns lazily
+    ({!clone_from_sealed}). With no pager and no lazy pages every fault
     path is bit-identical to the eager simulator. *)
 
 val pager_active : t -> bool
@@ -88,8 +87,6 @@ val set_blame_origin : t -> int -> unit
     deferred-charged to that event — "most recent sharing event wins",
     which is sound because every sharing operation re-downgrades all
     resident private pages. *)
-
-val blame_origin : t -> int option
 
 val mmap :
   ?addr:int ->
@@ -189,7 +186,7 @@ val seal : t -> t
     and a zero commit charge. *)
 
 val clone_from_sealed :
-  ?lazy_:bool -> t -> commit_pages:int -> (t * int, [> `Commit_limit ]) result
+  t -> commit_pages:int -> (t * int, [> `Commit_limit ]) result
 (** Spawn a child space from a sealed template in O(shared subtrees):
     charge [commit_pages] of commit (the only fallible step, performed
     first so failure leaves the template untouched), then share the
@@ -197,13 +194,13 @@ val clone_from_sealed :
     occupied root slot, independent of footprint. Returns the child and
     the number of subtrees shared.
 
-    With [~lazy_:true] (demand spawn) the child instead starts from an
+    When the template has a pager (it inherits its source's; see
+    {!set_pager}) the spawn is lazy: the child instead starts from an
     empty table (one [Zygote_subtree] charge, subtree count 0) and
     records the sealed table as its fault-time {e backing}: each page
     is pulled privately by the pager on first touch, so spawn cost is
     independent even of the template's root fan-out and untouched pages
-    are never instantiated. @raise Invalid_argument when [~lazy_:true]
-    and no pager is installed. *)
+    are never instantiated. *)
 
 val sole_owner : t -> bool
 (** True when every resident frame has refcount exactly 1 — the freeze

@@ -118,25 +118,23 @@ let alloc t =
    frame — exactly like [n] successive allocs would — so "fail the Nth
    frame allocation" schedules bite identically whether the machine runs
    batched or per-page. *)
-let alloc_upto_hooked t n =
-  let out = Array.make (max n 1) 0 in
+let alloc_upto_hooked t ~into n =
   let rec go k =
     if k >= n then k
     else
       match alloc t with
       | Ok f ->
-        out.(k) <- f;
+        into.(k) <- f;
         go (k + 1)
       | Error `Out_of_memory -> k
   in
-  let k = go 0 in
-  if k = n then out else Array.sub out 0 k
+  go 0
 
-let alloc_upto t n =
-  if n < 0 then invalid_arg "Frame.alloc_upto: negative count";
-  if t.deny_alloc <> None then alloc_upto_hooked t n
+let alloc_upto t ~into n =
+  if n < 0 || n > Array.length into then
+    invalid_arg "Frame.alloc_upto: bad count";
+  if t.deny_alloc <> None then alloc_upto_hooked t ~into n
   else begin
-  let out = Array.make n 0 in
   let k = ref 0 in
   (* recycled frames first, newest-freed first — the exact order [n]
      successive allocs would produce *)
@@ -145,7 +143,7 @@ let alloc_upto t n =
     let lo = t.run_lo.(r) and hi = t.run_hi.(r) in
     let take = min (n - !k) (hi - lo + 1) in
     for i = 0 to take - 1 do
-      out.(!k + i) <- hi - i
+      into.(!k + i) <- hi - i
     done;
     if take = hi - lo + 1 then t.run_top <- r else t.run_hi.(r) <- hi - take;
     k := !k + take
@@ -155,13 +153,13 @@ let alloc_upto t n =
   t.next_fresh <- t.next_fresh + fresh;
   t.used <- t.used + !k + fresh;
   for i = 0 to fresh - 1 do
-    out.(!k + i) <- fresh0 + i
+    into.(!k + i) <- fresh0 + i
   done;
   k := !k + fresh;
   for i = 0 to !k - 1 do
-    rc_set t out.(i) 1
+    rc_set t into.(i) 1
   done;
-  if !k = n then out else Array.sub out 0 !k
+  !k
   end
 
 let incref_spilling t f c =

@@ -49,12 +49,14 @@ val free : t -> int
 val alloc : t -> (frame, [> `Out_of_memory ]) result
 (** Allocate a zero-filled frame with refcount 1. *)
 
-val alloc_upto : t -> int -> frame array
-(** [alloc_upto t n] allocates up to [n] frames (each refcount 1) in
-    exactly the order [n] successive {!alloc} calls would have produced
-    — recycled frames newest-freed first, then fresh ones ascending.
-    The result is shorter than [n] when memory runs out (possibly
-    empty); no error is raised. *)
+val alloc_upto : t -> into:frame array -> int -> int
+(** [alloc_upto t ~into n] allocates up to [n] frames (each refcount 1)
+    into [into.(0)] .. [into.(k-1)] and returns [k], in exactly the
+    order [n] successive {!alloc} calls would have produced — recycled
+    frames newest-freed first, then fresh ones ascending. [k] is less
+    than [n] when memory runs out (possibly 0); no error is raised. The
+    caller's buffer keeps a demand fill from allocating a frame array.
+    @raise Invalid_argument unless [0 <= n <= Array.length into]. *)
 
 val incref : t -> frame -> unit
 (** @raise Invalid_argument on an unallocated frame. *)

@@ -143,15 +143,15 @@ let lazy_count t = t.lazy_
 let node_count t = t.nodes
 let note_mapped t n = t.present <- t.present + n
 
-let fold_present t ~init ~f =
-  (* vpn is reconstructed incrementally: at each level the child index
-     contributes 9 more bits. *)
-  let rec go node level vpn_prefix acc =
+(* Every entry satisfying [keep], in increasing vpn order. The vpn is
+   rebuilt on the way down: each level's child index adds 9 more bits. *)
+let fold_entries t ~keep ~init ~f =
+  let rec go node vpn_prefix acc =
     match node with
     | Leaf l ->
       let acc = ref acc in
       for i = 0 to Addr.entries_per_table - 1 do
-        if Pte.present l.entries.(i) then
+        if keep l.entries.(i) then
           acc := f !acc ~vpn:((vpn_prefix lsl Addr.index_bits) lor i)
               l.entries.(i)
       done;
@@ -162,36 +162,14 @@ let fold_present t ~init ~f =
         match inner.children.(i) with
         | None -> ()
         | Some child ->
-          acc :=
-            go child (level - 1) ((vpn_prefix lsl Addr.index_bits) lor i) !acc
+          acc := go child ((vpn_prefix lsl Addr.index_bits) lor i) !acc
       done;
       !acc
   in
-  go t.root (Addr.levels - 1) 0 init
+  go t.root 0 init
 
-let fold_lazy t ~init ~f =
-  let rec go node level vpn_prefix acc =
-    match node with
-    | Leaf l ->
-      let acc = ref acc in
-      for i = 0 to Addr.entries_per_table - 1 do
-        if Pte.lazy_ l.entries.(i) then
-          acc := f !acc ~vpn:((vpn_prefix lsl Addr.index_bits) lor i)
-              l.entries.(i)
-      done;
-      !acc
-    | Inner inner ->
-      let acc = ref acc in
-      for i = 0 to Addr.entries_per_table - 1 do
-        match inner.children.(i) with
-        | None -> ()
-        | Some child ->
-          acc :=
-            go child (level - 1) ((vpn_prefix lsl Addr.index_bits) lor i) !acc
-      done;
-      !acc
-  in
-  go t.root (Addr.levels - 1) 0 init
+let fold_present t ~init ~f = fold_entries t ~keep:Pte.present ~init ~f
+let fold_lazy t ~init ~f = fold_entries t ~keep:Pte.lazy_ ~init ~f
 
 (* Leaf-granular cursor over [vpn0, vpn1]: one callback per leaf
    position, in ascending vpn order. O(leaves * levels), never
@@ -229,33 +207,6 @@ let fold_leaves t ~vpn0 ~vpn1 ~init ~missing ~leaf =
     incr li
   done;
   !acc
-  end
-
-let map_range t ~vpn ptes =
-  let n = Array.length ptes in
-  if n > 0 then begin
-    check_vpn vpn;
-    check_vpn (vpn + n - 1);
-    Array.iter
-      (fun pte ->
-        if not (Pte.present pte) then
-          invalid_arg "Page_table.map_range: absent pte")
-      ptes;
-    ignore
-      (fold_leaves t ~vpn0:vpn ~vpn1:(vpn + n - 1) ~init:()
-         ~missing:(fun () ~vpn:v ~span ~materialize ->
-           let entries = materialize () in
-           let i0 = v land (Addr.entries_per_table - 1) in
-           Array.blit ptes (v - vpn) entries i0 span;
-           t.present <- t.present + span)
-         ~leaf:(fun () ~base ~entries:_ ~lo ~hi ~writable ->
-           let entries = writable () in
-           for i = lo to hi do
-             let old = entries.(i) in
-             if not (Pte.present old) then t.present <- t.present + 1;
-             if Pte.lazy_ old then t.lazy_ <- t.lazy_ - 1;
-             entries.(i) <- ptes.(base + i - vpn)
-           done))
   end
 
 (* Install a run of lazy (demand-paged) entries over an absent range,

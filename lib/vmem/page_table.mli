@@ -10,7 +10,7 @@
     table nodes are reference-counted, so {!clone_cow_shared} can charge
     the full modelled copy while actually sharing untouched subtrees
     between parent and child, privatising them only when written. Range
-    operations ({!map_range}, {!unmap_range}, {!protect_range},
+    operations ({!map_lazy_range}, {!unmap_range}, {!protect_range},
     {!fold_leaves}) locate each leaf once and then work on its packed
     PTE array directly, making hot paths O(leaves), not O(pages). *)
 
@@ -52,12 +52,6 @@ val fold_present : t -> init:'a -> f:('a -> vpn:int -> Pte.t -> 'a) -> 'a
 
 val fold_lazy : t -> init:'a -> f:('a -> vpn:int -> Pte.t -> 'a) -> 'a
 (** Iterate all lazy (demand-paged) entries in increasing vpn order. *)
-
-val map_range : t -> vpn:int -> Pte.t array -> unit
-(** Install [ptes.(i)] at [vpn + i] for every [i], locating each leaf
-    once ([Array.blit] into fresh leaves). Equivalent to repeated
-    {!map}. @raise Invalid_argument on out-of-range vpns or absent
-    PTEs. *)
 
 val map_lazy_range :
   t -> vpn:int -> n:int -> cookie0:int -> stride:int -> perm:Perm.t -> unit

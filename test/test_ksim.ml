@@ -1076,6 +1076,44 @@ let test_fork_mutex_deadlock () =
          stalls)
   | o -> Alcotest.failf "expected stall, got %a" Ksim.Kernel.pp_outcome o
 
+(* Every syscall that can park, parked where nothing will wake it: the
+   stall report names each wait, in park order. A new thread is queued
+   ahead of init, so the threads park in creation order (the writer's
+   second write parks before the thread made after it runs), and the
+   vfork child's read parks after init's waitpid. *)
+let test_every_stall_reason () =
+  let _, outcome =
+    boot (fun _ ->
+        let r, _w = ok (Ksim.Api.pipe ()) in
+        let _r2, w2 = ok (Ksim.Api.pipe ()) in
+        let srv = ok (Ksim.Api.socket ()) in
+        ok (Ksim.Api.bind srv ~port:80);
+        ok (Ksim.Api.listen srv ~backlog:1);
+        let m = Ksim.Api.mutex_create () in
+        ok (Ksim.Api.mutex_lock m);
+        let spawn_thread body = ignore (ok (Ksim.Api.thread_create body)) in
+        spawn_thread (fun () -> ignore (Ksim.Api.read r 1));
+        spawn_thread (fun () ->
+            (* the first write fills the pipe, the second parks *)
+            let chunk = String.make 65536 'x' in
+            while true do
+              ignore (Ksim.Api.write w2 chunk)
+            done);
+        spawn_thread (fun () -> ignore (Ksim.Api.accept srv));
+        spawn_thread (fun () -> ignore (Ksim.Api.mutex_lock m));
+        spawn_thread (fun () ->
+            ignore (Ksim.Api.poll [ Ksim.Types.pollin r ]));
+        spawn_thread (fun () ->
+            ignore
+              (Ksim.Api.vfork ~child:(fun () -> ignore (Ksim.Api.read r 1))));
+        ignore (Ksim.Api.waitpid Ksim.Types.Any_child))
+  in
+  check_str "stall report"
+    "stalled(pid1/tid2:read(fd=3), pid1/tid3:write(fd=6), \
+     pid1/tid4:accept(fd=7), pid1/tid5:mutex_lock(0), pid1/tid6:poll(n=1), \
+     pid1/tid7:vfork, pid1/tid1:waitpid, pid2/tid8:read(fd=3))"
+    (Format.asprintf "%a" Ksim.Kernel.pp_outcome outcome)
+
 (* ------------------------------------------------------------------ *)
 (* pthread_atfork *)
 
@@ -2473,6 +2511,7 @@ let () =
           tc "threads" test_mutex_threads;
           tc "relock EDEADLK" test_mutex_relock_edeadlk;
           tc "fork deadlock" test_fork_mutex_deadlock;
+          tc "every stall reason" test_every_stall_reason;
         ] );
       ( "atfork",
         [

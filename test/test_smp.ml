@@ -268,6 +268,34 @@ let prop_cpus_1_vs_4 =
       in
       run 1 = run 4)
 
+(* Every machine runs the same scheduling round, so a one-CPU SMP
+   machine schedules exactly like the uniprocessor: the same outcome,
+   console and event sequence. Only the TLB model differs (tracked vs.
+   broadcast), so the cycle totals do. *)
+let prop_smp1_runs_uniprocessor_schedule =
+  QCheck.Test.make ~count:25
+    ~name:"smp: one CPU runs the uniprocessor's schedule"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Prng.Splitmix.create ~seed in
+      let tree = { tag = 'r'; pages = 2; kids = [ gen_node 2 rng ] } in
+      let run smp =
+        let config =
+          { (smp_config ~cpus:1 ~trace:true ()) with Ksim.Kernel.smp }
+        in
+        let t, outcome = boot ~config (fun _ -> run_node tree ()) in
+        let events =
+          List.map
+            (fun e ->
+              Ksim.Trace.(e.pid, e.tid, e.what, e.phase, e.outcome, e.tick))
+            (Ksim.Trace.events (Option.get (Ksim.Kernel.trace t)))
+        in
+        ( (outcome, Ksim.Kernel.console t, events),
+          Vmem.Cost.total (Ksim.Kernel.cost t) )
+      in
+      let uni, uni_cycles = run false and smp1, smp1_cycles = run true in
+      uni = smp1 && uni_cycles <> smp1_cycles)
+
 (* ------------------------------------------------------------------ *)
 (* Round dispatch follows CPU order *)
 
@@ -369,5 +397,6 @@ let () =
           Alcotest.test_case "round dispatches in cpu order" `Quick
             test_round_dispatches_in_cpu_order;
           QCheck_alcotest.to_alcotest prop_cpus_1_vs_4;
+          QCheck_alcotest.to_alcotest prop_smp1_runs_uniprocessor_schedule;
         ] );
     ]
