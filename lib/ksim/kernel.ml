@@ -856,15 +856,7 @@ let mem_errno = function
   | `Out_of_memory -> Errno.ENOMEM
 
 let write_into aspace addr data =
-  let len = String.length data in
-  let rec go i =
-    if i >= len then Ok ()
-    else
-      match Vmem.Addr_space.write_byte aspace (addr + i) (Char.code data.[i]) with
-      | Ok () -> go (i + 1)
-      | Error e -> Error (mem_errno e)
-  in
-  go 0
+  Result.map_error mem_errno (Vmem.Addr_space.write_bytes aspace ~addr data)
 
 (* An embryo is an alive child of [proc] that has no threads yet (made by
    Pb_create, not yet started). Cross-process operations may only target
@@ -1164,19 +1156,10 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       | Error `Invalid -> Reply (Error Errno.EINVAL)))
   | Sysreq.Mem_read { addr; len } ->
     if len < 0 then Reply (Error Errno.EINVAL)
-    else begin
-      let buf = Bytes.create len in
-      let rec go i =
-        if i >= len then Reply (Ok (Bytes.to_string buf))
-        else
-          match Vmem.Addr_space.read_byte proc.Proc.aspace (addr + i) with
-          | Ok b ->
-            Bytes.set buf i (Char.chr b);
-            go (i + 1)
-          | Error e -> Reply (Error (mem_errno e))
-      in
-      go 0
-    end
+    else
+      Reply
+        (Result.map_error mem_errno
+           (Vmem.Addr_space.read_bytes proc.Proc.aspace ~addr ~len))
   | Sysreq.Mem_write { addr; data } ->
     Reply (write_into proc.Proc.aspace addr data)
   | Sysreq.Touch { addr; len } -> (

@@ -14,7 +14,10 @@
 
     Each first-touch fault additionally charges one [Pager_request]
     upcall, amortised over [readahead + 1] pages when readahead pulls
-    neighbours in — the batching policy knob of E18.
+    neighbours in — the batching policy knob of E18. The host side
+    matches: the address space calls a fetch closure once per request
+    with all of the request's pages from its source, and the closure
+    charges its category once, [~n] pages at a time.
 
     On a real OS this layer is what [userfaultfd] (Linux) or an external
     pager port (Mach) would implement; here the pager is a trusted
@@ -30,10 +33,6 @@ val image_stride : int
     Pass as [~stride] to {!Vmem.Addr_space.map_lazy} when installing an
     image segment in one call. *)
 
-val decode : int -> [ `Image of int ]
-(** Inverse of the encoders (exposed for tests and trace dumps).
-    @raise Invalid_argument on an unknown tag. *)
-
 val make :
   frames:Vmem.Frame.t ->
   deny:(unit -> bool) ->
@@ -43,5 +42,6 @@ val make :
 (** Build the pager for one machine: [frames] is its physical memory
     (template fetches copy pinned frames out of it), [deny] the
     fault-injection hook consulted per pulled page (wire to
-    {!Fault.on_pager_fetch}), [readahead] the batch knob.
+    {!Fault.on_pager_fetch}), [readahead] the batch knob. Its [fetch]
+    raises [Invalid_argument] on any cookie that no encoder here made.
     @raise Invalid_argument on negative [readahead]. *)

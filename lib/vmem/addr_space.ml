@@ -2,16 +2,19 @@ type fault_error = [ `Segfault | `Perm_denied | `Out_of_memory ]
 
 (* A simulated user-mode pager: supplies the frame contents (and the
    modelled fetch cost) for pager-backed pages on their first touch.
-   [fetch] resolves a lazy PTE's cookie; [fetch_backing] copies a page
-   out of a template backing table; both take the faulting space's cost
-   meter as an argument, so one pager value can serve every space it is
-   installed into whatever meter each space charges.
-   [deny] is the fault-injection hook, consulted once per pulled page
-   (readahead included); [readahead] is how many immediately-following
-   pager-backed pages one request also pulls in. *)
+   One upcall serves a whole request: [fetch] resolves the request's
+   lazy pages (cookie k into frame k), [fetch_backing] copies its
+   template-backed pages (template frame k into frame k). Both take the
+   faulting space's cost meter as an argument, so one pager value can
+   serve every space it is installed into whatever meter each space
+   charges. [deny] is the fault-injection hook, consulted once per
+   pulled page (readahead included); [readahead] is how many
+   immediately-following pager-backed pages one request also pulls in. *)
 type pager = {
-  fetch : Cost.t -> cookie:int -> frame:Frame.frame -> unit;
-  fetch_backing : Cost.t -> src:Frame.frame -> dst:Frame.frame -> unit;
+  fetch :
+    Cost.t -> cookies:int array -> frames:Frame.frame array -> n:int -> unit;
+  fetch_backing :
+    Cost.t -> src:Frame.frame array -> dst:Frame.frame array -> n:int -> unit;
   deny : unit -> bool;
   readahead : int;
 }
@@ -371,73 +374,147 @@ let break_cow t ~vpn ~pte ~region_perm =
       Ok ()
   end
 
-(* Where the pager would source the (non-present) page at [vpn], if
-   anywhere: a lazy PTE carries its fetch cookie; a wholly-absent page
-   over the backing table (outside any munmap hole) is template-backed;
-   anything else is ordinary demand-zero. *)
-let pager_src t ~vpn ~pte =
-  if Pte.lazy_ pte then Some (`Cookie (Pte.cookie pte))
-  else
-    match t.backing with
-    | None -> None
-    | Some bpt ->
-      if List.exists (fun (lo, hi) -> vpn >= lo && vpn <= hi) t.backing_holes
-      then None
-      else
-        let b = Page_table.lookup bpt ~vpn in
-        if Pte.present b then Some (`Backing (Pte.frame b)) else None
+let rec in_hole vpn = function
+  | [] -> false
+  | (lo, hi) :: rest -> (vpn >= lo && vpn <= hi) || in_hole vpn rest
 
-(* Pull one page through the pager: allocate a frame, let the pager
-   charge its fetch and fill the contents, install the entry present at
-   the region permission. Failure (denied fetch or no frame) leaves the
-   entry exactly as it was — a lazy PTE stays lazy, a backing hit stays
-   absent — so a failed first touch rolls back cleanly. *)
-let pager_fill t pg ~vpn ~perm ~src ~prefetched =
-  if pg.deny () then Error `Out_of_memory
-  else
-    match Frame.alloc t.frames with
-    | Error `Out_of_memory -> Error `Out_of_memory
-    | Ok frame ->
-      (match src with
-      | `Cookie c -> pg.fetch t.cost ~cookie:c ~frame
-      | `Backing src -> pg.fetch_backing t.cost ~src ~dst:frame);
-      let pte = Pte.make ~frame ~perm () in
-      Page_table.map t.pt ~vpn
-        (if prefetched then Pte.mark_prefetched pte else pte);
-      Ok ()
+(* Where the pager sources the non-present page [vpn], named by an
+   entry so that naming it allocates nothing: the page's own lazy entry
+   [pte] (its cookie), else the backing table's entry [b] when that is a
+   present template page outside every munmap hole (its frame), else
+   [Pte.absent] — ordinary demand-zero. *)
+let source_of t ~vpn ~pte ~b =
+  if Pte.lazy_ pte then pte
+  else if Pte.present b && not (in_hole vpn t.backing_holes) then b
+  else Pte.absent
 
-(* First-touch (major) fault on a pager-backed page: one pager request
-   serves the faulting page plus up to [readahead] immediately-following
-   pager-backed pages of the same VMA, installed with the prefetched
-   mark (their later first access tallies a readahead hit). Readahead
-   stops silently at the first non-pager-backed page, denied fetch or
-   allocation failure — only the faulting page's failure surfaces.
-   Charges carry the deferred-blame context: a zygote child's fetches
-   bill the spawn event that made its pages lazy. *)
-let pager_fault t pg ~region_perm ~region_stop ~vpn ~src =
+let source t ~vpn ~pte =
+  source_of t ~vpn ~pte
+    ~b:
+      (match t.backing with
+      | None -> Pte.absent
+      | Some bpt -> Page_table.lookup bpt ~vpn)
+
+let pager_of t =
+  match t.pager with
+  | Some pg -> pg
+  | None -> invalid_arg "Addr_space.fault: pager-backed page but no pager"
+
+(* The pages one pager request pulls, by source: lazy pages as (cookie,
+   frame) pairs, template-backed ones as (template frame, frame) pairs.
+   The arrays grow to the largest request seen. *)
+type request = {
+  mutable cookies : int array;
+  mutable targets : Frame.frame array;  (** frame k receives cookie k *)
+  mutable images : int;
+  mutable srcs : Frame.frame array;
+  mutable dsts : Frame.frame array;
+  mutable backed : int;
+}
+
+(* Per-domain buffers, so a fault allocates none: one leaf's worth of
+   frame numbers for demand fills (a frame array per leaf would be a
+   major-heap block each) and the pager request under assembly. Made on
+   a domain's first touch, not at module initialisation. *)
+type buffers = { fill : Frame.frame array; request : request }
+
+let buffers =
+  Domain.DLS.new_key (fun () ->
+      {
+        fill = Array.make Addr.entries_per_table 0;
+        request =
+          { cookies = [||]; targets = [||]; images = 0; srcs = [||];
+            dsts = [||]; backed = 0 };
+      })
+
+let new_request pg =
+  let r = (Domain.DLS.get buffers).request in
+  let cap = pg.readahead + 1 in
+  if Array.length r.cookies < cap then begin
+    r.cookies <- Array.make cap 0;
+    r.targets <- Array.make cap 0;
+    r.srcs <- Array.make cap 0;
+    r.dsts <- Array.make cap 0
+  end;
+  r.images <- 0;
+  r.backed <- 0;
+  r
+
+(* Pull the page whose source is [src] into the request: the pager's
+   deny hook first, then a frame. Returns the frame, or -1 when either
+   refuses — the page's entry is then left exactly as it was. *)
+let pull t pg req src =
+  if pg.deny () then -1
+  else
+    let frame = Frame.take t.frames in
+    if frame >= 0 then begin
+      if Pte.lazy_ src then begin
+        req.cookies.(req.images) <- Pte.cookie src;
+        req.targets.(req.images) <- frame;
+        req.images <- req.images + 1
+      end
+      else begin
+        req.srcs.(req.backed) <- Pte.frame src;
+        req.dsts.(req.backed) <- frame;
+        req.backed <- req.backed + 1
+      end
+    end;
+    frame
+
+(* The request's upcalls: one per source kind it pulled pages from,
+   each charging its fetch category once. Runs in the deferred-blame
+   context: a zygote child's fetches bill the spawn event that made its
+   pages lazy. *)
+let submit t pg req =
+  deferred_blame t (fun () ->
+      if req.images > 0 then
+        pg.fetch t.cost ~cookies:req.cookies ~frames:req.targets ~n:req.images;
+      if req.backed > 0 then
+        pg.fetch_backing t.cost ~src:req.srcs ~dst:req.dsts ~n:req.backed)
+
+(* Readahead through the per-page helpers over [v0, stop]: each page is
+   looked up and mapped prefetched on its own, stopping at the first
+   present page, page with no pager source, or refused pull. *)
+let rec readahead_pages t pg req ~perm ~v0 ~stop =
+  if v0 <= stop then begin
+    let pte = Page_table.lookup t.pt ~vpn:v0 in
+    if not (Pte.present pte) then begin
+      let src = source t ~vpn:v0 ~pte in
+      if src <> Pte.absent then begin
+        let frame = pull t pg req src in
+        if frame >= 0 then begin
+          Page_table.map t.pt ~vpn:v0
+            (Pte.mark_prefetched (Pte.make ~frame ~perm ()));
+          readahead_pages t pg req ~perm ~v0:(v0 + 1) ~stop
+        end
+      end
+    end
+  end
+
+(* First-touch (major) fault on a pager-backed page, the per-page
+   reference: one pager request serves the faulting page plus up to
+   [readahead] immediately-following pager-backed pages of the same VMA
+   (ending at page [rlast]), installed with the prefetched mark (their
+   later first access tallies a readahead hit). Readahead stops silently
+   at the first present page, page with no pager source, denied fetch
+   or allocation failure — only the faulting page's failure surfaces,
+   after its fault_base and request charges. Charges carry the
+   deferred-blame context. *)
+let pager_fault t pg ~perm ~rlast ~vpn ~src =
   let p = params t in
   deferred_blame t (fun () ->
       Cost.charge t.cost Fault_base p.Cost.fault_base;
-      Cost.charge t.cost Pager_request p.Cost.pager_request;
-      match pager_fill t pg ~vpn ~perm:region_perm ~src ~prefetched:false with
-      | Error _ as e -> e
-      | Ok () ->
-        let vpn_stop = min (Addr.page_number (region_stop - 1)) (vpn + pg.readahead) in
-        (try
-           for v = vpn + 1 to vpn_stop do
-             let pte = Page_table.lookup t.pt ~vpn:v in
-             if Pte.present pte then raise Exit;
-             match pager_src t ~vpn:v ~pte with
-             | None -> raise Exit
-             | Some src -> (
-               match
-                 pager_fill t pg ~vpn:v ~perm:region_perm ~src ~prefetched:true
-               with
-               | Error `Out_of_memory -> raise Exit
-               | Ok () -> ())
-           done
-         with Exit -> ());
-        Ok ())
+      Cost.charge t.cost Pager_request p.Cost.pager_request);
+  let req = new_request pg in
+  let frame = pull t pg req src in
+  if frame < 0 then Error `Out_of_memory
+  else begin
+    Page_table.map t.pt ~vpn (Pte.make ~frame ~perm ());
+    readahead_pages t pg req ~perm ~v0:(vpn + 1)
+      ~stop:(min rlast (vpn + pg.readahead));
+    submit t pg req;
+    Ok ()
+  end
 
 let fault t ~addr ~write =
   alive t "Addr_space.fault";
@@ -456,19 +533,16 @@ let fault t ~addr ~write =
         let vpn = Addr.page_number addr in
         let pte = Page_table.lookup t.pt ~vpn in
         if not (Pte.present pte) then begin
-          match pager_src t ~vpn ~pte with
-          | Some src -> (
-            match t.pager with
-            | None ->
-              invalid_arg "Addr_space.fault: pager-backed page but no pager"
-            | Some pg ->
-              pager_fault t pg ~region_perm:vma.Vma.perm ~region_stop:rstop
-                ~vpn ~src)
-          | None ->
+          let src = source t ~vpn ~pte in
+          if src <> Pte.absent then
+            pager_fault t (pager_of t) ~perm:vma.Vma.perm
+              ~rlast:(Addr.page_number (rstop - 1)) ~vpn ~src
+          else begin
             Cost.charge t.cost Fault_base p.Cost.fault_base;
             demand_fill t ~vpn ~perm:vma.Vma.perm
+          end
         end
-        else if write && not (Pte.perm pte).Perm.write then begin
+        else if write && not (Pte.writable pte) then begin
           if Pte.cow pte then
             (* the deferred half of a fork's bill: charge the break to
                the sharing event that created this COW mapping *)
@@ -502,185 +576,319 @@ let touch t addr = fault t ~addr ~write:true
 
 exception Fault_stop of fault_error
 
-(* One leaf's worth of frame numbers, reused by every demand fill on
-   this domain: a fill allocates no frame array, which would be a
-   major-heap block per leaf. *)
-let fill_frames =
-  Domain.DLS.new_key (fun () -> Array.make Addr.entries_per_table 0)
+(* A batched write-touch in progress: the VMA and leaf under the cursor,
+   and per-category tallies of the per-page charges the walk owes. Each
+   tally is flushed once, as one [~n] charge, in the Blame context the
+   per-page walk charges it in (every cost parameter is an
+   integer-valued float, so one charge of n*c equals n charges of c
+   exactly, and event counts are summed either way). *)
+type walk = {
+  space : t;
+  mutable rperm : Perm.t;  (** the VMA's permission *)
+  mutable rlast : int;  (** the VMA's last page *)
+  mutable base : int;  (** vpn of the current leaf's entry 0 *)
+  mutable leaf : Pte.t array;
+      (** the current leaf as read, empty when missing; once [owned],
+          the private copy writes go to *)
+  mutable owned : bool;
+  mutable back : Pte.t array;  (** the backing table's leaf at [base] *)
+  mutable pages : int;  (** pages touched *)
+  (* plain context: demand-zero fills, refreshes, readahead hits *)
+  mutable faults : int;
+  mutable zero_fills : int;
+  mutable refreshes : int;
+  mutable hits : int;
+  (* deferred context: COW breaks and pager faults *)
+  mutable deferred_faults : int;
+  mutable requests : int;
+  mutable cow_reuses : int;
+  mutable cow_copies : int;
+}
 
-(* Batched write-fault of [vpn0, vpn1], all inside one VMA whose
-   permission allows writes: the same per-page state transitions as
-   [fault ~write:true], but each leaf is located once and the cost
-   meter is charged once per category for the whole range (all cost
-   parameters are integer-valued floats, so one charge of n*c equals n
-   charges of c exactly, and event counts are summed either way). *)
-let touch_covered_batched t ~rperm ~vpn0 ~vpn1 ~count =
+let flush w =
+  let t = w.space in
   let p = params t in
-  let n_base = ref 0 and n_zero = ref 0 and n_reuse = ref 0 in
-  let n_copy = ref 0 and n_invlpg = ref 0 in
-  (* COW-break work is tallied apart from ordinary fills so its charges
-     can carry the deferred-blame context; splitting one charge of
-     (a+b)*c into a*c and b*c is exact (integer-valued params), so the
-     meter's totals and event counts are unchanged. *)
-  let n_base_cow = ref 0 and n_invlpg_cow = ref 0 in
-  let flush_charges () =
-    if !n_base > 0 then
-      Cost.charge ~n:!n_base t.cost Fault_base
-        (p.Cost.fault_base *. float_of_int !n_base);
-    if !n_zero > 0 then
-      Cost.charge ~n:!n_zero t.cost Fault_zero_fill
-        (p.Cost.frame_zero *. float_of_int !n_zero);
-    invalidate t ~n:!n_invlpg;
-    if !n_base_cow > 0 || !n_reuse > 0 || !n_copy > 0 || !n_invlpg_cow > 0
-    then
-      deferred_blame t (fun () ->
-          if !n_base_cow > 0 then
-            Cost.charge ~n:!n_base_cow t.cost Fault_base
-              (p.Cost.fault_base *. float_of_int !n_base_cow);
-          if !n_reuse > 0 then
-            Cost.charge ~n:!n_reuse t.cost Fault_cow_reuse 0.0;
-          if !n_copy > 0 then
-            Cost.charge ~n:!n_copy t.cost Fault_cow_copy
-              (p.Cost.frame_copy *. float_of_int !n_copy);
-          invalidate t ~n:!n_invlpg_cow)
+  let charge cat ~n c =
+    if n > 0 then Cost.charge ~n t.cost cat (c *. float_of_int n)
   in
-  let oom () =
-    flush_charges ();
-    raise (Fault_stop `Out_of_memory)
-  in
-  (* demand-fill a run of [n] absent pages starting at [entries.(i0)];
-     the failing page of a short allocation still pays fault_base, like
-     the per-page walk, and a wholly-failed run creates no leaf *)
-  let fill ~n ~get_entries ~i0 =
-    let frames = Domain.DLS.get fill_frames in
-    let m = Frame.alloc_upto t.frames ~into:frames n in
-    n_base := !n_base + m;
-    n_zero := !n_zero + m;
-    if m > 0 then begin
-      let entries = get_entries () in
-      Pte.blit_run ~frames ~n:m ~perm:rperm entries ~at:i0;
-      Page_table.note_mapped t.pt m;
-      count := !count + m
-    end;
-    if m < n then begin
-      incr n_base;
-      oom ()
-    end
-  in
-  Page_table.fold_leaves t.pt ~vpn0 ~vpn1 ~init:()
-    ~missing:(fun () ~vpn ~span ~materialize ->
-      fill ~n:span ~get_entries:materialize
-        ~i0:(vpn land (Addr.entries_per_table - 1)))
-    ~leaf:(fun () ~base:_ ~entries:_ ~lo ~hi ~writable ->
-      let entries = writable () in
-      let i = ref lo in
-      while !i <= hi do
-        let pte = entries.(!i) in
-        if not (Pte.present pte) then begin
-          let j = ref (!i + 1) in
-          while !j <= hi && not (Pte.present entries.(!j)) do
-            incr j
-          done;
-          fill ~n:(!j - !i) ~get_entries:(fun () -> entries) ~i0:!i;
-          i := !j
-        end
-        else begin
-          (if (Pte.perm pte).Perm.write then
-             (* plain write hit: reference bits only, no charge *)
-             entries.(!i) <- Pte.mark_dirty (Pte.mark_accessed pte)
-           else if Pte.cow pte then begin
-             let frame = Pte.frame pte in
-             incr n_base_cow;
-             if Frame.refcount t.frames frame = 1 then begin
-               (* last sharer: take the page back in place *)
-               incr n_reuse;
-               entries.(!i) <- Pte.with_cow (Pte.with_perm pte rperm) false;
-               incr n_invlpg_cow
-             end
-             else begin
-               match Frame.alloc t.frames with
-               | Error `Out_of_memory -> oom ()
-               | Ok fresh ->
-                 incr n_copy;
-                 Frame.copy_contents t.frames ~src:frame ~dst:fresh;
-                 ignore (Frame.decref t.frames frame);
-                 entries.(!i) <- Pte.make ~frame:fresh ~perm:rperm ();
-                 incr n_invlpg_cow
-             end
-           end
-           else begin
-             (* stale protection: refresh in place *)
-             incr n_base;
-             entries.(!i) <- Pte.with_perm pte rperm;
-             incr n_invlpg
-           end);
-          incr count;
-          incr i
-        end
-      done);
-  flush_charges ()
+  charge Fault_base ~n:w.faults p.Cost.fault_base;
+  charge Fault_zero_fill ~n:w.zero_fills p.Cost.frame_zero;
+  charge Pager_readahead_hit ~n:w.hits 0.0;
+  invalidate t ~n:w.refreshes;
+  if w.deferred_faults > 0 then
+    deferred_blame t (fun () ->
+        charge Fault_base ~n:w.deferred_faults p.Cost.fault_base;
+        charge Pager_request ~n:w.requests p.Cost.pager_request;
+        charge Fault_cow_reuse ~n:w.cow_reuses 0.0;
+        charge Fault_cow_copy ~n:w.cow_copies p.Cost.frame_copy;
+        invalidate t ~n:(w.cow_reuses + w.cow_copies))
 
-let touch_range_batched t ~addr ~len =
-  let vpn1 = Addr.page_number (addr + len - 1) in
-  let count = ref 0 in
-  try
-    let vpn = ref (Addr.page_number addr) in
-    while !vpn <= vpn1 do
-      let a = Addr.addr_of_page !vpn in
-      if not (Addr.valid a) then raise (Fault_stop `Segfault);
-      match Region_map.find_containing a t.regions with
-      | None -> raise (Fault_stop `Segfault)
-      | Some (_, e, vma) ->
-        if not (Perm.allows vma.Vma.perm { Perm.none with Perm.write = true })
-        then raise (Fault_stop `Perm_denied);
-        let sub_end = min vpn1 (Addr.page_number (e - 1)) in
-        touch_covered_batched t ~rperm:vma.Vma.perm ~vpn0:!vpn ~vpn1:sub_end
-          ~count;
-        vpn := sub_end + 1
+let writable w =
+  if not w.owned then begin
+    w.leaf <- Page_table.writable_leaf w.space.pt ~vpn:w.base;
+    w.owned <- true
+  end;
+  w.leaf
+
+let source_at w i ~pte =
+  source_of w.space ~vpn:(w.base + i) ~pte ~b:(Page_table.entry w.back i)
+
+(* Demand-zero fill of the [n] absent pages from leaf index [i]: frames
+   in the order [n] allocs would give them. The failing page of a short
+   allocation still pays fault_base, like the per-page walk, and a
+   wholly-failed run creates no leaf. *)
+let zero_fill w ~i ~n =
+  let t = w.space in
+  let frames = (Domain.DLS.get buffers).fill in
+  let m = Frame.alloc_upto t.frames ~into:frames n in
+  w.faults <- w.faults + m;
+  w.zero_fills <- w.zero_fills + m;
+  if m > 0 then begin
+    Pte.blit_run ~frames ~n:m ~perm:w.rperm (writable w) ~at:i;
+    Page_table.note_mapped t.pt m;
+    w.pages <- w.pages + m
+  end;
+  if m < n then begin
+    w.faults <- w.faults + 1;
+    raise (Fault_stop `Out_of_memory)
+  end
+
+(* The major fault of leaf index [i], served in the cached leaf: the
+   faulting page, then readahead up to [readahead] pages on within the
+   VMA — through the leaf while it lasts, then through the per-page
+   helpers — all in one request. A failed faulting page leaves its
+   entry (and a missing leaf) as it was, after its fault_base and
+   request tallies. *)
+let major_fault w pg ~i ~src =
+  let t = w.space in
+  w.deferred_faults <- w.deferred_faults + 1;
+  w.requests <- w.requests + 1;
+  let req = new_request pg in
+  let frame = pull t pg req src in
+  if frame < 0 then raise (Fault_stop `Out_of_memory);
+  let leaf = writable w in
+  leaf.(i) <- Pte.make ~frame ~perm:w.rperm ();
+  let resolved = ref (if Pte.lazy_ src then 1 else 0) in
+  let stop = min w.rlast (w.base + i + pg.readahead) in
+  let last = min (stop - w.base) (Addr.entries_per_table - 1) in
+  let j = ref (i + 1) and cut = ref false in
+  while (not !cut) && !j <= last do
+    let pte = leaf.(!j) in
+    let src = if Pte.present pte then Pte.absent else source_at w !j ~pte in
+    let frame = if src = Pte.absent then -1 else pull t pg req src in
+    if frame < 0 then cut := true
+    else begin
+      leaf.(!j) <- Pte.mark_prefetched (Pte.make ~frame ~perm:w.rperm ());
+      if Pte.lazy_ src then incr resolved;
+      incr j
+    end
+  done;
+  Page_table.note_mapped t.pt (!j - i);
+  Page_table.note_resolved t.pt !resolved;
+  if (not !cut) && stop > w.base + last then
+    readahead_pages t pg req ~perm:w.rperm ~v0:(w.base + last + 1) ~stop;
+  submit t pg req;
+  w.pages <- w.pages + 1
+
+(* A present page under a write touch: a plain hit sets the reference
+   bits (counting a readahead hit on a prefetched page), a COW page
+   breaks, a stale protection is refreshed in place. *)
+let touch_present w ~i ~pte =
+  let t = w.space in
+  if Pte.writable pte then begin
+    if Pte.prefetched pte then w.hits <- w.hits + 1;
+    let updated = Pte.mark_dirty (Pte.mark_accessed (Pte.clear_prefetched pte)) in
+    if updated <> pte then (writable w).(i) <- updated
+  end
+  else if Pte.cow pte then begin
+    w.deferred_faults <- w.deferred_faults + 1;
+    let frame = Pte.frame pte in
+    if Frame.refcount t.frames frame = 1 then begin
+      (* last sharer: take the page back in place *)
+      w.cow_reuses <- w.cow_reuses + 1;
+      (writable w).(i) <- Pte.with_cow (Pte.with_perm pte w.rperm) false
+    end
+    else begin
+      let fresh = Frame.take t.frames in
+      if fresh < 0 then raise (Fault_stop `Out_of_memory);
+      w.cow_copies <- w.cow_copies + 1;
+      Frame.copy_contents t.frames ~src:frame ~dst:fresh;
+      ignore (Frame.decref t.frames frame);
+      (writable w).(i) <- Pte.make ~frame:fresh ~perm:w.rperm ()
+    end
+  end
+  else begin
+    w.faults <- w.faults + 1;
+    w.refreshes <- w.refreshes + 1;
+    (writable w).(i) <- Pte.with_perm pte w.rperm
+  end;
+  w.pages <- w.pages + 1
+
+(* The end of the run of demand-zero pages (not present, no pager
+   source) from leaf index [i]. Without a backing leaf such a page is an
+   absent entry, and a missing leaf is one run; only under a backing
+   leaf does each page need its source looked up. *)
+let zero_run_end w ~i ~hi =
+  let leaf = w.leaf and j = ref i in
+  if Array.length w.back = 0 then begin
+    if Array.length leaf = 0 then j := hi + 1
+    else
+      while !j <= hi && Array.unsafe_get leaf !j = Pte.absent do
+        incr j
+      done
+  end
+  else
+    while
+      !j <= hi
+      &&
+      let pte = Page_table.entry leaf !j in
+      (not (Pte.present pte)) && source_at w !j ~pte = Pte.absent
+    do
+      incr j
     done;
-    Ok !count
-  with Fault_stop err -> Error err
+  !j
+
+(* Write-touch indices [lo, hi] of the leaf at [base]: the same per-page
+   transitions, in the same ascending order, as [fault ~write:true]. A
+   run of demand-zero pages is filled in one batch. *)
+let touch_leaf w ~base ~lo ~hi =
+  w.base <- base;
+  w.leaf <- Page_table.find_leaf w.space.pt ~vpn:base;
+  w.owned <- false;
+  w.back <-
+    (match w.space.backing with
+    | None -> [||]
+    | Some bpt -> Page_table.find_leaf bpt ~vpn:base);
+  let i = ref lo in
+  while !i <= hi do
+    let pte = Page_table.entry w.leaf !i in
+    if Pte.present pte then begin
+      touch_present w ~i:!i ~pte;
+      incr i
+    end
+    else begin
+      let src = source_at w !i ~pte in
+      if src <> Pte.absent then begin
+        major_fault w (pager_of w.space) ~i:!i ~src;
+        incr i
+      end
+      else begin
+        let j = zero_run_end w ~i:(!i + 1) ~hi in
+        zero_fill w ~i:!i ~n:(j - !i);
+        i := j
+      end
+    end
+  done
+
+(* Batched write-touch of [vpn0, vpn1]: per VMA, the permission check of
+   the per-page walk, then each leaf located once. *)
+let touch_batched w ~vpn0 ~vpn1 =
+  let t = w.space in
+  let vpn = ref vpn0 in
+  while !vpn <= vpn1 do
+    let a = Addr.addr_of_page !vpn in
+    if not (Addr.valid a) then raise (Fault_stop `Segfault);
+    match Region_map.find_containing a t.regions with
+    | None -> raise (Fault_stop `Segfault)
+    | Some (_, e, vma) ->
+      if not vma.Vma.perm.Perm.write then raise (Fault_stop `Perm_denied);
+      w.rperm <- vma.Vma.perm;
+      w.rlast <- Addr.page_number (e - 1);
+      let sub_end = min vpn1 w.rlast in
+      while !vpn <= sub_end do
+        let base = !vpn land lnot (Addr.entries_per_table - 1) in
+        let hi = min sub_end (base + Addr.entries_per_table - 1) in
+        touch_leaf w ~base ~lo:(!vpn - base) ~hi:(hi - base);
+        vpn := hi + 1
+      done
+  done
 
 let touch_range t ~addr ~len =
   if len <= 0 then Ok 0
-  else if t.batched && not (pager_active t) then begin
-    (* the per-page walk hits [fault]'s liveness check on page one.
-       With demand paging live the per-page reference walk is used even
-       in batched mode: readahead grouping makes the charge sequence
-       state-dependent, and the per-page walk IS that sequence — the
-       batched leaf pass would have to replay it page by page anyway
-       (total charges and event counts are identical either way, since
-       every cost parameter is an integer-valued float). *)
-    alive t "Addr_space.fault";
-    touch_range_batched t ~addr ~len
-  end
   else begin
     let vpn0 = Addr.page_number addr in
     let vpn1 = Addr.page_number (addr + len - 1) in
-    let rec go vpn n =
-      if vpn > vpn1 then Ok n
-      else
-        match touch t (Addr.addr_of_page vpn) with
-        | Ok () -> go (vpn + 1) (n + 1)
-        | Error e -> Error e
-    in
-    go vpn0 0
+    if t.batched then begin
+      (* the per-page walk hits [fault]'s liveness check on page one *)
+      alive t "Addr_space.fault";
+      let w =
+        { space = t; rperm = Perm.none; rlast = 0; base = 0; leaf = [||];
+          owned = false; back = [||]; pages = 0; faults = 0; zero_fills = 0;
+          refreshes = 0; hits = 0; deferred_faults = 0; requests = 0;
+          cow_reuses = 0; cow_copies = 0 }
+      in
+      match touch_batched w ~vpn0 ~vpn1 with
+      | () ->
+        flush w;
+        Ok w.pages
+      | exception Fault_stop err ->
+        flush w;
+        Error err
+    end
+    else begin
+      let rec go vpn n =
+        if vpn > vpn1 then Ok n
+        else
+          match touch t (Addr.addr_of_page vpn) with
+          | Ok () -> go (vpn + 1) (n + 1)
+          | Error e -> Error e
+      in
+      go vpn0 0
+    end
   end
 
-let write_byte t addr v =
-  match fault t ~addr ~write:true with
-  | Error e -> Error e
+(* [f ~addr ~pos ~n] on each page-bounded piece of [addr, addr+len) in
+   ascending order — [n] bytes at [addr], bytes [pos..pos+n) of the
+   range — until one fails. *)
+let rec each_page ~addr ~len ~pos f =
+  if pos >= len then Ok ()
+  else
+    let a = addr + pos in
+    let n = min (len - pos) (Addr.page_size - Addr.page_offset a) in
+    match f ~addr:a ~pos ~n with
+    | Error _ as e -> e
+    | Ok () -> each_page ~addr ~len ~pos:(pos + n) f
+
+(* The accesses a byte-at-a-time walk makes of one page's [n] bytes at
+   [addr]: the first byte faults; the second, if any, is a plain access,
+   which can only set the reference bits or count the readahead hit of
+   a page a COW reuse or a refresh left prefetched (it cannot fail: the
+   page is now present at the region permission); later bytes change
+   nothing. *)
+let access_page t ~addr ~n ~write =
+  match fault t ~addr ~write with
+  | Error _ as e -> e
   | Ok () ->
-    let pte = Page_table.lookup t.pt ~vpn:(Addr.page_number addr) in
-    Frame.write_byte t.frames (Pte.frame pte) ~off:(Addr.page_offset addr) v;
+    if n > 1 then ignore (fault t ~addr:(addr + 1) ~write);
     Ok ()
 
-let read_byte t addr =
-  match fault t ~addr ~write:false with
-  | Error e -> Error e
+let frame_at t addr = Pte.frame (Page_table.lookup t.pt ~vpn:(Addr.page_number addr))
+
+let read_bytes t ~addr ~len =
+  (* every page faults before the result is allocated, so a bad range
+     fails without allocating its length *)
+  match
+    each_page ~addr ~len ~pos:0 (fun ~addr ~pos:_ ~n ->
+        access_page t ~addr ~n ~write:false)
+  with
+  | Error _ as e -> e
   | Ok () ->
-    let pte = Page_table.lookup t.pt ~vpn:(Addr.page_number addr) in
-    Ok (Frame.read_byte t.frames (Pte.frame pte) ~off:(Addr.page_offset addr))
+    let buf = Bytes.create len in
+    ignore
+      (each_page ~addr ~len ~pos:0 (fun ~addr ~pos ~n ->
+           Frame.read_into t.frames (frame_at t addr)
+             ~off:(Addr.page_offset addr) ~len:n buf ~pos;
+           Ok ()));
+    Ok (Bytes.unsafe_to_string buf)
+
+let write_bytes t ~addr data =
+  each_page ~addr ~len:(String.length data) ~pos:0 (fun ~addr ~pos ~n ->
+      match access_page t ~addr ~n ~write:true with
+      | Error _ as e -> e
+      | Ok () ->
+        Frame.blit_string t.frames (frame_at t addr)
+          ~off:(Addr.page_offset addr) ~pos ~len:n data;
+        Ok ())
 
 let map_image_page t ~addr ~perm ?data ~kind () =
   alive t "Addr_space.map_image_page";

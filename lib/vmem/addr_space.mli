@@ -47,23 +47,34 @@ val note_cpu : t -> cpu:int -> unit
     CPUs must be re-observed immediately). *)
 
 type pager = {
-  fetch : Cost.t -> cookie:int -> frame:Frame.frame -> unit;
-      (** resolve a lazy PTE: charge the fetch and fill [frame] from
-          whatever source the cookie names (the cookie encoding is the
+  fetch :
+    Cost.t -> cookies:int array -> frames:Frame.frame array -> n:int -> unit;
+      (** resolve the [n] lazy pages of one request: charge their
+          fetches and fill [frames.(k)] from whatever source
+          [cookies.(k)] names, for [k < n] (the cookie encoding is the
           installer's — typically [Ksim.Pager]'s — private convention) *)
-  fetch_backing : Cost.t -> src:Frame.frame -> dst:Frame.frame -> unit;
-      (** pull one template page for a lazy-zygote child: charge the
-          fetch and copy [src] (a pinned template frame) into [dst] *)
+  fetch_backing :
+    Cost.t -> src:Frame.frame array -> dst:Frame.frame array -> n:int -> unit;
+      (** pull the [n] template pages of one request for a lazy-zygote
+          child: charge their fetches and copy [src.(k)] (a pinned
+          template frame) into [dst.(k)], for [k < n] *)
   deny : unit -> bool;
       (** fault-injection hook, consulted once per pulled page
-          (readahead included); [true] fails that fetch like OOM *)
+          (readahead included), in ascending page order and before that
+          page's frame allocation; [true] fails that fetch like OOM *)
   readahead : int;
       (** extra consecutive pager-backed pages pulled per request *)
 }
 (** A simulated user-mode pager (see the module comment of
-    {!Ksim.Pager}). Each closure is passed the faulting space's cost
-    meter at call time, so a pager is built once, independently of any
-    space, and installed into as many spaces as need it. *)
+    {!Ksim.Pager}). A major fault makes one {e request}: the faulting
+    page plus up to [readahead] following pager-backed pages of its
+    VMA. The space calls [fetch] and [fetch_backing] at most once per
+    request each, with every page of the request from that source, and
+    never with [n = 0]. The arrays are buffers the space reuses,
+    valid only during the call. Each closure is passed the faulting
+    space's cost meter at call time, so a pager is built once,
+    independently of any space, and installed into as many spaces as
+    need it. *)
 
 val set_pager : t -> pager option -> unit
 (** Install (or remove) the pager consulted on first-touch faults of
@@ -154,10 +165,24 @@ val touch : t -> int -> (unit, fault_error) result
 
 val touch_range : t -> addr:int -> len:int -> (int, fault_error) result
 (** Write-touch every page of the range; returns the number of pages
-    touched. Stops at the first fault error. *)
+    touched. Stops at the first fault error. Leaves exactly the state,
+    charges and hook calls of {!touch} on each page in turn; a batched
+    space gets there in one pass per leaf, demand-paged pages included:
+    a major fault serves its whole request in the cached leaf, and each
+    category's charges are summed into one charge per call. *)
 
-val read_byte : t -> int -> (int, fault_error) result
-val write_byte : t -> int -> int -> (unit, fault_error) result
+val read_bytes : t -> addr:int -> len:int -> (string, fault_error) result
+(** Read [len] bytes from [addr]. Each page faults ([~write:false]) at
+    its first byte in the range, and a second time if the range holds
+    another of its bytes — exactly the state and charges of one
+    {!fault} per byte, since a third access changes nothing. Every page
+    faults before the result is allocated, so a failing range returns
+    its error having allocated nothing of its length. *)
+
+val write_bytes : t -> addr:int -> string -> (unit, fault_error) result
+(** Write the string at [addr], page by page: each page's accesses as in
+    {!read_bytes} ([~write:true]), then its bytes. Stops at the first
+    failing page, whose bytes and all later ones are left unwritten. *)
 
 val map_image_page :
   t -> addr:int -> perm:Perm.t -> ?data:string -> kind:Vma.kind ->

@@ -95,24 +95,28 @@ let push_free t f =
     t.run_top <- t.run_top + 1
   end
 
-let alloc t =
-  if denied t.deny_alloc then Error `Out_of_memory
+let take t =
+  if denied t.deny_alloc then -1
   else if t.run_top > 0 then begin
     let r = t.run_top - 1 in
     let f = t.run_hi.(r) in
     if f = t.run_lo.(r) then t.run_top <- r else t.run_hi.(r) <- f - 1;
     rc_set t f 1;
     t.used <- t.used + 1;
-    Ok f
+    f
   end
-  else if t.next_fresh >= t.nframes then Error `Out_of_memory
+  else if t.next_fresh >= t.nframes then -1
   else begin
     let f = t.next_fresh in
     t.next_fresh <- t.next_fresh + 1;
     rc_set t f 1;
     t.used <- t.used + 1;
-    Ok f
+    f
   end
+
+let alloc t =
+  let f = take t in
+  if f < 0 then Error `Out_of_memory else Ok f
 
 (* With a deny hook installed, the batched path must consult it once per
    frame — exactly like [n] successive allocs would — so "fail the Nth
@@ -122,11 +126,12 @@ let alloc_upto_hooked t ~into n =
   let rec go k =
     if k >= n then k
     else
-      match alloc t with
-      | Ok f ->
+      let f = take t in
+      if f < 0 then k
+      else begin
         into.(k) <- f;
         go (k + 1)
-      | Error `Out_of_memory -> k
+      end
   in
   go 0
 
@@ -305,25 +310,13 @@ let contents t f =
     if f > t.data_max then t.data_max <- f;
     b
 
-let write_byte t f ~off v =
-  check_frame t f "Frame.write_byte";
-  if off < 0 || off >= Addr.page_size then
-    invalid_arg "Frame.write_byte: offset";
-  if v < 0 || v > 255 then invalid_arg "Frame.write_byte: byte value";
-  Bytes.set (contents t f) off (Char.chr v)
-
-let read_byte t f ~off =
-  check_frame t f "Frame.read_byte";
-  if off < 0 || off >= Addr.page_size then invalid_arg "Frame.read_byte: offset";
-  match Hashtbl.find_opt t.data f with
-  | None -> 0
-  | Some b -> Char.code (Bytes.get b off)
-
-let blit_string t f ~off s =
+let blit_string t f ~off ?(pos = 0) ?len s =
   check_frame t f "Frame.blit_string";
-  if off < 0 || off + String.length s > Addr.page_size then
-    invalid_arg "Frame.blit_string: range";
-  Bytes.blit_string s 0 (contents t f) off (String.length s)
+  let len = match len with Some n -> n | None -> String.length s - pos in
+  if off < 0 || pos < 0 || len < 0 || pos + len > String.length s
+     || off + len > Addr.page_size
+  then invalid_arg "Frame.blit_string: range";
+  Bytes.blit_string s pos (contents t f) off len
 
 let read_string t f ~off ~len =
   check_frame t f "Frame.read_string";
@@ -332,6 +325,15 @@ let read_string t f ~off ~len =
   match Hashtbl.find_opt t.data f with
   | None -> String.make len '\000'
   | Some b -> Bytes.sub_string b off len
+
+let read_into t f ~off ~len buf ~pos =
+  check_frame t f "Frame.read_into";
+  if off < 0 || len < 0 || off + len > Addr.page_size || pos < 0
+     || pos + len > Bytes.length buf
+  then invalid_arg "Frame.read_into: range";
+  match Hashtbl.find_opt t.data f with
+  | None -> Bytes.fill buf pos len '\000'
+  | Some b -> Bytes.blit b off buf pos len
 
 let copy_contents t ~src ~dst =
   check_frame t src "Frame.copy_contents";

@@ -49,6 +49,11 @@ val free : t -> int
 val alloc : t -> (frame, [> `Out_of_memory ]) result
 (** Allocate a zero-filled frame with refcount 1. *)
 
+val take : t -> frame
+(** {!alloc} without the result box: the frame, or -1 where {!alloc}
+    fails. Allocates nothing on the host — a demand-paged fault pulls
+    pages by the million. *)
+
 val alloc_upto : t -> into:frame array -> int -> int
 (** [alloc_upto t ~into n] allocates up to [n] frames (each refcount 1)
     into [into.(0)] .. [into.(k-1)] and returns [k], in exactly the
@@ -114,15 +119,18 @@ val uncommit : t -> int -> unit
 
 val committed : t -> int
 
-val write_byte : t -> frame -> off:int -> int -> unit
-(** Materialises the frame contents on first write.
-    @raise Invalid_argument on a bad frame, offset or byte value. *)
+val blit_string : t -> frame -> off:int -> ?pos:int -> ?len:int -> string -> unit
+(** Write bytes [pos..pos+len) of the string (default: all of it) at
+    page offset [off], materialising the frame contents on first write.
+    @raise Invalid_argument on a bad frame or range. *)
 
-val read_byte : t -> frame -> off:int -> int
-(** Reads 0 from never-written frames. *)
-
-val blit_string : t -> frame -> off:int -> string -> unit
 val read_string : t -> frame -> off:int -> len:int -> string
+(** Reads zeroes from never-written frames. *)
+
+val read_into : t -> frame -> off:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [read_into t f ~off ~len buf ~pos] copies [len] bytes from page
+    offset [off] into [buf] at [pos] (zeroes from a never-written
+    frame). @raise Invalid_argument on a bad frame or range. *)
 
 val copy_contents : t -> src:frame -> dst:frame -> unit
 (** Copy page contents (used when breaking COW). Never-written sources

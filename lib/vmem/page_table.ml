@@ -46,13 +46,20 @@ let privatize = function
     Inner { refs = 1; children }
   | n -> n
 
+(* A missing leaf reads as the empty array: a walk allocates no option,
+   and [entry] reads every index of it as absent. *)
+let no_leaf : int array = [||]
+
+let entry leaf i =
+  if Array.length leaf = 0 then Pte.absent else Array.unsafe_get leaf i
+
 (* Read-only walk from the root (level = levels-1) down to the leaf. *)
 let rec walk_ro node level vpn =
   match node with
-  | Leaf l -> Some l.entries
+  | Leaf l -> l.entries
   | Inner i -> (
     match i.children.(Addr.table_index ~level vpn) with
-    | None -> None
+    | None -> no_leaf
     | Some child -> walk_ro child (level - 1) vpn)
 
 (* Walk for writing: privatise every node on the path so mutating the
@@ -64,7 +71,7 @@ let leaf_for_write t vpn ~create_missing =
   t.root <- root;
   let rec go node level =
     match node with
-    | Leaf l -> Some l.entries
+    | Leaf l -> l.entries
     | Inner i -> (
       let idx = Addr.table_index ~level vpn in
       match i.children.(idx) with
@@ -73,7 +80,7 @@ let leaf_for_write t vpn ~create_missing =
         if child' != child then i.children.(idx) <- Some child';
         go child' (level - 1)
       | None ->
-        if not create_missing then None
+        if not create_missing then no_leaf
         else begin
           let child = if level = 1 then new_leaf () else new_inner () in
           i.children.(idx) <- Some child;
@@ -86,62 +93,58 @@ let leaf_for_write t vpn ~create_missing =
 let map t ~vpn pte =
   check_vpn vpn;
   if not (Pte.present pte) then invalid_arg "Page_table.map: absent pte";
-  match leaf_for_write t vpn ~create_missing:true with
-  | None -> assert false
-  | Some entries ->
-    let idx = Addr.table_index ~level:0 vpn in
-    let old = entries.(idx) in
-    if not (Pte.present old) then t.present <- t.present + 1;
-    if Pte.lazy_ old then t.lazy_ <- t.lazy_ - 1;
-    entries.(idx) <- pte
+  let entries = leaf_for_write t vpn ~create_missing:true in
+  let idx = Addr.table_index ~level:0 vpn in
+  let old = entries.(idx) in
+  if not (Pte.present old) then t.present <- t.present + 1;
+  if Pte.lazy_ old then t.lazy_ <- t.lazy_ - 1;
+  entries.(idx) <- pte
 
 let unmap t ~vpn =
   check_vpn vpn;
-  match leaf_for_write t vpn ~create_missing:false with
-  | None -> Pte.absent
-  | Some entries ->
-    let idx = Addr.table_index ~level:0 vpn in
-    let old = entries.(idx) in
-    if Pte.present old then begin
-      entries.(idx) <- Pte.absent;
-      t.present <- t.present - 1
-    end
-    else if Pte.lazy_ old then begin
-      entries.(idx) <- Pte.absent;
-      t.lazy_ <- t.lazy_ - 1
-    end;
-    old
+  let entries = leaf_for_write t vpn ~create_missing:false in
+  let idx = Addr.table_index ~level:0 vpn in
+  let old = entry entries idx in
+  if Pte.present old then begin
+    entries.(idx) <- Pte.absent;
+    t.present <- t.present - 1
+  end
+  else if Pte.lazy_ old then begin
+    entries.(idx) <- Pte.absent;
+    t.lazy_ <- t.lazy_ - 1
+  end;
+  old
 
 let lookup t ~vpn =
   check_vpn vpn;
-  match walk_ro t.root (Addr.levels - 1) vpn with
-  | None -> Pte.absent
-  | Some entries -> entries.(Addr.table_index ~level:0 vpn)
+  entry (walk_ro t.root (Addr.levels - 1) vpn) (Addr.table_index ~level:0 vpn)
+
+let find_leaf t ~vpn =
+  check_vpn vpn;
+  walk_ro t.root (Addr.levels - 1) vpn
+
+let writable_leaf t ~vpn =
+  check_vpn vpn;
+  leaf_for_write t vpn ~create_missing:true
 
 let update t ~vpn f =
-  check_vpn vpn;
-  match walk_ro t.root (Addr.levels - 1) vpn with
-  | None -> false
-  | Some entries ->
-    let idx = Addr.table_index ~level:0 vpn in
-    let old = entries.(idx) in
-    if not (Pte.present old) then false
-    else begin
-      let updated = f old in
-      if not (Pte.present updated) then
-        invalid_arg "Page_table.update: function returned absent pte";
-      if updated <> old then begin
-        match leaf_for_write t vpn ~create_missing:false with
-        | None -> assert false
-        | Some entries -> entries.(idx) <- updated
-      end;
-      true
-    end
+  let old = lookup t ~vpn in
+  if not (Pte.present old) then false
+  else begin
+    let updated = f old in
+    if not (Pte.present updated) then
+      invalid_arg "Page_table.update: function returned absent pte";
+    if updated <> old then
+      (leaf_for_write t vpn ~create_missing:false).(Addr.table_index ~level:0 vpn)
+      <- updated;
+    true
+  end
 
 let present_count t = t.present
 let lazy_count t = t.lazy_
 let node_count t = t.nodes
 let note_mapped t n = t.present <- t.present + n
+let note_resolved t n = t.lazy_ <- t.lazy_ - n
 
 (* Every entry satisfying [keep], in increasing vpn order. The vpn is
    rebuilt on the way down: each level's child index adds 9 more bits. *)
@@ -189,21 +192,13 @@ let fold_leaves t ~vpn0 ~vpn1 ~init ~missing ~leaf =
       if base + Addr.entries_per_table - 1 > vpn1 then vpn1 - base
       else Addr.entries_per_table - 1
     in
-    (match walk_ro t.root (Addr.levels - 1) base with
-    | Some entries ->
-      let writable () =
-        match leaf_for_write t base ~create_missing:false with
-        | Some e -> e
-        | None -> assert false
-      in
-      acc := leaf !acc ~base ~entries ~lo ~hi ~writable
-    | None ->
-      let materialize () =
-        match leaf_for_write t base ~create_missing:true with
-        | Some e -> e
-        | None -> assert false
-      in
-      acc := missing !acc ~vpn:(base + lo) ~span:(hi - lo + 1) ~materialize);
+    let entries = walk_ro t.root (Addr.levels - 1) base in
+    (if Array.length entries > 0 then
+       let writable () = leaf_for_write t base ~create_missing:false in
+       acc := leaf !acc ~base ~entries ~lo ~hi ~writable
+     else
+       let materialize () = leaf_for_write t base ~create_missing:true in
+       acc := missing !acc ~vpn:(base + lo) ~span:(hi - lo + 1) ~materialize);
     incr li
   done;
   !acc
@@ -223,10 +218,8 @@ let map_lazy_range t ~vpn ~n ~cookie0 ~stride ~perm =
     if cookie0 < 0 || stride < 0 then
       invalid_arg "Page_table.map_lazy_range: bad cookie run";
     let install entries ~at ~from ~span =
-      let cookies =
-        Array.init span (fun k -> cookie0 + ((from + k) * stride))
-      in
-      Pte.lazy_blit_run ~cookies ~n:span ~perm entries ~at;
+      Pte.lazy_blit_run ~cookie0:(cookie0 + (from * stride)) ~stride ~n:span
+        ~perm entries ~at;
       t.lazy_ <- t.lazy_ + span
     in
     ignore

@@ -100,9 +100,29 @@ val fold_leaves :
     remove entries directly must report the net present-count change via
     {!note_mapped}. *)
 
+val find_leaf : t -> vpn:int -> Pte.t array
+(** The leaf holding [vpn], as a read-only view (the same contract as
+    {!fold_leaves}' [entries]; index it with {!Addr.table_index}
+    [~level:0]), or the empty array when the leaf is missing — a walk
+    that reads a missing leaf as all-absent entries allocates nothing. *)
+
+val entry : Pte.t array -> int -> Pte.t
+(** [entry leaf i] reads index [i] of a {!find_leaf} view: {!Pte.absent}
+    throughout a missing (empty) leaf. *)
+
+val writable_leaf : t -> vpn:int -> Pte.t array
+(** The leaf holding [vpn], ready for writing: every node on its path is
+    privatised and missing nodes are created, as {!map} would. Callers
+    report their count changes with {!note_mapped} and
+    {!note_resolved}. *)
+
 val note_mapped : t -> int -> unit
 (** Adjust the present-entry counter by [n] — for range fillers writing
-    through {!fold_leaves}. *)
+    through {!fold_leaves} or {!writable_leaf}. *)
+
+val note_resolved : t -> int -> unit
+(** [n] lazy entries were overwritten by present ones: drop them from
+    the lazy-entry counter. *)
 
 val clone_cow : t -> frames:Frame.t -> cost:Cost.t -> t
 (** Duplicate the table for a forked child: every table node is copied

@@ -53,6 +53,7 @@ let perm t =
     exec = t land bit_exec <> 0;
   }
 
+let writable t = t land bit_write <> 0
 let cow t = t land bit_cow <> 0
 let accessed t = t land bit_accessed <> 0
 let dirty t = t land bit_dirty <> 0
@@ -117,14 +118,14 @@ let downgrade_run src ~lo ~hi ~dst =
   done;
   !k
 
-let lazy_blit_run ~cookies ~n ~perm dst ~at =
-  if n < 0 || n > Array.length cookies || at < 0 || at + n > Array.length dst
+let lazy_blit_run ~cookie0 ~stride ~n ~perm dst ~at =
+  if n < 0 || at < 0 || at + n > Array.length dst || cookie0 < 0 || stride < 0
   then invalid_arg "Pte.lazy_blit_run";
   if n > 0 then begin
     let template = make_lazy ~cookie:0 ~perm () in
     for k = 0 to n - 1 do
       Array.unsafe_set dst (at + k)
-        (template lor (Array.unsafe_get cookies k lsl frame_shift))
+        (template lor ((cookie0 + (k * stride)) lsl frame_shift))
     done
   end
 

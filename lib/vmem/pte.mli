@@ -32,6 +32,10 @@ val make_lazy : cookie:int -> perm:Perm.t -> unit -> t
 
 val frame : t -> Frame.frame
 val perm : t -> Perm.t
+val writable : t -> bool
+(** The write permission bit alone: [(perm t).Perm.write] without
+    building the record. *)
+
 val cow : t -> bool
 val accessed : t -> bool
 val dirty : t -> bool
@@ -83,9 +87,11 @@ val downgrade_run : t array -> lo:int -> hi:int -> dst:int array -> int
     entries. *)
 
 val lazy_blit_run :
-  cookies:int array -> n:int -> perm:Perm.t -> t array -> at:int -> unit
-(** [lazy_blit_run ~cookies ~n ~perm dst ~at] writes
-    [make_lazy ~cookie:cookies.(k) ~perm ()] into [dst.(at + k)] for
-    [k < n]. @raise Invalid_argument on out-of-bounds slices. *)
+  cookie0:int -> stride:int -> n:int -> perm:Perm.t -> t array -> at:int -> unit
+(** [lazy_blit_run ~cookie0 ~stride ~n ~perm dst ~at] writes
+    [make_lazy ~cookie:(cookie0 + k*stride) ~perm ()] into
+    [dst.(at + k)] for [k < n], building no cookie array.
+    @raise Invalid_argument on out-of-bounds slices or a negative
+    [cookie0] or [stride]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1379,6 +1379,87 @@ let test_segfault_efault () =
   all_exited outcome;
   check_str "console" "efault" (Ksim.Kernel.console t)
 
+(* A read of an unmapped range fails at its first page, before its
+   result is allocated: a 256 MiB read of nothing costs the host no
+   256 MiB buffer. *)
+let test_mem_read_efault_allocates_nothing () =
+  let words = ref infinity in
+  let _, outcome =
+    boot (fun _ ->
+        let before = Gc.allocated_bytes () in
+        let r = Ksim.Api.mem_read ~addr:0xdead000 ~len:(256 * 1024 * 1024) in
+        words :=
+          (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8);
+        expect_errno Ksim.Errno.EFAULT r)
+  in
+  all_exited outcome;
+  check_bool "under 1M host words" true (!words < 1e6)
+
+(* Under the Demand policy a first touch that cannot be backed kills a
+   victim and retries the touch. A forked child warms 38 of the 48
+   frames and parks; a lazy-image worker then touches its 16 data pages
+   with readahead 3. Requests at pages 0 and 4 pull 4 pages each; the
+   one at page 8 gets 2 frames, so its readahead stops at page 10; the
+   one at page 10 fails on its faulting page. The child is the only
+   victim (init and the faulter never are), and its 38 frames let the
+   retried touch hit pages 0-9 and pull 10-13 and 14-15. *)
+let test_demand_oom_kill_through_lazy_touch () =
+  let data_pages = 16 and warm_pages = 38 in
+  let worker =
+    prog ~text_kib:4 ~data_kib:(data_pages * 4) "/worker" (fun _ ->
+        match
+          Ksim.Api.touch ~addr:(Ksim.Kernel.image_base + page)
+            ~len:(data_pages * page)
+        with
+        | Ok n -> Ksim.Api.print (Printf.sprintf "touched:%d;" n)
+        | Error e -> Ksim.Api.print (Ksim.Errno.to_string e))
+  in
+  let config =
+    {
+      Ksim.Kernel.default_config with
+      Ksim.Kernel.phys_pages = 48;
+      commit_policy = Vmem.Frame.Demand;
+      demand_paging = true;
+      pager_readahead = 3;
+      aslr = false;
+    }
+  in
+  let t, outcome =
+    boot ~config ~programs:[ worker ] (fun _ ->
+        let ready_r, ready_w = ok (Ksim.Api.pipe ()) in
+        let park_r, _park_w = ok (Ksim.Api.pipe ()) in
+        let warm =
+          ok
+            (Ksim.Api.fork ~child:(fun () ->
+                 let len = warm_pages * page in
+                 let addr = ok (Ksim.Api.mmap ~len ~perm:Vmem.Perm.rw) in
+                 ignore (ok (Ksim.Api.touch ~addr ~len));
+                 ok (Ksim.Api.write_all ready_w "R");
+                 ignore (Ksim.Api.read park_r 1)))
+        in
+        ignore (ok (Ksim.Api.read ready_r 1));
+        let w = ok (Ksim.Api.spawn "/worker") in
+        let show pid =
+          Format.asprintf "%a;" Ksim.Types.pp_status (ok (Ksim.Api.wait_for pid))
+        in
+        let st = show w in
+        Ksim.Api.print (st ^ show warm))
+  in
+  all_exited outcome;
+  check_str "console"
+    (Format.asprintf "touched:16;%a;%a;" Ksim.Types.pp_status
+       (Ksim.Types.Exited 0) Ksim.Types.pp_status
+       (Ksim.Types.Killed Ksim.Usignal.SIGKILL))
+    (Ksim.Kernel.console t);
+  let g = Ksim.Kstat.global (Ksim.Kernel.kstat t) in
+  check_int "one OOM kill" 1 g.Ksim.Kstat.oom_kills;
+  check_int "major faults: 3, the failed one, 2" 6 g.Ksim.Kstat.major_faults;
+  check_int "every data page fetched once" data_pages g.Ksim.Kstat.pages_fetched;
+  check_int "readahead hits: 3 + 3 + 1, then 3 + 1" 11
+    g.Ksim.Kstat.readahead_hits;
+  check_int "no frame leak" 0 (Vmem.Frame.used (Ksim.Kernel.frames t));
+  check_int "no commit leak" 0 (Vmem.Frame.committed (Ksim.Kernel.frames t))
+
 (* ------------------------------------------------------------------ *)
 (* ASLR: layout inheritance (E5 mechanism) *)
 
@@ -2533,6 +2614,10 @@ let () =
           tc "touch" test_touch_counts_pages;
           tc "stack guard page" test_stack_guard_page;
           tc "efault" test_segfault_efault;
+          tc "efault read allocates nothing"
+            test_mem_read_efault_allocates_nothing;
+          tc "demand OOM kill through a lazy touch"
+            test_demand_oom_kill_through_lazy_touch;
         ] );
       ( "aslr",
         [

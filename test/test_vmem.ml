@@ -127,23 +127,28 @@ let test_frame_overcommit () =
 let test_frame_data () =
   let fr = Vmem.Frame.create ~frames:4 () in
   let f = ok (Vmem.Frame.alloc fr) in
-  check_int "zero before write" 0 (Vmem.Frame.read_byte fr f ~off:100);
-  Vmem.Frame.write_byte fr f ~off:100 42;
-  check_int "read back" 42 (Vmem.Frame.read_byte fr f ~off:100);
+  check_str "zero before write" "\000" (Vmem.Frame.read_string fr f ~off:100 ~len:1);
+  Vmem.Frame.blit_string fr f ~off:100 "*";
+  check_str "read back" "*" (Vmem.Frame.read_string fr f ~off:100 ~len:1);
   Vmem.Frame.blit_string fr f ~off:0 "hi";
   check_str "string" "hi" (Vmem.Frame.read_string fr f ~off:0 ~len:2);
+  Vmem.Frame.blit_string fr f ~off:8 ~pos:1 ~len:2 "xyz";
+  check_str "substring" "yz" (Vmem.Frame.read_string fr f ~off:8 ~len:2);
+  let buf = Bytes.make 4 '.' in
+  Vmem.Frame.read_into fr f ~off:0 ~len:2 buf ~pos:1;
+  check_str "read into" ".hi." (Bytes.to_string buf);
   let g = ok (Vmem.Frame.alloc fr) in
   Vmem.Frame.copy_contents fr ~src:f ~dst:g;
-  check_int "copied" 42 (Vmem.Frame.read_byte fr g ~off:100)
+  check_str "copied" "*" (Vmem.Frame.read_string fr g ~off:100 ~len:1)
 
 let test_frame_free_discards_data () =
   let fr = Vmem.Frame.create ~frames:1 () in
   let f = ok (Vmem.Frame.alloc fr) in
-  Vmem.Frame.write_byte fr f ~off:0 7;
+  Vmem.Frame.blit_string fr f ~off:0 "\007";
   ignore (Vmem.Frame.decref fr f);
   let f' = ok (Vmem.Frame.alloc fr) in
   check_int "same slot" f f';
-  check_int "zeroed" 0 (Vmem.Frame.read_byte fr f' ~off:0)
+  check_str "zeroed" "\000" (Vmem.Frame.read_string fr f' ~off:0 ~len:1)
 
 let test_frame_pin () =
   let fr = Vmem.Frame.create ~frames:8 () in
@@ -527,6 +532,15 @@ let make_as ?(frames = 4096) ?policy () =
 
 let page = Vmem.Addr.page_size
 
+(* One-byte accesses through the range accessors. *)
+let read_byte a addr =
+  Result.map
+    (fun s -> Char.code s.[0])
+    (Vmem.Addr_space.read_bytes a ~addr ~len:1)
+
+let write_byte a addr v =
+  Vmem.Addr_space.write_bytes a ~addr (String.make 1 (Char.chr v))
+
 let test_as_mmap_gap () =
   let _, a = make_as () in
   let x = ok (Vmem.Addr_space.mmap ~len:(2 * page) ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a) in
@@ -551,23 +565,23 @@ let test_as_demand_zero () =
   let fr, a = make_as () in
   let x = ok (Vmem.Addr_space.mmap ~len:page ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a) in
   check_int "nothing resident" 0 (Vmem.Addr_space.resident_pages a);
-  check_int "reads zero" 0 (ok (Vmem.Addr_space.read_byte a x));
+  check_int "reads zero" 0 (ok (read_byte a x));
   check_int "one page resident" 1 (Vmem.Addr_space.resident_pages a);
-  ok (Vmem.Addr_space.write_byte a (x + 5) 99);
-  check_int "reads back" 99 (ok (Vmem.Addr_space.read_byte a (x + 5)));
+  ok (write_byte a (x + 5) 99);
+  check_int "reads back" 99 (ok (read_byte a (x + 5)));
   check_int "still one page" 1 (Vmem.Addr_space.resident_pages a);
   check_int "one frame used" 1 (Vmem.Frame.used fr)
 
 let test_as_segfault_and_perms () =
   let _, a = make_as () in
-  (match Vmem.Addr_space.read_byte a 0x500 with
+  (match read_byte a 0x500 with
   | Error `Segfault -> ()
   | _ -> Alcotest.fail "expected segfault");
   let x = ok (Vmem.Addr_space.mmap ~len:page ~perm:Vmem.Perm.r ~kind:Vmem.Vma.Anon a) in
-  (match Vmem.Addr_space.write_byte a x 1 with
+  (match write_byte a x 1 with
   | Error `Perm_denied -> ()
   | _ -> Alcotest.fail "expected perm denied");
-  check_int "read ok" 0 (ok (Vmem.Addr_space.read_byte a x))
+  check_int "read ok" 0 (ok (read_byte a x))
 
 let test_as_munmap_partial () =
   let fr, a = make_as () in
@@ -580,7 +594,7 @@ let test_as_munmap_partial () =
   check_int "split vmas" 2 (Vmem.Addr_space.vma_count a);
   check_int "frames freed" 3 (Vmem.Frame.used fr);
   (* hole faults *)
-  match Vmem.Addr_space.read_byte a (x + page) with
+  match read_byte a (x + page) with
   | Error `Segfault -> ()
   | _ -> Alcotest.fail "expected segfault in hole"
 
@@ -592,13 +606,13 @@ let test_as_munmap_hole_ok () =
 let test_as_protect () =
   let _, a = make_as () in
   let x = ok (Vmem.Addr_space.mmap ~len:(2 * page) ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a) in
-  ok (Vmem.Addr_space.write_byte a x 1);
+  ok (write_byte a x 1);
   ok (Vmem.Addr_space.protect a ~addr:x ~len:page ~perm:Vmem.Perm.r);
-  (match Vmem.Addr_space.write_byte a x 2 with
+  (match write_byte a x 2 with
   | Error `Perm_denied -> ()
   | _ -> Alcotest.fail "write after mprotect");
   (* second page unaffected *)
-  ok (Vmem.Addr_space.write_byte a (x + page) 3);
+  ok (write_byte a (x + page) 3);
   (* protect over a hole fails *)
   match Vmem.Addr_space.protect a ~addr:0x5000_0000 ~len:page ~perm:Vmem.Perm.r with
   | Error `No_region -> ()
@@ -607,11 +621,11 @@ let test_as_protect () =
 let test_as_protect_restore () =
   let _, a = make_as () in
   let x = ok (Vmem.Addr_space.mmap ~len:page ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a) in
-  ok (Vmem.Addr_space.write_byte a x 7);
+  ok (write_byte a x 7);
   ok (Vmem.Addr_space.protect a ~addr:x ~len:page ~perm:Vmem.Perm.r);
   ok (Vmem.Addr_space.protect a ~addr:x ~len:page ~perm:Vmem.Perm.rw);
-  ok (Vmem.Addr_space.write_byte a x 8);
-  check_int "value" 8 (ok (Vmem.Addr_space.read_byte a x))
+  ok (write_byte a x 8);
+  check_int "value" 8 (ok (read_byte a x))
 
 let test_as_brk () =
   let _, a = make_as () in
@@ -620,10 +634,10 @@ let test_as_brk () =
   check_int "initial brk" base (Vmem.Addr_space.brk a);
   ok (Vmem.Addr_space.set_brk a (base + (4 * page)));
   check_int "grown" (base + (4 * page)) (Vmem.Addr_space.brk a);
-  ok (Vmem.Addr_space.write_byte a (base + (2 * page)) 9);
+  ok (write_byte a (base + (2 * page)) 9);
   ok (Vmem.Addr_space.set_brk a (base + page));
   check_int "shrunk" (base + page) (Vmem.Addr_space.brk a);
-  (match Vmem.Addr_space.read_byte a (base + (2 * page)) with
+  (match read_byte a (base + (2 * page)) with
   | Error `Segfault -> ()
   | _ -> Alcotest.fail "freed heap page still mapped");
   match Vmem.Addr_space.set_brk a (base - page) with
@@ -633,25 +647,25 @@ let test_as_brk () =
 let fork_pair () =
   let fr, a = make_as () in
   let x = ok (Vmem.Addr_space.mmap ~len:(2 * page) ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a) in
-  ok (Vmem.Addr_space.write_byte a x 11);
+  ok (write_byte a x 11);
   let child = ok (Vmem.Addr_space.clone_cow a) in
   (fr, a, child, x)
 
 let test_as_cow_semantics () =
   let fr, parent, child, x = fork_pair () in
   (* child sees parent's data *)
-  check_int "inherited" 11 (ok (Vmem.Addr_space.read_byte child x));
+  check_int "inherited" 11 (ok (read_byte child x));
   (* same frame, refcount 2 *)
   check_int "one frame" 1 (Vmem.Frame.used fr);
   (* child write breaks COW *)
-  ok (Vmem.Addr_space.write_byte child x 22);
-  check_int "child sees own" 22 (ok (Vmem.Addr_space.read_byte child x));
-  check_int "parent unchanged" 11 (ok (Vmem.Addr_space.read_byte parent x));
+  ok (write_byte child x 22);
+  check_int "child sees own" 22 (ok (read_byte child x));
+  check_int "parent unchanged" 11 (ok (read_byte parent x));
   check_int "two frames now" 2 (Vmem.Frame.used fr);
   (* parent write: sole owner fast path, no new frame *)
-  ok (Vmem.Addr_space.write_byte parent x 33);
+  ok (write_byte parent x 33);
   check_int "still two frames" 2 (Vmem.Frame.used fr);
-  check_int "parent value" 33 (ok (Vmem.Addr_space.read_byte parent x))
+  check_int "parent value" 33 (ok (read_byte parent x))
 
 let test_as_cow_layout_inherited () =
   let _, parent, child, _ = fork_pair () in
@@ -679,10 +693,10 @@ let test_as_fork_cost_scales () =
 
 let test_as_destroy_releases () =
   let fr, parent, child, x = fork_pair () in
-  ok (Vmem.Addr_space.write_byte child x 1);
+  ok (write_byte child x 1);
   Vmem.Addr_space.destroy child;
   check_int "child frames gone" 1 (Vmem.Frame.used fr);
-  check_int "parent still reads" 11 (ok (Vmem.Addr_space.read_byte parent x));
+  check_int "parent still reads" 11 (ok (read_byte parent x));
   Vmem.Addr_space.destroy parent;
   check_int "all freed" 0 (Vmem.Frame.used fr);
   check_int "commit zero" 0 (Vmem.Frame.committed fr);
@@ -693,7 +707,7 @@ let test_as_seal_clone () =
   let x =
     ok (Vmem.Addr_space.mmap ~len:(2 * page) ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a)
   in
-  ok (Vmem.Addr_space.write_byte a x 11);
+  ok (write_byte a x 11);
   check_bool "sole owner before seal" true (Vmem.Addr_space.sole_owner a);
   let tpl = Vmem.Addr_space.seal a in
   check_int "resident frame pinned" 1 (Vmem.Frame.pinned fr);
@@ -701,14 +715,14 @@ let test_as_seal_clone () =
      sole owner (so it cannot be sealed twice) *)
   check_bool "not sole owner after seal" false (Vmem.Addr_space.sole_owner a);
   (* the sealed image is immutable: a source write COWs away from it *)
-  ok (Vmem.Addr_space.write_byte a x 22);
+  ok (write_byte a x 22);
   check_int "source copied away" 2 (Vmem.Frame.used fr);
   let child, subtrees = ok (Vmem.Addr_space.clone_from_sealed tpl ~commit_pages:1) in
   check_bool "shares at least one subtree" true (subtrees >= 1);
-  check_int "child sees the frozen byte" 11 (ok (Vmem.Addr_space.read_byte child x));
-  ok (Vmem.Addr_space.write_byte child x 33);
+  check_int "child sees the frozen byte" 11 (ok (read_byte child x));
+  ok (write_byte child x 33);
   check_int "child copied, template intact" 3 (Vmem.Frame.used fr);
-  check_int "template byte unchanged" 22 (ok (Vmem.Addr_space.read_byte a x));
+  check_int "template byte unchanged" 22 (ok (read_byte a x));
   Vmem.Addr_space.destroy child;
   Vmem.Addr_space.destroy a;
   check_int "only the pinned page left" 1 (Vmem.Frame.used fr);
@@ -720,7 +734,7 @@ let test_as_seal_clone () =
 let test_as_seal_clone_commit_limit () =
   let fr, a = make_as ~frames:8 () in
   let x = ok (Vmem.Addr_space.mmap ~len:page ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a) in
-  ok (Vmem.Addr_space.write_byte a x 5);
+  ok (write_byte a x 5);
   let tpl = Vmem.Addr_space.seal a in
   let used = Vmem.Frame.used fr and committed = Vmem.Frame.committed fr in
   (* the commit charge is the only fallible step of a zygote clone: a
@@ -733,7 +747,7 @@ let test_as_seal_clone_commit_limit () =
   check_int "still pinned" 1 (Vmem.Frame.pinned fr);
   (* and the template is still cloneable *)
   let child, _ = ok (Vmem.Addr_space.clone_from_sealed tpl ~commit_pages:1) in
-  check_int "clone reads frozen byte" 5 (ok (Vmem.Addr_space.read_byte child x));
+  check_int "clone reads frozen byte" 5 (ok (read_byte child x));
   Vmem.Addr_space.destroy child;
   Vmem.Addr_space.destroy a;
   Vmem.Addr_space.destroy_sealed tpl;
@@ -757,26 +771,26 @@ let test_as_fork_commit_limit () =
 let test_as_clone_eager () =
   let fr, a = make_as () in
   let x = ok (Vmem.Addr_space.mmap ~len:(2 * page) ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a) in
-  ok (Vmem.Addr_space.write_byte a x 5);
+  ok (write_byte a x 5);
   let child = ok (Vmem.Addr_space.clone_eager a) in
   (* frames copied immediately: 2 used (1 parent + 1 child) *)
   check_int "frames doubled" 2 (Vmem.Frame.used fr);
-  check_int "child copy" 5 (ok (Vmem.Addr_space.read_byte child x));
+  check_int "child copy" 5 (ok (read_byte child x));
   (* no COW: parent write doesn't affect child and allocates nothing *)
-  ok (Vmem.Addr_space.write_byte a x 6);
+  ok (write_byte a x 6);
   check_int "still 2 frames" 2 (Vmem.Frame.used fr);
-  check_int "child isolated" 5 (ok (Vmem.Addr_space.read_byte child x))
+  check_int "child isolated" 5 (ok (read_byte child x))
 
 let test_as_shared_mapping_fork () =
   let _, a = make_as () in
   let x =
     ok (Vmem.Addr_space.mmap ~shared:true ~len:page ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a)
   in
-  ok (Vmem.Addr_space.write_byte a x 1);
+  ok (write_byte a x 1);
   let child = ok (Vmem.Addr_space.clone_cow a) in
   (* shared mapping: child writes are visible to the parent *)
-  ok (Vmem.Addr_space.write_byte child x 77);
-  check_int "parent sees shared write" 77 (ok (Vmem.Addr_space.read_byte a x))
+  ok (write_byte child x 77);
+  check_int "parent sees shared write" 77 (ok (read_byte a x))
 
 let test_as_map_image_page () =
   let _, a = make_as () in
@@ -784,7 +798,7 @@ let test_as_map_image_page () =
     (Vmem.Addr_space.map_image_page a ~addr:0x40_0000 ~perm:Vmem.Perm.rx
        ~data:"\x7fELF" ~kind:(Vmem.Vma.Text { path = "/bin/x" }) ());
   check_int "populated" 1 (Vmem.Addr_space.resident_pages a);
-  check_int "byte 1" 0x45 (ok (Vmem.Addr_space.read_byte a 0x40_0001))
+  check_int "byte 1" 0x45 (ok (read_byte a 0x40_0001))
 
 let test_as_oom_fault () =
   let _, a = make_as ~frames:2 ~policy:Vmem.Frame.Overcommit () in
@@ -812,7 +826,7 @@ let prop_as_fork_refcounts =
       List.iter
         (fun p ->
           if p < npages then
-            match Vmem.Addr_space.write_byte a (x + (p * page)) 1 with
+            match write_byte a (x + (p * page)) 1 with
             | Ok () | Error _ -> ())
         writes;
       let child =
@@ -823,7 +837,7 @@ let prop_as_fork_refcounts =
       List.iter
         (fun p ->
           if p < npages then
-            match Vmem.Addr_space.write_byte child (x + (p * page)) 2 with
+            match write_byte child (x + (p * page)) 2 with
             | Ok () | Error _ -> ())
         writes;
       Vmem.Addr_space.destroy child;
@@ -875,7 +889,7 @@ let prop_cow_model =
               (fun addr expected acc ->
                 acc
                 &&
-                match Vmem.Addr_space.read_byte aspace addr with
+                match read_byte aspace addr with
                 | Ok got -> got = expected
                 | Error _ -> false)
               model true)
@@ -888,7 +902,7 @@ let prop_cow_model =
             | W_write (s, loc, v) -> (
               let aspace, model = pick s in
               let addr = addr_of loc in
-              match Vmem.Addr_space.write_byte aspace addr v with
+              match write_byte aspace addr v with
               | Ok () ->
                 Hashtbl.replace model addr v;
                 true
@@ -916,24 +930,38 @@ let prop_cow_model =
 
 (* ------------------------------------------------------------------ *)
 (* Batched-vs-reference oracle: the O(range) fast paths (leaf batch ops,
-   lazily shared page-table subtrees on fork) must be indistinguishable
-   from the per-page reference walks ([~batched:false]) — identical op
-   results, PTE contents, cost breakdown with event counts, and frame
-   accounting — under arbitrary interleavings of map / touch / mprotect
-   / clone / unmap, including OOM and commit-limit failures. *)
+   lazily shared page-table subtrees on fork, the batched demand-paged
+   touch) must be indistinguishable from the per-page reference walks
+   ([~batched:false]) — identical op results, PTE contents, cost
+   breakdown with event counts, every Blame bucket, pager upcalls and
+   frame accounting — under arbitrary interleavings of map / lazy map /
+   touch / mprotect / clone / unmap and lazy-zygote spawns, including
+   OOM, commit-limit and injected pager and frame-allocation
+   failures. *)
 
 type oracle_op =
   | O_mmap of int * int * int * bool  (* page offset, pages, perm, shared *)
-  | O_map_lazy of int * int * int  (* page offset, pages, perm *)
+  | O_map_lazy of int * int * int * int * int
+      (* page offset, pages, perm, cookie0, stride *)
   | O_touch of int * int
+  | O_touch_vma of int * int * int  (* region index, page in it, pages *)
   | O_protect of int * int * int
   | O_munmap of int * int
   | O_clone
+  | O_zygote  (* seal the space, then spawn a lazy-zygote child of it *)
+  | O_in_zygote of oracle_op
+      (* a map, touch, mprotect or unmap on the lazy-zygote child:
+         backing hits, and holes once unmapped pages are mapped again *)
+
+(* What the recording pager saw, one entry per upcall. *)
+type upcall =
+  | U_image of (int * int) list  (* (cookie, frame) per page *)
+  | U_backing of (int * int) list  (* (template frame, frame) per page *)
 
 let gen_oracle_scenario =
   QCheck.Gen.(
     let arena = 96 in
-    let op =
+    let space_op =
       frequency
         [
           ( 4,
@@ -943,18 +971,44 @@ let gen_oracle_scenario =
               (pair (int_bound 2) bool) );
           ( 3,
             map3
-              (fun off len p -> O_map_lazy (off, len, p))
-              (int_bound (arena - 1)) (1 -- 16) (int_bound 2) );
-          (6, map2 (fun off len -> O_touch (off, len)) (int_bound (arena - 1)) (1 -- 24));
+              (fun off len (p, c0, st) -> O_map_lazy (off, len, p, c0, st))
+              (int_bound (arena - 1)) (1 -- 16)
+              (triple (int_bound 2) (int_bound 1000) (int_bound 4)) );
+          (3, map2 (fun off len -> O_touch (off, len)) (int_bound (arena - 1)) (1 -- 24));
+          ( 8,
+            map3
+              (fun k off len -> O_touch_vma (k, off, len))
+              (int_bound 7) (int_bound 15) (1 -- 16) );
           ( 3,
             map3
               (fun off len p -> O_protect (off, len, p))
               (int_bound (arena - 1)) (1 -- 16) (int_bound 2) );
           (2, map2 (fun off len -> O_munmap (off, len)) (int_bound (arena - 1)) (1 -- 24));
-          (2, return O_clone);
         ]
     in
-    pair (triple (list_size (1 -- 45) op) bool bool) (int_bound 3))
+    let op =
+      frequency
+        [
+          (22, space_op);
+          (2, return O_clone);
+          (2, return O_zygote);
+          (8, map (fun op -> O_in_zygote op) space_op);
+        ]
+    in
+    pair
+      (triple (list_size (1 -- 45) op) bool bool)
+      (triple (int_bound 8) bool (int_bound 1_000_000)))
+
+type oracle_space = {
+  fr : Vmem.Frame.t;
+  cost : Vmem.Cost.t;
+  blame : Vmem.Blame.t;
+  a : Vmem.Addr_space.t;
+  child : Vmem.Addr_space.t option ref;  (* the latest clone_cow child *)
+  lazy_child : Vmem.Addr_space.t option ref;  (* the latest zygote child *)
+  templates : Vmem.Addr_space.t list ref;
+  upcalls : upcall list ref;
+}
 
 let prop_batched_oracle =
   let perm_of = [| Vmem.Perm.r; Vmem.Perm.rw; Vmem.Perm.rwx |] in
@@ -963,10 +1017,10 @@ let prop_batched_oracle =
     | `Perm_denied -> "perm"
     | `Out_of_memory -> "oom"
   in
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:200 ~long_factor:20
     ~name:"addr space: batched paths match the per-page oracle"
     (QCheck.make gen_oracle_scenario)
-    (fun ((ops, small_phys, overcommit), readahead) ->
+    (fun ((ops, small_phys, overcommit), (readahead, inject, seed)) ->
       let make batched =
         let fr =
           Vmem.Frame.create
@@ -975,25 +1029,43 @@ let prop_batched_oracle =
             ()
         in
         let cost = Vmem.Cost.create () in
+        let blame = Vmem.Blame.create () in
+        Vmem.Cost.set_observer cost (Some (Vmem.Blame.on_cost blame));
         let tlb = Vmem.Tlb.create cost in
-        let a = Vmem.Addr_space.create ~batched ~frames:fr ~cost ~tlb () in
-        (* a minimal pager so lazy maps and first-touch major faults run
-           in both spaces: fetch costs are integer-valued so batching
+        let a = Vmem.Addr_space.create ~batched ~blame ~frames:fr ~cost ~tlb () in
+        Vmem.Addr_space.set_blame_origin a
+          (Vmem.Blame.new_event blame ~style:"fork" ~parent:1);
+        (* both deny hooks draw from one stream per space, as Ksim.Fault's
+           triggers do, at different rates: consulting them in another
+           order, or a different number of times, moves later failures *)
+        let rng = Prng.Splitmix.create ~seed in
+        let draw p = inject && Prng.Splitmix.float rng < p in
+        Vmem.Frame.set_deny_alloc fr (Some (fun () -> draw 0.02));
+        let upcalls = ref [] in
+        let pairs xs ys n = List.init n (fun k -> (xs.(k), ys.(k))) in
+        (* a recording pager: fetch costs are integer-valued so batching
            cannot round differently *)
         Vmem.Addr_space.set_pager a
           (Some
              {
                Vmem.Addr_space.fetch =
-                 (fun cost ~cookie:_ ~frame:_ ->
-                   Vmem.Cost.charge cost Pager_fetch_image 100.0);
+                 (fun cost ~cookies ~frames ~n ->
+                   upcalls := U_image (pairs cookies frames n) :: !upcalls;
+                   Vmem.Cost.charge ~n cost Pager_fetch_image
+                     (100.0 *. float_of_int n));
                fetch_backing =
-                 (fun cost ~src ~dst ->
-                   Vmem.Cost.charge cost Pager_fetch_template 60.0;
-                   Vmem.Frame.copy_contents fr ~src ~dst);
-               deny = (fun () -> false);
+                 (fun cost ~src ~dst ~n ->
+                   upcalls := U_backing (pairs src dst n) :: !upcalls;
+                   Vmem.Cost.charge ~n cost Pager_fetch_template
+                     (60.0 *. float_of_int n);
+                   for k = 0 to n - 1 do
+                     Vmem.Frame.copy_contents fr ~src:src.(k) ~dst:dst.(k)
+                   done);
+               deny = (fun () -> draw 0.1);
                readahead;
              });
-        (fr, cost, a, ref None)
+        { fr; cost; blame; a; child = ref None; lazy_child = ref None;
+          templates = ref []; upcalls }
       in
       let fast = make true in
       let slow = make false in
@@ -1005,20 +1077,45 @@ let prop_batched_oracle =
         Vmem.Addr_space.fold_lazy a ~init:[] ~f:(fun acc ~vpn ~pte ->
             (vpn, pte) :: acc)
       in
-      let state (fr, cost, a, child) =
-        ( Vmem.Cost.total cost,
-          List.sort compare (Vmem.Cost.by_category_counts cost),
-          (Vmem.Frame.used fr, Vmem.Frame.committed fr),
-          ( Vmem.Addr_space.resident_pages a,
+      let space a =
+        ( ( Vmem.Addr_space.resident_pages a,
             Vmem.Addr_space.pt_nodes a,
             Vmem.Addr_space.vma_count a,
             Vmem.Addr_space.lazy_pages a ),
-          (ptes a, lazies a),
-          Option.map (fun c -> (ptes c, lazies c)) !child )
+          (ptes a, lazies a) )
       in
-      let apply (fr, _, a, child) op =
-        let base = Vmem.Addr_space.mmap_base a in
-        ignore fr;
+      let state sp =
+        ( Vmem.Cost.total sp.cost,
+          Vmem.Cost.entries sp.cost,
+          List.map
+            (fun (ev : Vmem.Blame.event) ->
+              (ev.id, Vmem.Cost.entries ev.sync, Vmem.Cost.entries ev.deferred))
+            (Vmem.Blame.events sp.blame),
+          (Vmem.Frame.used sp.fr, Vmem.Frame.committed sp.fr),
+          space sp.a,
+          Option.map space !(sp.child),
+          Option.map space !(sp.lazy_child),
+          !(sp.upcalls) )
+      in
+      let origin sp style =
+        Vmem.Blame.new_event sp.blame ~style ~parent:1
+      in
+      let destroy slot =
+        Option.iter Vmem.Addr_space.destroy !slot;
+        slot := None
+      in
+      (* the arena straddles a leaf boundary at its page 48, so walks
+         and readahead cross leaves *)
+      let arena a =
+        Vmem.Addr_space.mmap_base a + ((Vmem.Addr.entries_per_table - 48) * page)
+      in
+      let touch a ~addr ~len =
+        match Vmem.Addr_space.touch_range a ~addr ~len:(len * page) with
+        | Ok n -> Printf.sprintf "touch:%d" n
+        | Error e -> "touch:" ^ show_fault e
+      in
+      let apply_space a op =
+        let base = arena a in
         match op with
         | O_mmap (off, len, p, shared) -> (
           match
@@ -1030,24 +1127,24 @@ let prop_batched_oracle =
           | Error `Overlap -> "mmap:overlap"
           | Error `Commit_limit -> "mmap:commit"
           | Error `Invalid -> "mmap:invalid")
-        | O_map_lazy (off, len, p) -> (
+        | O_map_lazy (off, len, p, cookie0, stride) -> (
           match
             Vmem.Addr_space.map_lazy ~addr:(base + (off * page))
               ~len:(len * page) ~perm:perm_of.(p) ~kind:Vmem.Vma.Anon
-              ~cookie0:0 ~stride:0 a
+              ~cookie0 ~stride a
           with
           | Ok x -> Printf.sprintf "lazy:%x" x
           | Error `No_space -> "lazy:nospace"
           | Error `Overlap -> "lazy:overlap"
           | Error `Commit_limit -> "lazy:commit"
           | Error `Invalid -> "lazy:invalid")
-        | O_touch (off, len) -> (
-          match
-            Vmem.Addr_space.touch_range a ~addr:(base + (off * page))
-              ~len:(len * page)
-          with
-          | Ok n -> Printf.sprintf "touch:%d" n
-          | Error e -> "touch:" ^ show_fault e)
+        | O_touch (off, len) -> touch a ~addr:(base + (off * page)) ~len
+        | O_touch_vma (k, off, len) -> (
+          match Vmem.Addr_space.regions a with
+          | [] -> "touch:noregion"
+          | regions ->
+            let s, e, _ = List.nth regions (k mod List.length regions) in
+            touch a ~addr:(s + (off mod ((e - s) / page) * page)) ~len)
         | O_protect (off, len, p) -> (
           match
             Vmem.Addr_space.protect a ~addr:(base + (off * page))
@@ -1063,18 +1160,54 @@ let prop_batched_oracle =
           with
           | Ok () -> "munmap:ok"
           | Error `Invalid -> "munmap:invalid")
+        | O_clone | O_zygote | O_in_zygote _ -> invalid_arg "apply_space"
+      in
+      let apply sp op =
+        let a = sp.a in
+        match op with
         | O_clone -> (
-          (match !child with
-          | Some c ->
-            Vmem.Addr_space.destroy c;
-            child := None
-          | None -> ());
+          destroy sp.child;
           match Vmem.Addr_space.clone_cow a with
           | Ok c ->
-            child := Some c;
+            let id = origin sp "fork" in
+            Vmem.Addr_space.set_blame_origin a id;
+            Vmem.Addr_space.set_blame_origin c id;
+            sp.child := Some c;
             "clone:ok"
           | Error `Commit_limit -> "clone:commit"
           | Error `Out_of_memory -> "clone:oom")
+        | O_zygote -> (
+          (* freeze an eager copy (which takes the resident pages but not
+             the lazy ones) and spawn a lazy-zygote child of it; a seal
+             pins every resident frame, so the copy must own them alone *)
+          match Vmem.Addr_space.clone_eager a with
+          | Error `Commit_limit -> "zygote:commit"
+          | Error `Out_of_memory -> "zygote:oom"
+          | Ok src ->
+            let r =
+              if not (Vmem.Addr_space.sole_owner src) then "zygote:shared"
+              else begin
+                let tpl = Vmem.Addr_space.seal src in
+                sp.templates := tpl :: !(sp.templates);
+                destroy sp.lazy_child;
+                match
+                  Vmem.Addr_space.clone_from_sealed tpl
+                    ~commit_pages:(Vmem.Addr_space.committed_pages src)
+                with
+                | Ok (c, _) ->
+                  Vmem.Addr_space.set_blame_origin c (origin sp "zygote");
+                  sp.lazy_child := Some c;
+                  "zygote:ok"
+                | Error `Commit_limit -> "zygote:commit"
+              end
+            in
+            Vmem.Addr_space.destroy src;
+            r)
+        | O_in_zygote op -> (
+          match !(sp.lazy_child) with
+          | None -> "zygote:none"
+          | Some c -> apply_space c op)
+        | op -> apply_space a op
       in
       List.iteri
         (fun i op ->
@@ -1086,10 +1219,12 @@ let prop_batched_oracle =
           if state fast <> state slow then
             Alcotest.failf "op %d (%s): state diverged" i rf)
         ops;
-      let finish (fr, _, a, child) =
-        (match !child with Some c -> Vmem.Addr_space.destroy c | None -> ());
-        Vmem.Addr_space.destroy a;
-        (Vmem.Frame.used fr, Vmem.Frame.committed fr)
+      let finish sp =
+        destroy sp.child;
+        destroy sp.lazy_child;
+        Vmem.Addr_space.destroy sp.a;
+        List.iter Vmem.Addr_space.destroy_sealed !(sp.templates);
+        (Vmem.Frame.used sp.fr, Vmem.Frame.committed sp.fr)
       in
       let uf = finish fast and us = finish slow in
       uf = us && uf = (0, 0))
