@@ -1,9 +1,15 @@
 type entry = { ofd : Ofd.t; mutable cloexec : bool }
-type t = { slots : entry option array; limit : int }
+(* [next_fd] is Linux's hint of the same name: every slot below it is
+   taken, so the search for the lowest free slot starts there. *)
+type t = { slots : entry option array; limit : int; mutable next_fd : int }
 
 let create ?(max_fds = 256) () =
   if max_fds <= 0 then invalid_arg "Fd_table.create: max_fds <= 0";
-  { slots = Array.make max_fds None; limit = max_fds }
+  { slots = Array.make max_fds None; limit = max_fds; next_fd = 0 }
+
+let free t fd =
+  t.slots.(fd) <- None;
+  if fd < t.next_fd then t.next_fd <- fd
 
 let max_fds t = t.limit
 
@@ -21,7 +27,11 @@ let alloc t ?(at_least = 0) ~cloexec ofd =
       end
       else find (fd + 1)
     in
-    find at_least
+    let r = find (max at_least t.next_fd) in
+    (match r with
+    | Ok fd when at_least <= t.next_fd -> t.next_fd <- fd + 1
+    | Ok _ | Error _ -> ());
+    r
   end
 
 let entry t fd =
@@ -39,7 +49,7 @@ let close t fd =
   | Error _ as e -> e
   | Ok e ->
     Ofd.close e.ofd;
-    t.slots.(fd) <- None;
+    free t fd;
     Ok ()
 
 let dup t fd =
@@ -70,6 +80,7 @@ let dup2 t ~src ~dst =
 
 let clone t =
   let fresh = create ~max_fds:t.limit () in
+  fresh.next_fd <- t.next_fd;
   Array.iteri
     (fun fd slot ->
       match slot with
@@ -86,7 +97,7 @@ let close_cloexec t =
       match slot with
       | Some e when e.cloexec ->
         Ofd.close e.ofd;
-        t.slots.(fd) <- None
+        free t fd
       | Some _ | None -> ())
     t.slots
 
@@ -96,7 +107,7 @@ let close_all t =
       match slot with
       | Some e ->
         Ofd.close e.ofd;
-        t.slots.(fd) <- None
+        free t fd
       | None -> ())
     t.slots
 

@@ -31,20 +31,22 @@ let default_config =
     pager_readahead = 0;
   }
 
-type parked =
+(* A parked syscall, as its waiter carries it (see {!Waitq}). *)
+type Waitq.payload +=
   | Parked : {
       th : Proc.thread;
       req : 'a Sysreq.t;  (** names the wait in stall reports *)
-      deadline : int option;
-          (** tick at which [check] times out (a poll's timeout); the
-              run loop jumps an all-parked machine's clock to the
-              nearest one *)
       check : unit -> 'a option;
       k : ('a, unit) Effect.Deep.continuation;
       entry_cycles : float;  (** cost-meter reading at dispatch *)
       detail : Trace.detail;
+      mutable held : Ofd.t option;
+          (** a read's or write's own reference to its description, as
+              Linux's [fget] takes one for the length of a blocking
+              call: a sibling's close cannot pull the description from
+              under it *)
     }
-      -> parked
+      -> Waitq.payload
 
 type stall = { pid : Types.pid; tid : Types.tid; why : string }
 type outcome = All_exited | Stalled of stall list | Tick_limit
@@ -79,7 +81,7 @@ type t = {
       (* the space last run on each CPU, for context-switch flush
          accounting. Compared with [==] only — it may be destroyed. *)
   mutable rr : int;  (* round-robin placement cursor for new threads *)
-  mutable parked : parked list;
+  waits : Waitq.machine;  (* parked syscalls *)
   mutable clock : int;
   rng : Prng.Splitmix.t;
   trace : Trace.t option;
@@ -190,7 +192,7 @@ let create ?(config = default_config) () =
     picked = Array.make ncpu None;
     last_as = Array.make ncpu None;
     rr = 0;
-    parked = [];
+    waits = Waitq.create_machine ();
     clock = 0;
     rng = Prng.Splitmix.create ~seed:config.seed;
     trace = Option.map (fun capacity -> Trace.create ~capacity ()) config.trace_capacity;
@@ -421,7 +423,27 @@ let build_image t prog =
 (* ------------------------------------------------------------------ *)
 (* Signals and process termination *)
 
-let retire_thread (th : Proc.thread) =
+let release_held = function
+  | Parked p -> (
+    match p.held with
+    | Some ofd ->
+      p.held <- None;
+      Ofd.close ofd
+    | None -> ())
+  | _ -> ()
+
+(* A thread parked in a syscall gives back the description it held
+   before its process closes its fds, so pipe end counts at a kill are
+   those of the fd tables alone; its waiter leaves at the next visit. *)
+let retire_thread (proc : Proc.t) (th : Proc.thread) =
+  if th.Proc.tstate <> Proc.Exited then begin
+    proc.Proc.live <- proc.Proc.live - 1;
+    match th.Proc.wait with
+    | Some w ->
+      release_held (Waitq.payload w);
+      Waitq.wake w
+    | None -> ()
+  end;
   th.Proc.tstate <- Proc.Exited;
   th.Proc.entry <- None;
   th.Proc.pending <- None
@@ -430,7 +452,7 @@ let retire_thread (th : Proc.thread) =
    back to the parent, or drop the template deps and destroy an owned
    space. *)
 let release_aspace t (proc : Proc.t) =
-  if proc.Proc.vfork_active then proc.Proc.vfork_active <- false
+  if proc.Proc.vfork_active then Proc.release_vfork proc
   else begin
     release_tpl_deps t proc;
     Vmem.Addr_space.destroy proc.Proc.aspace
@@ -460,7 +482,7 @@ and kill_process t (proc : Proc.t) status =
   if Proc.is_alive proc then begin
     proc.Proc.pstate <- Proc.Zombie status;
     Hashtbl.remove t.alarms proc.Proc.pid;
-    List.iter retire_thread proc.Proc.threads;
+    List.iter (retire_thread proc) proc.Proc.threads;
     Fd_table.close_all proc.Proc.fdt;
     List.iter
       (fun (r : Vfs.regular) ->
@@ -477,8 +499,7 @@ and kill_process t (proc : Proc.t) status =
         | Some child -> (
           child.Proc.parent <- 1;
           match init with
-          | Some ip when Proc.is_alive ip ->
-            ip.Proc.children <- cpid :: ip.Proc.children
+          | Some ip when Proc.is_alive ip -> Proc.adopt_orphan ip cpid
           | Some _ | None -> (
             (* no live init: auto-reap terminated orphans *)
             match child.Proc.pstate with
@@ -487,7 +508,9 @@ and kill_process t (proc : Proc.t) status =
       proc.Proc.children;
     proc.Proc.children <- [];
     match find_proc t proc.Proc.parent with
-    | Some parent when Proc.is_alive parent -> post_signal t parent Usignal.SIGCHLD
+    | Some parent when Proc.is_alive parent ->
+      Proc.child_exited parent;
+      post_signal t parent Usignal.SIGCHLD
     | Some _ | None -> proc.Proc.pstate <- Proc.Reaped status
   end
 
@@ -576,7 +599,8 @@ let new_thread t proc ~is_main body =
      across every CPU, which is what makes the shootdown study honest *)
   th.Proc.cpu <- t.rr mod Array.length t.runqs;
   t.rr <- t.rr + 1;
-  proc.Proc.threads <- proc.Proc.threads @ [ th ];
+  proc.Proc.threads <- th :: proc.Proc.threads;
+  proc.Proc.live <- proc.Proc.live + 1;
   enqueue t th;
   th
 
@@ -722,7 +746,7 @@ let do_exec t (proc : Proc.t) (th : Proc.thread) path argv =
       (* only the calling thread survives *)
       List.iter
         (fun (other : Proc.thread) ->
-          if other.Proc.tid <> th.Proc.tid then retire_thread other)
+          if other.Proc.tid <> th.Proc.tid then retire_thread proc other)
         proc.Proc.threads;
       proc.Proc.threads <- [ th ];
       release_aspace t proc;
@@ -738,15 +762,23 @@ let do_exec t (proc : Proc.t) (th : Proc.thread) path argv =
 (* ------------------------------------------------------------------ *)
 (* The syscall engine *)
 
-(* [Block (deadline, check)] is a syscall that may have to wait. The
-   dispatcher runs [check] right away; while it returns [None], the
-   caller stays parked and [check] re-runs at every wake-up. [deadline]
-   is the tick at which [check] gives up on its own (a poll's
-   timeout). *)
+(* [Block] is a syscall that may have to wait. The dispatcher runs
+   [check] right away; while it returns [None], the caller stays parked
+   on the queues [on], and [check] re-runs whenever one of them is
+   kicked. [deadline] is the tick at which [check] gives up on its own
+   (a poll's timeout), and [held] the description a read or write keeps
+   open while it waits. *)
 type 'a action =
   | Reply of 'a
-  | Block of int option * (unit -> 'a option)
+  | Block of {
+      on : Waitq.t list;
+      deadline : int option;
+      held : Ofd.t option;
+      check : unit -> 'a option;
+    }
   | Die
+
+let block ?deadline ?held on check = Block { on; deadline; held; check }
 
 let try_wait t (proc : Proc.t) target =
   let candidates =
@@ -768,9 +800,7 @@ let try_wait t (proc : Proc.t) target =
     in
     match zombie with
     | Some (child, st) ->
-      child.Proc.pstate <- Proc.Reaped st;
-      proc.Proc.children <-
-        List.filter (fun p -> p <> child.Proc.pid) proc.Proc.children;
+      Proc.reap proc child st;
       `Got (child.Proc.pid, st)
     | None -> `Wait
   end
@@ -850,6 +880,22 @@ let poll_ready (i : Types.poll_interest) ofd =
       }
   else None
 
+(* The queues a parked poll on [ofd] waits on: those of every pipe its
+   readiness reads, or a listener's. *)
+let poll_waiters ofd =
+  match Ofd.backing ofd with
+  | Ofd.Pipe_read p | Ofd.Pipe_write p -> [ Pipe.poll_waiters p ]
+  | Ofd.Socket sk -> (
+    match Socket.state sk with
+    | Socket.Listening { poll_waiters; _ } -> [ poll_waiters ]
+    | Socket.Connected { conn; role } ->
+      [
+        Pipe.poll_waiters (Socket.read_pipe conn role);
+        Pipe.poll_waiters (Socket.write_pipe conn role);
+      ]
+    | Socket.Fresh | Socket.Bound _ | Socket.Closed -> [])
+  | Ofd.Reg_file _ | Ofd.Console _ | Ofd.Null -> []
+
 let mem_errno = function
   | `Segfault -> Errno.EFAULT
   | `Perm_denied -> Errno.EACCES
@@ -884,7 +930,7 @@ let annotations : type a. Proc.t -> a Sysreq.t -> Trace.detail =
  fun proc req ->
   match req with
   | Sysreq.Fork _ | Sysreq.Fork_eager _ | Sysreq.Vfork _ ->
-    Trace.D_fork { live_threads = List.length (Proc.live_threads proc) }
+    Trace.D_fork { live_threads = proc.Proc.live }
   | Sysreq.Open (path, flags) ->
     Trace.D_open { path; cloexec = flags.Types.cloexec }
   | Sysreq.Exec _ ->
@@ -982,16 +1028,14 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       create_child t proc th ~style:"vfork" (fun () -> do_vfork t proc body)
     with
     | Error e -> Reply (Error e)
-    | Ok child_pid ->
+    | Ok child_pid -> (
       (* the parent thread blocks until the child execs or exits *)
-      Block
-        ( None,
-          fun () ->
-            match find_proc t child_pid with
-            | None -> Some (Ok child_pid)
-            | Some child ->
-              if child.Proc.vfork_active && Proc.is_alive child then None
-              else Some (Ok child_pid) ))
+      match find_proc t child_pid with
+      | None -> Reply (Ok child_pid)
+      | Some child ->
+        block [ child.Proc.vfork_waiters ] (fun () ->
+            if child.Proc.vfork_active && Proc.is_alive child then None
+            else Some (Ok child_pid))))
   | Sysreq.Spawn req ->
     (* spawn builds a fresh image: no sharing, hence no deferred bill —
        exactly the paper's point, now visible as an empty column *)
@@ -1010,13 +1054,11 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     kill_process t proc (Types.Exited code);
     Die
   | Sysreq.Waitpid target ->
-    Block
-      ( None,
-        fun () ->
-          match try_wait t proc target with
-          | `Got r -> Some (Ok r)
-          | `No_children -> Some (Error Errno.ECHILD)
-          | `Wait -> None )
+    block [ proc.Proc.waitpid_waiters ] (fun () ->
+        match try_wait t proc target with
+        | `Got r -> Some (Ok r)
+        | `No_children -> Some (Error Errno.ECHILD)
+        | `Wait -> None)
   | Sysreq.Kill (pid, sig_) -> (
     match find_proc t pid with
     | Some target when Proc.is_alive target ->
@@ -1066,28 +1108,30 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     match Fd_table.get proc.Proc.fdt fd with
     | Error e -> Reply (Error e)
     | Ok ofd ->
-      Block
-        ( None,
-          fun () ->
-            match Ofd.read ofd n with
-            | Ofd.Data s -> Some (Ok s)
-            | Ofd.End_of_file -> Some (Ok "")
-            | Ofd.Fail e -> Some (Error e)
-            | Ofd.Retry -> None ))
+      let on =
+        match Ofd.source ofd with Some p -> [ Pipe.read_waiters p ] | None -> []
+      in
+      block on ~held:ofd (fun () ->
+          match Ofd.read ofd n with
+          | Ofd.Data s -> Some (Ok s)
+          | Ofd.End_of_file -> Some (Ok "")
+          | Ofd.Fail e -> Some (Error e)
+          | Ofd.Retry -> None))
   | Sysreq.Write (fd, data) -> (
     match Fd_table.get proc.Proc.fdt fd with
     | Error e -> Reply (Error e)
     | Ok ofd ->
-      Block
-        ( None,
-          fun () ->
-            match Ofd.write ofd data with
-            | Ofd.Wrote n -> Some (Ok n)
-            | Ofd.Fail_write e -> Some (Error e)
-            | Ofd.Broken_pipe ->
-              post_signal t proc Usignal.SIGPIPE;
-              Some (Error Errno.EPIPE)
-            | Ofd.Retry_write -> None ))
+      let on =
+        match Ofd.sink ofd with Some p -> [ Pipe.write_waiters p ] | None -> []
+      in
+      block on ~held:ofd (fun () ->
+          match Ofd.write ofd data with
+          | Ofd.Wrote n -> Some (Ok n)
+          | Ofd.Fail_write e -> Some (Error e)
+          | Ofd.Broken_pipe ->
+            post_signal t proc Usignal.SIGPIPE;
+            Some (Error Errno.EPIPE)
+          | Ofd.Retry_write -> None))
   | Sysreq.Dup fd -> Reply (Fd_table.dup proc.Proc.fdt fd)
   | Sysreq.Dup2 { src; dst } -> Reply (Fd_table.dup2 proc.Proc.fdt ~src ~dst)
   | Sysreq.Set_cloexec (fd, v) -> Reply (Fd_table.set_cloexec proc.Proc.fdt fd v)
@@ -1174,23 +1218,21 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     match find_mutex proc id with
     | None -> Reply (Error Errno.EINVAL)
     | Some m ->
-      Block
-        ( None,
-          fun () ->
-            match m.Sync.state with
-            | Sync.Unlocked ->
-              m.Sync.state <- Sync.Locked_by th.Proc.tid;
-              Some (Ok ())
-            | Sync.Locked_by owner when owner = th.Proc.tid ->
-              Some (Error Errno.EDEADLK)
-            | Sync.Locked_by _ -> None ))
+      block [ m.Sync.waiters ] (fun () ->
+          match m.Sync.state with
+          | Sync.Unlocked ->
+            m.Sync.state <- Sync.Locked_by th.Proc.tid;
+            Some (Ok ())
+          | Sync.Locked_by owner when owner = th.Proc.tid ->
+            Some (Error Errno.EDEADLK)
+          | Sync.Locked_by _ -> None))
   | Sysreq.Mutex_unlock id -> (
     match find_mutex proc id with
     | None -> Reply (Error Errno.EINVAL)
     | Some m -> (
       match m.Sync.state with
       | Sync.Locked_by owner when owner = th.Proc.tid ->
-        m.Sync.state <- Sync.Unlocked;
+        Sync.unlock m;
         Reply (Ok ())
       | Sync.Locked_by _ -> Reply (Error Errno.EPERM)
       | Sync.Unlocked -> Reply (Error Errno.EINVAL)))
@@ -1208,7 +1250,7 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
     match find_mutex proc id with
     | None -> Reply (Error Errno.EINVAL)
     | Some m ->
-      m.Sync.state <- Sync.Unlocked;
+      Sync.unlock m;
       Reply (Ok ()))
   | Sysreq.Yield -> Reply ()
   | Sysreq.Handled_signals name -> Reply (Proc.handler_runs proc name)
@@ -1434,31 +1476,30 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
       | Socket.Fresh | Socket.Bound _ | Socket.Connected _ | Socket.Closed
         ->
         Reply (Error Errno.EINVAL)
-      | Socket.Listening _ ->
-        (* re-polled while parked; several accepters may park on one
-           listener (the per-worker accept idiom) and the longest-parked
-           one wins each connection, deterministically *)
-        Block
-          ( None,
-            fun () ->
-              match Socket.accept sk with
-              | Some conn_sk ->
-                (* a full fd table releases the adopted server endpoint:
-                   the client sees EOF/EPIPE, not a connection leak *)
-                let r =
-                  install_fd proc ~cloexec:false
-                    (Ofd.make (Ofd.Socket conn_sk) ~flags:sock_flags)
-                in
-                if Result.is_ok r then
-                  Kstat.on_accept t.kstat ~pid:proc.Proc.pid;
-                Some r
-              | None -> (
-                match Socket.state sk with
-                | Socket.Listening _ -> None
-                | Socket.Fresh | Socket.Bound _ | Socket.Connected _
-                | Socket.Closed ->
-                  (* listener closed while we were parked *)
-                  Some (Error Errno.EINVAL)) )))
+      | Socket.Listening { accept_waiters; _ } ->
+        (* several accepters may park on one listener (the per-worker
+           accept idiom) and the longest-parked one wins each
+           connection, deterministically. A parked accept holds no
+           reference: the listener's last close fails it. *)
+        block [ accept_waiters ] (fun () ->
+            match Socket.accept sk with
+            | Some conn_sk ->
+              (* a full fd table releases the adopted server endpoint:
+                 the client sees EOF/EPIPE, not a connection leak *)
+              let r =
+                install_fd proc ~cloexec:false
+                  (Ofd.make (Ofd.Socket conn_sk) ~flags:sock_flags)
+              in
+              if Result.is_ok r then
+                Kstat.on_accept t.kstat ~pid:proc.Proc.pid;
+              Some r
+            | None -> (
+              match Socket.state sk with
+              | Socket.Listening _ -> None
+              | Socket.Fresh | Socket.Bound _ | Socket.Connected _
+              | Socket.Closed ->
+                (* listener closed while we were parked *)
+                Some (Error Errno.EINVAL)))))
   | Sysreq.Connect (fd, port) -> (
     match socket_of_fd proc fd with
     | Error e -> Reply (Error e)
@@ -1496,19 +1537,19 @@ let attempt : type a. t -> Proc.t -> Proc.thread -> a Sysreq.t -> a action =
          check is the non-blocking probe and reports current readiness
          (possibly []) *)
       let deadline = if timeout < 0 then None else Some (t.clock + timeout) in
-      Block
-        ( deadline,
-          fun () ->
-            match List.filter_map (fun (i, ofd) -> poll_ready i ofd) pairs with
-            | [] -> (
-              match deadline with
-              | Some d when t.clock >= d ->
-                Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:true;
-                Some (Ok [])
-              | Some _ | None -> None)
-            | ready ->
-              Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:false;
-              Some (Ok ready) ))
+      block ?deadline
+        (List.concat_map (fun (_, ofd) -> poll_waiters ofd) pairs)
+        (fun () ->
+          match List.filter_map (fun (i, ofd) -> poll_ready i ofd) pairs with
+          | [] -> (
+            match deadline with
+            | Some d when t.clock >= d ->
+              Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:true;
+              Some (Ok [])
+            | Some _ | None -> None)
+          | ready ->
+            Kstat.on_poll_wake t.kstat ~pid:proc.Proc.pid ~timed_out:false;
+            Some (Ok ready)))
 
 (* The errno-level outcome of a reply, for the trace's End events;
    [None] for a total syscall. Dispatch computes it for every reply,
@@ -1577,10 +1618,14 @@ let handler (th : Proc.thread) : (unit, unit) Effect.Deep.handler =
         | _ -> None);
   }
 
-let park t th req ~deadline ~check k ~entry_cycles ~detail =
+let park t (th : Proc.thread) req ~on ~deadline ~held ~check k ~entry_cycles
+    ~detail =
   th.Proc.tstate <- Proc.Blocked;
-  t.parked <-
-    t.parked @ [ Parked { th; req; deadline; check; k; entry_cycles; detail } ]
+  Option.iter Ofd.incref held;
+  th.Proc.wait <-
+    Some
+      (Waitq.park t.waits ~on ?deadline
+         (Parked { th; req; check; k; entry_cycles; detail; held }))
 
 let record_begin t proc (th : Proc.thread) name ~detail =
   match t.trace with
@@ -1644,13 +1689,13 @@ let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
   | None -> (
     match attempt t proc th req with
     | Reply v -> reply t th k ~info ~entry_cycles ~detail ~fault:None inj0 v
-    | Block (deadline, check) -> (
+    | Block { on; deadline; held; check } -> (
       (* every wait starts with one try: a parked syscall is one whose
          check has already said no *)
       match check () with
       | Some v ->
         reply t th k ~info ~entry_cycles ~detail ~fault:None inj0 v
-      | None -> park t th req ~deadline ~check k ~entry_cycles ~detail)
+      | None -> park t th req ~on ~deadline ~held ~check k ~entry_cycles ~detail)
     | Die ->
       (* Exec restarting the thread, or Exit: the request succeeded and
          there is no caller left to resume *)
@@ -1659,9 +1704,9 @@ let dispatch t (th : Proc.thread) (Proc.Pending (req, k)) =
 
 let thread_returned t (th : Proc.thread) =
   let proc = proc_of t th in
-  retire_thread th;
+  retire_thread proc th;
   if not (Proc.is_alive proc) then ()
-  else if th.Proc.is_main || Proc.live_threads proc = [] then
+  else if th.Proc.is_main || proc.Proc.live = 0 then
     (* main returning, or the last thread gone, ends the process *)
     kill_process t proc (Types.Exited 0)
 
@@ -1687,29 +1732,31 @@ let finish t (th : Proc.thread) =
     dispatch t th p
   | None -> if th.Proc.tstate = Proc.Running then thread_returned t th
 
-let retry_parked t =
-  let entries = t.parked in
-  t.parked <- [];
-  let kept =
-    List.filter
-      (fun (Parked { th; req; check; k; entry_cycles; detail; _ }) ->
-        (* a thread that died while parked leaves, deadline and all *)
-        th.Proc.tstate <> Proc.Exited
-        &&
-        match check () with
-        | Some v ->
-          (* the check itself may end the thread (a write's SIGPIPE) *)
-          if th.Proc.tstate <> Proc.Exited then begin
-            let info = Sysreq.info req in
-            complete t th ~info ~entry_cycles ~detail
-              ~injected:Trace.no_injections (reply_outcome info v)
-              (fun () -> Effect.Deep.continue k v)
-          end;
-          false
-        | None -> true)
-      entries
-  in
-  t.parked <- t.parked @ kept
+(* One visit of a woken waiter: [true] while its syscall still waits. A
+   thread that died while parked leaves, deadline and all. *)
+let visit t w =
+  match Waitq.payload w with
+  | Parked p when p.th.Proc.tstate = Proc.Exited ->
+    p.th.Proc.wait <- None;
+    false
+  | Parked p -> (
+    match p.check () with
+    | None -> true
+    | Some v ->
+      let th = p.th and k = p.k in
+      th.Proc.wait <- None;
+      release_held (Waitq.payload w);
+      (* the check itself may end the thread (a write's SIGPIPE) *)
+      if th.Proc.tstate <> Proc.Exited then begin
+        let info = Sysreq.info p.req in
+        complete t th ~info ~entry_cycles:p.entry_cycles ~detail:p.detail
+          ~injected:Trace.no_injections (reply_outcome info v)
+          (fun () -> Effect.Deep.continue k v)
+      end;
+      false)
+  | _ -> false
+
+let wake_parked t = Waitq.run_pass t.waits ~now:t.clock (visit t)
 
 let check_alarms t =
   let due =
@@ -1729,14 +1776,11 @@ let check_alarms t =
    alarm or a parked poll's timeout. The run loop jumps the clock here
    when every thread is parked. *)
 let next_timer_tick t =
-  let earliest at acc =
-    match acc with None -> Some at | Some best -> Some (min best at)
-  in
-  List.fold_left
-    (fun acc (Parked { deadline; _ }) ->
-      match deadline with Some d -> earliest d acc | None -> acc)
-    (Hashtbl.fold (fun _ at acc -> earliest at acc) t.alarms None)
-    t.parked
+  Hashtbl.fold
+    (fun _ at acc ->
+      match acc with None -> Some at | Some best -> Some (min best at))
+    t.alarms
+    (Waitq.next_deadline t.waits)
 
 (* What a parked syscall waits on, for stall reports: the fd or mutex it
    names, a poll's set size, or just the syscall. *)
@@ -1750,10 +1794,12 @@ let stall_reason : type a. a Sysreq.t -> string = function
   | req -> (Sysreq.info req).Sysreq.name
 
 let describe_stalls t =
-  List.map
-    (fun (Parked { th; req; _ }) ->
-      { pid = th.Proc.owner; tid = th.Proc.tid; why = stall_reason req })
-    t.parked
+  List.filter_map
+    (function
+      | Parked { th; req; _ } ->
+        Some { pid = th.Proc.owner; tid = th.Proc.tid; why = stall_reason req }
+      | _ -> None)
+    (Waitq.parked_payloads t.waits)
 
 (* ------------------------------------------------------------------ *)
 (* Run queues and the run loop *)
@@ -1866,9 +1912,9 @@ let run ?(max_ticks = 10_000_000) t =
     else begin
       check_alarms t;
       let ran = run_round t in
-      retry_parked t;
+      wake_parked t;
       if ran || not (idle t) then loop ()
-      else if t.parked = [] then All_exited
+      else if Waitq.parked t.waits = 0 then All_exited
       else
         (* blocked threads and an armed alarm or poll deadline: jump
            time forward *)
@@ -1876,8 +1922,8 @@ let run ?(max_ticks = 10_000_000) t =
         | Some at when at > t.clock ->
           t.clock <- at;
           check_alarms t;
-          retry_parked t;
-          if idle t && t.parked <> [] then Stalled (describe_stalls t)
+          wake_parked t;
+          if idle t && Waitq.parked t.waits > 0 then Stalled (describe_stalls t)
           else loop ()
         | Some _ | None -> Stalled (describe_stalls t)
     end

@@ -161,8 +161,9 @@ let update t f =
 
 (* Like [update], but attributing to an explicit pid instead of
    [current] — for completions the scheduler performs on behalf of a
-   parked thread (accept/poll wakeups in [retry_parked]), where no
-   syscall is being dispatched and [current] is unset or wrong. *)
+   parked thread (accept/poll wakeups in the kernel's pass over woken
+   waiters), where no syscall is being dispatched and [current] is
+   unset or wrong. *)
 let update_for t pid f =
   f t.global;
   f (pid_slot t pid)
@@ -289,8 +290,9 @@ let on_template_spawn t ~subtrees ~pages =
 (* Socket/poll observability. Accepts are attributed to an explicit pid
    (per-pid [sock_accepts] is the dispatch-imbalance axis E17 reports:
    with per-worker accept, whichever worker wakes first wins the
-   connection) because the completion often happens in [retry_parked],
-   after the accepting thread had long been parked. *)
+   connection) because the completion often happens in the kernel's
+   pass over woken waiters, after the accepting thread had long been
+   parked. *)
 let on_connect t ~refused =
   update t (fun c ->
       c.sock_connects <- c.sock_connects + 1;

@@ -152,7 +152,7 @@ val on_connect : t -> refused:bool -> unit
 
 val on_accept : t -> pid:Types.pid -> unit
 (** One accepted connection, attributed to an explicit [pid] — accept
-    completions often happen in the scheduler's parked-thread retry,
+    completions often happen in the pass that wakes parked syscalls,
     where no syscall is being dispatched. *)
 
 val on_accept_queue : t -> depth:int -> unit

@@ -61,6 +61,26 @@ type write_outcome =
   | Broken_pipe
   | Fail_write of Errno.t
 
+(* The pipe a read (or write) of [t] goes through: a pipe end's own, or
+   a connected socket's direction; [None] for every other backing. *)
+let source t =
+  match t.backing with
+  | Pipe_read p -> Some p
+  | Socket s -> (
+    match Socket.state s with
+    | Socket.Connected { conn; role } -> Some (Socket.read_pipe conn role)
+    | Socket.Fresh | Socket.Bound _ | Socket.Listening _ | Socket.Closed -> None)
+  | Reg_file _ | Console _ | Pipe_write _ | Null -> None
+
+let sink t =
+  match t.backing with
+  | Pipe_write p -> Some p
+  | Socket s -> (
+    match Socket.state s with
+    | Socket.Connected { conn; role } -> Some (Socket.write_pipe conn role)
+    | Socket.Fresh | Socket.Bound _ | Socket.Listening _ | Socket.Closed -> None)
+  | Reg_file _ | Console _ | Pipe_read _ | Null -> None
+
 let read t n =
   alive t "Ofd.read";
   if not t.readable then Fail Errno.EBADF
@@ -74,23 +94,17 @@ let read t n =
         t.offset <- t.offset + String.length s;
         Data s
       end
-    | Pipe_read p ->
-      if Pipe.available p > 0 then Data (Pipe.read p n)
-      else if Pipe.eof p then End_of_file
-      else Retry
     | Pipe_write _ -> Fail Errno.EBADF
-    | Socket s -> (
-      match Socket.state s with
-      | Socket.Connected { conn; role } ->
-        let p = Socket.read_pipe conn role in
+    | Console _ | Null -> End_of_file
+    | Pipe_read _ | Socket _ -> (
+      match source t with
+      | Some p ->
         if Pipe.available p > 0 then Data (Pipe.read p n)
         else if Pipe.eof p then End_of_file
         else Retry
-      | Socket.Fresh | Socket.Bound _ | Socket.Listening _ | Socket.Closed
-        ->
+      | None ->
         (* read on an unconnected socket: EINVAL (we carry no ENOTCONN) *)
         Fail Errno.EINVAL)
-    | Console _ | Null -> End_of_file
 
 let write t s =
   alive t "Ofd.write";
@@ -105,22 +119,15 @@ let write t s =
     | Console buf ->
       Buffer.add_string buf s;
       Wrote (String.length s)
-    | Pipe_write p ->
-      if Pipe.broken p then Broken_pipe
-      else if Pipe.space p = 0 && String.length s > 0 then Retry_write
-      else Wrote (Pipe.write p s)
     | Pipe_read _ -> Fail_write Errno.EBADF
-    | Socket sk -> (
-      match Socket.state sk with
-      | Socket.Connected { conn; role } ->
-        let p = Socket.write_pipe conn role in
+    | Null -> Wrote (String.length s)
+    | Pipe_write _ | Socket _ -> (
+      match sink t with
+      | Some p ->
         if Pipe.broken p then Broken_pipe
         else if Pipe.space p = 0 && String.length s > 0 then Retry_write
         else Wrote (Pipe.write p s)
-      | Socket.Fresh | Socket.Bound _ | Socket.Listening _ | Socket.Closed
-        ->
-        Fail_write Errno.EINVAL)
-    | Null -> Wrote (String.length s)
+      | None -> Fail_write Errno.EINVAL)
 
 let describe t =
   match t.backing with

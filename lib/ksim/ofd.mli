@@ -48,6 +48,14 @@ type write_outcome =
 val read : t -> int -> read_outcome
 val write : t -> string -> write_outcome
 
+val source : t -> Pipe.t option
+(** The pipe a read of this description takes bytes from: a pipe read
+    end's, or a connected socket's incoming direction. A read that got
+    [Retry] waits on its {!Pipe.read_waiters}. *)
+
+val sink : t -> Pipe.t option
+(** The pipe a write puts bytes into, likewise. *)
+
 val describe : t -> string
 (** e.g. ["pipe:r"], ["file"], ["console"] — for traces and stall
     reports. *)

@@ -4,21 +4,52 @@ type t = {
   mutable read_pos : int;  (** consumed prefix of [queue] *)
   mutable readers : int;
   mutable writers : int;
+  read_waiters : Waitq.t;
+  write_waiters : Waitq.t;
+  poll_waiters : Waitq.t;
 }
 
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Pipe.create: capacity <= 0";
-  { capacity; queue = Buffer.create 256; read_pos = 0; readers = 0; writers = 0 }
+  {
+    capacity;
+    queue = Buffer.create 256;
+    read_pos = 0;
+    readers = 0;
+    writers = 0;
+    read_waiters = Waitq.create ~exclusive:true;
+    write_waiters = Waitq.create ~exclusive:true;
+    poll_waiters = Waitq.create ~exclusive:false;
+  }
 
 let capacity t = t.capacity
 let available t = Buffer.length t.queue - t.read_pos
 let space t = t.capacity - available t
 let readers t = t.readers
 let writers t = t.writers
+let read_waiters t = t.read_waiters
+let write_waiters t = t.write_waiters
+let poll_waiters t = t.poll_waiters
 let add_reader t = t.readers <- t.readers + 1
 let add_writer t = t.writers <- t.writers + 1
-let drop_reader t = t.readers <- max 0 (t.readers - 1)
-let drop_writer t = t.writers <- max 0 (t.writers - 1)
+
+(* Every change that can let a parked read, write or poll go on wakes
+   its queue: bytes in (readers), bytes out (writers), the last reader
+   gone (writers break) and the last writer gone (readers see EOF); a
+   poller may wait on either side. *)
+let drop_reader t =
+  t.readers <- max 0 (t.readers - 1);
+  if t.readers = 0 then begin
+    Waitq.kick t.write_waiters;
+    Waitq.kick t.poll_waiters
+  end
+
+let drop_writer t =
+  t.writers <- max 0 (t.writers - 1);
+  if t.writers = 0 then begin
+    Waitq.kick t.read_waiters;
+    Waitq.kick t.poll_waiters
+  end
 
 (* Compact the buffer once the consumed prefix dominates, so long-lived
    pipes don't grow without bound. *)
@@ -32,7 +63,11 @@ let compact t =
 
 let write t s =
   let n = min (String.length s) (space t) in
-  Buffer.add_substring t.queue s 0 n;
+  if n > 0 then begin
+    Buffer.add_substring t.queue s 0 n;
+    Waitq.kick t.read_waiters;
+    Waitq.kick t.poll_waiters
+  end;
   n
 
 let read t n =
@@ -42,6 +77,8 @@ let read t n =
     let s = Buffer.sub t.queue t.read_pos n in
     t.read_pos <- t.read_pos + n;
     compact t;
+    Waitq.kick t.write_waiters;
+    Waitq.kick t.poll_waiters;
     s
   end
 

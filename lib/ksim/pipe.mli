@@ -1,6 +1,7 @@
-(** Anonymous pipe state (the byte channel only; blocking policy lives in
-    the kernel, which inspects this state to decide when a thread may
-    proceed). *)
+(** Anonymous pipe state: the byte channel, and the queues a parked
+    read, write or poll waits on. The kernel decides from this state
+    whether a thread may proceed; every change here that can let a
+    parked syscall proceed kicks the matching queue. *)
 
 type t
 
@@ -17,10 +18,24 @@ val space : t -> int
 
 val readers : t -> int
 val writers : t -> int
+
+val read_waiters : t -> Waitq.t
+(** Parked reads (exclusive); kicked by {!write} and {!drop_writer}. *)
+
+val write_waiters : t -> Waitq.t
+(** Parked writes (exclusive); kicked by {!read} and {!drop_reader}. *)
+
+val poll_waiters : t -> Waitq.t
+(** Parked polls on either end (shared); kicked by all four. *)
+
 val add_reader : t -> unit
 val add_writer : t -> unit
+
 val drop_reader : t -> unit
+(** The last drop wakes the parked writes: they break. *)
+
 val drop_writer : t -> unit
+(** The last drop wakes the parked reads: they see EOF. *)
 
 val write : t -> string -> int
 (** Append at most [space t] bytes; returns how many were taken. *)

@@ -16,6 +16,7 @@ type thread = {
   mutable cpu : int;
       (** simulated CPU this thread last ran on (its affinity home in
           the SMP scheduler); always 0 on a single-CPU machine *)
+  mutable wait : Waitq.waiter option;
 }
 
 type state = Alive | Zombie of Types.status | Reaped of Types.status
@@ -34,6 +35,7 @@ type t = {
   mutable cwd : string;
   mutable mutexes : Sync.table;
   mutable threads : thread list;
+  mutable live : int;
   mutable children : Types.pid list;
   mutable program : string;
   mutable held_locks : Vfs.regular list;
@@ -43,6 +45,8 @@ type t = {
           set at zygote spawn, inherited across fork (the child shares
           the same COW image), released when the address space is
           destroyed. Gates template discard. *)
+  waitpid_waiters : Waitq.t;
+  vfork_waiters : Waitq.t;
 }
 
 let make_thread ~tid ~owner ~is_main body =
@@ -54,6 +58,7 @@ let make_thread ~tid ~owner ~is_main body =
     entry = Some (Start body);
     pending = None;
     cpu = 0;
+    wait = None;
   }
 
 let max_signal_number =
@@ -74,20 +79,36 @@ let make ~pid ~parent ~aspace ~fdt ~cwd ~program =
     cwd;
     mutexes = Sync.create_table ();
     threads = [];
+    live = 0;
     children = [];
     program;
     held_locks = [];
     atfork = [];
     tpl_deps = [];
+    waitpid_waiters = Waitq.create ~exclusive:false;
+    vfork_waiters = Waitq.create ~exclusive:false;
   }
 
 let disposition t s = t.sigdisp.(Usignal.number s)
 let set_disposition t s d = t.sigdisp.(Usignal.number s) <- d
 
-let live_threads t =
-  List.filter (fun th -> th.tstate <> Exited) t.threads
-
 let is_alive t = t.pstate = Alive
+
+(* The changes that can end a parked waitpid or vfork wake its queue. *)
+let child_exited t = Waitq.kick t.waitpid_waiters
+
+let reap t (child : t) st =
+  child.pstate <- Reaped st;
+  t.children <- List.filter (fun p -> p <> child.pid) t.children;
+  Waitq.kick t.waitpid_waiters
+
+let adopt_orphan t pid =
+  t.children <- pid :: t.children;
+  Waitq.kick t.waitpid_waiters
+
+let release_vfork t =
+  t.vfork_active <- false;
+  Waitq.kick t.vfork_waiters
 
 let count_handler_run t name =
   let cur = Option.value ~default:0 (Hashtbl.find_opt t.handler_runs name) in

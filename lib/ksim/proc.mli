@@ -15,8 +15,8 @@ type thread_state =
   | Ready
   | Running
   | Blocked
-      (** parked in a syscall whose check said "not yet"; the kernel's
-          parked entry holds the request, which names the wait *)
+      (** parked in a syscall whose check said "not yet"; its waiter
+          ([wait]) holds the request, which names the wait *)
   | Exited
 
 type entry = Start of (unit -> unit) | Resume of (unit -> unit)
@@ -31,6 +31,7 @@ type thread = {
   mutable cpu : int;
       (** simulated CPU this thread last ran on (its affinity home in
           the SMP scheduler); always 0 on a single-CPU machine *)
+  mutable wait : Waitq.waiter option;  (** its parked syscall, if any *)
 }
 
 type state = Alive | Zombie of Types.status | Reaped of Types.status
@@ -49,7 +50,8 @@ type t = {
   handler_runs : (string, int) Hashtbl.t;
   mutable cwd : string;
   mutable mutexes : Sync.table;
-  mutable threads : thread list;
+  mutable threads : thread list;  (** newest first *)
+  mutable live : int;  (** threads not yet exited *)
   mutable children : Types.pid list;
   mutable program : string;
   mutable held_locks : Vfs.regular list;
@@ -58,6 +60,12 @@ type t = {
       (** template ids whose pages this process's address space may map:
           set at zygote spawn, inherited across fork, released when the
           address space is destroyed. Gates template discard (EBUSY). *)
+  waitpid_waiters : Waitq.t;
+      (** this process's parked waitpids (shared); kicked by
+          {!child_exited}, {!reap} and {!adopt_orphan} *)
+  vfork_waiters : Waitq.t;
+      (** the parent's parked vfork, while this process borrows its
+          address space; kicked by {!release_vfork} *)
 }
 
 val make_thread :
@@ -76,7 +84,20 @@ val make :
 
 val disposition : t -> Usignal.t -> Usignal.disposition
 val set_disposition : t -> Usignal.t -> Usignal.disposition -> unit
-val live_threads : t -> thread list
 val is_alive : t -> bool
+
+val child_exited : t -> unit
+(** A child of this process became a zombie. *)
+
+val reap : t -> t -> Types.status -> unit
+(** [reap t child st]: a waitpid of [t] took [child]'s status. *)
+
+val adopt_orphan : t -> Types.pid -> unit
+(** Init takes over a dead process's child, which may be a zombie. *)
+
+val release_vfork : t -> unit
+(** A vfork child gives its parent's address space back (exec or
+    exit). *)
+
 val count_handler_run : t -> string -> unit
 val handler_runs : t -> string -> int

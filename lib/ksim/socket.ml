@@ -16,7 +16,13 @@ type role = Client | Server
 type state =
   | Fresh
   | Bound of int
-  | Listening of { port : int; backlog : int; pending : conn Queue.t }
+  | Listening of {
+      port : int;
+      backlog : int;
+      pending : conn Queue.t;
+      accept_waiters : Waitq.t;
+      poll_waiters : Waitq.t;
+    }
   | Connected of { conn : conn; role : role }
   | Closed
 
@@ -42,7 +48,15 @@ let listen t backlog =
   else
     match t.state with
     | Bound port ->
-      t.state <- Listening { port; backlog; pending = Queue.create () };
+      t.state <-
+        Listening
+          {
+            port;
+            backlog;
+            pending = Queue.create ();
+            accept_waiters = Waitq.create ~exclusive:true;
+            poll_waiters = Waitq.create ~exclusive:false;
+          };
       Ok ()
     | Fresh | Listening _ | Connected _ | Closed -> Error Errno.EINVAL
 
@@ -52,10 +66,11 @@ let listen t backlog =
    accept queue — so neither direction sees a premature EOF between
    connect and accept. Backlog overflow is refused outright
    (ECONNREFUSED), never blocked: deterministic, and it matches a
-   listener whose SYN queue is full with syncookies off. *)
+   listener whose SYN queue is full with syncookies off. A queued
+   connection wakes the listener's parked accepts and polls. *)
 let connect t ~srv =
   match (t.state, srv.state) with
-  | Fresh, Listening { backlog; pending; _ } ->
+  | Fresh, Listening { backlog; pending; accept_waiters; poll_waiters; _ } ->
     if Queue.length pending >= backlog then Error Errno.ECONNREFUSED
     else begin
       let conn = { c2s = Pipe.create (); s2c = Pipe.create () } in
@@ -65,6 +80,8 @@ let connect t ~srv =
       Pipe.add_reader conn.s2c;
       Queue.add conn pending;
       t.state <- Connected { conn; role = Client };
+      Waitq.kick accept_waiters;
+      Waitq.kick poll_waiters;
       Ok ()
     end
   | Fresh, _ -> Error Errno.ECONNREFUSED
@@ -98,13 +115,16 @@ let release_endpoint conn role =
 
 (* Final close from the OFD layer. A dying listener drains its accept
    queue, releasing the queued server endpoints so their clients observe
-   EOF/EPIPE — connections refused by teardown, not leaked. *)
+   EOF/EPIPE — connections refused by teardown, not leaked — and wakes
+   its parked accepts (they fail) and polls (they see an error). *)
 let release t =
   (match t.state with
   | Fresh | Bound _ | Closed -> ()
-  | Listening { pending; _ } ->
+  | Listening { pending; accept_waiters; poll_waiters; _ } ->
     Queue.iter (fun conn -> release_endpoint conn Server) pending;
-    Queue.clear pending
+    Queue.clear pending;
+    Waitq.kick accept_waiters;
+    Waitq.kick poll_waiters
   | Connected { conn; role } -> release_endpoint conn role);
   t.state <- Closed
 

@@ -8,9 +8,11 @@
     SYN/accept queue provides. [accept] adopts the server half of an
     already-established pair.
 
-    Blocking policy lives in the kernel (like {!Pipe}): this module only
+    Blocking policy lives in the kernel (like {!Pipe}): this module
     exposes the state the kernel inspects to decide when a thread may
-    proceed. *)
+    proceed, and kicks a listener's wait queues when that state
+    changes. A connected endpoint's parked reads, writes and polls wait
+    on its two pipes. *)
 
 type conn = { c2s : Pipe.t; s2c : Pipe.t }
 type role = Client | Server
@@ -18,7 +20,15 @@ type role = Client | Server
 type state =
   | Fresh  (** socket() has run, nothing else *)
   | Bound of int  (** bound to a port *)
-  | Listening of { port : int; backlog : int; pending : conn Queue.t }
+  | Listening of {
+      port : int;
+      backlog : int;
+      pending : conn Queue.t;
+      accept_waiters : Waitq.t;
+          (** parked accepts (exclusive); kicked by {!connect} and
+              {!release} *)
+      poll_waiters : Waitq.t;  (** parked polls (shared); the same kicks *)
+    }
   | Connected of { conn : conn; role : role }
   | Closed  (** released by the final OFD close *)
 
@@ -43,7 +53,8 @@ val connect : t -> srv:t -> (unit, Errno.t) result
     with [ECONNREFUSED]; overflow never blocks, which keeps the
     simulation deterministic and matches a full SYN queue with
     syncookies off. On success all four pipe-end counts are attached, so
-    neither direction sees premature EOF between connect and accept. *)
+    neither direction sees premature EOF between connect and accept,
+    and the listener's parked accepts and polls are woken. *)
 
 val accept : t -> t option
 (** Pop the oldest pending connection as a server-role socket; [None] if
@@ -62,7 +73,8 @@ val release : t -> unit
 (** Final-close hook (called by {!Ofd.close} when the last reference
     drops): releases this endpoint's pipe ends — or, for a listener,
     every endpoint still in the accept queue, so queued clients observe
-    EOF/EPIPE — and moves the socket to [Closed]. *)
+    EOF/EPIPE, and its parked accepts and polls — and moves the socket
+    to [Closed]. *)
 
 val describe : t -> string
 (** e.g. ["sock:listen(80)"], ["sock:conn:c"] — for traces. *)

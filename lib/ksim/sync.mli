@@ -7,11 +7,15 @@
     copy is "held" by a thread that does not exist in the child — and the
     first lock attempt there blocks forever. {!clone_table} implements
     exactly that memcpy semantics. Blocking itself is the kernel's job;
-    this module only stores the state. *)
+    this module stores the state and the queue of parked lockers. *)
 
 type state = Unlocked | Locked_by of Types.tid
 
-type t = { id : int; mutable state : state }
+type t = {
+  id : int;
+  mutable state : state;
+  waiters : Waitq.t;  (** parked [mutex_lock]s (exclusive) *)
+}
 
 type table
 
@@ -22,9 +26,14 @@ val create : table -> t
 
 val find : table -> int -> t option
 
+val unlock : t -> unit
+(** Set the mutex unlocked (unlock, reinit) and wake one parked
+    locker. *)
+
 val clone_table : table -> table
 (** fork: duplicate every mutex record {e including its owner field} —
-    the child inherits locks held by threads it doesn't have. *)
+    the child inherits locks held by threads it doesn't have. The copies
+    start with no parked lockers. *)
 
 val held_by_missing_thread : table -> live_tids:Types.tid list -> t list
 (** Mutexes whose owner is not among [live_tids] — the orphaned locks

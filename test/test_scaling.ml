@@ -1,0 +1,141 @@
+(* Host cost per doubling of what a workload scales.
+
+   Each row boots a machine whose size is one count [n] (parked
+   readers, served connections, created threads) and measures the host
+   words the boot allocates. Words are deterministic for a fixed input
+   and compiler, so tier-1 can bound the growth tightly: a boot at 2n
+   may allocate at most 2.2x the words of a boot at n. A cost that is
+   linear in n, plus a fixed part, stays under 2; one that visits every
+   parked thread after every scheduling round grows about 4x.
+
+   [test_scaling.exe wall] is the CI perf job's wall-clock check of the
+   parked axes: for each, it doubles n until the median of 3 boots takes
+   50 ms, then prints the ratio of the medians at 2n and n, and fails
+   above 3x. *)
+
+let ok what = function
+  | Ok v -> v
+  | Error e -> failwith (Format.asprintf "%s: %a" what Ksim.Errno.pp e)
+
+let yields k =
+  for _ = 1 to k do
+    Ksim.Api.yield ()
+  done
+
+(* n readers parked on one pipe; init writes a byte at a time, and each
+   byte wakes one of them. *)
+let herd n () =
+  let r, w = ok "pipe" (Ksim.Api.pipe ()) in
+  for _ = 1 to n do
+    ignore (ok "thread" (Ksim.Api.thread_create (fun () -> ignore (Ksim.Api.read r 1))))
+  done;
+  for _ = 1 to n do
+    ignore (ok "write" (Ksim.Api.write w "x"));
+    Ksim.Api.yield ()
+  done
+
+(* n clients connect, send a request and park reading the answer; init
+   accepts and answers them one at a time. *)
+let served n () =
+  let port = 80 in
+  let l = ok "socket" (Ksim.Api.socket ()) in
+  ok "bind" (Ksim.Api.bind l ~port);
+  ok "listen" (Ksim.Api.listen l ~backlog:(n + 1));
+  for _ = 1 to n do
+    ignore
+      (ok "thread"
+         (Ksim.Api.thread_create (fun () ->
+              let c = ok "socket" (Ksim.Api.socket ()) in
+              ok "connect" (Ksim.Api.connect c ~port);
+              ignore (ok "send" (Ksim.Api.write c "q"));
+              ignore (ok "answer" (Ksim.Api.read c 1));
+              ignore (Ksim.Api.close c))))
+  done;
+  for _ = 1 to n do
+    let c = ok "accept" (Ksim.Api.accept l) in
+    ignore (ok "request" (Ksim.Api.read c 1));
+    ignore (ok "reply" (Ksim.Api.write c "a"));
+    ignore (Ksim.Api.close c)
+  done;
+  yields 2
+
+(* n threads created one after another; each returns at once. *)
+let threads n () =
+  for _ = 1 to n do
+    ignore (ok "thread" (Ksim.Api.thread_create (fun () -> ())))
+  done
+
+let boot body n =
+  let config =
+    {
+      Ksim.Kernel.default_config with
+      Ksim.Kernel.aslr = false;
+      max_fds = (4 * n) + 16;
+    }
+  in
+  let init = Ksim.Program.make ~name:"/sbin/init" (fun ~argv:_ -> body n) in
+  match Ksim.Kernel.boot ~config ~programs:[ init ] "/sbin/init" with
+  | Ok (_, Ksim.Kernel.All_exited) -> ()
+  | Ok (_, o) -> failwith (Format.asprintf "outcome %a" Ksim.Kernel.pp_outcome o)
+  | Error _ -> failwith "boot failed"
+
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let rows =
+  [
+    ("readers parked on one pipe, woken a byte at a time", herd, true);
+    ("connections served one at a time by one accept loop", served, true);
+    ("threads created, then returning", threads, false);
+  ]
+
+let n = 1000
+
+let test_words body () =
+  let w1 = words (fun () -> boot body n) in
+  let w2 = words (fun () -> boot body (2 * n)) in
+  let ratio = w2 /. w1 in
+  if ratio > 2.2 then
+    Alcotest.failf "words grew %.2fx from n=%d (%.0f) to 2n (%.0f)" ratio n w1 w2
+
+(* Median of 3 boots' wall time, each from a compacted heap. *)
+let wall body n =
+  let once () =
+    Gc.compact ();
+    let t0 = Unix.gettimeofday () in
+    boot body n;
+    Unix.gettimeofday () -. t0
+  in
+  match List.sort compare [ once (); once (); once () ] with
+  | [ _; m; _ ] -> m
+  | _ -> assert false
+
+let wall_check () =
+  let bad = ref false in
+  List.iter
+    (fun (name, body, parked) ->
+      if parked then begin
+        let rec size n =
+          let t = wall body n in
+          if t >= 0.05 then (n, t) else size (2 * n)
+        in
+        let n, t1 = size 1000 in
+        let t2 = wall body (2 * n) in
+        let ratio = t2 /. t1 in
+        Printf.printf "%s: n=%d %.3f s, 2n %.3f s, x%.2f per doubling\n" name n t1 t2 ratio;
+        if ratio > 3.0 then bad := true
+      end)
+    rows;
+  if !bad then exit 1
+
+let () =
+  match Sys.argv with
+  | [| _; "wall" |] -> wall_check ()
+  | _ ->
+    Alcotest.run "scaling"
+      [
+        ( "words per doubling",
+          List.map (fun (name, body, _) -> Alcotest.test_case name `Quick (test_words body)) rows );
+      ]
