@@ -7,7 +7,7 @@
       let* b = Procbuilder.create () in
       let* addr = Procbuilder.map b ~len ~perm:Vmem.Perm.rw in
       let* () = Procbuilder.write b ~addr "config" in
-      let* () = Procbuilder.copy_fd b ~src:1 ~dst:1 in
+      let* () = Procbuilder.copy_stdio b in
       let* () = Procbuilder.start b "/bin/worker" in
       Api.wait_for (Procbuilder.pid b)
     ]}
@@ -24,7 +24,6 @@ val create : unit -> (t, Ksim.Errno.t) result
 val pid : t -> Ksim.Types.pid
 val map : t -> len:int -> perm:Vmem.Perm.t -> (int, Ksim.Errno.t) result
 val write : t -> addr:int -> string -> (unit, Ksim.Errno.t) result
-val copy_fd : t -> src:Ksim.Types.fd -> dst:Ksim.Types.fd -> (unit, Ksim.Errno.t) result
 
 val copy_stdio : t -> (unit, Ksim.Errno.t) result
 (** Copy fds 0, 1 and 2. *)

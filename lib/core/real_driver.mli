@@ -6,9 +6,6 @@
     {!Workload.Footprint}. This is the measured half of the Figure-1
     reproduction. *)
 
-val child_prog : string
-(** "/bin/true" *)
-
 val creation_once : Strategy.t -> unit
 (** One create+wait. @raise Failure if the strategy is unsupported on
     the real OS ({!Strategy.supported_real}) or creation fails. *)

@@ -21,4 +21,3 @@ let supported_real = function
   | Fork_eager | Builder -> false
 
 let of_name s = List.find_opt (fun t -> name t = s) all
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -16,4 +16,3 @@ val supported_real : t -> bool
     cross-process builds have no Linux equivalent). *)
 
 val of_name : string -> t option
-val pp : Format.formatter -> t -> unit

@@ -31,5 +31,3 @@ let table =
   List.concat_map (fun api -> List.map (fun id -> (id, api)) (identifiers api)) all
 
 let of_identifier id = List.assoc_opt id table
-let pp ppf t = Format.pp_print_string ppf (name t)
-let equal a b = a = b

@@ -19,5 +19,3 @@ val identifiers : t -> string list
     covers the whole execve/execv/execvp/execl family. *)
 
 val of_identifier : string -> t option
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

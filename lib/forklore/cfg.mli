@@ -48,11 +48,8 @@ type t = {
   sites : site array;  (** indexed by [s_id] *)
 }
 
-val default_noreturn : string list
-
 val build : ?noreturn:string list -> Cparse.func -> t
 
-val successors : term -> int list
 val reachable : t -> bool array
 (** per-node, from [entry] *)
 

@@ -26,8 +26,6 @@ type archetype =
   | Low_level  (** vfork/clone runtimes *)
   | Pure  (** no process creation at all *)
 
-val archetype_weights : (archetype * int) list
-
 val generate : ?packages:int -> seed:int -> unit -> package list
 (** Deterministic in [seed]. Default 200 packages. *)
 

@@ -58,7 +58,4 @@ val calls_of_slice : Lexer.token array -> int -> int -> call list
     source order, with declarator-position identifier-['('] pairs
     ([pid_t fork(void);]) excluded. *)
 
-val calls_of_stmt : stmt -> call list
-(** Every call in the statement tree, source order (cond before body). *)
-
 val calls_of_func : func -> call list

@@ -18,22 +18,6 @@ module SMap : Map.S with type key = string
 
 (** {2 Name sets} (shared with the v2 rules) *)
 
-val fork_names : string list
-val vfork_names : string list
-val exec_names : string list
-
-val escape_names : string list
-(** exec family plus [_exit]/[_Exit] — the calls that legitimately end
-    a forked child branch. [exit] is {e not} here: it runs atexit
-    handlers and flushes stdio, so it terminates the path (see
-    {!Cfg.default_noreturn}) without discharging the window. *)
-
-val spawn_names : string list
-val stdio_names : string list
-val thread_create_names : string list
-val lock_names : string list
-val unlock_names : string list
-
 (** {2 One-level interprocedural summaries} *)
 
 type summary = {
@@ -45,17 +29,9 @@ type summary = {
   sm_stdio : string option;  (** first buffered-stdio write *)
 }
 
-val summarize : Cparse.func -> summary
-val summaries_of : Cparse.func list -> summary SMap.t
-
 (** {2 Roles and state (exposed for tests)} *)
 
 type role = { r_child : bool; r_parent : bool; r_err : bool }
-
-val role_of_rel : Cfg.rel -> role
-(** Value semantics of a fork result: 0 = child, >0 = parent,
-    <0 = error. [Req0] keeps only the child role, [Rgt0] only the
-    parent, [Rne_m1] child-or-parent, ... *)
 
 type fork_fact = {
   ff_site : int;

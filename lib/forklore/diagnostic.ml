@@ -45,8 +45,6 @@ let pp ppf d =
     (severity_name d.severity)
     d.rule d.message d.citation d.hint
 
-let to_string d = Format.asprintf "%a" pp d
-
 (* ------------------------------------------------------------------ *)
 (* JSON (SARIF-flavoured, hand-rolled: no json dependency in the tree) *)
 

@@ -9,11 +9,6 @@
 
 type severity = Error | Warn | Info
 
-val severity_name : severity -> string
-val severity_of_name : string -> severity option
-val severity_rank : severity -> int
-(** [Error] ranks before [Warn] ranks before [Info]. *)
-
 type t = {
   rule : string;  (** rule id, e.g. ["fork-in-threads"] *)
   severity : severity;
@@ -33,14 +28,10 @@ val is_error : t -> bool
 val count : severity -> t list -> int
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val json_escape : string -> string
 (** Escape a string for embedding in a JSON string literal (shared with
     the {!Sarif} exporter). *)
-
-val to_json : t -> string
-(** One finding as a JSON object (single line). *)
 
 val report_to_json : t list -> string
 (** Full report: sorted findings plus a severity summary. *)

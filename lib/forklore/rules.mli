@@ -50,8 +50,6 @@ val all : t list
 val find : string -> t option
 (** Look a rule up by id in {!all} (also used by [Ksim.Lint]). *)
 
-val build_ctx : file:string -> Lexer.token list -> ctx
-
 val make_diagnostic :
   t -> file:string -> line:int -> col:int -> message:string -> Diagnostic.t
 (** Attach registry metadata (severity, citation, hint) to a finding. *)

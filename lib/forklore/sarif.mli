@@ -13,9 +13,6 @@
     order for rules, {!Diagnostic.compare} order for results, no
     timestamps — so SARIF artifacts diff cleanly across CI runs. *)
 
-val version : string
-(** ["2.1.0"]. *)
-
 val schema_uri : string
 
 val level_of_severity : Diagnostic.severity -> string

@@ -23,9 +23,6 @@ val count : result -> Api.t -> int
 
 val scan_string : string -> result
 
-val scan_file : string -> (result, string) Result.t
-(** Reads the file; [Error] carries a message on I/O failure. *)
-
 type dir_report = {
   files_scanned : int;
   total_lines : int;

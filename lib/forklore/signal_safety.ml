@@ -1,58 +1,12 @@
-(* The POSIX.1-2017 async-signal-safe function table (XSH §2.4.3,
-   "Signal Concepts", IEEE Std 1003.1-2017). After fork() in a
-   multithreaded process, the child may only call functions on this
-   list until it reaches exec — the same restriction as a signal
-   handler, and the core of the paper's §2.1 "fork doesn't compose"
-   claim. The list below is the full Issue 7/TC2 table, including the
-   str*/mem*/wcs* additions of TC1; implementation-defined extras
-   (e.g. glibc's sigabbrev_np) are deliberately excluded so findings
-   stay portable. *)
-
-let safe_list =
-  [
-    "_Exit"; "_exit"; "abort"; "accept"; "access"; "aio_error";
-    "aio_return"; "aio_suspend"; "alarm"; "bind"; "cfgetispeed";
-    "cfgetospeed"; "cfsetispeed"; "cfsetospeed"; "chdir"; "chmod";
-    "chown"; "clock_gettime"; "close"; "connect"; "creat"; "dup";
-    "dup2"; "execl"; "execle"; "execv"; "execve"; "faccessat";
-    "fchdir"; "fchmod"; "fchmodat"; "fchown"; "fchownat"; "fcntl";
-    "fdatasync"; "fexecve"; "ffs"; "fork"; "fstat"; "fstatat";
-    "fsync"; "ftruncate"; "futimens"; "getegid"; "geteuid"; "getgid";
-    "getgroups"; "getpeername"; "getpgrp"; "getpid"; "getppid";
-    "getsockname"; "getsockopt"; "getuid"; "htonl"; "htons"; "kill";
-    "link"; "linkat"; "listen"; "longjmp"; "lseek"; "lstat";
-    "memccpy"; "memchr"; "memcmp"; "memcpy"; "memmove"; "memset";
-    "mkdir"; "mkdirat"; "mkfifo"; "mkfifoat"; "mknod"; "mknodat";
-    "ntohl"; "ntohs"; "open"; "openat"; "pause"; "pipe"; "poll";
-    "posix_trace_event"; "pselect"; "pthread_kill"; "pthread_self";
-    "pthread_sigmask"; "raise"; "read"; "readlink"; "readlinkat";
-    "recv"; "recvfrom"; "recvmsg"; "rename"; "renameat"; "rmdir";
-    "select"; "sem_post"; "send"; "sendmsg"; "sendto"; "setgid";
-    "setpgid"; "setsid"; "setsockopt"; "setuid"; "shutdown";
-    "sigaction"; "sigaddset"; "sigdelset"; "sigemptyset";
-    "sigfillset"; "sigismember"; "siglongjmp"; "signal"; "sigpause";
-    "sigpending"; "sigprocmask"; "sigqueue"; "sigset"; "sigsuspend";
-    "sleep"; "sockatmark"; "socket"; "socketpair"; "stat"; "stpcpy";
-    "stpncpy"; "strcat"; "strchr"; "strcmp"; "strcpy"; "strcspn";
-    "strlen"; "strncat"; "strncmp"; "strncpy"; "strnlen"; "strpbrk";
-    "strrchr"; "strspn"; "strstr"; "strtok_r"; "symlink";
-    "symlinkat"; "tcdrain"; "tcflow"; "tcflush"; "tcgetattr";
-    "tcgetpgrp"; "tcsendbreak"; "tcsetattr"; "tcsetpgrp"; "time";
-    "timer_getoverrun"; "timer_gettime"; "timer_settime"; "times";
-    "umask"; "uname"; "unlink"; "unlinkat"; "utime"; "utimensat";
-    "utimes"; "wait"; "waitpid"; "wcpcpy"; "wcpncpy"; "wcscat";
-    "wcschr"; "wcscmp"; "wcscpy"; "wcscspn"; "wcslen"; "wcsncat";
-    "wcsncmp"; "wcsncpy"; "wcsnlen"; "wcspbrk"; "wcsrchr"; "wcsspn";
-    "wcsstr"; "wcstok"; "wmemchr"; "wmemcmp"; "wmemcpy"; "wmemmove";
-    "wmemset"; "write";
-  ]
-
-(* Common libc/pthread functions that are definitely NOT
-   async-signal-safe (they allocate, take internal locks, or touch
-   stdio state). A call site in the fork→exec window is only reported
-   when its callee is on this list or summarised as reaching it:
-   unknown external functions stay un-flagged, which is what keeps the
-   checker's precision honest on real trees. *)
+(* After fork() in a multithreaded process, the child may only call
+   the async-signal-safe functions of POSIX.1-2017 (XSH §2.4.3) until
+   it reaches exec — the core of the paper's §2.1 "fork doesn't
+   compose" claim. These are common libc/pthread functions that are
+   definitely NOT on that list (they allocate, take internal locks, or
+   touch stdio state). A call site in the fork→exec window is only
+   reported when its callee is on this list or summarised as reaching
+   it: unknown external functions stay un-flagged, which is what keeps
+   the checker's precision honest on real trees. *)
 let unsafe_list =
   [
     (* allocator *)
@@ -85,17 +39,7 @@ let unsafe_list =
     "regcomp"; "regexec"; "qsort"; "bsearch";
   ]
 
-let safe_tbl = Hashtbl.create 256
 let unsafe_tbl = Hashtbl.create 128
+let () = List.iter (fun f -> Hashtbl.replace unsafe_tbl f ()) unsafe_list
 
-let () =
-  List.iter (fun f -> Hashtbl.replace safe_tbl f ()) safe_list;
-  List.iter (fun f -> Hashtbl.replace unsafe_tbl f ()) unsafe_list
-
-let is_safe name = Hashtbl.mem safe_tbl name
 let is_known_unsafe name = Hashtbl.mem unsafe_tbl name
-
-let provenance =
-  "POSIX.1-2017 (IEEE Std 1003.1-2017) XSH \194\1672.4.3 Signal Concepts, \
-   async-signal-safe function table, Issue 7 TC2 (includes the TC1 \
-   str*/mem*/wcs* additions)"

@@ -1,26 +1,15 @@
-(** The POSIX.1-2017 async-signal-safe function table.
+(** Calls that are not async-signal-safe.
 
     After [fork()] in a multithreaded process the child may call only
-    the functions on this list until it reaches exec (XSH
-    {{:https://pubs.opengroup.org/onlinepubs/9699919799/}\194\1672.4.3}).
-    The [unsafe-child-work] dataflow rule consults {!is_safe} for the
-    whitelist and {!is_known_unsafe} for the explicit deny list —
-    functions on neither list (unknown externs, project-local helpers
-    without a summary) are never reported, which keeps precision
-    honest on arbitrary C trees. *)
-
-val is_safe : string -> bool
-(** Member of the POSIX.1-2017 async-signal-safe table. *)
+    the async-signal-safe functions of POSIX.1-2017 until it reaches
+    exec (XSH
+    {{:https://pubs.opengroup.org/onlinepubs/9699919799/}§2.4.3}).
+    The [unsafe-child-work] dataflow rule consults {!is_known_unsafe},
+    a deny list of common calls absent from that table — functions not
+    on it (unknown externs, project-local helpers without a summary)
+    are never reported, which keeps precision honest on arbitrary C
+    trees. *)
 
 val is_known_unsafe : string -> bool
 (** Common libc/pthread function that is definitely {e not}
     async-signal-safe (allocator, stdio, locking, [exit], ...). *)
-
-val safe_list : string list
-(** The full table, for documentation and tests. *)
-
-val unsafe_list : string list
-
-val provenance : string
-(** Where the table comes from (standard, issue, technical
-    corrigendum) — quoted in DESIGN.md \194\16713. *)

@@ -44,7 +44,3 @@ let validate packages =
   match List.find_map check packages with
   | Some msg -> Error msg
   | None -> Ok ()
-
-let pp_row ppf r =
-  Format.fprintf ppf "%-12s %5d pkgs (%4.1f%%) %6d call sites" (Api.name r.api)
-    r.packages_using (100.0 *. r.package_share) r.call_sites

@@ -14,5 +14,3 @@ val of_packages : Corpus.package list -> row list
 val validate : Corpus.package list -> (unit, string) Result.t
 (** Check the scanner against every package's ground truth; [Error]
     names the first mismatching package and API. *)
-
-val pp_row : Format.formatter -> row -> unit

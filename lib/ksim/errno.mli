@@ -34,8 +34,5 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Inverse of {!to_string}; [None] for unknown names. *)
 
-val message : t -> string
-(** Human-readable strerror-style message. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

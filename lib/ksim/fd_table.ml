@@ -11,8 +11,6 @@ let free t fd =
   t.slots.(fd) <- None;
   if fd < t.next_fd then t.next_fd <- fd
 
-let max_fds t = t.limit
-
 let count t =
   Array.fold_left (fun n slot -> if slot = None then n else n + 1) 0 t.slots
 

@@ -9,7 +9,6 @@ type t
 val create : ?max_fds:int -> unit -> t
 (** Default limit 256 descriptors. *)
 
-val max_fds : t -> int
 val count : t -> int
 
 val alloc : t -> ?at_least:int -> cloexec:bool -> Ofd.t -> (Types.fd, Errno.t) result

@@ -1,12 +1,16 @@
-(** The simulated kernel: machine state, scheduler and syscall engine.
+(** The simulated kernel: the machine, its scheduler and syscall
+    dispatch.
 
     One {!t} is a machine. Simulated programs are OCaml closures that
     perform {!Sysreq.Sys} effects; the kernel runs them under a
-    deterministic cooperative scheduler (threads yield at syscalls).
-    Determinism: given the same config (including [seed]) and programs,
-    a run is bit-for-bit reproducible.
+    deterministic cooperative scheduler (threads yield at syscalls) and
+    routes each syscall to the module that serves its subsystem
+    ({!Lifecycle}, {!Fds}, {!Memory}, {!Threads}, {!Sockets},
+    {!Creation}). Determinism: given the same config (including [seed])
+    and programs, a run is bit-for-bit reproducible.
 
-    Process-creation semantics implemented here (the paper's subject):
+    Process-creation semantics, implemented in {!Creation} (the paper's
+    subject):
     - [Fork]: COW address-space clone, fd table shared-description clone,
       dispositions copied, pending signals cleared, {e only the calling
       thread} replicated, mutex memory copied verbatim (orphaned locks!),
@@ -22,7 +26,7 @@
       are reported synchronously to the caller — the error-reporting
       advantage the paper credits spawn with. *)
 
-type config = {
+type config = Machine.config = {
   phys_pages : int;  (** physical memory size, in 4 KiB frames *)
   cost_params : Vmem.Cost.params option;
       (** override the cycle-cost constants (None = {!Vmem.Cost.default});
@@ -80,11 +84,9 @@ val register : t -> Program.t -> unit
 (** Make a program exec-able under its name. Re-registering replaces. *)
 
 val register_all : t -> Program.t list -> unit
-val find_program : t -> string -> Program.t option
 val cost : t -> Vmem.Cost.t
 val frames : t -> Vmem.Frame.t
 val vfs : t -> Vfs.t
-val tlb : t -> Vmem.Tlb.t
 val console : t -> string
 (** Everything written to /dev/console so far. *)
 

@@ -135,7 +135,6 @@ let smp t = t.smp
 
 let global t = t.global
 let set_current t pid = t.current <- pid
-let current t = t.current
 let pid_counters t pid = Hashtbl.find_opt t.by_pid pid
 
 let pids t =

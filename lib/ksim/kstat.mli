@@ -108,7 +108,6 @@ val smp : t -> smp option
 val set_current : t -> Types.pid option -> unit
 (** Attribute subsequent updates to this pid (as well as globally). *)
 
-val current : t -> Types.pid option
 val pid_counters : t -> Types.pid -> counters option
 (** [None] when the pid never had anything attributed to it. *)
 

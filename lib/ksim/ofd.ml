@@ -32,8 +32,6 @@ let make backing ~flags =
   }
 
 let backing t = t.backing
-let readable t = t.readable
-let writable t = t.writable
 let offset t = t.offset
 let refs t = t.refs
 
@@ -128,12 +126,3 @@ let write t s =
         else if Pipe.space p = 0 && String.length s > 0 then Retry_write
         else Wrote (Pipe.write p s)
       | None -> Fail_write Errno.EINVAL)
-
-let describe t =
-  match t.backing with
-  | Reg_file _ -> "file"
-  | Console _ -> "console"
-  | Pipe_read _ -> "pipe:r"
-  | Pipe_write _ -> "pipe:w"
-  | Null -> "null"
-  | Socket s -> Socket.describe s

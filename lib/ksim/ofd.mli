@@ -24,8 +24,6 @@ val make : backing -> flags:Types.open_flags -> t
     final close calls {!Socket.release}). *)
 
 val backing : t -> backing
-val readable : t -> bool
-val writable : t -> bool
 val offset : t -> int
 val refs : t -> int
 val incref : t -> unit
@@ -55,7 +53,3 @@ val source : t -> Pipe.t option
 
 val sink : t -> Pipe.t option
 (** The pipe a write puts bytes into, likewise. *)
-
-val describe : t -> string
-(** e.g. ["pipe:r"], ["file"], ["console"] — for traces and stall
-    reports. *)

@@ -22,11 +22,8 @@ let create ?(capacity = 65536) () =
     poll_waiters = Waitq.create ~exclusive:false;
   }
 
-let capacity t = t.capacity
 let available t = Buffer.length t.queue - t.read_pos
 let space t = t.capacity - available t
-let readers t = t.readers
-let writers t = t.writers
 let read_waiters t = t.read_waiters
 let write_waiters t = t.write_waiters
 let poll_waiters t = t.poll_waiters

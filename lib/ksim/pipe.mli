@@ -9,15 +9,11 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity 65536 bytes. @raise Invalid_argument if
     [capacity <= 0]. *)
 
-val capacity : t -> int
 val available : t -> int
 (** Bytes buffered and ready to read. *)
 
 val space : t -> int
 (** Bytes that can be written without exceeding capacity. *)
-
-val readers : t -> int
-val writers : t -> int
 
 val read_waiters : t -> Waitq.t
 (** Parked reads (exclusive); kicked by {!write} and {!drop_writer}. *)

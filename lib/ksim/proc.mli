@@ -4,7 +4,7 @@
     space, fd table, signal state, mutex memory, alarms, file locks —
     which is the paper's "fork infects every subsystem" point made
     concrete: every field below carries a fork-specific rule (copied,
-    shared, cleared or dropped), implemented in {!Kernel}. *)
+    shared, cleared or dropped), implemented in {!Creation}. *)
 
 type pending =
   | Pending :

@@ -31,13 +31,11 @@ type t = { mutable state : state }
 let create () = { state = Fresh }
 let state t = t.state
 
-let port t =
+(* Like Linux's [inet_bind], a socket binds once: its own state is
+   checked before the port. *)
+let bind t port ~in_use =
   match t.state with
-  | Bound p | Listening { port = p; _ } -> Some p
-  | Fresh | Connected _ | Closed -> None
-
-let bind t port =
-  match t.state with
+  | Fresh when in_use -> Error Errno.EADDRINUSE
   | Fresh ->
     t.state <- Bound port;
     Ok ()
@@ -127,12 +125,3 @@ let release t =
     Waitq.kick poll_waiters
   | Connected { conn; role } -> release_endpoint conn role);
   t.state <- Closed
-
-let describe t =
-  match t.state with
-  | Fresh -> "sock"
-  | Bound p -> Printf.sprintf "sock:bound(%d)" p
-  | Listening { port; _ } -> Printf.sprintf "sock:listen(%d)" port
-  | Connected { role = Client; _ } -> "sock:conn:c"
-  | Connected { role = Server; _ } -> "sock:conn:s"
-  | Closed -> "sock:closed"

@@ -37,12 +37,10 @@ type t
 val create : unit -> t
 val state : t -> state
 
-val port : t -> int option
-(** The bound/listening port, if any. *)
-
-val bind : t -> int -> (unit, Errno.t) result
-(** [EINVAL] unless the socket is fresh. Port collision (EADDRINUSE) is
-    the kernel's to detect — it owns the port table. *)
+val bind : t -> int -> in_use:bool -> (unit, Errno.t) result
+(** [EINVAL] unless the socket is fresh, checked first; then
+    [EADDRINUSE] when [in_use], which {!Sockets} reads from the port
+    table it owns: another live socket holds the port. *)
 
 val listen : t -> int -> (unit, Errno.t) result
 (** [listen t backlog]; [EINVAL] unless bound, or if [backlog < 1]. *)
@@ -75,6 +73,3 @@ val release : t -> unit
     every endpoint still in the accept queue, so queued clients observe
     EOF/EPIPE, and its parked accepts and polls — and moves the socket
     to [Closed]. *)
-
-val describe : t -> string
-(** e.g. ["sock:listen(80)"], ["sock:conn:c"] — for traces. *)

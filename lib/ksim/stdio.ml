@@ -32,9 +32,6 @@ let fopen ?(bufsize = 4096) fd =
       | Error e -> Error e
       | Ok () -> Ok { fd; base; bufsize })
 
-let fd t = t.fd
-let bufsize t = t.bufsize
-
 let buffered t =
   Result.map decode_word (Api.mem_read ~addr:t.base ~len:word_len)
 

@@ -15,20 +15,8 @@ val fopen : ?bufsize:int -> Types.fd -> (t, Errno.t) result
 (** Wrap a descriptor with a write buffer of [bufsize] bytes (default
     4096, one page), allocated with mmap in the calling process. *)
 
-val fd : t -> Types.fd
-val bufsize : t -> int
-
 val puts : t -> string -> (unit, Errno.t) result
 (** Append to the buffer, flushing whenever it fills. *)
-
-val buffered : t -> (int, Errno.t) result
-(** Bytes currently sitting unflushed in simulated memory. *)
-
-val owner : t -> (Types.pid, Errno.t) result
-(** The process that buffered the current contents (claimed by the
-    first {!puts} into an empty buffer). A fork clones this word along
-    with the buffer, so a child flushing inherited bytes is
-    detectable. *)
 
 val flush : t -> (unit, Errno.t) result
 (** Write out and clear the buffer. Also reports the flush to the

@@ -82,9 +82,9 @@ type 'a info = { name : string; reply : 'a reply; cost : cost }
 
 (* Every arm is a record of constants, allocated once at compile time,
    and there is no wildcard arm: a new request does not compile until it
-   has a descriptor. The errno lists hold what each handler in
-   [Kernel.attempt] can reply; the kernel rejects any errno outside
-   [admits]. *)
+   has a descriptor. The errno lists hold what each syscall's handler
+   (in the module [Kernel.attempt] routes it to) can reply; the kernel
+   rejects any errno outside [admits]. *)
 let info : type a. a t -> a info =
   let open Errno in
   function

@@ -141,8 +141,9 @@ type 'a t =
       (** Fresh stream socket (see {!Socket}): EMFILE when the fd table
           is full. *)
   | Bind : Types.fd * int -> (unit, Errno.t) result t
-      (** Bind to a port on the simulated host. EADDRINUSE if another
-          live socket holds the port; EINVAL if not fresh. *)
+      (** Bind to a port on the simulated host. EINVAL if the socket is
+          not fresh (it is already bound or listening), checked first;
+          EADDRINUSE if another live socket holds the port. *)
   | Listen : { fd : Types.fd; backlog : int } -> (unit, Errno.t) result t
       (** EINVAL unless bound, or if [backlog < 1]. *)
   | Accept : Types.fd -> (Types.fd, Errno.t) result t

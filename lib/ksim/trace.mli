@@ -92,13 +92,6 @@ val total : t -> int
 val find : t -> pattern:string -> event list
 (** Events whose [what] contains [pattern] as a substring. *)
 
-val phase_string : phase -> string
-(** ["B"], ["E"] or ["i"] — the Chrome trace_event phase letters. *)
-
-val event_json : event -> Metrics.Json.t
-(** One flat object: the event's fields, then its outcome, detail and
-    injections, each key once. *)
-
 val to_jsonl : t -> string
 (** One compact JSON object per line, oldest first. *)
 

@@ -7,12 +7,6 @@ let pp_status ppf = function
   | Exited code -> Format.fprintf ppf "exited(%d)" code
   | Killed s -> Format.fprintf ppf "killed(%a)" Usignal.pp s
 
-let status_equal a b =
-  match (a, b) with
-  | Exited x, Exited y -> x = y
-  | Killed x, Killed y -> Usignal.equal x y
-  | Exited _, Killed _ | Killed _, Exited _ -> false
-
 type open_flags = {
   read : bool;
   write : bool;

@@ -8,7 +8,6 @@ type fd = int
 type status = Exited of int | Killed of Usignal.t
 
 val pp_status : Format.formatter -> status -> unit
-val status_equal : status -> status -> bool
 
 type open_flags = {
   read : bool;

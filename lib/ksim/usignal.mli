@@ -25,7 +25,6 @@ val number : t -> int
 (** Conventional Linux numbering (SIGHUP = 1, ...). *)
 
 val of_number : int -> t option
-val to_string : t -> string
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

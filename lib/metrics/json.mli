@@ -33,9 +33,6 @@ val to_string : ?indent:int -> t -> string
     spaces per level. Integral floats print without a fraction (and thus
     re-read as [Int]); use {!to_num} when reading numbers back. *)
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
-
 (** {1 Reading} *)
 
 val of_string : string -> (t, string) result

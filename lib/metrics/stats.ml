@@ -74,13 +74,3 @@ let to_json t =
       ("p99", Json.num t.p99);
       ("total", Json.num t.total);
     ]
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%s sd=%s min=%s p50=%s p90=%s p99=%s max=%s"
-    t.count (Units.ns t.mean) (Units.ns t.stddev) (Units.ns t.min)
-    (Units.ns t.p50) (Units.ns t.p90) (Units.ns t.p99) (Units.ns t.max)
-
-let pp_raw ppf t =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g"
-    t.count t.mean t.stddev t.min t.p50 t.p90 t.p99 t.max

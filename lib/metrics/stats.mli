@@ -31,10 +31,6 @@ val percentile : float array -> float -> float
 val mean : float array -> float
 (** Arithmetic mean. @raise Invalid_argument on an empty array. *)
 
-val stddev : float array -> float
-(** Sample standard deviation (n-1); returns [0.] for singleton arrays.
-    @raise Invalid_argument on an empty array. *)
-
 val coefficient_of_variation : t -> float
 (** [stddev /. mean]. Edge cases: all-equal samples have [stddev = 0.]
     and hence CV [0.] (provided the common value is non-zero); when the
@@ -43,10 +39,3 @@ val coefficient_of_variation : t -> float
 
 val to_json : t -> Json.t
 (** All fields as a JSON object (used by the bench report writer). *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line rendering, e.g. ["n=30 mean=1.2ms p50=1.1ms p99=2.0ms"],
-    formatting values with {!Units.ns}. *)
-
-val pp_raw : Format.formatter -> t -> unit
-(** Like {!pp} but prints plain numbers rather than durations. *)

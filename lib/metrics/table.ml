@@ -22,10 +22,8 @@ let add_row t cells =
   t.rows <- Cells cells :: t.rows;
   t.nrows <- t.nrows + 1
 
-let add_rows t rows = List.iter (add_row t) rows
 let add_separator t = t.rows <- Separator :: t.rows
 let row_count t = t.nrows
-let headers t = t.headers
 
 let rows t =
   List.rev

@@ -14,18 +14,11 @@ val add_row : t -> string list -> unit
 (** Append a row. @raise Invalid_argument if the arity differs from the
     header. *)
 
-val add_rows : t -> string list list -> unit
-
 val add_separator : t -> unit
 (** Append a horizontal rule, rendered as a dashed line. *)
 
 val row_count : t -> int
 (** Number of data rows added so far (separators excluded). *)
-
-val headers : t -> string list
-
-val rows : t -> string list list
-(** Data rows in insertion order (separators excluded). *)
 
 val to_json : t -> Json.t
 (** [{"headers": [...], "rows": [[...], ...]}]. *)

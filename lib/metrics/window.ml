@@ -42,8 +42,6 @@ let create ?(slots = 16) ?(hist_base = 1e-6) ?(hist_buckets = 48) ~width () =
     hist_buckets;
   }
 
-let width t = t.width
-
 let epoch_of t now = int_of_float (Float.floor (now /. t.slot_width))
 
 let slot_for t epoch =

@@ -21,8 +21,6 @@ val create : ?slots:int -> ?hist_base:float -> ?hist_buckets:int ->
     (sub-microsecond to ~100s when samples are in seconds).
     @raise Invalid_argument if [width <= 0] or [slots < 2]. *)
 
-val width : t -> float
-
 val add : t -> now:float -> float -> unit
 (** Record sample [v] at time [now].
     @raise Invalid_argument on negative time or sample. *)
@@ -35,10 +33,6 @@ val maximum : t -> now:float -> float option
 
 val rate : t -> now:float -> float
 (** Observations per time unit over the window. *)
-
-val histogram : t -> now:float -> Histogram.t
-(** Merged histogram of the live slots (a fresh value; mutating it does
-    not touch the window). *)
 
 val quantile : t -> now:float -> float -> float option
 (** [None] when the window is empty. *)

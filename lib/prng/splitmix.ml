@@ -19,7 +19,6 @@ let int t ~bound =
 let float t = Int64.to_float (Int64.shift_right_logical (next64 t) 11)
               *. (1.0 /. 9007199254740992.0) (* 2^-53 *)
 
-let bool t = Int64.logand (next64 t) 1L = 1L
 let split t = { state = next64 t }
 
 let shuffle t a =

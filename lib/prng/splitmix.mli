@@ -17,8 +17,6 @@ val int : t -> bound:int -> int
 val float : t -> float
 (** Uniform in [[0, 1)]. *)
 
-val bool : t -> bool
-
 val split : t -> t
 (** An independent generator derived from this one's stream. *)
 

@@ -94,19 +94,3 @@ let render (t : Span_tree.t) =
     (List.length hops)
     (Metrics.Units.ns end_ns)
     (Metrics.Table.render table)
-
-let to_json (t : Span_tree.t) =
-  let open Metrics.Json in
-  arr
-    (List.map
-       (fun h ->
-         obj
-           [
-             ("pid", int h.pid);
-             ("style", str h.style);
-             ("created_ns", num h.created_ns);
-             ("creation_span_ns", num h.creation_span_ns);
-             ("last_ns", num h.last_ns);
-             ("cycles", num h.cycles);
-           ])
-       (compute t))

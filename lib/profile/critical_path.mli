@@ -20,5 +20,3 @@ val compute : Span_tree.t -> hop list
 
 val render : Span_tree.t -> string
 (** Human-readable table with a one-line summary header. *)
-
-val to_json : Span_tree.t -> Metrics.Json.t

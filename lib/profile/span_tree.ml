@@ -128,5 +128,3 @@ let build machine =
     nodes;
     total_cycles = Vmem.Cost.total (Ksim.Kernel.cost machine);
   }
-
-let find t pid = List.find_opt (fun n -> n.pid = pid) t.nodes

@@ -38,5 +38,3 @@ val build : Ksim.Kernel.t -> t
 (** Read-only over the machine; never perturbs a simulated number.
     Without a trace the tree is flat: every pid with kstat counters
     becomes a root. *)
-
-val find : t -> int -> node option

@@ -21,4 +21,3 @@ let table_index ~level vpn =
   (vpn lsr (level * index_bits)) land (entries_per_table - 1)
 
 let valid a = a >= 0 && a < max_va
-let pp ppf a = Format.fprintf ppf "0x%016x" a

@@ -11,7 +11,6 @@ val page_shift : int (* 12 *)
 val levels : int (* 4 *)
 val index_bits : int (* 9 per level *)
 val entries_per_table : int (* 512 *)
-val va_bits : int (* 48 *)
 val max_va : int
 (** Exclusive upper bound of the canonical address space, [1 lsl 48]. *)
 
@@ -37,6 +36,3 @@ val table_index : level:int -> int -> int
 
 val valid : int -> bool
 (** Address lies in [[0, max_va)]. *)
-
-val pp : Format.formatter -> int -> unit
-(** Hexadecimal rendering, e.g. [0x00007f0000001000]. *)

@@ -119,8 +119,6 @@ let invalidate t ~n =
 
 let invalidate_one t = invalidate t ~n:1
 
-let frames t = t.frames
-let cost t = t.cost
 let mmap_base t = t.mmap_base
 let alive t name = if t.dead then invalid_arg (name ^ ": destroyed address space")
 

@@ -32,8 +32,6 @@ val create :
     @raise Invalid_argument if [mmap_base] is not page-aligned or out of
     range. *)
 
-val frames : t -> Frame.t
-val cost : t -> Cost.t
 val mmap_base : t -> int
 
 val note_cpu : t -> cpu:int -> unit
@@ -156,10 +154,6 @@ val brk : t -> int
 val set_brk : t -> int -> (unit, [> `Invalid | `Commit_limit | `Overlap ]) result
 (** Grow or shrink the heap to end at the given (page-aligned) break. *)
 
-val fault : t -> addr:int -> write:bool -> (unit, fault_error) result
-(** Simulate a memory access: demand-zero fill, COW break, or failure.
-    Charges fault costs. *)
-
 val touch : t -> int -> (unit, fault_error) result
 (** A write access to one address ([fault ~write:true]). *)
 
@@ -174,8 +168,8 @@ val touch_range : t -> addr:int -> len:int -> (int, fault_error) result
 val read_bytes : t -> addr:int -> len:int -> (string, fault_error) result
 (** Read [len] bytes from [addr]. Each page faults ([~write:false]) at
     its first byte in the range, and a second time if the range holds
-    another of its bytes — exactly the state and charges of one
-    {!fault} per byte, since a third access changes nothing. Every page
+    another of its bytes — exactly the state and charges of one fault
+    per byte, since a third access changes nothing. Every page
     faults before the result is allocated, so a failing range returns
     its error having allocated nothing of its length. *)
 

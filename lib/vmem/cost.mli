@@ -36,9 +36,6 @@ type params = {
 
 val default : params
 
-val ghz : float
-(** Clock used to convert simulated cycles to nanoseconds: 3.0. *)
-
 val cycles_to_ns : float -> float
 
 type cat =

@@ -14,7 +14,6 @@ let check cpu =
     invalid_arg (Printf.sprintf "Cpuset: cpu %d out of range 0..%d" cpu (max_cpus - 1))
 
 let empty = 0L
-let is_empty t = Int64.equal t 0L
 let bit cpu = Int64.shift_left 1L cpu
 
 let singleton cpu =
@@ -28,15 +27,6 @@ let add cpu t =
 let remove cpu t =
   check cpu;
   Int64.logand t (Int64.lognot (bit cpu))
-
-let mem cpu t =
-  check cpu;
-  not (Int64.equal (Int64.logand t (bit cpu)) 0L)
-
-let union = Int64.logor
-let inter = Int64.logand
-let diff a b = Int64.logand a (Int64.lognot b)
-let equal = Int64.equal
 
 let count t =
   (* popcount, 16 bits at a time: cheap and branch-free enough for a
@@ -54,9 +44,4 @@ let fold f t init =
   done;
   !acc
 
-let iter f t = fold (fun cpu () -> f cpu) t ()
 let to_list t = List.rev (fold (fun cpu acc -> cpu :: acc) t [])
-
-let pp fmt t =
-  Format.fprintf fmt "{%s}"
-    (String.concat "," (List.map string_of_int (to_list t)))

@@ -10,7 +10,6 @@ val max_cpus : int
 (** 64 — the mask width and the SMP model's CPU-count ceiling. *)
 
 val empty : t
-val is_empty : t -> bool
 
 val singleton : int -> t
 (** Raises [Invalid_argument] outside 0..[max_cpus]-1 (as do all
@@ -18,22 +17,9 @@ val singleton : int -> t
 
 val add : int -> t -> t
 val remove : int -> t -> t
-val mem : int -> t -> bool
-val union : t -> t -> t
-val inter : t -> t -> t
-
-val diff : t -> t -> t
-(** [diff a b] is the members of [a] not in [b]. *)
-
-val equal : t -> t -> bool
 
 val count : t -> int
 (** Population count — the number of IPIs a targeted shootdown of this
     set costs. *)
 
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Folds in ascending cpu order. *)
-
-val iter : (int -> unit) -> t -> unit
 val to_list : t -> int list
-val pp : Format.formatter -> t -> unit

@@ -67,7 +67,6 @@ let denied hook = match hook with Some f -> f () | None -> false
 
 let policy t = t.policy
 let set_policy t p = t.policy <- p
-let total t = t.nframes
 let used t = t.used
 let free t = t.nframes - t.used
 

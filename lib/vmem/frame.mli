@@ -42,7 +42,6 @@ val set_deny_commit : t -> (unit -> bool) option -> unit
     charges a positive number of pages; [true] fails it with
     [`Commit_limit] regardless of policy. *)
 
-val total : t -> int
 val used : t -> int
 val free : t -> int
 
@@ -111,7 +110,7 @@ val pinned : t -> int
 
 val commit : t -> int -> (unit, [> `Commit_limit ]) result
 (** [commit t pages] charges [pages] of commit. Fails under [Strict]
-    when the new total would exceed {!total}; always succeeds under
+    when the new total would exceed the frame count; always succeeds under
     [Overcommit]. *)
 
 val uncommit : t -> int -> unit

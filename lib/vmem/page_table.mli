@@ -10,9 +10,9 @@
     table nodes are reference-counted, so {!clone_cow_shared} can charge
     the full modelled copy while actually sharing untouched subtrees
     between parent and child, privatising them only when written. Range
-    operations ({!map_lazy_range}, {!unmap_range}, {!protect_range},
-    {!fold_leaves}) locate each leaf once and then work on its packed
-    PTE array directly, making hot paths O(leaves), not O(pages). *)
+    operations ({!map_lazy_range}, {!unmap_range}, {!protect_range})
+    locate each leaf once and then work on its packed PTE array
+    directly, making hot paths O(leaves), not O(pages). *)
 
 type t
 
@@ -75,35 +75,9 @@ val protect_range : t -> vpn0:int -> vpn1:int -> f:(Pte.t -> Pte.t) -> int
     present entries. Equivalent to {!update} on every page of the
     range. *)
 
-val fold_leaves :
-  t ->
-  vpn0:int ->
-  vpn1:int ->
-  init:'a ->
-  missing:('a -> vpn:int -> span:int -> materialize:(unit -> int array) -> 'a) ->
-  leaf:
-    ('a ->
-    base:int ->
-    entries:int array ->
-    lo:int ->
-    hi:int ->
-    writable:(unit -> int array) ->
-    'a) ->
-  'a
-(** Leaf-granular cursor over the vpn range [[vpn0, vpn1]], ascending.
-    For each leaf position, calls [leaf] when the leaf exists —
-    [entries] is its packed PTE array, [lo..hi] the indices inside the
-    range, [base] the vpn of [entries.(0)]; treat [entries] as read-only
-    and call [writable ()] (which privatises the path) before mutating —
-    or [missing] when it doesn't, where [materialize ()] creates the
-    leaf (and any intermediate nodes) on demand. Callers that install or
-    remove entries directly must report the net present-count change via
-    {!note_mapped}. *)
-
 val find_leaf : t -> vpn:int -> Pte.t array
-(** The leaf holding [vpn], as a read-only view (the same contract as
-    {!fold_leaves}' [entries]; index it with {!Addr.table_index}
-    [~level:0]), or the empty array when the leaf is missing — a walk
+(** The leaf holding [vpn], as a read-only view (index it with
+    {!Addr.table_index} [~level:0]), or the empty array when the leaf is missing — a walk
     that reads a missing leaf as all-absent entries allocates nothing. *)
 
 val entry : Pte.t array -> int -> Pte.t
@@ -118,7 +92,7 @@ val writable_leaf : t -> vpn:int -> Pte.t array
 
 val note_mapped : t -> int -> unit
 (** Adjust the present-entry counter by [n] — for range fillers writing
-    through {!fold_leaves} or {!writable_leaf}. *)
+    through {!writable_leaf}. *)
 
 val note_resolved : t -> int -> unit
 (** [n] lazy entries were overwritten by present ones: drop them from

@@ -30,5 +30,3 @@ let to_string t =
   Bytes.set b 1 (c t.write 'w');
   Bytes.set b 2 (c t.exec 'x');
   Bytes.to_string b
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -16,7 +16,4 @@ val union : t -> t -> t
 val inter : t -> t -> t
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-(** Renders like ["rw-"]. *)
-
 val to_string : t -> string

@@ -128,14 +128,3 @@ let lazy_blit_run ~cookie0 ~stride ~n ~perm dst ~at =
         (template lor ((cookie0 + (k * stride)) lsl frame_shift))
     done
   end
-
-let pp ppf t =
-  if lazy_ t then
-    Format.fprintf ppf "lazy cookie=%d %a" (cookie t) Perm.pp (perm t)
-  else if not (present t) then Format.pp_print_string ppf "<absent>"
-  else
-    Format.fprintf ppf "frame=%d %a%s%s%s%s" (frame t) Perm.pp (perm t)
-      (if cow t then " cow" else "")
-      (if accessed t then " acc" else "")
-      (if dirty t then " dirty" else "")
-      (if prefetched t then " pref" else "")

@@ -3,8 +3,8 @@
     A PTE is a single immutable [int]: bit 0 = present, bits 1-3 =
     read/write/exec, bit 4 = copy-on-write, bit 5 = accessed, bit 6 =
     dirty, bit 7 = lazy/prefetched (see below); the frame number
-    occupies the bits above {!frame_shift}. Packing keeps a
-    fully-mapped multi-GiB address space cheap (one int per page).
+    occupies the bits above bit 7. Packing keeps a fully-mapped
+    multi-GiB address space cheap (one int per page).
 
     Demand paging adds a third entry state besides absent and present:
     a {e lazy} entry ([bit 7] set, present clear) records permissions
@@ -24,11 +24,6 @@ val present : t -> bool
 val make : frame:Frame.frame -> perm:Perm.t -> ?cow:bool -> unit -> t
 (** A fresh present entry; [cow] defaults to false.
     @raise Invalid_argument on a negative frame. *)
-
-val make_lazy : cookie:int -> perm:Perm.t -> unit -> t
-(** A not-present-until-touched entry carrying a pager [cookie]
-    (an opaque non-negative int the pager interprets; this module
-    only stores it). @raise Invalid_argument on a negative cookie. *)
 
 val frame : t -> Frame.frame
 val perm : t -> Perm.t
@@ -59,8 +54,6 @@ val with_cow : t -> bool -> t
 val with_frame : t -> Frame.frame -> t
 val mark_accessed : t -> t
 val mark_dirty : t -> t
-
-val frame_shift : int
 
 (** {1 Batch helpers}
 
@@ -93,5 +86,3 @@ val lazy_blit_run :
     [dst.(at + k)] for [k < n], building no cookie array.
     @raise Invalid_argument on out-of-bounds slices or a negative
     [cookie0] or [stride]. *)
-
-val pp : Format.formatter -> t -> unit

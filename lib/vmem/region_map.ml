@@ -4,7 +4,6 @@ module Imap = Map.Make (Int)
 type 'a t = (int * 'a) Imap.t
 
 let empty = Imap.empty
-let is_empty = Imap.is_empty
 let cardinal = Imap.cardinal
 
 let check_range start stop name =

@@ -8,7 +8,6 @@
 type 'a t
 
 val empty : 'a t
-val is_empty : 'a t -> bool
 val cardinal : 'a t -> int
 
 val add : start:int -> stop:int -> 'a -> 'a t -> ('a t, [> `Overlap ]) result
@@ -35,7 +34,6 @@ val carve :
     new map and the removed fragments in increasing order. *)
 
 val iter : (int -> int -> 'a -> unit) -> 'a t -> unit
-val fold : (int -> int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 val to_list : 'a t -> (int * int * 'a) list
 
 val find_gap : min:int -> max:int -> len:int -> 'a t -> int option

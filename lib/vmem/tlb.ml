@@ -16,7 +16,6 @@ let create ?(cpus = 4) ?(tracked = false) cost =
          Cpuset.max_cpus);
   { cost; ncpus = cpus; tracked; active = 0; ipi_hook = None }
 
-let cpus t = t.ncpus
 let tracked t = t.tracked
 
 let set_active t cpu =

@@ -29,7 +29,6 @@ val create : ?cpus:int -> ?tracked:bool -> Cost.t -> t
     @raise Invalid_argument if [cpus < 1], or if [tracked] and [cpus]
     exceeds {!Cpuset.max_cpus}. *)
 
-val cpus : t -> int
 val tracked : t -> bool
 
 val set_active : t -> int -> unit
@@ -66,4 +65,3 @@ val invalidate_pages : t -> n:int -> unit
 (** [n] single-page invalidations charged at once — same cycles and
     event count as [n] {!invalidate_page} calls. No-op at [n = 0].
     @raise Invalid_argument if [n < 0]. *)
-

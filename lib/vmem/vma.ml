@@ -16,17 +16,3 @@ let crop ~old_start ~start ~stop:_ t =
   | File { path; offset } ->
     { t with kind = File { path; offset = offset + (start - old_start) } }
   | Anon | Heap | Stack | Text _ | Data _ | Guard -> t
-
-let kind_name t =
-  match t.kind with
-  | Anon -> "anon"
-  | Heap -> "heap"
-  | Stack -> "stack"
-  | Text _ -> "text"
-  | Data _ -> "data"
-  | File _ -> "file"
-  | Guard -> "guard"
-
-let pp ppf t =
-  Format.fprintf ppf "%a %s%s" Perm.pp t.perm (kind_name t)
-    (if t.shared then " shared" else "")

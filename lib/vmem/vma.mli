@@ -21,6 +21,3 @@ val crop : old_start:int -> start:int -> stop:int -> t -> t
     used to start at [old_start]; file-backed mappings shift their
     offset, other kinds are unchanged. Matches the signature
     {!Region_map.carve} expects. *)
-
-val kind_name : t -> string
-val pp : Format.formatter -> t -> unit

@@ -5,11 +5,6 @@
     times one operation, and the harness reports distribution statistics
     over many samples. *)
 
-val now_ns : unit -> float
-
-val time_ns : (unit -> 'a) -> 'a * float
-(** Result and elapsed nanoseconds of one call. *)
-
 val sample : ?warmup:int -> n:int -> (unit -> unit) -> float array
 (** [sample ~n f] runs [f] [warmup] times (default 3) untimed, then [n]
     times, returning per-run nanoseconds.

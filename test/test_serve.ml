@@ -174,6 +174,39 @@ let test_connect_no_listener () =
   | Error e -> Alcotest.check errno "refused" Ksim.Errno.ECONNREFUSED e
   | Ok () -> Alcotest.fail "connect should be refused"
 
+(* bind's three errnos. A socket binds once, so a second bind fails
+   EINVAL before the port table is consulted, whatever the port; only
+   another live socket's port is EADDRINUSE, and its last close frees
+   the port. *)
+let test_bind_errnos () =
+  let got = ref [] in
+  ignore
+    (boot (fun () ->
+         let note what r = got := (what, r) :: !got in
+         let s1 = ok "socket 1" (Ksim.Api.socket ()) in
+         let s2 = ok "socket 2" (Ksim.Api.socket ()) in
+         note "unused fd" (Ksim.Api.bind 99 ~port:80);
+         ok "bind 80" (Ksim.Api.bind s1 ~port:80);
+         note "same port again" (Ksim.Api.bind s1 ~port:80);
+         note "another port" (Ksim.Api.bind s1 ~port:81);
+         note "port held by another" (Ksim.Api.bind s2 ~port:80);
+         ok "listen" (Ksim.Api.listen s1 ~backlog:1);
+         note "listening" (Ksim.Api.bind s1 ~port:80);
+         ignore (ok "close" (Ksim.Api.close s1));
+         note "port freed" (Ksim.Api.bind s2 ~port:80)));
+  let want =
+    Ksim.Errno.
+      [
+        ("unused fd", Error EBADF);
+        ("same port again", Error EINVAL);
+        ("another port", Error EINVAL);
+        ("port held by another", Error EADDRINUSE);
+        ("listening", Error EINVAL);
+        ("port freed", Ok ());
+      ]
+  in
+  Alcotest.(check (list (pair string (result unit errno)))) "bind" want (List.rev !got)
+
 (* ------------------------------------------------------------------ *)
 (* accept/connect round-trip across fork *)
 
@@ -301,6 +334,7 @@ let () =
         [
           tc "accept-queue overflow" `Quick test_accept_queue_overflow;
           tc "no listener" `Quick test_connect_no_listener;
+          tc "bind errnos" `Quick test_bind_errnos;
           tc "accept round-trip" `Quick test_accept_roundtrip;
         ] );
       ( "e17",

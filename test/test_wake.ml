@@ -7,7 +7,10 @@
    statuses, and the outcome with its stall list. [Wake_refs.table]
    holds the digests of seeds 1-1000 as the kernel produced them when it
    re-ran every parked thread's check after every round, so they pin
-   that order of wakeups; tier-1 checks the first 100 and
+   that order of wakeups. Seeds 1001-1100 add a SIGPIPE trap ({!trap})
+   that reaches the exclusive kick's search for the oldest waiter a
+   running pass has still to reach: without that search every one of
+   them moves. Tier-1 checks seeds 1-100 and the trap seeds, and
    [QCHECK_LONG=1] all of them. The programs are drawn from
    [Prng.Splitmix], not [Random.State], so the goldens hold on every
    compiler and QCheck version.
@@ -46,6 +49,14 @@ type op =
   | Vfork of op list
   | Wait
 
+(* A process that holds the only write end of pipe Q dies by SIGPIPE
+   inside a wake pass, while readers of Q are parked on both sides of
+   its parked writer: [before] readers are forked before it and [after]
+   after it, [gap] yields apart. Its death kicks Q's exclusive queue
+   mid-pass, so the oldest reader waits for the next pass and the oldest
+   one the pass has still to reach wakes in this one. *)
+type trap = { before : int; after : int; gap : int }
+
 type script = {
   smp : bool;  (** four CPUs, or the one-CPU machine *)
   random : bool;  (** [Random] scheduling, or [Fifo] *)
@@ -57,6 +68,7 @@ type script = {
       (** init's children: ends each closes, then its body *)
   kills : (int * int * Ksim.Usignal.t) list;
       (** init's kills: yields first, child index, signal *)
+  trap : trap option;  (** run by init after its children start *)
 }
 
 (* A pipe end [e] is pipe [e / 2]'s read (even) or write (odd) end. *)
@@ -113,9 +125,23 @@ let gen_script rng =
     backlog = 1 + int 3;
     children;
     kills;
+    trap = None;
   }
 
-let script_of_seed seed = gen_script (Prng.Splitmix.create ~seed)
+(* Seeds 1-1000 draw plain scripts; later seeds add the SIGPIPE trap,
+   drawn after everything else so the rest of the script is the plain
+   one's. *)
+let plain_seeds = 1000
+
+let script_of_seed seed =
+  let rng = Prng.Splitmix.create ~seed in
+  let s = gen_script rng in
+  if seed <= plain_seeds then s
+  else
+    let int bound = Prng.Splitmix.int rng ~bound in
+    let before = 1 + int 3 in
+    let after = 1 + int 3 in
+    { s with trap = Some { before; after; gap = 4 * (1 + int 3) } }
 
 (* The QCheck face of the generator, for properties over fresh seeds. *)
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.nat
@@ -233,6 +259,37 @@ let run_script s =
     run_ops held (Ksim.Api.gettid ()) body;
     Ksim.Api.exit 0
   in
+  let trap { before; after; gap } =
+    let rp, wp = ok "pipe" (Ksim.Api.pipe ()) in
+    let rq, wq = ok "pipe" (Ksim.Api.pipe ()) in
+    let start child =
+      res 1 "trap fork" (Ksim.Api.fork ~child);
+      for _ = 1 to gap do
+        Ksim.Api.yield ()
+      done
+    in
+    let reader () =
+      List.iter (fun fd -> ignore (Ksim.Api.close fd)) [ rp; wp; wq ];
+      (match Ksim.Api.read rq 1 with
+      | Ok d -> note (Ksim.Api.gettid ()) "trap read %S" d
+      | Error _ as r -> res (Ksim.Api.gettid ()) "trap read" r);
+      Ksim.Api.exit 0
+    in
+    for _ = 1 to before do
+      start reader
+    done;
+    start (fun () ->
+        ignore (Ksim.Api.close rp);
+        ignore (Ksim.Api.close rq);
+        let tid = Ksim.Api.gettid () in
+        res tid "trap fill" (Ksim.Api.write wp (String.make 65_536 'f'));
+        res tid "trap write" (Ksim.Api.write wp "w");
+        Ksim.Api.exit 0);
+    for _ = 1 to after do
+      start reader
+    done;
+    List.iter (fun fd -> ignore (Ksim.Api.close fd)) [ wp; rq; wq; rp ]
+  in
   let init () =
     for p = 0 to s.pipes - 1 do
       let r, w = ok "pipe" (Ksim.Api.pipe ()) in
@@ -255,6 +312,7 @@ let run_script s =
     in
     Array.iter (fun fd -> ignore (Ksim.Api.close fd)) fds;
     ignore (Ksim.Api.close !lfd);
+    Option.iter trap s.trap;
     List.iter
       (fun (yields, i, sig_) ->
         for _ = 1 to yields do
@@ -313,11 +371,10 @@ let long =
   match Sys.getenv_opt "QCHECK_LONG" with Some ("1" | "true") -> true | _ -> false
 
 let test_goldens () =
-  let n = if long then List.length Wake_refs.table else 100 in
   let bad =
     List.filter_map
       (fun (seed, want) ->
-        if seed > n then None
+        if seed > 100 && seed <= plain_seeds && not long then None
         else
           let got = digest (script_of_seed seed) in
           if got = want then None else Some (Printf.sprintf "seed %d: %s" seed got))
@@ -592,8 +649,8 @@ let tc n f = Alcotest.test_case n `Quick f
 let print_goldens n =
   Printf.printf
     "(* Digests of the random blocking programs of test_wake.ml, seeds\n\
-    \   1-%d: the order of wakeups the kernel keeps. Printed by\n\
-    \   test_wake.exe goldens %d. *)\n\n\
+    \   1-%d: the order of wakeups the kernel keeps (seeds after 1000 add\n\
+    \   the SIGPIPE trap). Printed by test_wake.exe goldens %d. *)\n\n\
      let table =\n  [\n" n n;
   for seed = 1 to n do
     Printf.printf "    (%d, %S);\n" seed (digest (script_of_seed seed))
