@@ -61,7 +61,7 @@ let create ?(mmap_base = default_mmap_base) ?(batched = true) ?blame ~frames
     cost;
     tlb;
     regions = Region_map.empty;
-    pt = Page_table.create ();
+    pt = Page_table.create ~frames;
     mmap_base;
     heap = None;
     committed = 0;
@@ -348,15 +348,19 @@ let demand_fill t ~vpn ~perm =
     Page_table.map t.pt ~vpn (Pte.make ~frame ~perm ());
     Ok ()
 
+(* The frame's count is read only once the writer's path is private: a
+   leaf shared with a clone holds one reference for every table that
+   shares it, so only a private leaf's count says whether another table
+   maps the frame. *)
 let break_cow t ~vpn ~pte ~region_perm =
   let p = params t in
   let frame = Pte.frame pte in
+  let leaf = Page_table.writable_leaf t.pt ~vpn in
+  let i = Addr.table_index ~level:0 vpn in
   if Frame.refcount t.frames frame = 1 then begin
     (* last sharer: take the page back in place *)
     Cost.tally t.cost Fault_cow_reuse;
-    ignore
-      (Page_table.update t.pt ~vpn (fun pte ->
-           Pte.with_cow (Pte.with_perm pte region_perm) false));
+    leaf.(i) <- Pte.with_cow (Pte.with_perm pte region_perm) false;
     invalidate_one t;
     Ok ()
   end
@@ -367,7 +371,7 @@ let break_cow t ~vpn ~pte ~region_perm =
       Cost.charge t.cost Fault_cow_copy p.Cost.frame_copy;
       Frame.copy_contents t.frames ~src:frame ~dst:fresh;
       ignore (Frame.decref t.frames frame);
-      Page_table.map t.pt ~vpn (Pte.make ~frame:fresh ~perm:region_perm ());
+      leaf.(i) <- Pte.make ~frame:fresh ~perm:region_perm ();
       invalidate_one t;
       Ok ()
   end
@@ -701,10 +705,12 @@ let touch_present w ~i ~pte =
   else if Pte.cow pte then begin
     w.deferred_faults <- w.deferred_faults + 1;
     let frame = Pte.frame pte in
+    (* as in [break_cow], the count is read through a private leaf *)
+    let leaf = writable w in
     if Frame.refcount t.frames frame = 1 then begin
       (* last sharer: take the page back in place *)
       w.cow_reuses <- w.cow_reuses + 1;
-      (writable w).(i) <- Pte.with_cow (Pte.with_perm pte w.rperm) false
+      leaf.(i) <- Pte.with_cow (Pte.with_perm pte w.rperm) false
     end
     else begin
       let fresh = Frame.take t.frames in
@@ -712,7 +718,7 @@ let touch_present w ~i ~pte =
       w.cow_copies <- w.cow_copies + 1;
       Frame.copy_contents t.frames ~src:frame ~dst:fresh;
       ignore (Frame.decref t.frames frame);
-      (writable w).(i) <- Pte.make ~frame:fresh ~perm:w.rperm ()
+      leaf.(i) <- Pte.make ~frame:fresh ~perm:w.rperm ()
     end
   end
   else begin
@@ -982,10 +988,9 @@ let clone_cow t =
       if t.batched then
         (* lazy subtree sharing; the shared-VMA fixup is fused into the
            clone's single leaf pass *)
-        Page_table.clone_cow_shared t.pt ~frames:t.frames ~own:Frame.incref
-          ~own_many:Frame.incref_many ~cost:t.cost ~shared:(shared_ranges t)
+        Page_table.clone_cow_shared t.pt ~cost:t.cost ~shared:(shared_ranges t)
       else begin
-        let pt = Page_table.clone_cow t.pt ~frames:t.frames ~cost:t.cost in
+        let pt = Page_table.clone_cow t.pt ~cost:t.cost in
         fixup_shared t pt;
         pt
       end
@@ -1000,7 +1005,7 @@ let clone_eager t =
   | Error `Commit_limit -> Error `Commit_limit
   | Ok () ->
     charge_vma_clones t;
-    let child_pt = Page_table.create () in
+    let child_pt = Page_table.create ~frames:t.frames in
     let result =
       Page_table.fold_present t.pt ~init:(Ok ()) ~f:(fun acc ~vpn pte ->
           match acc with
@@ -1034,7 +1039,7 @@ let clone_eager t =
     in
     (match result with
     | Error `Out_of_memory ->
-      ignore (Page_table.clear child_pt ~frames:t.frames);
+      ignore (Page_table.clear child_pt);
       Frame.uncommit t.frames t.committed;
       Error `Out_of_memory
     | Ok () -> Ok (clone_common t ~pt:child_pt ~committed_charge:t.committed))
@@ -1044,23 +1049,19 @@ let clone_eager t =
    [seal] turns a warmed address space into an immutable template image:
    fork's own leaf pass (charged at exactly the fork categories — the
    freeze is an honest O(footprint) one-time cost) downgrades writable
-   pages to read-only COW and, with {!Frame.pin} as its ownership
-   operation, pins every resident frame immortal, so per-child spawns
-   never touch those refcounts. The source keeps running; its later
-   writes COW away from the pinned frames. The returned space is the
-   template's handle: it carries the sealed table, the region map and
-   heap marker children inherit, and a zero commit charge (each child
-   re-charges its own commit; the template object owns frames, not
-   commit). *)
+   pages to read-only COW, then every resident frame is pinned immortal
+   ({!Frame.pin}), so per-child spawns never touch those refcounts. The
+   source keeps running; its later writes COW away from the pinned
+   frames. The returned space is the template's handle: it carries the
+   sealed table, the region map and heap marker children inherit, and a
+   zero commit charge (each child re-charges its own commit; the
+   template object owns frames, not commit). *)
 let seal t =
   alive t "Addr_space.seal";
   if pager_active t then
     invalid_arg "Addr_space.seal: unresolved pager-backed pages";
   charge_vma_clones t;
-  let tpl_pt =
-    Page_table.clone_cow_shared t.pt ~frames:t.frames ~own:Frame.pin
-      ~own_many:Frame.pin_many ~cost:t.cost ~shared:(shared_ranges t)
-  in
+  let tpl_pt = Page_table.seal t.pt ~cost:t.cost ~shared:(shared_ranges t) in
   as_shootdown t;
   clone_common t ~pt:tpl_pt ~committed_charge:0
 
@@ -1080,7 +1081,10 @@ let clone_from_sealed tpl ~commit_pages =
          node, charged as a single subtree) and records the sealed
          table as its fault-time backing — O(1) in the template's
          footprint; each page is fetched privately on first touch *)
-      let child = clone_common tpl ~pt:(Page_table.create ()) ~committed_charge:commit_pages in
+      let child =
+        clone_common tpl ~pt:(Page_table.create ~frames:tpl.frames)
+          ~committed_charge:commit_pages
+      in
       Cost.charge tpl.cost Zygote_subtree p.Cost.pt_node_copy;
       child.backing <- Some tpl.pt;
       child.backing_holes <- [];
@@ -1091,18 +1095,13 @@ let clone_from_sealed tpl ~commit_pages =
       Ok (clone_common tpl ~pt ~committed_charge:commit_pages, subtrees)
     end
 
-(* True when every resident frame has refcount exactly 1 — no COW
-   sharer, no template pin. Freezing demands this: a sole-owner source
-   is the only holder of its frames, so pinning them transfers clean
-   ownership to the template and discard can account for every page. *)
+(* True when no other table maps any resident page — no COW sharer, no
+   template pin. Freezing demands this: a sole-owner source is the only
+   holder of its frames, so pinning them transfers clean ownership to
+   the template and discard can account for every page. *)
 let sole_owner t =
   alive t "Addr_space.sole_owner";
-  match
-    Page_table.fold_present t.pt ~init:() ~f:(fun () ~vpn:_ pte ->
-        if Frame.refcount t.frames (Pte.frame pte) <> 1 then raise Exit)
-  with
-  | () -> true
-  | exception Exit -> false
+  Page_table.sole_owner t.pt
 
 (* Tear down a template handle: un-pin every resident frame back to a
    single counted reference, then drop the table, freeing them. Only
@@ -1111,7 +1110,7 @@ let sole_owner t =
 let destroy t =
   if not t.dead then begin
     Cost.charge t.cost Proc_destroy (params t).Cost.proc_destroy;
-    ignore (Page_table.clear t.pt ~frames:t.frames);
+    ignore (Page_table.clear t.pt);
     Frame.uncommit t.frames t.committed;
     t.committed <- 0;
     t.regions <- Region_map.empty;
@@ -1130,6 +1129,12 @@ let fold_resident t ~init ~f =
 
 let fold_lazy t ~init ~f =
   Page_table.fold_lazy t.pt ~init ~f:(fun acc ~vpn pte -> f acc ~vpn ~pte)
+
+(* A lazy-zygote child's backing table is a live table too: its pinned
+   frames must be mapped by some leaf. *)
+let audit_frames spaces =
+  Page_table.audit
+    (List.concat_map (fun t -> t.pt :: Option.to_list t.backing) spaces)
 
 let resident_pages t = Page_table.present_count t.pt
 let committed_pages t = t.committed

@@ -222,9 +222,15 @@ val clone_from_sealed :
     are never instantiated. *)
 
 val sole_owner : t -> bool
-(** True when every resident frame has refcount exactly 1 — the freeze
-    precondition: no COW sharer or template pin may already hold the
-    frames this space is about to seal. *)
+(** True when no other table maps any of this space's resident pages —
+    the freeze precondition: no COW sharer or template pin may already
+    hold the frames this space is about to seal. Since a leaf shared by
+    several tables holds one reference for all of them, this asks both
+    that no node on the path to a resident page is shared and that each
+    resident frame's refcount is exactly 1 ({!Page_table.sole_owner});
+    a shared subtree that maps no present page does not count, so the
+    answer is the same as "every resident frame is mapped by this table
+    alone". *)
 
 val destroy_sealed : t -> unit
 (** Tear down a template handle: un-pin every resident frame and free
@@ -234,6 +240,14 @@ val destroy_sealed : t -> unit
 val destroy : t -> unit
 (** Release every frame and commit charge. Idempotent; using a destroyed
     address space raises [Invalid_argument]. *)
+
+val audit_frames : t list -> (unit, string) result
+(** {!Page_table.audit} over the tables of [spaces], which must share
+    one {!Frame.t} (a lazy-zygote child's backing table included): each
+    unpinned frame's refcount equals the number of distinct leaves
+    mapping it, and every allocated frame is mapped. Pass every live
+    space of the machine, sealed templates included; a frame held only
+    by a space left out reads as a leak. *)
 
 val fold_resident :
   t -> init:'a -> f:('a -> vpn:int -> pte:Pte.t -> 'a) -> 'a

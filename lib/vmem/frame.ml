@@ -7,7 +7,11 @@ type frame = int
    sentinel 254 marks an {e immortal} frame — pinned by a sealed
    template, exempt from counting entirely. Sweeps allocate tens of
    millions of frames per boot, so the count store must be one byte per
-   frame, not one word. *)
+   frame, not one word. It covers only the frames handed out so far:
+   fresh frames come in ascending order from [next_fresh], so the store
+   doubles (up to [nframes]) as that passes its end, and a frame past
+   the end reads as unallocated, which it is. A machine that uses a
+   little of a large memory pays for what it uses. *)
 let spilled = 255
 let immortal = 254
 
@@ -20,7 +24,7 @@ let immortal = 254
    than the flat representation. *)
 type t = {
   nframes : int;
-  refcounts : Bytes.t;
+  mutable refcounts : Bytes.t;  (** frames [0, length) *)
   spill : (int, int) Hashtbl.t;  (** true refcounts >= 255 *)
   mutable next_fresh : int;  (** frames >= this have never been handed out *)
   mutable run_lo : int array;  (** free-stack run starts *)
@@ -44,7 +48,7 @@ let create ?(policy = Strict) ~frames () =
   if frames <= 0 then invalid_arg "Frame.create: frames <= 0";
   {
     nframes = frames;
-    refcounts = Bytes.make frames '\000';
+    refcounts = Bytes.make (min frames 1024) '\000';
     spill = Hashtbl.create 16;
     next_fresh = 0;
     run_lo = [||];
@@ -73,8 +77,21 @@ let free t = t.nframes - t.used
 let rc_get t f = Char.code (Bytes.unsafe_get t.refcounts f)
 let rc_set t f v = Bytes.unsafe_set t.refcounts f (Char.unsafe_chr v)
 
+(* Make the count store cover fresh frames up to [next] (exclusive),
+   before they are handed out. *)
+let cover t next =
+  let len = Bytes.length t.refcounts in
+  if next > len then begin
+    let grown = Bytes.make (min t.nframes (max next (2 * len))) '\000' in
+    Bytes.blit t.refcounts 0 grown 0 len;
+    t.refcounts <- grown
+  end
+
+(* Whether [f] names a frame the count store covers. *)
+let covered t f = f >= 0 && f < Bytes.length t.refcounts
+
 let check_frame t f name =
-  if f < 0 || f >= t.nframes || rc_get t f = 0 then
+  if (not (covered t f)) || rc_get t f = 0 then
     invalid_arg (name ^ ": unallocated frame")
 
 let push_free t f =
@@ -108,6 +125,7 @@ let take t =
   else begin
     let f = t.next_fresh in
     t.next_fresh <- t.next_fresh + 1;
+    cover t t.next_fresh;
     rc_set t f 1;
     t.used <- t.used + 1;
     f
@@ -155,6 +173,7 @@ let alloc_upto t ~into n =
   let fresh = min (n - !k) (t.nframes - t.next_fresh) in
   let fresh0 = t.next_fresh in
   t.next_fresh <- t.next_fresh + fresh;
+  cover t t.next_fresh;
   t.used <- t.used + !k + fresh;
   for i = 0 to fresh - 1 do
     into.(!k + i) <- fresh0 + i
@@ -211,7 +230,7 @@ let incref_many t fs n =
   if n < 0 || n > Array.length fs then invalid_arg "Frame.incref_many";
   for i = 0 to n - 1 do
     let f = Array.unsafe_get fs i in
-    if f < 0 || f >= t.nframes then check_frame t f "Frame.incref";
+    if not (covered t f) then check_frame t f "Frame.incref";
     let c = rc_get t f in
     if c = 0 then check_frame t f "Frame.incref"
     else if c < immortal - 1 then rc_set t f (c + 1)
@@ -223,7 +242,7 @@ let decref_many t fs n =
   if n < 0 || n > Array.length fs then invalid_arg "Frame.decref_many";
   for i = 0 to n - 1 do
     let f = Array.unsafe_get fs i in
-    if f < 0 || f >= t.nframes then check_frame t f "Frame.decref";
+    if not (covered t f) then check_frame t f "Frame.decref";
     let c = rc_get t f in
     if c = 1 then begin
       rc_set t f 0;
@@ -238,7 +257,7 @@ let decref_many t fs n =
   done
 
 let refcount t f =
-  if f < 0 || f >= t.nframes then 0
+  if not (covered t f) then 0
   else
     match rc_get t f with
     | c when c = spilled -> Hashtbl.find t.spill f
@@ -273,7 +292,7 @@ let unpin t f =
   rc_set t f 1;
   t.pinned <- t.pinned - 1
 
-let is_pinned t f = f >= 0 && f < t.nframes && rc_get t f = immortal
+let is_pinned t f = covered t f && rc_get t f = immortal
 let pinned t = t.pinned
 
 let commit t pages =
@@ -337,8 +356,11 @@ let read_into t f ~off ~len buf ~pos =
 let copy_contents t ~src ~dst =
   check_frame t src "Frame.copy_contents";
   check_frame t dst "Frame.copy_contents";
-  match Hashtbl.find_opt t.data src with
-  | None -> ()
-  | Some b ->
-    Hashtbl.replace t.data dst (Bytes.copy b);
-    if dst > t.data_max then t.data_max <- dst
+  (* like [decref], skip the table above [data_max]: most COW breaks
+     copy a frame that was never written *)
+  if src <= t.data_max then
+    match Hashtbl.find_opt t.data src with
+    | None -> ()
+    | Some b ->
+      Hashtbl.replace t.data dst (Bytes.copy b);
+      if dst > t.data_max then t.data_max <- dst

@@ -2,7 +2,10 @@
 
     One {!t} models the physical memory of a simulated machine and is
     shared by every address space on it. Frames are reference-counted so
-    copy-on-write sharing (fork) is explicit and checkable. Frame
+    copy-on-write sharing (fork) is explicit and checkable: a frame's
+    count is the number of distinct page-table leaves that map it
+    ({!Page_table}), whatever number of address spaces share those
+    leaves. Frame
     *contents* are materialised lazily: an allocated frame reads as
     zeroes until the first byte is written, so a multi-GiB address-space
     sweep costs O(#frames) small integers, not O(bytes).
@@ -27,7 +30,11 @@ type frame = int
 
 val create : ?policy:policy -> frames:int -> unit -> t
 (** [create ~frames ()] models a machine with [frames] physical frames.
-    Default policy is [Strict]. @raise Invalid_argument if [frames <= 0]. *)
+    Default policy is [Strict]. The refcount table (one byte per frame)
+    covers only the frames handed out so far: it starts at 1,024 frames
+    and doubles, up to [frames], as fresh frames pass its end, so boot
+    does not pay for the whole machine's memory.
+    @raise Invalid_argument if [frames <= 0]. *)
 
 val policy : t -> policy
 val set_policy : t -> policy -> unit
@@ -72,14 +79,15 @@ val decref : t -> frame -> bool
 
 val incref_many : t -> frame array -> int -> unit
 (** [incref_many t fs n] is {!incref} on [fs.(0..n-1)] in order, in one
-    call (the fork pass increfs every resident frame).
+    call (a privatised page-table leaf takes a reference on every frame
+    it maps).
     @raise Invalid_argument like {!incref}, or on a bad [n]. *)
 
 val decref_many : t -> frame array -> int -> unit
 (** [decref_many t fs n] is {!decref} on [fs.(0..n-1)] in order, in one
-    call, discarding the per-frame results (teardown drops whole leaves
-    at a time). @raise Invalid_argument like {!decref}, or on a bad
-    [n]. *)
+    call, discarding the per-frame results (teardown drops a released
+    leaf's references at once). @raise Invalid_argument like {!decref},
+    or on a bad [n]. *)
 
 val refcount : t -> frame -> int
 (** 0 for unallocated frames; [max_int] for pinned (immortal) frames. *)
@@ -93,9 +101,9 @@ val pin : t -> frame -> unit
     unallocated frame. *)
 
 val pin_many : t -> frame array -> int -> unit
-(** [pin_many t fs n] is {!pin} on [fs.(0..n-1)] (the seal pass pins
-    every resident frame). @raise Invalid_argument like {!pin}, or on a
-    bad [n]. *)
+(** [pin_many t fs n] is {!pin} on [fs.(0..n-1)] (a seal pins every
+    resident frame, a leaf at a time). @raise Invalid_argument like
+    {!pin}, or on a bad [n]. *)
 
 val unpin : t -> frame -> unit
 (** Return a pinned frame to a normally-counted single reference
@@ -133,4 +141,5 @@ val read_into : t -> frame -> off:int -> len:int -> Bytes.t -> pos:int -> unit
 
 val copy_contents : t -> src:frame -> dst:frame -> unit
 (** Copy page contents (used when breaking COW). Never-written sources
-    leave [dst] untouched (both read as zeroes). *)
+    leave [dst] untouched (both read as zeroes); a source above every
+    frame that was ever written costs no table lookup. *)

@@ -3,12 +3,19 @@
    the same nodes until one of them writes, at which point the writer
    privatises the path to the touched leaf (path copying). The modelled
    cost of the copy is still charged eagerly at clone time — sharing is
-   a harness optimisation, never a semantic one. *)
+   a harness optimisation, never a semantic one.
+
+   Frame references belong to leaves, not tables: a leaf holds one
+   reference on every present frame it maps, however many tables share
+   it (pinned frames are not counted at all). So a fork moves no frame
+   count, privatising a leaf gives the copy its own references, and a
+   leaf drops its references when the last table lets go of it. *)
 type node =
   | Leaf of { mutable refs : int; entries : int array }  (** packed PTEs *)
   | Inner of { mutable refs : int; children : node option array }
 
 type t = {
+  frames : Frame.t;  (** the machine whose frames the leaves reference *)
   mutable root : node;
   mutable present : int;
   mutable lazy_ : int;  (** mapped-but-unbacked (demand-paged) entries *)
@@ -21,7 +28,8 @@ let new_leaf () =
 let new_inner () =
   Inner { refs = 1; children = Array.make Addr.entries_per_table None }
 
-let create () = { root = new_inner (); present = 0; lazy_ = 0; nodes = 1 }
+let create ~frames =
+  { frames; root = new_inner (); present = 0; lazy_ = 0; nodes = 1 }
 
 let check_vpn vpn =
   if vpn < 0 || vpn >= Addr.max_va lsr Addr.page_shift then
@@ -31,14 +39,33 @@ let bump = function
   | Leaf l -> l.refs <- l.refs + 1
   | Inner i -> i.refs <- i.refs + 1
 
+(* One leaf's worth of frame numbers, per domain: the leaf passes below
+   gather into it instead of allocating a major-heap array per call. *)
+let scratch = Domain.DLS.new_key (fun () -> Array.make Addr.entries_per_table 0)
+
+(* [f frames fs n] on the [n] present frames of a leaf, gathered into
+   the domain's scratch [fs]. *)
+let leaf_frames frames entries f =
+  let buf = Domain.DLS.get scratch in
+  f frames buf
+    (Pte.frames_of_run entries ~lo:0 ~hi:(Addr.entries_per_table - 1) ~dst:buf)
+
+let rec iter_leaves f = function
+  | Leaf l -> f l.entries
+  | Inner i ->
+    Array.iter (function None -> () | Some c -> iter_leaves f c) i.children
+
 (* One more owner is about to write through [node]: give the caller a
-   copy it owns exclusively (children keep their identity and gain a
-   reference from the copy). Nodes already exclusively owned are
+   copy it owns exclusively. A leaf copy takes its own reference on
+   every frame it maps; an inner copy's children keep their identity and
+   gain a reference from the copy. Nodes already exclusively owned are
    returned as-is. *)
-let privatize = function
+let privatize frames = function
   | Leaf l when l.refs > 1 ->
     l.refs <- l.refs - 1;
-    Leaf { refs = 1; entries = Array.copy l.entries }
+    let entries = Array.copy l.entries in
+    leaf_frames frames entries Frame.incref_many;
+    Leaf { refs = 1; entries }
   | Inner i when i.refs > 1 ->
     i.refs <- i.refs - 1;
     let children = Array.copy i.children in
@@ -67,7 +94,7 @@ let rec walk_ro node level vpn =
    optionally create missing nodes ([t.nodes] counts this table's
    logical pages, so creation bumps it exactly like the eager walk). *)
 let leaf_for_write t vpn ~create_missing =
-  let root = privatize t.root in
+  let root = privatize t.frames t.root in
   t.root <- root;
   let rec go node level =
     match node with
@@ -76,7 +103,7 @@ let leaf_for_write t vpn ~create_missing =
       let idx = Addr.table_index ~level vpn in
       match i.children.(idx) with
       | Some child ->
-        let child' = privatize child in
+        let child' = privatize t.frames child in
         if child' != child then i.children.(idx) <- Some child';
         go child' (level - 1)
       | None ->
@@ -306,7 +333,7 @@ let unmap_range t ~vpn0 ~vpn1 ~f =
           acc + !n
         end)
 
-let clone_cow t ~frames ~cost =
+let clone_cow t ~cost =
   let p = Cost.params cost in
   let nodes = ref 0 in
   let present = ref 0 in
@@ -322,7 +349,8 @@ let clone_cow t ~frames ~cost =
         if Pte.present pte then begin
           Cost.charge cost Fork_pte p.Cost.pte_copy;
           incr present;
-          Frame.incref frames (Pte.frame pte);
+          (* the copied leaf is a new owner of the frame *)
+          Frame.incref t.frames (Pte.frame pte);
           let shared =
             if (Pte.perm pte).Perm.write then
               (* downgrade to read-only COW in both tables *)
@@ -354,7 +382,7 @@ let clone_cow t ~frames ~cost =
       Inner { refs = 1; children = dst }
   in
   let root = copy t.root in
-  { root; present = !present; lazy_ = !lazies; nodes = !nodes }
+  { t with root; present = !present; lazy_ = !lazies; nodes = !nodes }
 
 (* The fork transform a PTE undergoes during {!clone_cow} followed by
    the shared-VMA fixup the address space applies afterwards, fused:
@@ -373,7 +401,14 @@ let fork_transform pte ~shared_perm =
         true
     else pte
 
-let clone_cow_shared t ~frames ~own ~own_many ~cost ~shared =
+(* A second table over the same nodes. *)
+let alias t =
+  bump t.root;
+  { t with root = t.root }
+
+(* The fork pass behind {!clone_cow_shared} and {!seal}; a seal also
+   pins each leaf's frames once the leaf is transformed. *)
+let share t ~cost ~shared ~pin =
   let p = Cost.params cost in
   (* Charge what the eager walk would have: one pt_node_copy per table
      page (empty ones included — the eager walk copies those too) and
@@ -385,15 +420,14 @@ let clone_cow_shared t ~frames ~own ~own_many ~cost ~shared =
   let ptes = t.present + t.lazy_ in
   if ptes > 0 then
     Cost.charge ~n:ptes cost Fork_pte (p.Cost.pte_copy *. float_of_int ptes);
-  (* One ascending pass over the leaves: take ownership of every present
-     frame and apply the fork transform in place. A leaf still shared
-     with an earlier clone holds only PTEs the transform maps to
-     themselves (writable private pages were already downgraded by that
-     clone, and shared-VMA pages already sit at their region
-     permission), so the in-place write is invisible through the other
-     table. *)
+  (* One ascending pass over the leaves applying the fork transform in
+     place; the leaves keep their frame references, now on behalf of
+     both tables. A leaf still shared with an earlier clone holds only
+     PTEs the transform maps to themselves (writable private pages were
+     already downgraded by that clone, and shared-VMA pages already sit
+     at their region permission), so the in-place write is invisible
+     through the other table. *)
   let shared_tail = ref shared in
-  let scratch = Array.make Addr.entries_per_table 0 in
   let transform_leaf entries base =
     (* drop shared ranges wholly below this leaf, then test whether any
        remaining one overlaps it *)
@@ -409,14 +443,9 @@ let clone_cow_shared t ~frames ~own ~own_many ~cost ~shared =
       | (lo, _, _) :: _ -> lo <= base + Addr.entries_per_table - 1
       | [] -> false
     in
-    if not overlaps_leaf then begin
-      (* the common private-only leaf: batch downgrade, batch ownership *)
-      let k =
-        Pte.downgrade_run entries ~lo:0 ~hi:(Addr.entries_per_table - 1)
-          ~dst:scratch
-      in
-      if k > 0 then own_many frames scratch k
-    end
+    if not overlaps_leaf then
+      (* the common private-only leaf: one batch downgrade *)
+      Pte.downgrade_run entries ~lo:0 ~hi:(Addr.entries_per_table - 1)
     else
       for i = 0 to Addr.entries_per_table - 1 do
         let pte = entries.(i) in
@@ -430,11 +459,11 @@ let clone_cow_shared t ~frames ~own ~own_many ~cost ~shared =
             | (lo, _, rperm) :: _ when lo <= vpn -> Some rperm
             | _ -> None
           in
-          own frames (Pte.frame pte);
           let updated = fork_transform pte ~shared_perm:(perm_for ()) in
           if updated <> pte then entries.(i) <- updated
         end
-      done
+      done;
+    if pin then leaf_frames t.frames entries Frame.pin_many
   in
   let rec go node level vpn_prefix =
     match node with
@@ -448,8 +477,10 @@ let clone_cow_shared t ~frames ~own ~own_many ~cost ~shared =
       done
   in
   go t.root (Addr.levels - 1) 0;
-  bump t.root;
-  { root = t.root; present = t.present; lazy_ = t.lazy_; nodes = t.nodes }
+  alias t
+
+let clone_cow_shared t ~cost ~shared = share t ~cost ~shared ~pin:false
+let seal t ~cost ~shared = share t ~cost ~shared ~pin:true
 
 (* Clone from a sealed table: every frame behind it is immortal and
    every PTE is already in post-fork form, so there is nothing to
@@ -469,35 +500,19 @@ let clone_sealed t ~cost =
   in
   let n = max subtrees 1 in
   Cost.charge ~n cost Zygote_subtree (p.Cost.pt_node_copy *. float_of_int n);
-  bump t.root;
-  ({ root = t.root; present = t.present; lazy_ = t.lazy_; nodes = t.nodes },
-   subtrees)
+  (alias t, subtrees)
 
-let clear t ~frames =
-  (* Same ascending decref order as a [fold_present] walk, but one
-     gather + one [Frame.decref_many] per leaf instead of two
-     cross-module calls per page. *)
-  let scratch = Array.make Addr.entries_per_table 0 in
-  let dropped = ref 0 in
-  let rec drop = function
-    | Leaf l ->
-      let k =
-        Pte.frames_of_run l.entries ~lo:0 ~hi:(Addr.entries_per_table - 1)
-          ~dst:scratch
-      in
-      if k > 0 then begin
-        Frame.decref_many frames scratch k;
-        dropped := !dropped + k
-      end
-    | Inner i ->
-      Array.iter (function None -> () | Some c -> drop c) i.children
-  in
-  drop t.root;
-  let dropped = !dropped in
-  (* Drop this table's reference on every exclusively-owned node; nodes
-     still shared with a clone survive under the other table. *)
+let clear t =
+  let dropped = t.present in
+  (* Drop this table's reference on every node, in ascending vpn order.
+     A leaf that loses its last reference drops its frames' references
+     ([Frame.decref_many] per leaf), so frames are freed in the order a
+     per-page walk would free them; nodes still shared with a clone
+     survive under the other table, references and all. *)
   let rec release = function
-    | Leaf l -> l.refs <- l.refs - 1
+    | Leaf l ->
+      l.refs <- l.refs - 1;
+      if l.refs = 0 then leaf_frames t.frames l.entries Frame.decref_many
     | Inner i ->
       i.refs <- i.refs - 1;
       if i.refs = 0 then
@@ -509,3 +524,79 @@ let clear t ~frames =
   t.lazy_ <- 0;
   t.nodes <- 1;
   dropped
+
+(* A resident page is exclusively this table's when no node above it is
+   shared and no other leaf maps its frame; shared subtrees that map no
+   present page do not matter. *)
+let sole_owner t =
+  let rec go shared = function
+    | Leaf l ->
+      let shared = shared || l.refs > 1 in
+      leaf_frames t.frames l.entries (fun frames fs n ->
+          if shared then n = 0
+          else begin
+            let i = ref 0 in
+            while !i < n && Frame.refcount frames fs.(!i) = 1 do
+              incr i
+            done;
+            !i = n
+          end)
+    | Inner i ->
+      let shared = shared || i.refs > 1 in
+      Array.for_all (function None -> true | Some c -> go shared c) i.children
+  in
+  go false t.root
+
+(* Leaves by identity: a leaf's entry array is its own, never shared
+   between two leaf records. *)
+module Leaf_set = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let audit = function
+  | [] -> Ok ()
+  | first :: _ as tables ->
+    let frames = first.frames in
+    if List.exists (fun t -> t.frames != frames) tables then
+      invalid_arg "Page_table.audit: tables of different machines";
+    let seen = Leaf_set.create 64 in
+    let mapped = Hashtbl.create 256 in
+    List.iter
+      (fun t ->
+        iter_leaves
+          (fun entries ->
+            if not (Leaf_set.mem seen entries) then begin
+              Leaf_set.add seen entries ();
+              Array.iter
+                (fun pte ->
+                  if Pte.present pte then
+                    let f = Pte.frame pte in
+                    Hashtbl.replace mapped f
+                      (1 + Option.value ~default:0 (Hashtbl.find_opt mapped f)))
+                entries
+            end)
+          t.root)
+      tables;
+    let bad =
+      Hashtbl.fold
+        (fun f leaves acc ->
+          let rc = Frame.refcount frames f in
+          if Frame.is_pinned frames f || rc = leaves then acc
+          else
+            (f, Printf.sprintf "frame %d: refcount %d, mapped by %d leaves" f rc
+                  leaves)
+            :: acc)
+        mapped []
+    in
+    match List.sort compare bad with
+    | (_, msg) :: _ -> Error msg
+    | [] ->
+      let n = Hashtbl.length mapped in
+      if n = Frame.used frames then Ok ()
+      else
+        Error
+          (Printf.sprintf "%d frames allocated, %d mapped by a leaf"
+             (Frame.used frames) n)

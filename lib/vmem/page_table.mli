@@ -12,11 +12,26 @@
     between parent and child, privatising them only when written. Range
     operations ({!map_lazy_range}, {!unmap_range}, {!protect_range})
     locate each leaf once and then work on its packed PTE array
-    directly, making hot paths O(leaves), not O(pages). *)
+    directly, making hot paths O(leaves), not O(pages).
+
+    Frame references are owned by leaves (last-level table pages), not
+    by tables: a leaf holds one {!Frame} reference on every present
+    frame it maps, however many tables share it, so a frame's refcount
+    is the number of distinct leaves mapping it (pinned frames are not
+    counted; see {!audit}). A fork therefore moves no refcount; the
+    first write through a shared leaf copies it, and the copy takes its
+    own references; a leaf drops its references when the last table
+    releases it ({!clear}). Callers that install or remove a present
+    entry ({!map}, {!unmap}, {!unmap_range}, {!writable_leaf}) own the
+    matching reference change. *)
 
 type t
 
-val create : unit -> t
+val create : frames:Frame.t -> t
+(** An empty table (one root node) whose leaves will hold references on
+    frames of [frames]. Every table built from it ({!clone_cow},
+    {!clone_cow_shared}, {!seal}, {!clone_sealed}) shares that
+    machine. *)
 
 val map : t -> vpn:int -> Pte.t -> unit
 (** Install (or replace) the entry for virtual page [vpn], allocating
@@ -98,26 +113,20 @@ val note_resolved : t -> int -> unit
 (** [n] lazy entries were overwritten by present ones: drop them from
     the lazy-entry counter. *)
 
-val clone_cow : t -> frames:Frame.t -> cost:Cost.t -> t
+val clone_cow : t -> cost:Cost.t -> t
 (** Duplicate the table for a forked child: every table node is copied
     (charged as [pt_node_copy]), every present entry visited (charged as
     [pte_copy]); writable entries are downgraded to read-only+COW in
     {b both} parent and child, and each referenced frame's refcount is
-    incremented. Lazy entries are copied verbatim (also [pte_copy] — a
-    PTE word the fork must copy, though no frame backs it): both sides
-    keep the cookie and fault their page independently. The caller is
-    responsible for the parent TLB flush this downgrade requires. This
-    is the eager reference walk — the oracle the batched path is tested
-    against. *)
+    incremented (the copied leaves are new owners). Lazy entries are
+    copied verbatim (also [pte_copy] — a PTE word the fork must copy,
+    though no frame backs it): both sides keep the cookie and fault
+    their page independently. The caller is responsible for the parent
+    TLB flush this downgrade requires. This is the eager reference walk
+    — the oracle the batched path is tested against. *)
 
 val clone_cow_shared :
-  t ->
-  frames:Frame.t ->
-  own:(Frame.t -> Frame.frame -> unit) ->
-  own_many:(Frame.t -> Frame.frame array -> int -> unit) ->
-  cost:Cost.t ->
-  shared:(int * int * Perm.t) list ->
-  t
+  t -> cost:Cost.t -> shared:(int * int * Perm.t) list -> t
 (** Fork the table with lazy subtree sharing: charges exactly what
     {!clone_cow} would ([pt_node_copy] per node, [pte_copy] per present
     entry), but the child shares every node with the parent until one
@@ -125,12 +134,16 @@ val clone_cow_shared :
     shared VMAs, ascending and disjoint: their pages are pinned at the
     region permission with COW clear (the {!clone_cow}-then-fixup
     result), all other writable pages are downgraded to read-only COW in
-    both tables. [own frames f] (or [own_many frames fs n] for a leaf's
-    batch) takes ownership of every resident frame: a fork passes
-    {!Frame.incref}/{!Frame.incref_many}, a template seal
-    {!Frame.pin}/{!Frame.pin_many}, so the sealed table's frames become
-    immortal instead of gaining a reference. The caller owes the TLB
-    flush the downgrade requires. *)
+    both tables. One pass over the leaves rewrites entries in place;
+    no frame's refcount changes, since each shared leaf keeps holding
+    its references for both tables. The caller owes the TLB flush the
+    downgrade requires. *)
+
+val seal : t -> cost:Cost.t -> shared:(int * int * Perm.t) list -> t
+(** {!clone_cow_shared} for a template: the same charges and
+    transform, and the same pass pins each leaf's resident frames once
+    the leaf is transformed ({!Frame.pin_many}), so the sealed table's
+    frames become immortal and its clones never touch their counts. *)
 
 val clone_sealed : t -> cost:Cost.t -> t * int
 (** Clone a sealed template table for a zygote child in O(top-level
@@ -140,7 +153,29 @@ val clone_sealed : t -> cost:Cost.t -> t * int
     root fan-out (category [Zygote_subtree]), not the footprint.
     Returns the child table and the number of subtrees shared. *)
 
-val clear : t -> frames:Frame.t -> int
-(** Drop every present entry, decrementing frame refcounts; returns the
-    number of entries dropped. Subtrees shared with a clone survive
-    under the other table. Used by exec and process teardown. *)
+val clear : t -> int
+(** Drop every entry; returns the number of present entries dropped.
+    The table releases each node it reaches; a leaf whose last table
+    this was decrements the refcount of every frame it maps, leaves in
+    ascending vpn order, so frames are freed in the order a per-page
+    walk would free them. Subtrees still shared with a clone survive
+    under the other table, their frames' references with them — tearing
+    down a fork child that wrote a few pages touches only the leaves it
+    privatised. Used by exec and process teardown. *)
+
+val sole_owner : t -> bool
+(** True when this table alone maps each of its resident pages: no
+    node on the path to a present entry is shared with another table,
+    and the frame's refcount is exactly 1 (no other leaf maps it and
+    it is not pinned). Shared subtrees that map no present page do not
+    count. *)
+
+val audit : t list -> (unit, string) result
+(** Check the ownership rule over every live table of one machine: for
+    each frame mapped present by any leaf reachable from [tables], its
+    refcount equals the number of distinct leaves mapping it (a leaf
+    shared by several tables counts once), unless it is pinned; and
+    every allocated frame, pinned ones included, is mapped by some leaf.
+    Returns the lowest-numbered violation.
+    @raise Invalid_argument if the tables belong to different
+    machines. *)

@@ -103,20 +103,13 @@ let frames_of_run src ~lo ~hi ~dst =
   done;
   !k
 
-let downgrade_run src ~lo ~hi ~dst =
-  if lo < 0 || hi >= Array.length src || hi - lo >= Array.length dst then
-    invalid_arg "Pte.downgrade_run";
-  let k = ref 0 in
+let downgrade_run src ~lo ~hi =
+  if lo < 0 || hi >= Array.length src then invalid_arg "Pte.downgrade_run";
   for i = lo to hi do
     let pte = Array.unsafe_get src i in
-    if pte land bit_present <> 0 then begin
-      Array.unsafe_set dst !k (pte lsr frame_shift);
-      incr k;
-      if pte land bit_write <> 0 then
-        Array.unsafe_set src i ((pte land lnot bit_write) lor bit_cow)
-    end
-  done;
-  !k
+    if pte land (bit_present lor bit_write) = bit_present lor bit_write then
+      Array.unsafe_set src i ((pte land lnot bit_write) lor bit_cow)
+  done
 
 let lazy_blit_run ~cookie0 ~stride ~n ~perm dst ~at =
   if n < 0 || at < 0 || at + n > Array.length dst || cookie0 < 0 || stride < 0

@@ -72,12 +72,10 @@ val frames_of_run : t array -> lo:int -> hi:int -> dst:int array -> int
     [src.(lo..hi)] into [dst] (from index 0); returns how many were
     present. [dst] must have room for [hi - lo + 1]. *)
 
-val downgrade_run : t array -> lo:int -> hi:int -> dst:int array -> int
-(** The fork pass over one leaf slice: gather present frame numbers
-    into [dst] like {!frames_of_run} and additionally downgrade every
-    present writable entry in place to read-only COW (the
-    accessed/dirty bits survive). Returns the number of present
-    entries. *)
+val downgrade_run : t array -> lo:int -> hi:int -> unit
+(** The fork pass over one leaf slice: downgrade every present writable
+    entry of [src.(lo..hi)] in place to read-only COW (the
+    accessed/dirty bits survive). *)
 
 val lazy_blit_run :
   cookie0:int -> stride:int -> n:int -> perm:Perm.t -> t array -> at:int -> unit

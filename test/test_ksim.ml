@@ -2148,6 +2148,56 @@ let test_zygote_errors () =
   check_int "nothing pinned" 0 (Vmem.Frame.pinned (Ksim.Kernel.frames t));
   check_int "no templates" 0 (List.length (Ksim.Kernel.templates t))
 
+(* Freeze refuses while another table maps any resident page, whichever
+   pages a write has made private since the fork; a shared leaf that
+   maps no present page does not count. *)
+let test_zygote_freeze_sharing () =
+  let t, outcome =
+    boot (fun _ ->
+        let ready_r, ready_w = ok (Ksim.Api.pipe ()) in
+        let go_r, go_w = ok (Ksim.Api.pipe ()) in
+        (* a child that runs [first], reports in, and parks until told *)
+        let parked_child first =
+          let pid =
+            ok
+              (Ksim.Api.fork ~child:(fun () ->
+                   first ();
+                   ok (Ksim.Api.write_all ready_w "R");
+                   ignore (Ksim.Api.read go_r 1);
+                   Ksim.Api.exit 0))
+          in
+          ignore (ok (Ksim.Api.read ready_r 1));
+          pid
+        in
+        let release pid =
+          ok (Ksim.Api.write_all go_w "G");
+          ignore (ok (Ksim.Api.wait_for pid))
+        in
+        let addr = ok (Ksim.Api.mmap ~len:(8 * page) ~perm:Vmem.Perm.rw) in
+        ignore (ok (Ksim.Api.touch ~addr ~len:(8 * page)));
+        (* a child that has written one page still shares the rest *)
+        let pid = parked_child (fun () -> ok (Ksim.Api.mem_write ~addr "w")) in
+        expect_errno Ksim.Errno.EBUSY (Ksim.Api.freeze ~pid ());
+        (* and so does its parent *)
+        expect_errno Ksim.Errno.EBUSY (Ksim.Api.freeze ());
+        release pid;
+        (* empty at least one whole leaf of a touched 8 MiB mapping: the
+           emptied leaf stays allocated, and a fork shares it *)
+        let big = ok (Ksim.Api.mmap ~len:(2048 * page) ~perm:Vmem.Perm.rw) in
+        ignore (ok (Ksim.Api.touch ~addr:big ~len:(2048 * page)));
+        ok (Ksim.Api.munmap ~addr:(big + (512 * page)) ~len:(1024 * page));
+        (* the child unmaps every region: each leaf that maps a page is
+           privatised on the way, so only the empty leaf stays shared *)
+        let pid =
+          parked_child (fun () ->
+              ok (Ksim.Api.munmap ~addr:0 ~len:Vmem.Addr.max_va))
+        in
+        ignore (ok (Ksim.Api.freeze ()));
+        release pid)
+  in
+  all_exited outcome;
+  check_int "one template" 1 (List.length (Ksim.Kernel.templates t))
+
 (* A zygote spawn refused by strict commit accounting is transactional:
    template counters, frames, commit charges and the pid table are all
    exactly as before. *)
@@ -2638,6 +2688,7 @@ let () =
           tc "lifecycle" test_zygote_lifecycle;
           tc "discard lifecycle" test_zygote_discard_lifecycle;
           tc "errors" test_zygote_errors;
+          tc "freeze while sharing" test_zygote_freeze_sharing;
           tc "failed spawn rolls back" test_zygote_failed_spawn_rolls_back;
           tc "cost flat" test_zygote_cost_flat;
         ] );

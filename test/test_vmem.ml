@@ -236,8 +236,12 @@ let prop_pte_roundtrip =
 (* ------------------------------------------------------------------ *)
 (* Page_table *)
 
+(* A table whose entries name made-up frames: nothing below clones or
+   clears it, so no frame count is ever touched. *)
+let bare_pt () = Vmem.Page_table.create ~frames:(Vmem.Frame.create ~frames:1 ())
+
 let test_pt_map_lookup () =
-  let pt = Vmem.Page_table.create () in
+  let pt = bare_pt () in
   let pte = Vmem.Pte.make ~frame:7 ~perm:Vmem.Perm.rw () in
   Vmem.Page_table.map pt ~vpn:42 pte;
   check_bool "found" true (Vmem.Page_table.lookup pt ~vpn:42 = pte);
@@ -246,7 +250,7 @@ let test_pt_map_lookup () =
   check_int "present" 1 (Vmem.Page_table.present_count pt)
 
 let test_pt_unmap () =
-  let pt = Vmem.Page_table.create () in
+  let pt = bare_pt () in
   Vmem.Page_table.map pt ~vpn:1 (Vmem.Pte.make ~frame:1 ~perm:Vmem.Perm.r ());
   let old = Vmem.Page_table.unmap pt ~vpn:1 in
   check_bool "returned" true (Vmem.Pte.present old);
@@ -255,7 +259,7 @@ let test_pt_unmap () =
     (Vmem.Pte.present (Vmem.Page_table.unmap pt ~vpn:1))
 
 let test_pt_node_growth () =
-  let pt = Vmem.Page_table.create () in
+  let pt = bare_pt () in
   check_int "root only" 1 (Vmem.Page_table.node_count pt);
   Vmem.Page_table.map pt ~vpn:0 (Vmem.Pte.make ~frame:0 ~perm:Vmem.Perm.r ());
   (* root + 2 inner + 1 leaf *)
@@ -269,7 +273,7 @@ let test_pt_node_growth () =
   check_int "new subtree" 7 (Vmem.Page_table.node_count pt)
 
 let test_pt_fold_order () =
-  let pt = Vmem.Page_table.create () in
+  let pt = bare_pt () in
   let vpns = [ 999; 3; 512; 100_000 ] in
   List.iter
     (fun v ->
@@ -283,7 +287,7 @@ let test_pt_fold_order () =
   Alcotest.(check (list int)) "sorted" [ 3; 512; 999; 100_000 ] (List.rev seen)
 
 let test_pt_update () =
-  let pt = Vmem.Page_table.create () in
+  let pt = bare_pt () in
   check_bool "absent" false (Vmem.Page_table.update pt ~vpn:5 Vmem.Pte.mark_dirty);
   Vmem.Page_table.map pt ~vpn:5 (Vmem.Pte.make ~frame:5 ~perm:Vmem.Perm.rw ());
   check_bool "updated" true (Vmem.Page_table.update pt ~vpn:5 Vmem.Pte.mark_dirty);
@@ -292,12 +296,12 @@ let test_pt_update () =
 let test_pt_clone_cow () =
   let fr = Vmem.Frame.create ~frames:16 () in
   let cost = Vmem.Cost.create () in
-  let pt = Vmem.Page_table.create () in
+  let pt = Vmem.Page_table.create ~frames:fr in
   let fa = ok (Vmem.Frame.alloc fr) in
   let fb = ok (Vmem.Frame.alloc fr) in
   Vmem.Page_table.map pt ~vpn:1 (Vmem.Pte.make ~frame:fa ~perm:Vmem.Perm.rw ());
   Vmem.Page_table.map pt ~vpn:2 (Vmem.Pte.make ~frame:fb ~perm:Vmem.Perm.r ());
-  let child = Vmem.Page_table.clone_cow pt ~frames:fr ~cost in
+  let child = Vmem.Page_table.clone_cow pt ~cost in
   check_int "present copied" 2 (Vmem.Page_table.present_count child);
   check_int "refcount a" 2 (Vmem.Frame.refcount fr fa);
   check_int "refcount b" 2 (Vmem.Frame.refcount fr fb);
@@ -313,12 +317,12 @@ let test_pt_clone_cow () =
 
 let test_pt_clear () =
   let fr = Vmem.Frame.create ~frames:16 () in
-  let pt = Vmem.Page_table.create () in
+  let pt = Vmem.Page_table.create ~frames:fr in
   for i = 0 to 4 do
     let f = ok (Vmem.Frame.alloc fr) in
     Vmem.Page_table.map pt ~vpn:i (Vmem.Pte.make ~frame:f ~perm:Vmem.Perm.rw ())
   done;
-  check_int "dropped" 5 (Vmem.Page_table.clear pt ~frames:fr);
+  check_int "dropped" 5 (Vmem.Page_table.clear pt);
   check_int "all freed" 0 (Vmem.Frame.used fr);
   check_int "empty" 0 (Vmem.Page_table.present_count pt)
 
@@ -326,7 +330,7 @@ let prop_pt_map_unmap =
   QCheck.Test.make ~count:100 ~name:"page table: present_count tracks ops"
     QCheck.(list (int_bound 100_000))
     (fun vpns ->
-      let pt = Vmem.Page_table.create () in
+      let pt = bare_pt () in
       let module IS = Set.Make (Int) in
       let live =
         List.fold_left
@@ -844,6 +848,14 @@ let prop_as_fork_refcounts =
       Vmem.Addr_space.destroy a;
       Vmem.Frame.used fr = 0 && Vmem.Frame.committed fr = 0)
 
+(* The ownership rule over every live space of one machine: each
+   unpinned frame's refcount is the number of distinct leaves mapping
+   it, and every allocated frame is mapped. *)
+let audit_ok step spaces =
+  match Vmem.Addr_space.audit_frames spaces with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" step msg
+
 (* ------------------------------------------------------------------ *)
 (* COW model check: a family of forked address spaces must behave like
    independent byte maps, no matter how writes and forks interleave *)
@@ -862,71 +874,86 @@ let gen_world_op =
         (1, map (fun s -> W_destroy s) (int_bound 7));
       ])
 
+(* Run [ops] on a family forked from one space whose 8-page arena starts
+   at [base], checking the ownership rule after every step. *)
+let cow_model_run ops base =
+  let npages = 8 in
+  let fr = Vmem.Frame.create ~policy:Vmem.Frame.Overcommit ~frames:4096 () in
+  let cost = Vmem.Cost.create () in
+  let tlb = Vmem.Tlb.create cost in
+  let root = Vmem.Addr_space.create ~frames:fr ~cost ~tlb () in
+  (match
+     Vmem.Addr_space.mmap ~addr:base ~len:(npages * page) ~perm:Vmem.Perm.rw
+       ~kind:Vmem.Vma.Anon root
+   with
+  | Ok _ -> ()
+  | Error _ -> QCheck.assume_fail ());
+  (* each live space paired with its reference byte map *)
+  let live = ref [ (root, Hashtbl.create 64) ] in
+  let addr_of loc = base + ((loc / 16) * page) + (loc mod 16) in
+  let pick i = List.nth !live (i mod List.length !live) in
+  let agree () =
+    List.for_all
+      (fun (aspace, model) ->
+        Hashtbl.fold
+          (fun addr expected acc ->
+            acc
+            &&
+            match read_byte aspace addr with
+            | Ok got -> got = expected
+            | Error _ -> false)
+          model true)
+      !live
+  in
+  let step op =
+    match op with
+    | W_write (s, loc, v) -> (
+      let aspace, model = pick s in
+      let addr = addr_of loc in
+      match write_byte aspace addr v with
+      | Ok () ->
+        Hashtbl.replace model addr v;
+        true
+      | Error _ -> false)
+    | W_fork s -> (
+      let aspace, model = pick s in
+      match Vmem.Addr_space.clone_cow aspace with
+      | Ok child ->
+        live := !live @ [ (child, Hashtbl.copy model) ];
+        true
+      | Error _ -> false)
+    | W_destroy s ->
+      if List.length !live > 1 then begin
+        let victim, _ = pick s in
+        Vmem.Addr_space.destroy victim;
+        live := List.filter (fun (a, _) -> a != victim) !live;
+        true
+      end
+      else true
+  in
+  let ok_steps =
+    List.for_all
+      (fun op ->
+        let ok = step op in
+        audit_ok (Printf.sprintf "arena %x" base) (List.map fst !live);
+        ok)
+      ops
+  in
+  let consistent = ok_steps && agree () in
+  List.iter (fun (a, _) -> Vmem.Addr_space.destroy a) !live;
+  consistent && Vmem.Frame.used fr = 0 && Vmem.Frame.committed fr = 0
+
+(* Each op list runs on two arenas: one inside a single leaf, and one
+   straddling a leaf boundary, where a fork can leave a sibling leaf
+   shared under an inner node that a write has privatised. *)
 let prop_cow_model =
-  QCheck.Test.make ~count:60 ~name:"addr space: fork family matches byte-map model"
+  QCheck.Test.make ~count:60 ~long_factor:20
+    ~name:"addr space: fork family matches byte-map model"
     (QCheck.make QCheck.Gen.(list_size (0 -- 40) gen_world_op))
     (fun ops ->
-      let base = 0x1000_0000 in
-      let npages = 8 in
-      let fr = Vmem.Frame.create ~policy:Vmem.Frame.Overcommit ~frames:4096 () in
-      let cost = Vmem.Cost.create () in
-      let tlb = Vmem.Tlb.create cost in
-      let root = Vmem.Addr_space.create ~frames:fr ~cost ~tlb () in
-      (match
-         Vmem.Addr_space.mmap ~addr:base ~len:(npages * page) ~perm:Vmem.Perm.rw
-           ~kind:Vmem.Vma.Anon root
-       with
-      | Ok _ -> ()
-      | Error _ -> QCheck.assume_fail ());
-      (* each live space paired with its reference byte map *)
-      let live = ref [ (root, Hashtbl.create 64) ] in
-      let addr_of loc = base + ((loc / 16) * page) + (loc mod 16) in
-      let pick i = List.nth !live (i mod List.length !live) in
-      let agree () =
-        List.for_all
-          (fun (aspace, model) ->
-            Hashtbl.fold
-              (fun addr expected acc ->
-                acc
-                &&
-                match read_byte aspace addr with
-                | Ok got -> got = expected
-                | Error _ -> false)
-              model true)
-          !live
-      in
-      let ok_steps =
-        List.for_all
-          (fun op ->
-            match op with
-            | W_write (s, loc, v) -> (
-              let aspace, model = pick s in
-              let addr = addr_of loc in
-              match write_byte aspace addr v with
-              | Ok () ->
-                Hashtbl.replace model addr v;
-                true
-              | Error _ -> false)
-            | W_fork s -> (
-              let aspace, model = pick s in
-              match Vmem.Addr_space.clone_cow aspace with
-              | Ok child ->
-                live := !live @ [ (child, Hashtbl.copy model) ];
-                true
-              | Error _ -> false)
-            | W_destroy s ->
-              if List.length !live > 1 then begin
-                let victim, _ = pick s in
-                Vmem.Addr_space.destroy victim;
-                live := List.filter (fun (a, _) -> a != victim) !live;
-                true
-              end
-              else true)
-          ops
-      in
-      let consistent = ok_steps && agree () in
-      List.iter (fun (a, _) -> Vmem.Addr_space.destroy a) !live;
-      consistent && Vmem.Frame.used fr = 0 && Vmem.Frame.committed fr = 0)
+      cow_model_run ops 0x1000_0000
+      && cow_model_run ops
+           (0x1000_0000 + ((Vmem.Addr.entries_per_table - 4) * page)))
 
 (* ------------------------------------------------------------------ *)
 (* Batched-vs-reference oracle: the O(range) fast paths (leaf batch ops,
@@ -1209,6 +1236,11 @@ let prop_batched_oracle =
           | Some c -> apply_space c op)
         | op -> apply_space a op
       in
+      let live sp =
+        (sp.a :: Option.to_list !(sp.child))
+        @ Option.to_list !(sp.lazy_child)
+        @ !(sp.templates)
+      in
       List.iteri
         (fun i op ->
           let rf = apply fast op in
@@ -1217,7 +1249,9 @@ let prop_batched_oracle =
             Alcotest.failf "op %d: result mismatch (batched %s, oracle %s)" i
               rf rs;
           if state fast <> state slow then
-            Alcotest.failf "op %d (%s): state diverged" i rf)
+            Alcotest.failf "op %d (%s): state diverged" i rf;
+          audit_ok (Printf.sprintf "op %d (%s), batched" i rf) (live fast);
+          audit_ok (Printf.sprintf "op %d (%s), oracle" i rs) (live slow))
         ops;
       let finish sp =
         destroy sp.child;
