@@ -88,9 +88,18 @@ let run_line line =
         | Error e -> Printf.printf "  error: %s\n" (Spawnlib.Spawn.error_message e)
         | Ok (out, statuses) ->
           print_string out;
+          (* a stage whose reader exited first dies of SIGPIPE, or not,
+             depending on which ran first; like a POSIX shell, take the
+             pipeline's status from its last stage and do not count that
+             death as a failure *)
+          let last = List.length statuses - 1 in
           let failed =
-            List.filter
-              (fun st -> st <> Spawnlib.Process.Exited 0)
+            List.filteri
+              (fun i st ->
+                match st with
+                | Spawnlib.Process.Exited 0 -> false
+                | Spawnlib.Process.Signaled s -> i = last || s <> Sys.sigpipe
+                | _ -> true)
               statuses
           in
           if failed <> [] then

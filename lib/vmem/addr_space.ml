@@ -692,40 +692,40 @@ let major_fault w pg ~i ~src =
   submit t pg req;
   w.pages <- w.pages + 1
 
-(* A present page under a write touch: a plain hit sets the reference
-   bits (counting a readahead hit on a prefetched page), a COW page
-   breaks, a stale protection is refreshed in place. *)
-let touch_present w ~i ~pte =
-  let t = w.space in
-  if Pte.writable pte then begin
-    if Pte.prefetched pte then w.hits <- w.hits + 1;
-    let updated = Pte.mark_dirty (Pte.mark_accessed (Pte.clear_prefetched pte)) in
-    if updated <> pte then (writable w).(i) <- updated
-  end
-  else if Pte.cow pte then begin
+(* The COW break of leaf indices [i, j), a run of present read-only COW
+   entries: [break_cow]'s transitions page by page, in one Frame call
+   and one Pte call. As in [break_cow], the counts are read through a
+   private leaf. The failing page of a short run still pays its
+   fault_base, and its entry is left as it was. *)
+let break_cow_run w ~i ~j =
+  let leaf = writable w in
+  let frames = (Domain.DLS.get buffers).fill in
+  let n = Pte.frames_of_run leaf ~lo:i ~hi:(j - 1) ~dst:frames in
+  let m = Frame.unshare_many w.space.frames frames n in
+  let reused = Pte.unshare_run leaf ~at:i ~frames ~n:m ~perm:w.rperm in
+  w.deferred_faults <- w.deferred_faults + m;
+  w.cow_reuses <- w.cow_reuses + reused;
+  w.cow_copies <- w.cow_copies + (m - reused);
+  w.pages <- w.pages + m;
+  if m < n then begin
     w.deferred_faults <- w.deferred_faults + 1;
-    let frame = Pte.frame pte in
-    (* as in [break_cow], the count is read through a private leaf *)
-    let leaf = writable w in
-    if Frame.refcount t.frames frame = 1 then begin
-      (* last sharer: take the page back in place *)
-      w.cow_reuses <- w.cow_reuses + 1;
-      leaf.(i) <- Pte.with_cow (Pte.with_perm pte w.rperm) false
-    end
-    else begin
-      let fresh = Frame.take t.frames in
-      if fresh < 0 then raise (Fault_stop `Out_of_memory);
-      w.cow_copies <- w.cow_copies + 1;
-      Frame.copy_contents t.frames ~src:frame ~dst:fresh;
-      ignore (Frame.decref t.frames frame);
-      leaf.(i) <- Pte.make ~frame:fresh ~perm:w.rperm ()
-    end
+    raise (Fault_stop `Out_of_memory)
   end
-  else begin
-    w.faults <- w.faults + 1;
-    w.refreshes <- w.refreshes + 1;
-    (writable w).(i) <- Pte.with_perm pte w.rperm
-  end;
+
+(* A writable page under a write touch: a plain hit sets the reference
+   bits, counting a readahead hit on a prefetched page. *)
+let touch_writable w ~i ~pte =
+  if Pte.prefetched pte then w.hits <- w.hits + 1;
+  let updated = Pte.mark_dirty (Pte.mark_accessed (Pte.clear_prefetched pte)) in
+  if updated <> pte then (writable w).(i) <- updated;
+  w.pages <- w.pages + 1
+
+(* A read-only page that is not COW: its stale protection is refreshed
+   in place. *)
+let refresh w ~i ~pte =
+  w.faults <- w.faults + 1;
+  w.refreshes <- w.refreshes + 1;
+  (writable w).(i) <- Pte.with_perm pte w.rperm;
   w.pages <- w.pages + 1
 
 (* The end of the run of demand-zero pages (not present, no pager
@@ -754,7 +754,8 @@ let zero_run_end w ~i ~hi =
 
 (* Write-touch indices [lo, hi] of the leaf at [base]: the same per-page
    transitions, in the same ascending order, as [fault ~write:true]. A
-   run of demand-zero pages is filled in one batch. *)
+   run of COW pages breaks, and a run of demand-zero pages is filled, in
+   one batch. *)
 let touch_leaf w ~base ~lo ~hi =
   w.base <- base;
   w.leaf <- Page_table.find_leaf w.space.pt ~vpn:base;
@@ -767,8 +768,21 @@ let touch_leaf w ~base ~lo ~hi =
   while !i <= hi do
     let pte = Page_table.entry w.leaf !i in
     if Pte.present pte then begin
-      touch_present w ~i:!i ~pte;
-      incr i
+      if Pte.writable pte then begin
+        touch_writable w ~i:!i ~pte;
+        incr i
+      end
+      else begin
+        let j = Pte.cow_run_end w.leaf ~lo:!i ~hi in
+        if j > !i then begin
+          break_cow_run w ~i:!i ~j;
+          i := j
+        end
+        else begin
+          refresh w ~i:!i ~pte;
+          incr i
+        end
+      end
     end
     else begin
       let src = source_at w !i ~pte in

@@ -15,6 +15,9 @@ type frame = int
 let spilled = 255
 let immortal = 254
 
+(* Released page-table leaf arrays, for {!Page_table} to reuse. *)
+type spares = { mutable arrays : int array array; mutable top : int }
+
 (* The free list is a LIFO stack, run-compressed: teardown frees frames
    in long ascending bursts, so the stack stores (lo, hi) runs where the
    pushes arrived as lo, lo+1, ..., hi. Popping a run yields hi, hi-1,
@@ -42,6 +45,7 @@ type t = {
   mutable deny_commit : (unit -> bool) option;
       (** fault-injection hook: consulted once per non-empty commit
           charge; [true] makes it fail with [`Commit_limit] *)
+  spares : spares;
 }
 
 let create ?(policy = Strict) ~frames () =
@@ -62,8 +66,10 @@ let create ?(policy = Strict) ~frames () =
     data_max = -1;
     deny_alloc = None;
     deny_commit = None;
+    spares = { arrays = [||]; top = 0 };
   }
 
+let spares t = t.spares
 let set_deny_alloc t hook = t.deny_alloc <- hook
 let set_deny_commit t hook = t.deny_commit <- hook
 
@@ -364,3 +370,22 @@ let copy_contents t ~src ~dst =
     | Some b ->
       Hashtbl.replace t.data dst (Bytes.copy b);
       if dst > t.data_max then t.data_max <- dst
+
+let unshare_many t fs n =
+  if n < 0 || n > Array.length fs then invalid_arg "Frame.unshare_many";
+  let rec go k =
+    if k = n then k
+    else
+      let f = Array.unsafe_get fs k in
+      if refcount t f = 1 then go (k + 1)
+      else
+        let fresh = take t in
+        if fresh < 0 then k
+        else begin
+          copy_contents t ~src:f ~dst:fresh;
+          ignore (decref t f);
+          Array.unsafe_set fs k fresh;
+          go (k + 1)
+        end
+  in
+  go 0

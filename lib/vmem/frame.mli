@@ -36,6 +36,13 @@ val create : ?policy:policy -> frames:int -> unit -> t
     does not pay for the whole machine's memory.
     @raise Invalid_argument if [frames <= 0]. *)
 
+type spares = { mutable arrays : int array array; mutable top : int }
+(** The machine's stack of released page-table leaf arrays,
+    [arrays.(0 .. top-1)], which {!Page_table} pushes and pops: host
+    memory only, no simulated frame, and it dies with the machine. *)
+
+val spares : t -> spares
+
 val policy : t -> policy
 val set_policy : t -> policy -> unit
 
@@ -143,3 +150,15 @@ val copy_contents : t -> src:frame -> dst:frame -> unit
 (** Copy page contents (used when breaking COW). Never-written sources
     leave [dst] untouched (both read as zeroes); a source above every
     frame that was ever written costs no table lookup. *)
+
+val unshare_many : t -> frame array -> int -> int
+(** [unshare_many t fs n] breaks the sharing of [fs.(0..n-1)] in order,
+    one frame at a time: a frame whose {!refcount} is 1 is kept; any
+    other is replaced in [fs] by a fresh frame ({!take}, so the deny
+    hook is consulted once per replacement) holding a copy of its
+    contents, and loses one reference. Stops at the first replacement
+    {!take} refuses and returns how many frames it handled. This is the
+    per-page {!refcount} / {!take} / {!copy_contents} / {!decref}
+    sequence of a COW break, in one call: a write to a run of COW pages
+    needs no per-page call into this module.
+    @raise Invalid_argument like {!decref}, or on a bad [n]. *)

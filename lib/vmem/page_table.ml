@@ -9,9 +9,15 @@
    reference on every present frame it maps, however many tables share
    it (pinned frames are not counted at all). So a fork moves no frame
    count, privatising a leaf gives the copy its own references, and a
-   leaf drops its references when the last table lets go of it. *)
+   leaf drops its references when the last table lets go of it.
+
+   A leaf is [clean] from the fork pass that put it in post-fork form
+   until a table next writes to it, which only [leaf_for_write] does: a
+   later fork pass would map every entry of a clean leaf to itself, so
+   it skips the leaf. *)
 type node =
-  | Leaf of { mutable refs : int; entries : int array }  (** packed PTEs *)
+  | Leaf of { mutable refs : int; mutable clean : bool; entries : int array }
+      (** packed PTEs *)
   | Inner of { mutable refs : int; children : node option array }
 
 type t = {
@@ -22,8 +28,61 @@ type t = {
   mutable nodes : int;
 }
 
-let new_leaf () =
-  Leaf { refs = 1; entries = Array.make Addr.entries_per_table Pte.absent }
+(* A missing leaf reads as the empty array: a walk allocates no option,
+   and [entry] reads every index of it as absent. *)
+let no_leaf : int array = [||]
+
+(* Released leaf arrays, per machine ({!Frame.spares}). A leaf's array
+   is 513 words, above the minor heap's limit, so a fresh one is a
+   major-heap block that the collector must later mark and sweep;
+   [clear] gives a dead leaf's array back to its machine's stack and
+   every leaf constructor takes from there first. The stack never holds
+   more arrays than the machine's peak count of live leaves, and dies
+   with the machine. Slots at and above [top] hold [no_leaf]. *)
+let take_array frames =
+  let p = Frame.spares frames in
+  if p.top = 0 then Array.make Addr.entries_per_table Pte.absent
+  else begin
+    p.top <- p.top - 1;
+    let a = p.arrays.(p.top) in
+    p.arrays.(p.top) <- no_leaf;
+    a
+  end
+
+let give_back frames entries =
+  let p = Frame.spares frames in
+  if p.top = Array.length p.arrays then begin
+    let grown = Array.make (max 64 (2 * p.top)) no_leaf in
+    Array.blit p.arrays 0 grown 0 p.top;
+    p.arrays <- grown
+  end;
+  p.arrays.(p.top) <- entries;
+  p.top <- p.top + 1
+
+(* Typed loops: on an [int array] they compile to plain loads and
+   stores, where [Array.fill] and [Array.blit] take the runtime's
+   generic path. A fresh array is already all-absent: only a recycled
+   one is filled. *)
+let new_leaf frames =
+  let entries =
+    if (Frame.spares frames).top = 0 then
+      Array.make Addr.entries_per_table Pte.absent
+    else begin
+      let entries = take_array frames in
+      for i = 0 to Addr.entries_per_table - 1 do
+        Array.unsafe_set entries i Pte.absent
+      done;
+      entries
+    end
+  in
+  Leaf { refs = 1; clean = false; entries }
+
+let copy_leaf frames (src : int array) =
+  let entries = take_array frames in
+  for i = 0 to Addr.entries_per_table - 1 do
+    Array.unsafe_set entries i (Array.unsafe_get src i)
+  done;
+  entries
 
 let new_inner () =
   Inner { refs = 1; children = Array.make Addr.entries_per_table None }
@@ -63,19 +122,15 @@ let rec iter_leaves f = function
 let privatize frames = function
   | Leaf l when l.refs > 1 ->
     l.refs <- l.refs - 1;
-    let entries = Array.copy l.entries in
+    let entries = copy_leaf frames l.entries in
     leaf_frames frames entries Frame.incref_many;
-    Leaf { refs = 1; entries }
+    Leaf { refs = 1; clean = false; entries }
   | Inner i when i.refs > 1 ->
     i.refs <- i.refs - 1;
     let children = Array.copy i.children in
     Array.iter (function None -> () | Some c -> bump c) children;
     Inner { refs = 1; children }
   | n -> n
-
-(* A missing leaf reads as the empty array: a walk allocates no option,
-   and [entry] reads every index of it as absent. *)
-let no_leaf : int array = [||]
 
 let entry leaf i =
   if Array.length leaf = 0 then Pte.absent else Array.unsafe_get leaf i
@@ -92,13 +147,16 @@ let rec walk_ro node level vpn =
 (* Walk for writing: privatise every node on the path so mutating the
    returned leaf array cannot be observed through another table, and
    optionally create missing nodes ([t.nodes] counts this table's
-   logical pages, so creation bumps it exactly like the eager walk). *)
+   logical pages, so creation bumps it exactly like the eager walk).
+   The leaf reached is no longer clean. *)
 let leaf_for_write t vpn ~create_missing =
   let root = privatize t.frames t.root in
   t.root <- root;
   let rec go node level =
     match node with
-    | Leaf l -> l.entries
+    | Leaf l ->
+      l.clean <- false;
+      l.entries
     | Inner i -> (
       let idx = Addr.table_index ~level vpn in
       match i.children.(idx) with
@@ -109,7 +167,7 @@ let leaf_for_write t vpn ~create_missing =
       | None ->
         if not create_missing then no_leaf
         else begin
-          let child = if level = 1 then new_leaf () else new_inner () in
+          let child = if level = 1 then new_leaf t.frames else new_inner () in
           i.children.(idx) <- Some child;
           t.nodes <- t.nodes + 1;
           go child (level - 1)
@@ -343,7 +401,9 @@ let clone_cow t ~cost =
     Cost.charge cost Fork_pt_node p.Cost.pt_node_copy;
     match node with
     | Leaf l ->
-      let dst = Array.make Addr.entries_per_table Pte.absent in
+      let dst = take_array t.frames in
+      (* the downgrade below writes the parent's leaf in place *)
+      l.clean <- false;
       for i = 0 to Addr.entries_per_table - 1 do
         let pte = l.entries.(i) in
         if Pte.present pte then begin
@@ -370,8 +430,9 @@ let clone_cow t ~cost =
           incr lazies;
           dst.(i) <- pte
         end
+        else dst.(i) <- Pte.absent
       done;
-      Leaf { refs = 1; entries = dst }
+      Leaf { refs = 1; clean = false; entries = dst }
     | Inner inner ->
       let dst = Array.make Addr.entries_per_table None in
       for i = 0 to Addr.entries_per_table - 1 do
@@ -407,7 +468,7 @@ let alias t =
   { t with root = t.root }
 
 (* The fork pass behind {!clone_cow_shared} and {!seal}; a seal also
-   pins each leaf's frames once the leaf is transformed. *)
+   pins each leaf's frames once the leaf is transformed, clean or not. *)
 let share t ~cost ~shared ~pin =
   let p = Cost.params cost in
   (* Charge what the eager walk would have: one pt_node_copy per table
@@ -422,11 +483,14 @@ let share t ~cost ~shared ~pin =
     Cost.charge ~n:ptes cost Fork_pte (p.Cost.pte_copy *. float_of_int ptes);
   (* One ascending pass over the leaves applying the fork transform in
      place; the leaves keep their frame references, now on behalf of
-     both tables. A leaf still shared with an earlier clone holds only
-     PTEs the transform maps to themselves (writable private pages were
-     already downgraded by that clone, and shared-VMA pages already sit
-     at their region permission), so the in-place write is invisible
-     through the other table. *)
+     both tables. The transform maps every entry of a clean leaf to
+     itself: a pass left it in post-fork form (writable private pages
+     downgraded, shared-VMA pages at their region permission) and no
+     table has written to it since, so the pass skips it. A leaf still
+     shared with an earlier clone is clean, since a write privatises it
+     first, so no in-place write is seen through another table. A
+     change to a VMA's permission or sharing rewrites or drops the
+     leaf's entries in its range, and so unmarks the leaf. *)
   let shared_tail = ref shared in
   let transform_leaf entries base =
     (* drop shared ranges wholly below this leaf, then test whether any
@@ -462,12 +526,16 @@ let share t ~cost ~shared ~pin =
           let updated = fork_transform pte ~shared_perm:(perm_for ()) in
           if updated <> pte then entries.(i) <- updated
         end
-      done;
-    if pin then leaf_frames t.frames entries Frame.pin_many
+      done
   in
   let rec go node level vpn_prefix =
     match node with
-    | Leaf l -> transform_leaf l.entries (vpn_prefix lsl Addr.index_bits)
+    | Leaf l ->
+      if not l.clean then begin
+        transform_leaf l.entries (vpn_prefix lsl Addr.index_bits);
+        l.clean <- true
+      end;
+      if pin then leaf_frames t.frames l.entries Frame.pin_many
     | Inner i ->
       for idx = 0 to Addr.entries_per_table - 1 do
         match i.children.(idx) with
@@ -507,12 +575,16 @@ let clear t =
   (* Drop this table's reference on every node, in ascending vpn order.
      A leaf that loses its last reference drops its frames' references
      ([Frame.decref_many] per leaf), so frames are freed in the order a
-     per-page walk would free them; nodes still shared with a clone
-     survive under the other table, references and all. *)
+     per-page walk would free them, and gives its array back to the
+     machine's stack; nodes still shared with a clone survive under the
+     other table, references and all. *)
   let rec release = function
     | Leaf l ->
       l.refs <- l.refs - 1;
-      if l.refs = 0 then leaf_frames t.frames l.entries Frame.decref_many
+      if l.refs = 0 then begin
+        leaf_frames t.frames l.entries Frame.decref_many;
+        give_back t.frames l.entries
+      end
     | Inner i ->
       i.refs <- i.refs - 1;
       if i.refs = 0 then
@@ -548,7 +620,8 @@ let sole_owner t =
   go false t.root
 
 (* Leaves by identity: a leaf's entry array is its own, never shared
-   between two leaf records. *)
+   between two leaf records, and sits in the free stack only once its
+   leaf is dead. *)
 module Leaf_set = Hashtbl.Make (struct
   type t = int array
 
@@ -556,47 +629,70 @@ module Leaf_set = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* The machine's free stack as a set, or the error of an array it holds
+   twice. *)
+let pooled frames =
+  let p = Frame.spares frames in
+  let set = Leaf_set.create 64 in
+  let rec go k =
+    if k = p.top then Ok set
+    else if Leaf_set.mem set p.arrays.(k) then
+      Error "a leaf array sits in the free stack twice"
+    else begin
+      Leaf_set.add set p.arrays.(k) ();
+      go (k + 1)
+    end
+  in
+  go 0
+
+(* The ownership rule; the live leaves' arrays when it holds. *)
+let check_frames frames tables =
+  let seen = Leaf_set.create 64 in
+  let mapped = Hashtbl.create 256 in
+  List.iter
+    (fun t ->
+      iter_leaves
+        (fun entries ->
+          if not (Leaf_set.mem seen entries) then begin
+            Leaf_set.add seen entries ();
+            Array.iter
+              (fun pte ->
+                if Pte.present pte then
+                  let f = Pte.frame pte in
+                  Hashtbl.replace mapped f
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt mapped f)))
+              entries
+          end)
+        t.root)
+    tables;
+  let bad =
+    Hashtbl.fold
+      (fun f leaves acc ->
+        let rc = Frame.refcount frames f in
+        if Frame.is_pinned frames f || rc = leaves then acc
+        else
+          (f, Printf.sprintf "frame %d: refcount %d, mapped by %d leaves" f rc
+                leaves)
+          :: acc)
+      mapped []
+  in
+  match List.sort compare bad with
+  | (_, msg) :: _ -> Error msg
+  | [] ->
+    let n = Hashtbl.length mapped in
+    if n = Frame.used frames then Ok seen
+    else
+      Error
+        (Printf.sprintf "%d frames allocated, %d mapped by a leaf"
+           (Frame.used frames) n)
+
 let audit = function
   | [] -> Ok ()
-  | first :: _ as tables ->
-    let frames = first.frames in
-    if List.exists (fun t -> t.frames != frames) tables then
+  | first :: _ as tables -> (
+    if List.exists (fun t -> t.frames != first.frames) tables then
       invalid_arg "Page_table.audit: tables of different machines";
-    let seen = Leaf_set.create 64 in
-    let mapped = Hashtbl.create 256 in
-    List.iter
-      (fun t ->
-        iter_leaves
-          (fun entries ->
-            if not (Leaf_set.mem seen entries) then begin
-              Leaf_set.add seen entries ();
-              Array.iter
-                (fun pte ->
-                  if Pte.present pte then
-                    let f = Pte.frame pte in
-                    Hashtbl.replace mapped f
-                      (1 + Option.value ~default:0 (Hashtbl.find_opt mapped f)))
-                entries
-            end)
-          t.root)
-      tables;
-    let bad =
-      Hashtbl.fold
-        (fun f leaves acc ->
-          let rc = Frame.refcount frames f in
-          if Frame.is_pinned frames f || rc = leaves then acc
-          else
-            (f, Printf.sprintf "frame %d: refcount %d, mapped by %d leaves" f rc
-                  leaves)
-            :: acc)
-        mapped []
-    in
-    match List.sort compare bad with
-    | (_, msg) :: _ -> Error msg
-    | [] ->
-      let n = Hashtbl.length mapped in
-      if n = Frame.used frames then Ok ()
-      else
-        Error
-          (Printf.sprintf "%d frames allocated, %d mapped by a leaf"
-             (Frame.used frames) n)
+    match (check_frames first.frames tables, pooled first.frames) with
+    | Error msg, _ | _, Error msg -> Error msg
+    | Ok live, Ok free ->
+      if Seq.exists (Leaf_set.mem free) (Leaf_set.to_seq_keys live) then Error "a live leaf's array sits in the free stack"
+      else Ok ())

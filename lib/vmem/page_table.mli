@@ -23,7 +23,13 @@
     own references; a leaf drops its references when the last table
     releases it ({!clear}). Callers that install or remove a present
     entry ({!map}, {!unmap}, {!unmap_range}, {!writable_leaf}) own the
-    matching reference change. *)
+    matching reference change.
+
+    The host pays for a fork child's tables only where it writes. Leaf
+    arrays come from the machine's stack of released ones
+    ({!Frame.spares}; {!clear} gives them back), so privatising a leaf
+    allocates nothing on the major heap; and a fork pass skips every
+    leaf no table has written to since the previous pass. *)
 
 type t
 
@@ -31,7 +37,10 @@ val create : frames:Frame.t -> t
 (** An empty table (one root node) whose leaves will hold references on
     frames of [frames]. Every table built from it ({!clone_cow},
     {!clone_cow_shared}, {!seal}, {!clone_sealed}) shares that
-    machine. *)
+    machine. Every leaf array a table creates, copies or clones comes
+    from the machine's stack of released arrays ({!Frame.spares}) when
+    it holds one; the stack never holds more arrays than the machine's
+    peak count of live leaves. *)
 
 val map : t -> vpn:int -> Pte.t -> unit
 (** Install (or replace) the entry for virtual page [vpn], allocating
@@ -136,14 +145,22 @@ val clone_cow_shared :
     result), all other writable pages are downgraded to read-only COW in
     both tables. One pass over the leaves rewrites entries in place;
     no frame's refcount changes, since each shared leaf keeps holding
-    its references for both tables. The caller owes the TLB flush the
-    downgrade requires. *)
+    its references for both tables. The pass marks each leaf it
+    transforms clean, and skips leaves already clean: a write through
+    any table ({!map}, {!unmap}, {!update}, {!writable_leaf}, the range
+    operations) unmarks the leaf it writes to, and nothing else writes
+    to a leaf, so a clean leaf is still in post-fork form. A change to
+    [shared] alone cannot make it stale: a VMA changes permission or
+    sharing only by rewriting or dropping its present entries. The
+    charges are computed from the table's counts, clean leaves
+    included. The caller owes the TLB flush the downgrade requires. *)
 
 val seal : t -> cost:Cost.t -> shared:(int * int * Perm.t) list -> t
 (** {!clone_cow_shared} for a template: the same charges and
     transform, and the same pass pins each leaf's resident frames once
-    the leaf is transformed ({!Frame.pin_many}), so the sealed table's
-    frames become immortal and its clones never touch their counts. *)
+    the leaf is transformed or found clean ({!Frame.pin_many}), so the
+    sealed table's frames become immortal and its clones never touch
+    their counts. *)
 
 val clone_sealed : t -> cost:Cost.t -> t * int
 (** Clone a sealed template table for a zygote child in O(top-level
@@ -161,7 +178,9 @@ val clear : t -> int
     walk would free them. Subtrees still shared with a clone survive
     under the other table, their frames' references with them — tearing
     down a fork child that wrote a few pages touches only the leaves it
-    privatised. Used by exec and process teardown. *)
+    privatised. A released leaf's array goes back to the machine's
+    stack, for the next leaf any of its tables makes. Used by exec and
+    process teardown. *)
 
 val sole_owner : t -> bool
 (** True when this table alone maps each of its resident pages: no
@@ -176,6 +195,8 @@ val audit : t list -> (unit, string) result
     refcount equals the number of distinct leaves mapping it (a leaf
     shared by several tables counts once), unless it is pinned; and
     every allocated frame, pinned ones included, is mapped by some leaf.
-    Returns the lowest-numbered violation.
+    Returns the lowest-numbered violation. Then check the machine's
+    stack of released leaf arrays: no array sits in it twice, and none
+    is the array of a leaf reachable from [tables].
     @raise Invalid_argument if the tables belong to different
     machines. *)

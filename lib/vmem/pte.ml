@@ -103,6 +103,32 @@ let frames_of_run src ~lo ~hi ~dst =
   done;
   !k
 
+let cow_run_end src ~lo ~hi =
+  if lo < 0 || hi >= Array.length src then invalid_arg "Pte.cow_run_end";
+  let mask = bit_present lor bit_write lor bit_cow in
+  let i = ref lo in
+  while !i <= hi && Array.unsafe_get src !i land mask = (bit_present lor bit_cow) do
+    incr i
+  done;
+  !i
+
+let unshare_run dst ~at ~frames ~n ~perm =
+  if n < 0 || n > Array.length frames || at < 0 || at + n > Array.length dst
+  then invalid_arg "Pte.unshare_run";
+  let template = make ~frame:0 ~perm () in
+  let keep = lnot (bit_read lor bit_write lor bit_exec lor bit_cow) in
+  let perm_bits = template land lnot bit_present in
+  let reused = ref 0 in
+  for k = 0 to n - 1 do
+    let pte = Array.unsafe_get dst (at + k) and f = Array.unsafe_get frames k in
+    if pte lsr frame_shift = f then begin
+      Array.unsafe_set dst (at + k) ((pte land keep) lor perm_bits);
+      incr reused
+    end
+    else Array.unsafe_set dst (at + k) (template lor (f lsl frame_shift))
+  done;
+  !reused
+
 let downgrade_run src ~lo ~hi =
   if lo < 0 || hi >= Array.length src then invalid_arg "Pte.downgrade_run";
   for i = lo to hi do

@@ -72,6 +72,21 @@ val frames_of_run : t array -> lo:int -> hi:int -> dst:int array -> int
     [src.(lo..hi)] into [dst] (from index 0); returns how many were
     present. [dst] must have room for [hi - lo + 1]. *)
 
+val cow_run_end : t array -> lo:int -> hi:int -> int
+(** The end of the run of present, read-only COW entries of
+    [src.(lo..hi)] that starts at [lo]: the first index from [lo] whose
+    entry is not one, or [hi + 1]. *)
+
+val unshare_run :
+  t array -> at:int -> frames:Frame.frame array -> n:int -> perm:Perm.t -> int
+(** The entries' half of breaking a run of COW entries, after
+    {!Frame.unshare_many} has handled the run's frames ([frames.(k)] for
+    [dst.(at + k)], [k < n]): an entry whose frame was kept becomes
+    [with_cow (with_perm pte perm) false], its other bits kept; one
+    whose frame was replaced becomes [make ~frame:frames.(k) ~perm ()].
+    Returns the number kept. @raise Invalid_argument on out-of-bounds
+    slices. *)
+
 val downgrade_run : t array -> lo:int -> hi:int -> unit
 (** The fork pass over one leaf slice: downgrade every present writable
     entry of [src.(lo..hi)] in place to read-only COW (the

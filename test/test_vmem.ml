@@ -858,10 +858,14 @@ let audit_ok step spaces =
 
 (* ------------------------------------------------------------------ *)
 (* COW model check: a family of forked address spaces must behave like
-   independent byte maps, no matter how writes and forks interleave *)
+   independent byte maps, no matter how writes and forks interleave.
+   Writes go through the per-page fault path; write-touches go through
+   the batched one, which breaks a leaf's run of COW pages at once, and
+   change no byte. *)
 
 type world_op =
   | W_write of int * int * int  (* space index, page*16+off within 8 pages, byte *)
+  | W_touch of int * int * int  (* space index, first page, pages *)
   | W_fork of int
   | W_destroy of int
 
@@ -870,6 +874,7 @@ let gen_world_op =
     frequency
       [
         (6, map3 (fun s loc v -> W_write (s, loc, v)) (int_bound 7) (int_bound 127) (int_bound 255));
+        (3, map3 (fun s p n -> W_touch (s, p, n)) (int_bound 7) (int_bound 7) (1 -- 8));
         (2, map (fun s -> W_fork s) (int_bound 7));
         (1, map (fun s -> W_destroy s) (int_bound 7));
       ])
@@ -914,6 +919,14 @@ let cow_model_run ops base =
       | Ok () ->
         Hashtbl.replace model addr v;
         true
+      | Error _ -> false)
+    | W_touch (s, first, pages) -> (
+      let aspace, _ = pick s in
+      match
+        Vmem.Addr_space.touch_range aspace ~addr:(base + (first * page))
+          ~len:(min pages (npages - first) * page)
+      with
+      | Ok _ -> true
       | Error _ -> false)
     | W_fork s -> (
       let aspace, model = pick s in
@@ -962,9 +975,9 @@ let prop_cow_model =
    ([~batched:false]) — identical op results, PTE contents, cost
    breakdown with event counts, every Blame bucket, pager upcalls and
    frame accounting — under arbitrary interleavings of map / lazy map /
-   touch / mprotect / clone / unmap and lazy-zygote spawns, including
-   OOM, commit-limit and injected pager and frame-allocation
-   failures. *)
+   touch / mprotect / clone / unmap and lazy-zygote spawns, in the
+   space and in both of its children, including OOM, commit-limit and
+   injected pager and frame-allocation failures. *)
 
 type oracle_op =
   | O_mmap of int * int * int * bool  (* page offset, pages, perm, shared *)
@@ -979,6 +992,10 @@ type oracle_op =
   | O_in_zygote of oracle_op
       (* a map, touch, mprotect or unmap on the lazy-zygote child:
          backing hits, and holes once unmapped pages are mapped again *)
+  | O_in_child of oracle_op
+      (* the same on the clone_cow child: a child write after a parent
+         write breaks a COW run that mixes reuses (the frames the parent
+         copied away from) with copies *)
 
 (* What the recording pager saw, one entry per upcall. *)
 type upcall =
@@ -1020,6 +1037,7 @@ let gen_oracle_scenario =
           (2, return O_clone);
           (2, return O_zygote);
           (8, map (fun op -> O_in_zygote op) space_op);
+          (8, map (fun op -> O_in_child op) space_op);
         ]
     in
     pair
@@ -1187,7 +1205,8 @@ let prop_batched_oracle =
           with
           | Ok () -> "munmap:ok"
           | Error `Invalid -> "munmap:invalid")
-        | O_clone | O_zygote | O_in_zygote _ -> invalid_arg "apply_space"
+        | O_clone | O_zygote | O_in_zygote _ | O_in_child _ ->
+          invalid_arg "apply_space"
       in
       let apply sp op =
         let a = sp.a in
@@ -1233,6 +1252,10 @@ let prop_batched_oracle =
         | O_in_zygote op -> (
           match !(sp.lazy_child) with
           | None -> "zygote:none"
+          | Some c -> apply_space c op)
+        | O_in_child op -> (
+          match !(sp.child) with
+          | None -> "child:none"
           | Some c -> apply_space c op)
         | op -> apply_space a op
       in
