@@ -381,29 +381,36 @@ let visit t w =
 
 let wake_parked t = Waitq.run_pass t.waits ~now:t.clock (visit t)
 
+(* Runs every scheduling round; with no alarm armed it allocates and
+   walks nothing. *)
 let check_alarms t =
-  let due =
-    Hashtbl.fold
-      (fun pid at acc -> if at <= t.clock then pid :: acc else acc)
-      t.alarms []
-  in
-  List.iter
-    (fun pid ->
-      Hashtbl.remove t.alarms pid;
-      match find_proc t pid with
-      | Some proc when Proc.is_alive proc -> Lifecycle.post_signal t proc Usignal.SIGALRM
-      | Some _ | None -> ())
-    due
+  if Hashtbl.length t.alarms > 0 then begin
+    let due =
+      Hashtbl.fold
+        (fun pid at acc -> if at <= t.clock then pid :: acc else acc)
+        t.alarms []
+    in
+    List.iter
+      (fun pid ->
+        Hashtbl.remove t.alarms pid;
+        match find_proc t pid with
+        | Some proc when Proc.is_alive proc ->
+          Lifecycle.post_signal t proc Usignal.SIGALRM
+        | Some _ | None -> ())
+      due
+  end
 
 (* The nearest tick at which time itself unblocks someone: an armed
    alarm or a parked poll's timeout. The run loop jumps the clock here
    when every thread is parked. *)
 let next_timer_tick t =
-  Hashtbl.fold
-    (fun _ at acc ->
-      match acc with None -> Some at | Some best -> Some (min best at))
-    t.alarms
-    (Waitq.next_deadline t.waits)
+  let deadline = Waitq.next_deadline t.waits in
+  if Hashtbl.length t.alarms = 0 then deadline
+  else
+    Hashtbl.fold
+      (fun _ at acc ->
+        match acc with None -> Some at | Some best -> Some (min best at))
+      t.alarms deadline
 
 (* What a parked syscall waits on, for stall reports: the fd or mutex it
    names, a poll's set size, or just the syscall. *)

@@ -655,42 +655,92 @@ let zero_fill w ~i ~n =
     raise (Fault_stop `Out_of_memory)
   end
 
-(* The major fault of leaf index [i], served in the cached leaf: the
-   faulting page, then readahead up to [readahead] pages on within the
-   VMA — through the leaf while it lasts, then through the per-page
-   helpers — all in one request. A failed faulting page leaves its
-   entry (and a missing leaf) as it was, after its fault_base and
-   request tallies. *)
-let major_fault w pg ~i ~src =
+(* Pull pages [k .. n-1] of a run into [dst.(at + k)], page by page:
+   the pager's deny hook, then a frame. Returns how many of the run's
+   pages are pulled; the first refusal stops it. *)
+let rec pull_run t pg dst ~at ~k ~n =
+  if k = n || pg.deny () then k
+  else
+    let frame = Frame.take t.frames in
+    if frame < 0 then k
+    else begin
+      dst.(at + k) <- frame;
+      pull_run t pg dst ~at ~k:(k + 1) ~n
+    end
+
+(* The last page of [vpn, last] before the first munmap hole at or after
+   [vpn]: below [vpn] when [vpn] is in one. *)
+let rec unholed ~vpn ~last = function
+  | [] -> last
+  | (lo, hi) :: rest ->
+    unholed ~vpn ~last:(if hi >= vpn then min last (lo - 1) else last) rest
+
+(* The major fault of leaf index [i], served as one request window: the
+   faulting page plus up to [readahead] following pager-backed pages of
+   the VMA, through the leaf while it lasts, then through the per-page
+   helpers. In the leaf the window is a sequence of sub-runs of one
+   source each: own lazy entries, or template-backed pages outside every
+   munmap hole. A sub-run is found with one Pte scan, pulled page by
+   page, gathered (cookies or template frames) with one Pte pass and
+   installed in its final state with another ([Pte.fetched_run]):
+   readahead pages up to [hi] are the touch's own next pages, so they
+   count as readahead hits here and the walk resumes after the window.
+   A present page, a page with no pager source or a refused pull ends
+   the window. A failed faulting page leaves its entry (and a missing
+   leaf) as it was, after its fault_base and request tallies. Returns
+   the leaf index to resume at. *)
+let major_fault w pg ~i ~hi =
   let t = w.space in
   w.deferred_faults <- w.deferred_faults + 1;
   w.requests <- w.requests + 1;
   let req = new_request pg in
-  let frame = pull t pg req src in
-  if frame < 0 then raise (Fault_stop `Out_of_memory);
-  let leaf = writable w in
-  leaf.(i) <- Pte.make ~frame ~perm:w.rperm ();
-  let resolved = ref (if Pte.lazy_ src then 1 else 0) in
   let stop = min w.rlast (w.base + i + pg.readahead) in
   let last = min (stop - w.base) (Addr.entries_per_table - 1) in
-  let j = ref (i + 1) and cut = ref false in
+  let j = ref i and cut = ref false in
   while (not !cut) && !j <= last do
-    let pte = leaf.(!j) in
-    let src = if Pte.present pte then Pte.absent else source_at w !j ~pte in
-    let frame = if src = Pte.absent then -1 else pull t pg req src in
-    if frame < 0 then cut := true
+    let lo = !j in
+    let lazy_end = Pte.lazy_run_end w.leaf ~lo ~hi:last in
+    let own = lazy_end > lo in
+    let e =
+      if own then lazy_end
+      else
+        let hole_free =
+          unholed ~vpn:(w.base + lo) ~last:(w.base + last) t.backing_holes
+        in
+        Pte.backed_run_end ~own:w.leaf ~back:w.back ~lo ~hi:(hole_free - w.base)
+    in
+    if e = lo then cut := true
     else begin
-      leaf.(!j) <- Pte.mark_prefetched (Pte.make ~frame ~perm:w.rperm ());
-      if Pte.lazy_ src then incr resolved;
-      incr j
+      let frames = if own then req.targets else req.dsts in
+      let at = if own then req.images else req.backed in
+      let m = pull_run t pg frames ~at ~k:0 ~n:(e - lo) in
+      if m = 0 && lo = i then raise (Fault_stop `Out_of_memory);
+      if m > 0 then begin
+        let leaf = writable w in
+        if own then begin
+          Pte.sources_of_run leaf ~lo ~n:m ~dst:req.cookies ~at;
+          req.images <- at + m;
+          Page_table.note_resolved t.pt m
+        end
+        else begin
+          Pte.sources_of_run w.back ~lo ~n:m ~dst:req.srcs ~at;
+          req.backed <- at + m
+        end;
+        Pte.fetched_run leaf ~at:lo ~frames ~off:at ~n:m ~perm:w.rperm ~fault:i
+          ~hi;
+        Page_table.note_mapped t.pt m
+      end;
+      j := lo + m;
+      if m < e - lo then cut := true
     end
   done;
-  Page_table.note_mapped t.pt (!j - i);
-  Page_table.note_resolved t.pt !resolved;
   if (not !cut) && stop > w.base + last then
     readahead_pages t pg req ~perm:w.rperm ~v0:(w.base + last + 1) ~stop;
   submit t pg req;
-  w.pages <- w.pages + 1
+  let touched = min !j (hi + 1) - i in
+  w.hits <- w.hits + touched - 1;
+  w.pages <- w.pages + touched;
+  !j
 
 (* The COW break of leaf indices [i, j), a run of present read-only COW
    entries: [break_cow]'s transitions page by page, in one Frame call
@@ -754,8 +804,8 @@ let zero_run_end w ~i ~hi =
 
 (* Write-touch indices [lo, hi] of the leaf at [base]: the same per-page
    transitions, in the same ascending order, as [fault ~write:true]. A
-   run of COW pages breaks, and a run of demand-zero pages is filled, in
-   one batch. *)
+   run of COW pages breaks, a run of demand-zero pages is filled, and a
+   major fault's request window is served, in one batch. *)
 let touch_leaf w ~base ~lo ~hi =
   w.base <- base;
   w.leaf <- Page_table.find_leaf w.space.pt ~vpn:base;
@@ -786,10 +836,7 @@ let touch_leaf w ~base ~lo ~hi =
     end
     else begin
       let src = source_at w !i ~pte in
-      if src <> Pte.absent then begin
-        major_fault w (pager_of w.space) ~i:!i ~src;
-        incr i
-      end
+      if src <> Pte.absent then i := major_fault w (pager_of w.space) ~i:!i ~hi
       else begin
         let j = zero_run_end w ~i:(!i + 1) ~hi in
         zero_fill w ~i:!i ~n:(j - !i);

@@ -161,9 +161,15 @@ val touch_range : t -> addr:int -> len:int -> (int, fault_error) result
 (** Write-touch every page of the range; returns the number of pages
     touched. Stops at the first fault error. Leaves exactly the state,
     charges and hook calls of {!touch} on each page in turn; a batched
-    space gets there in one pass per leaf, demand-paged pages included:
-    a major fault serves its whole request in the cached leaf, and each
-    category's charges are summed into one charge per call. *)
+    space gets there in one pass per leaf, demand-paged pages included,
+    and each category's charges are summed into one charge per call.
+    A major fault serves its request window (the faulting page and its
+    readahead) as runs of one page source each, consulting [deny] and
+    the frame allocator once per pulled page in page order, and writes
+    each page's final state at once: the faulting page plain, the
+    readahead pages the range reaches accessed and dirty (each a
+    readahead hit), the rest prefetched. The walk resumes after the
+    window. *)
 
 val read_bytes : t -> addr:int -> len:int -> (string, fault_error) result
 (** Read [len] bytes from [addr]. Each page faults ([~write:false]) at

@@ -72,6 +72,9 @@ let mark_failed t id =
 
 let event_of_child t pid = Hashtbl.find_opt t.by_child pid
 
+(* Entered once per pager request and once per batched-touch flush, so
+   the restore is a plain match: [Fun.protect] would allocate its
+   closures on every entry. *)
 let with_context t ~id which f =
   let saved = t.target in
   (t.target <-
@@ -79,7 +82,14 @@ let with_context t ~id which f =
      | None, _ -> t.unattributed
      | Some ev, Sync -> ev.sync
      | Some ev, Deferred -> ev.deferred);
-  Fun.protect ~finally:(fun () -> t.target <- saved) f
+  match f () with
+  | v ->
+    t.target <- saved;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.target <- saved;
+    Printexc.raise_with_backtrace e bt
 
 let events t =
   Hashtbl.fold (fun _ ev acc -> ev :: acc) t.events []

@@ -58,7 +58,9 @@ val with_context : t -> id:int -> kind -> (unit -> 'a) -> 'a
 (** [with_context t ~id kind f] runs [f] with charges attributed to
     event [id]'s [kind] bucket (unattributed if [id] is unknown), picked
     once on entry; restores the previous context on exit (also on
-    exception). Contexts nest by shadowing. *)
+    exception, which it re-raises). Contexts nest by shadowing. The
+    restore allocates no cleanup closure: a batched touch enters once
+    per pager request and once per flush. *)
 
 val find : t -> int -> event option
 

@@ -90,6 +90,16 @@ let new_inner () =
 let create ~frames =
   { frames; root = new_inner (); present = 0; lazy_ = 0; nodes = 1 }
 
+(* The root of a cleared table. [clear] releases every node and leaves
+   this in place of a fresh root (both of its callers drop the table at
+   once), so a later walk of the dropped table fails here instead of
+   reading leaves whose arrays have gone back to the stack. *)
+let dropped = Inner { refs = 0; children = [||] }
+
+let root t =
+  if t.root == dropped then invalid_arg "Page_table: walk of a cleared table";
+  t.root
+
 let check_vpn vpn =
   if vpn < 0 || vpn >= Addr.max_va lsr Addr.page_shift then
     invalid_arg "Page_table: vpn out of range"
@@ -150,7 +160,7 @@ let rec walk_ro node level vpn =
    logical pages, so creation bumps it exactly like the eager walk).
    The leaf reached is no longer clean. *)
 let leaf_for_write t vpn ~create_missing =
-  let root = privatize t.frames t.root in
+  let root = privatize t.frames (root t) in
   t.root <- root;
   let rec go node level =
     match node with
@@ -202,11 +212,11 @@ let unmap t ~vpn =
 
 let lookup t ~vpn =
   check_vpn vpn;
-  entry (walk_ro t.root (Addr.levels - 1) vpn) (Addr.table_index ~level:0 vpn)
+  entry (walk_ro (root t) (Addr.levels - 1) vpn) (Addr.table_index ~level:0 vpn)
 
 let find_leaf t ~vpn =
   check_vpn vpn;
-  walk_ro t.root (Addr.levels - 1) vpn
+  walk_ro (root t) (Addr.levels - 1) vpn
 
 let writable_leaf t ~vpn =
   check_vpn vpn;
@@ -254,7 +264,7 @@ let fold_entries t ~keep ~init ~f =
       done;
       !acc
   in
-  go t.root 0 init
+  go (root t) 0 init
 
 let fold_present t ~init ~f = fold_entries t ~keep:Pte.present ~init ~f
 let fold_lazy t ~init ~f = fold_entries t ~keep:Pte.lazy_ ~init ~f
@@ -277,7 +287,7 @@ let fold_leaves t ~vpn0 ~vpn1 ~init ~missing ~leaf =
       if base + Addr.entries_per_table - 1 > vpn1 then vpn1 - base
       else Addr.entries_per_table - 1
     in
-    let entries = walk_ro t.root (Addr.levels - 1) base in
+    let entries = walk_ro (root t) (Addr.levels - 1) base in
     (if Array.length entries > 0 then
        let writable () = leaf_for_write t base ~create_missing:false in
        acc := leaf !acc ~base ~entries ~lo ~hi ~writable
@@ -442,7 +452,7 @@ let clone_cow t ~cost =
       done;
       Inner { refs = 1; children = dst }
   in
-  let root = copy t.root in
+  let root = copy (root t) in
   { t with root; present = !present; lazy_ = !lazies; nodes = !nodes }
 
 (* The fork transform a PTE undergoes during {!clone_cow} followed by
@@ -544,7 +554,7 @@ let share t ~cost ~shared ~pin =
           go child (level - 1) ((vpn_prefix lsl Addr.index_bits) lor idx)
       done
   in
-  go t.root (Addr.levels - 1) 0;
+  go (root t) (Addr.levels - 1) 0;
   alias t
 
 let clone_cow_shared t ~cost ~shared = share t ~cost ~shared ~pin:false
@@ -559,7 +569,7 @@ let seal t ~cost ~shared = share t ~cost ~shared ~pin:true
 let clone_sealed t ~cost =
   let p = Cost.params cost in
   let subtrees =
-    match t.root with
+    match root t with
     | Leaf _ -> 1
     | Inner i ->
       Array.fold_left
@@ -571,7 +581,7 @@ let clone_sealed t ~cost =
   (alias t, subtrees)
 
 let clear t =
-  let dropped = t.present in
+  let present = t.present in
   (* Drop this table's reference on every node, in ascending vpn order.
      A leaf that loses its last reference drops its frames' references
      ([Frame.decref_many] per leaf), so frames are freed in the order a
@@ -590,12 +600,12 @@ let clear t =
       if i.refs = 0 then
         Array.iter (function None -> () | Some c -> release c) i.children
   in
-  release t.root;
-  t.root <- new_inner ();
+  release (root t);
+  t.root <- dropped;
   t.present <- 0;
   t.lazy_ <- 0;
-  t.nodes <- 1;
-  dropped
+  t.nodes <- 0;
+  present
 
 (* A resident page is exclusively this table's when no node above it is
    shared and no other leaf maps its frame; shared subtrees that map no
@@ -617,7 +627,7 @@ let sole_owner t =
       let shared = shared || i.refs > 1 in
       Array.for_all (function None -> true | Some c -> go shared c) i.children
   in
-  go false t.root
+  go false (root t)
 
 (* Leaves by identity: a leaf's entry array is its own, never shared
    between two leaf records, and sits in the free stack only once its
@@ -663,7 +673,7 @@ let check_frames frames tables =
                     (1 + Option.value ~default:0 (Hashtbl.find_opt mapped f)))
               entries
           end)
-        t.root)
+        (root t))
     tables;
   let bad =
     Hashtbl.fold

@@ -180,7 +180,13 @@ val clear : t -> int
     down a fork child that wrote a few pages touches only the leaves it
     privatised. A released leaf's array goes back to the machine's
     stack, for the next leaf any of its tables makes. Used by exec and
-    process teardown. *)
+    process teardown, and by an eager clone's rollback.
+
+    The table is dropped, not emptied: its counts read 0, and any later
+    operation that walks it ({!lookup}, {!map}, the folds and range
+    operations, the clones, {!clear} itself, {!sole_owner}, {!audit})
+    raises [Invalid_argument] rather than reach a leaf whose array may
+    already serve another table. *)
 
 val sole_owner : t -> bool
 (** True when this table alone maps each of its resident pages: no

@@ -147,3 +147,62 @@ let lazy_blit_run ~cookie0 ~stride ~n ~perm dst ~at =
         (template lor ((cookie0 + (k * stride)) lsl frame_shift))
     done
   end
+
+(* The run helpers of a pager request window. An empty array reads as
+   all-absent entries, like a missing leaf's view. *)
+
+let lazy_run_end src ~lo ~hi =
+  if Array.length src = 0 then lo
+  else begin
+    if lo < 0 || hi >= Array.length src then invalid_arg "Pte.lazy_run_end";
+    let i = ref lo in
+    while
+      !i <= hi && Array.unsafe_get src !i land (bit_present lor bit_lazy) = bit_lazy
+    do
+      incr i
+    done;
+    !i
+  end
+
+let backed_run_end ~own ~back ~lo ~hi =
+  if Array.length back = 0 then lo
+  else begin
+    if lo < 0 || hi >= Array.length back
+       || (Array.length own > 0 && hi >= Array.length own)
+    then invalid_arg "Pte.backed_run_end";
+    let i = ref lo in
+    if Array.length own = 0 then
+      while !i <= hi && Array.unsafe_get back !i land bit_present <> 0 do
+        incr i
+      done
+    else
+      while
+        !i <= hi
+        && Array.unsafe_get own !i land (bit_present lor bit_lazy) = 0
+        && Array.unsafe_get back !i land bit_present <> 0
+      do
+        incr i
+      done;
+    !i
+  end
+
+let sources_of_run src ~lo ~n ~dst ~at =
+  if n < 0 || lo < 0 || lo + n > Array.length src || at < 0
+     || at + n > Array.length dst
+  then invalid_arg "Pte.sources_of_run";
+  for k = 0 to n - 1 do
+    Array.unsafe_set dst (at + k) (Array.unsafe_get src (lo + k) lsr frame_shift)
+  done
+
+let fetched_run dst ~at ~frames ~off ~n ~perm ~fault ~hi =
+  if n < 0 || at < 0 || at + n > Array.length dst || off < 0
+     || off + n > Array.length frames
+  then invalid_arg "Pte.fetched_run";
+  let plain = make ~frame:0 ~perm () in
+  let touched = plain lor bit_accessed lor bit_dirty in
+  let prefetched = plain lor bit_lazy in
+  for k = 0 to n - 1 do
+    let i = at + k in
+    let bits = if i = fault then plain else if i <= hi then touched else prefetched in
+    Array.unsafe_set dst i (bits lor (Array.unsafe_get frames (off + k) lsl frame_shift))
+  done

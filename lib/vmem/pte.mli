@@ -99,3 +99,38 @@ val lazy_blit_run :
     [dst.(at + k)] for [k < n], building no cookie array.
     @raise Invalid_argument on out-of-bounds slices or a negative
     [cookie0] or [stride]. *)
+
+(** {2 A pager request window}
+
+    A major fault serves its window (the faulting page and the
+    readahead after it) as sub-runs of one page source each: find the
+    run, pull its frames, gather its sources, write its entries. An
+    empty array reads as all-absent entries, like a missing leaf's
+    view. *)
+
+val lazy_run_end : t array -> lo:int -> hi:int -> int
+(** The end of the run of lazy entries of [src.(lo..hi)] that starts at
+    [lo]: the first index from [lo] whose entry is not lazy, or
+    [hi + 1]. *)
+
+val backed_run_end : own:t array -> back:t array -> lo:int -> hi:int -> int
+(** The end of the run from [lo] of pages that a template backs: absent
+    (neither present nor lazy) in [own] and present in [back]. The first
+    index from [lo] that is not one, or [hi + 1]. *)
+
+val sources_of_run : t array -> lo:int -> n:int -> dst:int array -> at:int -> unit
+(** [sources_of_run src ~lo ~n ~dst ~at] writes the frame field of
+    [src.(lo + k)] into [dst.(at + k)] for [k < n]: a lazy entry's
+    {!cookie}, a present entry's {!frame}.
+    @raise Invalid_argument on out-of-bounds slices. *)
+
+val fetched_run :
+  t array -> at:int -> frames:Frame.frame array -> off:int -> n:int ->
+  perm:Perm.t -> fault:int -> hi:int -> unit
+(** Install the [n] pages a request pulled into [dst.(at..at+n-1)],
+    page [at + k] on frame [frames.(off + k)], each in the state a
+    per-page walk of a write touch up to index [hi] leaves it:
+    [make ~frame ~perm ()] at index [fault] (the faulting page), also
+    accessed and dirty at the other indices up to [hi] (readahead pages
+    the touch reaches, each a readahead hit), {!mark_prefetched} past
+    [hi]. @raise Invalid_argument on out-of-bounds slices. *)

@@ -1,17 +1,17 @@
 (* Host cost per doubling of what a workload scales.
 
    Each row boots a machine whose size is one count [n] (parked
-   readers, served connections, created threads) and measures the host
-   words the boot allocates. Words are deterministic for a fixed input
+   readers, served connections, created threads, lazy image pages) and
+   measures the host words the boot allocates. Words are deterministic for a fixed input
    and compiler, so tier-1 can bound the growth tightly: a boot at 2n
    may allocate at most 2.2x the words of a boot at n. A cost that is
    linear in n, plus a fixed part, stays under 2; one that visits every
    parked thread after every scheduling round grows about 4x.
 
    [test_scaling.exe wall] is the CI perf job's wall-clock check of the
-   parked axes: for each, it doubles n until the median of 3 boots takes
-   50 ms, then prints the ratio of the medians at 2n and n, and fails
-   above 3x. *)
+   parked axes and the lazy-page axis: for each, it doubles n until the
+   median of 3 boots takes 50 ms, then prints the ratio of the medians
+   at 2n and n, and fails above 3x. *)
 
 let ok what = function
   | Ok v -> v
@@ -65,16 +65,45 @@ let threads n () =
     ignore (ok "thread" (Ksim.Api.thread_create (fun () -> ())))
   done
 
-let boot body n =
+(* A demand-paged worker whose n-page data image exec maps lazily. It
+   touches the image in one sequential touch (stride 1), or one page in
+   every [stride], a touch each: with readahead 8 and stride 4, two
+   touches in three land on a page an earlier request left prefetched. *)
+let lazy_worker ~stride n =
+  let page = Vmem.Addr.page_size in
+  let data = Ksim.Kernel.image_base + (64 * 1024) in
+  Ksim.Program.make ~text_kib:64 ~data_kib:(n * page / 1024)
+    ~name:(Printf.sprintf "/lazy-%d" stride)
+    (fun ~argv:_ () ->
+      if stride = 1 then ignore (ok "touch" (Ksim.Api.touch ~addr:data ~len:(n * page)))
+      else
+        for k = 0 to (n - 1) / stride do
+          ignore (ok "touch" (Ksim.Api.touch ~addr:(data + (k * stride * page)) ~len:page))
+        done)
+
+let lazy_strides = [ 1; 4 ]
+
+(* init spawns each lazy worker in turn and waits for it. *)
+let lazy_pages _ () =
+  List.iter
+    (fun stride ->
+      let pid = ok "spawn" (Ksim.Api.spawn (Printf.sprintf "/lazy-%d" stride)) in
+      match ok "wait" (Ksim.Api.wait_for pid) with
+      | Ksim.Types.Exited 0 -> ()
+      | st -> failwith (Format.asprintf "lazy worker: %a" Ksim.Types.pp_status st))
+    lazy_strides
+
+let boot ?(tune = Fun.id) ?(programs = []) body n =
   let config =
-    {
-      Ksim.Kernel.default_config with
-      Ksim.Kernel.aslr = false;
-      max_fds = (4 * n) + 16;
-    }
+    tune
+      {
+        Ksim.Kernel.default_config with
+        Ksim.Kernel.aslr = false;
+        max_fds = (4 * n) + 16;
+      }
   in
   let init = Ksim.Program.make ~name:"/sbin/init" (fun ~argv:_ -> body n) in
-  match Ksim.Kernel.boot ~config ~programs:[ init ] "/sbin/init" with
+  match Ksim.Kernel.boot ~config ~programs:(init :: programs) "/sbin/init" with
   | Ok (_, Ksim.Kernel.All_exited) -> ()
   | Ok (_, o) -> failwith (Format.asprintf "outcome %a" Ksim.Kernel.pp_outcome o)
   | Error _ -> failwith "boot failed"
@@ -84,28 +113,44 @@ let words f =
   f ();
   Gc.minor_words () -. w0
 
+(* Demand paging with the pager readahead of the demand-warm workload,
+   and memory for both workers' images. *)
+let lazy_image n =
+  boot
+    ~tune:(fun c ->
+      {
+        c with
+        Ksim.Kernel.demand_paging = true;
+        pager_readahead = 8;
+        phys_pages = 65_536 + (2 * n);
+      })
+    ~programs:(List.map (fun stride -> lazy_worker ~stride n) lazy_strides)
+    lazy_pages n
+
+(* (name, boot at size n, whether the CI wall check times it) *)
 let rows =
   [
-    ("readers parked on one pipe, woken a byte at a time", herd, true);
-    ("connections served one at a time by one accept loop", served, true);
-    ("threads created, then returning", threads, false);
+    ("readers parked on one pipe, woken a byte at a time", boot herd, true);
+    ("connections served one at a time by one accept loop", boot served, true);
+    ("threads created, then returning", boot threads, false);
+    ("lazy image pages touched sequentially and every fourth page", lazy_image, true);
   ]
 
 let n = 1000
 
-let test_words body () =
-  let w1 = words (fun () -> boot body n) in
-  let w2 = words (fun () -> boot body (2 * n)) in
+let test_words run () =
+  let w1 = words (fun () -> run n) in
+  let w2 = words (fun () -> run (2 * n)) in
   let ratio = w2 /. w1 in
   if ratio > 2.2 then
     Alcotest.failf "words grew %.2fx from n=%d (%.0f) to 2n (%.0f)" ratio n w1 w2
 
 (* Median of 3 boots' wall time, each from a compacted heap. *)
-let wall body n =
+let wall run n =
   let once () =
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
-    boot body n;
+    run n;
     Unix.gettimeofday () -. t0
   in
   match List.sort compare [ once (); once (); once () ] with
@@ -115,14 +160,14 @@ let wall body n =
 let wall_check () =
   let bad = ref false in
   List.iter
-    (fun (name, body, parked) ->
-      if parked then begin
+    (fun (name, run, timed) ->
+      if timed then begin
         let rec size n =
-          let t = wall body n in
+          let t = wall run n in
           if t >= 0.05 then (n, t) else size (2 * n)
         in
         let n, t1 = size 1000 in
-        let t2 = wall body (2 * n) in
+        let t2 = wall run (2 * n) in
         let ratio = t2 /. t1 in
         Printf.printf "%s: n=%d %.3f s, 2n %.3f s, x%.2f per doubling\n" name n t1 t2 ratio;
         if ratio > 3.0 then bad := true
@@ -137,5 +182,5 @@ let () =
     Alcotest.run "scaling"
       [
         ( "words per doubling",
-          List.map (fun (name, body, _) -> Alcotest.test_case name `Quick (test_words body)) rows );
+          List.map (fun (name, run, _) -> Alcotest.test_case name `Quick (test_words run)) rows );
       ]

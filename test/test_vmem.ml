@@ -324,7 +324,12 @@ let test_pt_clear () =
   done;
   check_int "dropped" 5 (Vmem.Page_table.clear pt);
   check_int "all freed" 0 (Vmem.Frame.used fr);
-  check_int "empty" 0 (Vmem.Page_table.present_count pt)
+  check_int "empty" 0 (Vmem.Page_table.present_count pt);
+  (* the table is dropped: a later walk fails instead of reading a leaf
+     whose array went back to the machine's stack *)
+  Alcotest.check_raises "walk after clear"
+    (Invalid_argument "Page_table: walk of a cleared table") (fun () ->
+      ignore (Vmem.Page_table.lookup pt ~vpn:0))
 
 let prop_pt_map_unmap =
   QCheck.Test.make ~count:100 ~name:"page table: present_count tracks ops"
@@ -1055,6 +1060,77 @@ type oracle_space = {
   upcalls : upcall list ref;
 }
 
+(* One side of a batched-vs-per-page comparison: a machine of [frames]
+   frames, a space whose Blame ledger has a fork event as its sharing
+   origin, and a recording pager. [deny] is the pager's fault-injection
+   hook and [deny_alloc] the frame allocator's, if any. *)
+let oracle_make ~batched ~frames ~policy ~readahead ~deny ~deny_alloc =
+  let fr = Vmem.Frame.create ~policy ~frames () in
+  let cost = Vmem.Cost.create () in
+  let blame = Vmem.Blame.create () in
+  Vmem.Cost.set_observer cost (Some (Vmem.Blame.on_cost blame));
+  let tlb = Vmem.Tlb.create cost in
+  let a = Vmem.Addr_space.create ~batched ~blame ~frames:fr ~cost ~tlb () in
+  Vmem.Addr_space.set_blame_origin a
+    (Vmem.Blame.new_event blame ~style:"fork" ~parent:1);
+  Vmem.Frame.set_deny_alloc fr deny_alloc;
+  let upcalls = ref [] in
+  let pairs xs ys n = List.init n (fun k -> (xs.(k), ys.(k))) in
+  (* fetch costs are integer-valued so batching cannot round
+     differently *)
+  Vmem.Addr_space.set_pager a
+    (Some
+       {
+         Vmem.Addr_space.fetch =
+           (fun cost ~cookies ~frames ~n ->
+             upcalls := U_image (pairs cookies frames n) :: !upcalls;
+             Vmem.Cost.charge ~n cost Pager_fetch_image
+               (100.0 *. float_of_int n));
+         fetch_backing =
+           (fun cost ~src ~dst ~n ->
+             upcalls := U_backing (pairs src dst n) :: !upcalls;
+             Vmem.Cost.charge ~n cost Pager_fetch_template
+               (60.0 *. float_of_int n);
+             for k = 0 to n - 1 do
+               Vmem.Frame.copy_contents fr ~src:src.(k) ~dst:dst.(k)
+             done);
+         deny;
+         readahead;
+       });
+  { fr; cost; blame; a; child = ref None; lazy_child = ref None;
+    templates = ref []; upcalls }
+
+(* What the two sides must agree on: cost breakdown with event counts,
+   every Blame bucket, frame accounting, the tables of the space and of
+   its latest children (PTE bits included), and the pager's upcalls. *)
+let oracle_state sp =
+  let ptes a =
+    Vmem.Addr_space.fold_resident a ~init:[] ~f:(fun acc ~vpn ~pte ->
+        (vpn, pte) :: acc)
+  in
+  let lazies a =
+    Vmem.Addr_space.fold_lazy a ~init:[] ~f:(fun acc ~vpn ~pte ->
+        (vpn, pte) :: acc)
+  in
+  let space a =
+    ( ( Vmem.Addr_space.resident_pages a,
+        Vmem.Addr_space.pt_nodes a,
+        Vmem.Addr_space.vma_count a,
+        Vmem.Addr_space.lazy_pages a ),
+      (ptes a, lazies a) )
+  in
+  ( Vmem.Cost.total sp.cost,
+    Vmem.Cost.entries sp.cost,
+    List.map
+      (fun (ev : Vmem.Blame.event) ->
+        (ev.id, Vmem.Cost.entries ev.sync, Vmem.Cost.entries ev.deferred))
+      (Vmem.Blame.events sp.blame),
+    (Vmem.Frame.used sp.fr, Vmem.Frame.committed sp.fr),
+    space sp.a,
+    Option.map space !(sp.child),
+    Option.map space !(sp.lazy_child),
+    !(sp.upcalls) )
+
 let prop_batched_oracle =
   let perm_of = [| Vmem.Perm.r; Vmem.Perm.rw; Vmem.Perm.rwx |] in
   let show_fault = function
@@ -1067,81 +1143,24 @@ let prop_batched_oracle =
     (QCheck.make gen_oracle_scenario)
     (fun ((ops, small_phys, overcommit), (readahead, inject, seed)) ->
       let make batched =
-        let fr =
-          Vmem.Frame.create
-            ~policy:(if overcommit then Vmem.Frame.Overcommit else Vmem.Frame.Strict)
-            ~frames:(if small_phys then 48 else 4096)
-            ()
-        in
-        let cost = Vmem.Cost.create () in
-        let blame = Vmem.Blame.create () in
-        Vmem.Cost.set_observer cost (Some (Vmem.Blame.on_cost blame));
-        let tlb = Vmem.Tlb.create cost in
-        let a = Vmem.Addr_space.create ~batched ~blame ~frames:fr ~cost ~tlb () in
-        Vmem.Addr_space.set_blame_origin a
-          (Vmem.Blame.new_event blame ~style:"fork" ~parent:1);
-        (* both deny hooks draw from one stream per space, as Ksim.Fault's
-           triggers do, at different rates: consulting them in another
-           order, or a different number of times, moves later failures *)
+        (* with injection, both deny hooks draw from one stream per
+           space, as Ksim.Fault's triggers do, at different rates:
+           consulting them in another order, or a different number of
+           times, moves later failures. Without it the pager never
+           refuses and the frame allocator has no hook, as in a kernel
+           without a fault schedule, so demand fills take
+           [Frame.alloc_upto]'s unhooked path *)
         let rng = Prng.Splitmix.create ~seed in
-        let draw p = inject && Prng.Splitmix.float rng < p in
-        Vmem.Frame.set_deny_alloc fr (Some (fun () -> draw 0.02));
-        let upcalls = ref [] in
-        let pairs xs ys n = List.init n (fun k -> (xs.(k), ys.(k))) in
-        (* a recording pager: fetch costs are integer-valued so batching
-           cannot round differently *)
-        Vmem.Addr_space.set_pager a
-          (Some
-             {
-               Vmem.Addr_space.fetch =
-                 (fun cost ~cookies ~frames ~n ->
-                   upcalls := U_image (pairs cookies frames n) :: !upcalls;
-                   Vmem.Cost.charge ~n cost Pager_fetch_image
-                     (100.0 *. float_of_int n));
-               fetch_backing =
-                 (fun cost ~src ~dst ~n ->
-                   upcalls := U_backing (pairs src dst n) :: !upcalls;
-                   Vmem.Cost.charge ~n cost Pager_fetch_template
-                     (60.0 *. float_of_int n);
-                   for k = 0 to n - 1 do
-                     Vmem.Frame.copy_contents fr ~src:src.(k) ~dst:dst.(k)
-                   done);
-               deny = (fun () -> draw 0.1);
-               readahead;
-             });
-        { fr; cost; blame; a; child = ref None; lazy_child = ref None;
-          templates = ref []; upcalls }
+        let draw p () = Prng.Splitmix.float rng < p in
+        oracle_make ~batched
+          ~frames:(if small_phys then 48 else 4096)
+          ~policy:(if overcommit then Vmem.Frame.Overcommit else Vmem.Frame.Strict)
+          ~readahead
+          ~deny:(if inject then draw 0.1 else fun () -> false)
+          ~deny_alloc:(if inject then Some (draw 0.02) else None)
       in
       let fast = make true in
       let slow = make false in
-      let ptes a =
-        Vmem.Addr_space.fold_resident a ~init:[] ~f:(fun acc ~vpn ~pte ->
-            (vpn, pte) :: acc)
-      in
-      let lazies a =
-        Vmem.Addr_space.fold_lazy a ~init:[] ~f:(fun acc ~vpn ~pte ->
-            (vpn, pte) :: acc)
-      in
-      let space a =
-        ( ( Vmem.Addr_space.resident_pages a,
-            Vmem.Addr_space.pt_nodes a,
-            Vmem.Addr_space.vma_count a,
-            Vmem.Addr_space.lazy_pages a ),
-          (ptes a, lazies a) )
-      in
-      let state sp =
-        ( Vmem.Cost.total sp.cost,
-          Vmem.Cost.entries sp.cost,
-          List.map
-            (fun (ev : Vmem.Blame.event) ->
-              (ev.id, Vmem.Cost.entries ev.sync, Vmem.Cost.entries ev.deferred))
-            (Vmem.Blame.events sp.blame),
-          (Vmem.Frame.used sp.fr, Vmem.Frame.committed sp.fr),
-          space sp.a,
-          Option.map space !(sp.child),
-          Option.map space !(sp.lazy_child),
-          !(sp.upcalls) )
-      in
       let origin sp style =
         Vmem.Blame.new_event sp.blame ~style ~parent:1
       in
@@ -1271,7 +1290,7 @@ let prop_batched_oracle =
           if rf <> rs then
             Alcotest.failf "op %d: result mismatch (batched %s, oracle %s)" i
               rf rs;
-          if state fast <> state slow then
+          if oracle_state fast <> oracle_state slow then
             Alcotest.failf "op %d (%s): state diverged" i rf;
           audit_ok (Printf.sprintf "op %d (%s), batched" i rf) (live fast);
           audit_ok (Printf.sprintf "op %d (%s), oracle" i rs) (live slow))
@@ -1285,6 +1304,162 @@ let prop_batched_oracle =
       in
       let uf = finish fast and us = finish slow in
       uf = us && uf = (0, 0))
+
+(* ------------------------------------------------------------------ *)
+(* Directed request windows: a major fault serves the faulting page and
+   its readahead as one window of sub-runs. Each scenario runs on a
+   batched space and on its per-page twin, which must agree after every
+   step ([oracle_state]: PTEs, upcalls, cost entries, Blame buckets). *)
+
+(* Run [steps] on both twins, each side's pager refusing when the hook
+   [deny ()] makes for it says so. Returns the batched side and its
+   step results. *)
+let twin ?(deny = fun () () -> false) steps =
+  let make batched =
+    oracle_make ~batched ~frames:4096 ~policy:Vmem.Frame.Overcommit
+      ~readahead:8 ~deny:(deny ()) ~deny_alloc:None
+  in
+  let fast = make true and slow = make false in
+  let results =
+    List.mapi
+      (fun i step ->
+        let rf = step fast and rs = step slow in
+        if rf <> rs then Alcotest.failf "step %d: batched %s, per-page %s" i rf rs;
+        if oracle_state fast <> oracle_state slow then
+          Alcotest.failf "step %d (%s): state diverged" i rf;
+        rf)
+      steps
+  in
+  (fast, results)
+
+let show_result = function
+  | Ok _ -> "ok"
+  | Error _ -> "error"
+
+let touch_pages a ~addr ~pages =
+  match Vmem.Addr_space.touch_range a ~addr ~len:(pages * page) with
+  | Ok n -> Printf.sprintf "touch:%d" n
+  | Error _ -> "touch:error"
+
+let map_lazy_pages a ~addr ~pages =
+  show_result
+    (Vmem.Addr_space.map_lazy ~addr ~len:(pages * page) ~perm:Vmem.Perm.rw
+       ~kind:Vmem.Vma.Anon ~cookie0:0 ~stride:4 a)
+
+(* Resident pages, and how many of them readahead left untouched. *)
+let residency a =
+  let prefetched =
+    Vmem.Addr_space.fold_resident a ~init:0 ~f:(fun n ~vpn:_ ~pte ->
+        if Vmem.Pte.prefetched pte then n + 1 else n)
+  in
+  Printf.sprintf "resident:%d prefetched:%d" (Vmem.Addr_space.resident_pages a)
+    prefetched
+
+(* The upcalls, oldest first: each image upcall's size and first
+   cookie, each backing upcall's size. *)
+let upcall_shapes sp =
+  List.rev_map
+    (function
+      | U_image l -> Printf.sprintf "image:%d@%d" (List.length l) (fst (List.hd l))
+      | U_backing l -> Printf.sprintf "backing:%d" (List.length l))
+    !(sp.upcalls)
+
+let check_strings = Alcotest.(check (list string))
+
+(* A 40-page lazy VMA whose page 32 starts a new leaf. Touching pages
+   0-29 makes requests at 0, 9, 18 and 27, and the last one's readahead
+   runs through the leaf end to page 35; pages 30-35 stay prefetched
+   until the next touch reaches them. *)
+let test_window_crosses_leaf () =
+  let base a =
+    Vmem.Addr_space.mmap_base a + ((Vmem.Addr.entries_per_table - 32) * page)
+  in
+  let fast, results =
+    twin
+      [
+        (fun sp -> map_lazy_pages sp.a ~addr:(base sp.a) ~pages:40);
+        (fun sp -> touch_pages sp.a ~addr:(base sp.a) ~pages:30);
+        (fun sp -> residency sp.a);
+        (fun sp -> touch_pages sp.a ~addr:(base sp.a + (30 * page)) ~pages:10);
+        (fun sp -> residency sp.a);
+      ]
+  in
+  check_strings "steps"
+    [ "ok"; "touch:30"; "resident:36 prefetched:6"; "touch:10";
+      "resident:40 prefetched:0" ]
+    results;
+  check_strings "requests"
+    [ "image:9@0"; "image:9@36"; "image:9@72"; "image:9@108"; "image:4@144" ]
+    (upcall_shapes fast)
+
+(* The pager refuses its fourth consultation, page 3 of the first
+   window: that request gets pages 0-2, and the walk resumes at page 3
+   as the faulting page of the next. *)
+let test_window_refused_pull () =
+  let deny () =
+    let calls = ref 0 in
+    fun () ->
+      incr calls;
+      !calls = 4
+  in
+  let base a = Vmem.Addr_space.mmap_base a in
+  let fast, results =
+    twin ~deny
+      [
+        (fun sp -> map_lazy_pages sp.a ~addr:(base sp.a) ~pages:16);
+        (fun sp -> touch_pages sp.a ~addr:(base sp.a) ~pages:12);
+        (fun sp -> residency sp.a);
+      ]
+  in
+  check_strings "steps" [ "ok"; "touch:12"; "resident:12 prefetched:0" ] results;
+  check_strings "requests" [ "image:3@0"; "image:9@12" ] (upcall_shapes fast)
+
+(* A lazy-zygote child whose heap VMA holds its own lazy pages 2-4,
+   template-backed pages, and a munmap hole at page 9: the brk growth
+   re-covers the lazy mapping and the hole with one heap VMA. One
+   request's window runs from the lazy pages into the backed ones and
+   stops at the hole. *)
+let test_window_lazy_into_backed () =
+  let base a = Vmem.Addr_space.mmap_base a + (64 * page) in
+  let child sp = Option.get !(sp.lazy_child) in
+  let at sp k = base sp.a + (k * page) in
+  let fast, results =
+    twin
+      [
+        (fun sp ->
+          Vmem.Addr_space.set_heap_base sp.a (base sp.a);
+          show_result (Vmem.Addr_space.set_brk sp.a (at sp 16)));
+        (fun sp -> touch_pages sp.a ~addr:(base sp.a) ~pages:16);
+        (fun sp ->
+          let tpl = Vmem.Addr_space.seal sp.a in
+          sp.templates := [ tpl ];
+          match
+            Vmem.Addr_space.clone_from_sealed tpl
+              ~commit_pages:(Vmem.Addr_space.committed_pages sp.a)
+          with
+          | Ok (c, _) ->
+            Vmem.Addr_space.set_blame_origin c
+              (Vmem.Blame.new_event sp.blame ~style:"zygote" ~parent:1);
+            sp.lazy_child := Some c;
+            "zygote"
+          | Error _ -> "zygote:error");
+        (fun sp -> show_result (Vmem.Addr_space.munmap (child sp) ~addr:(at sp 2) ~len:(3 * page)));
+        (fun sp -> show_result (Vmem.Addr_space.munmap (child sp) ~addr:(at sp 9) ~len:page));
+        (fun sp -> map_lazy_pages (child sp) ~addr:(at sp 2) ~pages:3);
+        (fun sp -> show_result (Vmem.Addr_space.set_brk (child sp) (at sp 20)));
+        (fun sp -> Printf.sprintf "vmas:%d" (Vmem.Addr_space.vma_count (child sp)));
+        (fun sp -> touch_pages (child sp) ~addr:(at sp 2) ~pages:4);
+        (fun sp -> residency (child sp));
+        (fun sp -> touch_pages (child sp) ~addr:(at sp 6) ~pages:14);
+        (fun sp -> residency (child sp));
+      ]
+  in
+  check_strings "steps"
+    [ "ok"; "touch:16"; "zygote"; "ok"; "ok"; "ok"; "ok"; "vmas:1"; "touch:4";
+      "resident:7 prefetched:3"; "touch:14"; "resident:18 prefetched:0" ]
+    results;
+  check_strings "requests" [ "image:3@0"; "backing:4"; "backing:6" ]
+    (upcall_shapes fast)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let tc n f = Alcotest.test_case n `Quick f
@@ -1369,4 +1544,10 @@ let () =
         ] );
       qsuite "addr-space-props"
         [ prop_as_fork_refcounts; prop_cow_model; prop_batched_oracle ];
+      ( "pager-window",
+        [
+          tc "readahead crosses a leaf end" test_window_crosses_leaf;
+          tc "a refused pull cuts the window" test_window_refused_pull;
+          tc "lazy run into backed run, up to a hole" test_window_lazy_into_backed;
+        ] );
     ]
