@@ -251,8 +251,8 @@ val audit_frames : t list -> (unit, string) result
 (** {!Page_table.audit} over the tables of [spaces], which must share
     one {!Frame.t} (a lazy-zygote child's backing table included): each
     unpinned frame's refcount equals the number of distinct leaves
-    mapping it, every allocated frame is mapped, and no live leaf's
-    array sits in the machine's stack of released ones. Pass every live
+    mapping it, every allocated frame is mapped, and no live node's
+    array sits in the machine's stacks of released ones. Pass every live
     space of the machine, sealed templates included; a frame held only
     by a space left out reads as a leak. *)
 

@@ -36,10 +36,14 @@ val create : ?policy:policy -> frames:int -> unit -> t
     does not pay for the whole machine's memory.
     @raise Invalid_argument if [frames <= 0]. *)
 
-type spares = { mutable arrays : int array array; mutable top : int }
-(** The machine's stack of released page-table leaf arrays,
-    [arrays.(0 .. top-1)], which {!Page_table} pushes and pops: host
-    memory only, no simulated frame, and it dies with the machine. *)
+type 'a stack = { mutable arrays : 'a array array; mutable top : int }
+(** A stack of released arrays, [arrays.(0 .. top-1)]. *)
+
+type spares = { leaves : int stack; inners : Pt_node.t option stack }
+(** The machine's stacks of released page-table arrays, which
+    {!Page_table} pushes and pops: leaf arrays of packed PTEs, and inner
+    nodes' child arrays. Host memory only, no simulated frame, and they
+    die with the machine. *)
 
 val spares : t -> spares
 
@@ -154,11 +158,15 @@ val copy_contents : t -> src:frame -> dst:frame -> unit
 val unshare_many : t -> frame array -> int -> int
 (** [unshare_many t fs n] breaks the sharing of [fs.(0..n-1)] in order,
     one frame at a time: a frame whose {!refcount} is 1 is kept; any
-    other is replaced in [fs] by a fresh frame ({!take}, so the deny
-    hook is consulted once per replacement) holding a copy of its
+    other is replaced in [fs] by a fresh frame holding a copy of its
     contents, and loses one reference. Stops at the first replacement
-    {!take} refuses and returns how many frames it handled. This is the
-    per-page {!refcount} / {!take} / {!copy_contents} / {!decref}
-    sequence of a COW break, in one call: a write to a run of COW pages
-    needs no per-page call into this module.
-    @raise Invalid_argument like {!decref}, or on a bad [n]. *)
+    the deny hook or the machine refuses, and returns how many frames it
+    handled. Frame numbers, contents, counts, the deny hook's draws (one
+    per replacement, as {!take} makes them) and the stop point are those
+    of the per-page {!refcount} / {!take} / {!copy_contents} / {!decref}
+    sequence of a COW break. The call is one loop that makes those
+    transitions itself, calling no helper per frame except
+    {!copy_contents} for a frame that was ever written: a write to a run
+    of COW pages makes no per-page call into this module.
+    @raise Invalid_argument like {!copy_contents} on an unallocated
+    frame, or on a bad [n]. *)

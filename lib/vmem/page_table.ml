@@ -15,7 +15,7 @@
    until a table next writes to it, which only [leaf_for_write] does: a
    later fork pass would map every entry of a clean leaf to itself, so
    it skips the leaf. *)
-type node =
+type node = Pt_node.t =
   | Leaf of { mutable refs : int; mutable clean : bool; entries : int array }
       (** packed PTEs *)
   | Inner of { mutable refs : int; children : node option array }
@@ -32,63 +32,69 @@ type t = {
    and [entry] reads every index of it as absent. *)
 let no_leaf : int array = [||]
 
-(* Released leaf arrays, per machine ({!Frame.spares}). A leaf's array
-   is 513 words, above the minor heap's limit, so a fresh one is a
-   major-heap block that the collector must later mark and sweep;
-   [clear] gives a dead leaf's array back to its machine's stack and
-   every leaf constructor takes from there first. The stack never holds
-   more arrays than the machine's peak count of live leaves, and dies
-   with the machine. Slots at and above [top] hold [no_leaf]. *)
-let take_array frames =
-  let p = Frame.spares frames in
-  if p.top = 0 then Array.make Addr.entries_per_table Pte.absent
-  else begin
-    p.top <- p.top - 1;
-    let a = p.arrays.(p.top) in
-    p.arrays.(p.top) <- no_leaf;
-    a
-  end
+(* Released arrays, per machine ({!Frame.spares}). A leaf's array or an
+   inner node's child array is 513 words, above the minor heap's limit,
+   so a fresh one is a major-heap block that the collector must later
+   mark and sweep; [clear] gives a dead node's array back to its
+   machine's stack and every node constructor takes from there first.
+   A stack never holds more arrays than the machine's peak count of live
+   nodes of its kind, and dies with the machine. Slots at and above
+   [top] hold the empty array. *)
+let pop (s : _ Frame.stack) =
+  s.top <- s.top - 1;
+  let a = s.arrays.(s.top) in
+  s.arrays.(s.top) <- [||];
+  a
 
-let give_back frames entries =
-  let p = Frame.spares frames in
-  if p.top = Array.length p.arrays then begin
-    let grown = Array.make (max 64 (2 * p.top)) no_leaf in
-    Array.blit p.arrays 0 grown 0 p.top;
-    p.arrays <- grown
+let push (s : _ Frame.stack) a =
+  if s.top = Array.length s.arrays then begin
+    let grown = Array.make (max 64 (2 * s.top)) [||] in
+    Array.blit s.arrays 0 grown 0 s.top;
+    s.arrays <- grown
   end;
-  p.arrays.(p.top) <- entries;
-  p.top <- p.top + 1
+  s.arrays.(s.top) <- a;
+  s.top <- s.top + 1
+
+(* A released array holds what it held when its node died; a fresh one
+   is all-absent (all-[None]). *)
+let take_leaf frames =
+  let s = (Frame.spares frames).leaves in
+  if s.top = 0 then Array.make Addr.entries_per_table Pte.absent else pop s
+
+let take_inner frames =
+  let s = (Frame.spares frames).inners in
+  if s.top = 0 then Array.make Addr.entries_per_table None else pop s
 
 (* Typed loops: on an [int array] they compile to plain loads and
    stores, where [Array.fill] and [Array.blit] take the runtime's
-   generic path. A fresh array is already all-absent: only a recycled
-   one is filled. *)
+   generic path. On a child array every store pays the write barrier,
+   which the runtime's loop pays for less (a fill skips the slots
+   already [None]). A fresh array is already all-absent: only a
+   recycled one is filled. *)
 let new_leaf frames =
-  let entries =
-    if (Frame.spares frames).top = 0 then
-      Array.make Addr.entries_per_table Pte.absent
-    else begin
-      let entries = take_array frames in
-      for i = 0 to Addr.entries_per_table - 1 do
-        Array.unsafe_set entries i Pte.absent
-      done;
-      entries
-    end
-  in
+  let recycled = (Frame.spares frames).leaves.top > 0 in
+  let entries = take_leaf frames in
+  if recycled then
+    for i = 0 to Addr.entries_per_table - 1 do
+      Array.unsafe_set entries i Pte.absent
+    done;
   Leaf { refs = 1; clean = false; entries }
 
 let copy_leaf frames (src : int array) =
-  let entries = take_array frames in
+  let entries = take_leaf frames in
   for i = 0 to Addr.entries_per_table - 1 do
     Array.unsafe_set entries i (Array.unsafe_get src i)
   done;
   entries
 
-let new_inner () =
-  Inner { refs = 1; children = Array.make Addr.entries_per_table None }
+let new_inner frames =
+  let recycled = (Frame.spares frames).inners.top > 0 in
+  let children = take_inner frames in
+  if recycled then Array.fill children 0 Addr.entries_per_table None;
+  Inner { refs = 1; children }
 
 let create ~frames =
-  { frames; root = new_inner (); present = 0; lazy_ = 0; nodes = 1 }
+  { frames; root = new_inner frames; present = 0; lazy_ = 0; nodes = 1 }
 
 (* The root of a cleared table. [clear] releases every node and leaves
    this in place of a fresh root (both of its callers drop the table at
@@ -119,11 +125,6 @@ let leaf_frames frames entries f =
   f frames buf
     (Pte.frames_of_run entries ~lo:0 ~hi:(Addr.entries_per_table - 1) ~dst:buf)
 
-let rec iter_leaves f = function
-  | Leaf l -> f l.entries
-  | Inner i ->
-    Array.iter (function None -> () | Some c -> iter_leaves f c) i.children
-
 (* One more owner is about to write through [node]: give the caller a
    copy it owns exclusively. A leaf copy takes its own reference on
    every frame it maps; an inner copy's children keep their identity and
@@ -137,7 +138,8 @@ let privatize frames = function
     Leaf { refs = 1; clean = false; entries }
   | Inner i when i.refs > 1 ->
     i.refs <- i.refs - 1;
-    let children = Array.copy i.children in
+    let children = take_inner frames in
+    Array.blit i.children 0 children 0 Addr.entries_per_table;
     Array.iter (function None -> () | Some c -> bump c) children;
     Inner { refs = 1; children }
   | n -> n
@@ -177,7 +179,9 @@ let leaf_for_write t vpn ~create_missing =
       | None ->
         if not create_missing then no_leaf
         else begin
-          let child = if level = 1 then new_leaf t.frames else new_inner () in
+          let child =
+            if level = 1 then new_leaf t.frames else new_inner t.frames
+          in
           i.children.(idx) <- Some child;
           t.nodes <- t.nodes + 1;
           go child (level - 1)
@@ -411,7 +415,7 @@ let clone_cow t ~cost =
     Cost.charge cost Fork_pt_node p.Cost.pt_node_copy;
     match node with
     | Leaf l ->
-      let dst = take_array t.frames in
+      let dst = take_leaf t.frames in
       (* the downgrade below writes the parent's leaf in place *)
       l.clean <- false;
       for i = 0 to Addr.entries_per_table - 1 do
@@ -444,11 +448,12 @@ let clone_cow t ~cost =
       done;
       Leaf { refs = 1; clean = false; entries = dst }
     | Inner inner ->
-      let dst = Array.make Addr.entries_per_table None in
+      let dst = take_inner t.frames in
       for i = 0 to Addr.entries_per_table - 1 do
-        match inner.children.(i) with
-        | None -> ()
-        | Some child -> dst.(i) <- Some (copy child)
+        dst.(i) <-
+          (match inner.children.(i) with
+          | None -> None
+          | Some child -> Some (copy child))
       done;
       Inner { refs = 1; children = dst }
   in
@@ -585,20 +590,23 @@ let clear t =
   (* Drop this table's reference on every node, in ascending vpn order.
      A leaf that loses its last reference drops its frames' references
      ([Frame.decref_many] per leaf), so frames are freed in the order a
-     per-page walk would free them, and gives its array back to the
-     machine's stack; nodes still shared with a clone survive under the
-     other table, references and all. *)
+     per-page walk would free them; a node that loses its last
+     reference gives its array back to the machine's stack once its
+     children are released. Nodes still shared with a clone survive
+     under the other table, references and all. *)
   let rec release = function
     | Leaf l ->
       l.refs <- l.refs - 1;
       if l.refs = 0 then begin
         leaf_frames t.frames l.entries Frame.decref_many;
-        give_back t.frames l.entries
+        push (Frame.spares t.frames).leaves l.entries
       end
     | Inner i ->
       i.refs <- i.refs - 1;
-      if i.refs = 0 then
-        Array.iter (function None -> () | Some c -> release c) i.children
+      if i.refs = 0 then begin
+        Array.iter (function None -> () | Some c -> release c) i.children;
+        push (Frame.spares t.frames).inners i.children
+      end
   in
   release (root t);
   t.root <- dropped;
@@ -629,52 +637,75 @@ let sole_owner t =
   in
   go false (root t)
 
-(* Leaves by identity: a leaf's entry array is its own, never shared
-   between two leaf records, and sits in the free stack only once its
-   leaf is dead. *)
-module Leaf_set = Hashtbl.Make (struct
-  type t = int array
+(* Arrays by identity: a node's array is its own, never shared between
+   two node records, and sits in its machine's stack only once its node
+   is dead. *)
+module Arrays (E : sig
+  type t
 
-  let equal = ( == )
-  let hash = Hashtbl.hash
+  val kind : string
+end) =
+struct
+  include Hashtbl.Make (struct
+    type t = E.t array
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end)
+
+  (* Error unless the stack holds each array once and none of [live]. *)
+  let check_stack (s : E.t Frame.stack) live =
+    let seen = create 64 in
+    let rec go k =
+      if k = s.top then Ok ()
+      else
+        let a = s.arrays.(k) in
+        if mem seen a then Error (E.kind ^ " stack holds an array twice")
+        else if mem live a then
+          Error (E.kind ^ " stack holds a live node's array")
+        else begin
+          add seen a ();
+          go (k + 1)
+        end
+    in
+    go 0
+end
+
+module Leaves = Arrays (struct
+  type t = int
+
+  let kind = "leaf"
 end)
 
-(* The machine's free stack as a set, or the error of an array it holds
-   twice. *)
-let pooled frames =
-  let p = Frame.spares frames in
-  let set = Leaf_set.create 64 in
-  let rec go k =
-    if k = p.top then Ok set
-    else if Leaf_set.mem set p.arrays.(k) then
-      Error "a leaf array sits in the free stack twice"
-    else begin
-      Leaf_set.add set p.arrays.(k) ();
-      go (k + 1)
-    end
-  in
-  go 0
+module Inners = Arrays (struct
+  type t = node option
 
-(* The ownership rule; the live leaves' arrays when it holds. *)
+  let kind = "inner"
+end)
+
+(* The ownership rule; the live nodes' arrays when it holds. *)
 let check_frames frames tables =
-  let seen = Leaf_set.create 64 in
+  let leaf_arrays = Leaves.create 64 and inner_arrays = Inners.create 64 in
   let mapped = Hashtbl.create 256 in
-  List.iter
-    (fun t ->
-      iter_leaves
-        (fun entries ->
-          if not (Leaf_set.mem seen entries) then begin
-            Leaf_set.add seen entries ();
-            Array.iter
-              (fun pte ->
-                if Pte.present pte then
-                  let f = Pte.frame pte in
-                  Hashtbl.replace mapped f
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt mapped f)))
-              entries
-          end)
-        (root t))
-    tables;
+  let count pte =
+    if Pte.present pte then
+      let f = Pte.frame pte in
+      Hashtbl.replace mapped f
+        (1 + Option.value ~default:0 (Hashtbl.find_opt mapped f))
+  in
+  let rec visit = function
+    | Leaf l ->
+      if not (Leaves.mem leaf_arrays l.entries) then begin
+        Leaves.add leaf_arrays l.entries ();
+        Array.iter count l.entries
+      end
+    | Inner i ->
+      if not (Inners.mem inner_arrays i.children) then begin
+        Inners.add inner_arrays i.children ();
+        Array.iter (function None -> () | Some c -> visit c) i.children
+      end
+  in
+  List.iter (fun t -> visit (root t)) tables;
   let bad =
     Hashtbl.fold
       (fun f leaves acc ->
@@ -690,7 +721,7 @@ let check_frames frames tables =
   | (_, msg) :: _ -> Error msg
   | [] ->
     let n = Hashtbl.length mapped in
-    if n = Frame.used frames then Ok seen
+    if n = Frame.used frames then Ok (leaf_arrays, inner_arrays)
     else
       Error
         (Printf.sprintf "%d frames allocated, %d mapped by a leaf"
@@ -698,11 +729,11 @@ let check_frames frames tables =
 
 let audit = function
   | [] -> Ok ()
-  | first :: _ as tables -> (
+  | first :: _ as tables ->
     if List.exists (fun t -> t.frames != first.frames) tables then
       invalid_arg "Page_table.audit: tables of different machines";
-    match (check_frames first.frames tables, pooled first.frames) with
-    | Error msg, _ | _, Error msg -> Error msg
-    | Ok live, Ok free ->
-      if Seq.exists (Leaf_set.mem free) (Leaf_set.to_seq_keys live) then Error "a live leaf's array sits in the free stack"
-      else Ok ())
+    let spares = Frame.spares first.frames in
+    Result.bind (check_frames first.frames tables)
+      (fun (leaf_arrays, inner_arrays) ->
+        Result.bind (Leaves.check_stack spares.leaves leaf_arrays) (fun () ->
+            Inners.check_stack spares.inners inner_arrays))

@@ -26,10 +26,11 @@
     matching reference change.
 
     The host pays for a fork child's tables only where it writes. Leaf
-    arrays come from the machine's stack of released ones
-    ({!Frame.spares}; {!clear} gives them back), so privatising a leaf
-    allocates nothing on the major heap; and a fork pass skips every
-    leaf no table has written to since the previous pass. *)
+    arrays and inner nodes' child arrays come from the machine's stacks
+    of released ones ({!Frame.spares}; {!clear} gives them back), so
+    privatising the path to a leaf allocates nothing on the major heap
+    once the stacks are warm; and a fork pass skips every leaf no table
+    has written to since the previous pass. *)
 
 type t
 
@@ -37,10 +38,11 @@ val create : frames:Frame.t -> t
 (** An empty table (one root node) whose leaves will hold references on
     frames of [frames]. Every table built from it ({!clone_cow},
     {!clone_cow_shared}, {!seal}, {!clone_sealed}) shares that
-    machine. Every leaf array a table creates, copies or clones comes
-    from the machine's stack of released arrays ({!Frame.spares}) when
-    it holds one; the stack never holds more arrays than the machine's
-    peak count of live leaves. *)
+    machine. Every leaf array and inner child array a table creates,
+    copies or clones, this root's included, comes from the machine's
+    stack of released arrays of its kind ({!Frame.spares}) when it
+    holds one; a stack never holds more arrays than the machine's peak
+    count of live nodes of its kind. *)
 
 val map : t -> vpn:int -> Pte.t -> unit
 (** Install (or replace) the entry for virtual page [vpn], allocating
@@ -177,10 +179,10 @@ val clear : t -> int
     ascending vpn order, so frames are freed in the order a per-page
     walk would free them. Subtrees still shared with a clone survive
     under the other table, their frames' references with them — tearing
-    down a fork child that wrote a few pages touches only the leaves it
-    privatised. A released leaf's array goes back to the machine's
-    stack, for the next leaf any of its tables makes. Used by exec and
-    process teardown, and by an eager clone's rollback.
+    down a fork child that wrote a few pages touches only the nodes it
+    privatised. A released node's array goes back to the machine's
+    stack of its kind, for the next node any of its tables makes. Used
+    by exec and process teardown, and by an eager clone's rollback.
 
     The table is dropped, not emptied: its counts read 0, and any later
     operation that walks it ({!lookup}, {!map}, the folds and range
@@ -202,7 +204,8 @@ val audit : t list -> (unit, string) result
     shared by several tables counts once), unless it is pinned; and
     every allocated frame, pinned ones included, is mapped by some leaf.
     Returns the lowest-numbered violation. Then check the machine's
-    stack of released leaf arrays: no array sits in it twice, and none
-    is the array of a leaf reachable from [tables].
+    stacks of released arrays, leaves' then inner nodes': no array sits
+    in a stack twice, and none is the array of a node reachable from
+    [tables].
     @raise Invalid_argument if the tables belong to different
     machines. *)

@@ -198,6 +198,118 @@ let test_frame_pin_many () =
     (Invalid_argument "Frame.unpin: frame not pinned") (fun () ->
       Vmem.Frame.unpin fr fs.(3))
 
+(* [Frame.unshare_many] against the per-page COW-break sequence it
+   makes in one loop. A 48-frame machine hands out frames 0 .. n-1,
+   writes some of them and gives each a class; freed ones go back in
+   ascending order, so the free stack holds runs, and frames n .. 47
+   are still fresh. The run names live frames, repeats allowed, and a
+   deny hook may refuse the k-th allocation. *)
+type frame_class = Count of int | Pinned | Freed
+
+let unshare_frames = 48
+
+let unshare_per_page fr fs n =
+  let rec go k =
+    if k = n then k
+    else
+      let f = fs.(k) in
+      if Vmem.Frame.refcount fr f = 1 then go (k + 1)
+      else
+        let fresh = Vmem.Frame.take fr in
+        if fresh < 0 then k
+        else begin
+          Vmem.Frame.copy_contents fr ~src:f ~dst:fresh;
+          ignore (Vmem.Frame.decref fr f);
+          fs.(k) <- fresh;
+          go (k + 1)
+        end
+  in
+  go 0
+
+let gen_unshare_machine =
+  QCheck.Gen.(
+    let cls =
+      frequency
+        [
+          (4, return (Count 1));
+          (4, return (Count 2));
+          (1, return (Count 253));
+          (* spilled: the true count lives in the spill table *)
+          (1, map (fun k -> Count (254 + k)) (int_bound 4));
+          (1, return Pinned);
+          (3, return Freed);
+        ]
+    in
+    let* n = 1 -- 44 in
+    let* classes = array_repeat n (pair cls bool) in
+    let* picks = list_size (0 -- 24) (int_bound 1000) in
+    let+ deny_at = opt (1 -- 8) in
+    (classes, picks, deny_at))
+
+let print_unshare_machine (classes, picks, deny_at) =
+  let cls = function
+    | Count c, w -> Printf.sprintf "%d%s" c (if w then "w" else "")
+    | Pinned, w -> "pin" ^ if w then "w" else ""
+    | Freed, _ -> "free"
+  in
+  Printf.sprintf "classes [%s] picks [%s] deny %s"
+    (String.concat " " (Array.to_list (Array.map cls classes)))
+    (String.concat " " (List.map string_of_int picks))
+    (match deny_at with Some k -> string_of_int k | None -> "-")
+
+let prop_unshare_many =
+  QCheck.Test.make ~count:300 ~long_factor:20
+    ~name:"unshare_many matches the per-page COW break"
+    (QCheck.make ~print:print_unshare_machine gen_unshare_machine)
+    (fun (classes, picks, deny_at) ->
+      let page = Vmem.Addr.page_size in
+      let run unshare =
+        let fr = Vmem.Frame.create ~frames:unshare_frames () in
+        Array.iter (fun _ -> ignore (Vmem.Frame.take fr)) classes;
+        Array.iteri
+          (fun f (cls, written) ->
+            if written then
+              Vmem.Frame.blit_string fr f ~off:(f * 61)
+                (Printf.sprintf "frame %d" f);
+            match cls with
+            | Count c ->
+              for _ = 2 to c do
+                Vmem.Frame.incref fr f
+              done
+            | Pinned -> Vmem.Frame.pin fr f
+            | Freed -> ignore (Vmem.Frame.decref fr f))
+          classes;
+        let live =
+          List.filter (fun f -> fst classes.(f) <> Freed)
+            (List.init (Array.length classes) Fun.id)
+          |> Array.of_list
+        in
+        let fs =
+          if live = [||] then [||]
+          else
+            Array.of_list
+              (List.map (fun p -> live.(p mod Array.length live)) picks)
+        in
+        let draws = ref 0 in
+        Vmem.Frame.set_deny_alloc fr
+          (Option.map (fun k () -> incr draws; !draws = k) deny_at);
+        let handled = unshare fr fs (Array.length fs) in
+        Vmem.Frame.set_deny_alloc fr None;
+        let buf = Bytes.create page in
+        let frames =
+          List.init unshare_frames (fun f ->
+              let rc = Vmem.Frame.refcount fr f in
+              if rc = 0 then (rc, "")
+              else begin
+                Vmem.Frame.read_into fr f ~off:0 ~len:page buf ~pos:0;
+                (rc, Digest.bytes buf)
+              end)
+        in
+        let next = List.init 16 (fun _ -> Vmem.Frame.take fr) in
+        (handled, fs, frames, Vmem.Frame.used fr, Vmem.Frame.pinned fr, next)
+      in
+      run Vmem.Frame.unshare_many = run unshare_per_page)
+
 (* ------------------------------------------------------------------ *)
 (* Pte *)
 
@@ -699,6 +811,44 @@ let test_as_fork_cost_scales () =
   let small = fork_cycles 16 in
   let big = fork_cycles 16384 in
   check_bool "fork cost grows with resident set" true (big > small *. 10.0)
+
+(* A fork child that writes three pages and exits puts no
+   page-table-sized block (513 words) on the major heap once its
+   machine's stacks are warm: every inner and leaf array its table
+   copies comes from the stacks, and goes back when it exits. *)
+let test_pt_fork_cycle_heap () =
+  let npages = 16_384 in
+  let fr = Vmem.Frame.create ~frames:(2 * npages + 64) () in
+  let cost = Vmem.Cost.create () in
+  let tlb = Vmem.Tlb.create cost in
+  let a = Vmem.Addr_space.create ~frames:fr ~cost ~tlb () in
+  let x =
+    ok
+      (Vmem.Addr_space.mmap ~len:(npages * page) ~perm:Vmem.Perm.rw
+         ~kind:Vmem.Vma.Anon a)
+  in
+  ignore (ok (Vmem.Addr_space.touch_range a ~addr:x ~len:(npages * page)));
+  let cycles n =
+    for _ = 1 to n do
+      let child = ok (Vmem.Addr_space.clone_cow a) in
+      ignore
+        (ok
+           (Vmem.Addr_space.touch_range child ~addr:(x + (5000 * page))
+              ~len:(3 * page)));
+      Vmem.Addr_space.destroy child
+    done
+  in
+  let direct () =
+    let s = Gc.quick_stat () in
+    s.major_words -. s.promoted_words
+  in
+  cycles 100;
+  let before = direct () in
+  cycles 100;
+  let words = direct () -. before in
+  if words >= 513. then
+    Alcotest.failf "100 fork cycles put %.0f words straight on the major heap"
+      words
 
 let test_as_destroy_releases () =
   let fr, parent, child, x = fork_pair () in
@@ -1488,6 +1638,7 @@ let () =
           tc "pin" test_frame_pin;
           tc "pin spilled" test_frame_pin_spilled;
           tc "pin many" test_frame_pin_many;
+          QCheck_alcotest.to_alcotest prop_unshare_many;
         ] );
       ( "pte",
         [ tc "roundtrip" test_pte_roundtrip; tc "updates" test_pte_updates ] );
@@ -1501,6 +1652,7 @@ let () =
           tc "update" test_pt_update;
           tc "clone cow" test_pt_clone_cow;
           tc "clear" test_pt_clear;
+          tc "fork cycle heap" test_pt_fork_cycle_heap;
         ] );
       qsuite "page-table-props" [ prop_pt_map_unmap ];
       ( "region-map",
