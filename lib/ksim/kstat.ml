@@ -1,6 +1,7 @@
 type counters = {
   mutable syscalls : int;
-  by_kind : (string, int ref) Hashtbl.t;
+  by_kind : int array;
+  kind_names : string array;
   mutable forks : int;
   mutable vforks : int;
   mutable spawns : int;
@@ -43,10 +44,12 @@ type counters = {
   by_cost : Vmem.Cost.t;
 }
 
-let make_counters () =
+(* Only the global record counts kinds: a pid's gets [kinds = 0]. *)
+let make_counters ~kinds =
   {
     syscalls = 0;
-    by_kind = Hashtbl.create 16;
+    by_kind = Array.make kinds 0;
+    kind_names = Array.make kinds "";
     forks = 0;
     vforks = 0;
     spawns = 0;
@@ -103,18 +106,25 @@ type smp = {
           fork/munmap/mprotect had to interrupt) *)
 }
 
+(* [slot] is [current]'s counters once an update since [set_current]
+   has looked them up, and [unset] until then. [unset] is never
+   written. *)
 type t = {
   global : counters;
   by_pid : (Types.pid, counters) Hashtbl.t;
   mutable current : Types.pid option;
+  mutable slot : counters;
   mutable smp : smp option;
 }
 
+let unset = make_counters ~kinds:0
+
 let create () =
   {
-    global = make_counters ();
+    global = make_counters ~kinds:Sysreq.nkinds;
     by_pid = Hashtbl.create 16;
     current = None;
+    slot = unset;
     smp = None;
   }
 
@@ -134,7 +144,11 @@ let enable_smp t ~cpus =
 let smp t = t.smp
 
 let global t = t.global
-let set_current t pid = t.current <- pid
+
+let set_current t pid =
+  t.current <- pid;
+  t.slot <- unset
+
 let pid_counters t pid = Hashtbl.find_opt t.by_pid pid
 
 let pids t =
@@ -144,9 +158,20 @@ let pid_slot t pid =
   match Hashtbl.find t.by_pid pid with
   | c -> c
   | exception Not_found ->
-    let c = make_counters () in
+    let c = make_counters ~kinds:0 in
     Hashtbl.add t.by_pid pid c;
     c
+
+(* The current pid's counters, or [unset] when no pid is current. The
+   first use after [set_current] looks them up, once per dispatch, so a
+   dispatch that never counts or charges makes no slot. *)
+let current_counters t =
+  if t.slot == unset then begin
+    match t.current with
+    | Some pid -> t.slot <- pid_slot t pid
+    | None -> ()
+  end;
+  t.slot
 
 (* Apply [f] to the global counters and, when a current pid is set, to
    that pid's counters too — every update below goes through here (or,
@@ -154,9 +179,8 @@ let pid_slot t pid =
    closure) so the two views can never disagree. *)
 let update t f =
   f t.global;
-  match t.current with
-  | None -> ()
-  | Some pid -> f (pid_slot t pid)
+  let c = current_counters t in
+  if c != unset then f c
 
 (* Like [update], but attributing to an explicit pid instead of
    [current] — for completions the scheduler performs on behalf of a
@@ -167,12 +191,9 @@ let update_for t pid f =
   f t.global;
   f (pid_slot t pid)
 
-let count_syscall : type a. counters -> string -> a Sysreq.t -> unit =
- fun c kind req ->
+let count_syscall : type a. counters -> a Sysreq.t -> unit =
+ fun c req ->
   c.syscalls <- c.syscalls + 1;
-  (match Hashtbl.find_opt c.by_kind kind with
-  | Some r -> incr r
-  | None -> Hashtbl.add c.by_kind kind (ref 1));
   match req with
   | Sysreq.Fork _ | Sysreq.Fork_eager _ -> c.forks <- c.forks + 1
   | Sysreq.Vfork _ -> c.vforks <- c.vforks + 1
@@ -180,12 +201,16 @@ let count_syscall : type a. counters -> string -> a Sysreq.t -> unit =
   | Sysreq.Exec _ -> c.execs <- c.execs + 1
   | _ -> ()
 
+(* Kinds count in the global record only, at the descriptor's slot; a
+   slot takes its name at its first count. *)
 let on_syscall t req =
-  let kind = (Sysreq.info req).Sysreq.name in
-  count_syscall t.global kind req;
-  match t.current with
-  | None -> ()
-  | Some pid -> count_syscall (pid_slot t pid) kind req
+  let g = t.global and info = Sysreq.info req in
+  let i = info.Sysreq.idx in
+  if g.by_kind.(i) = 0 then g.kind_names.(i) <- info.Sysreq.name;
+  g.by_kind.(i) <- g.by_kind.(i) + 1;
+  count_syscall g req;
+  let c = current_counters t in
+  if c != unset then count_syscall c req
 
 (* The Cost observer: every charge lands in the ledger, and the
    categories a typed counter mirrors move it too. *)
@@ -220,9 +245,8 @@ let record c (cat : Vmem.Cost.cat) ~n cycles =
 
 let on_cost t cat ~n cycles =
   record t.global cat ~n cycles;
-  match t.current with
-  | None -> ()
-  | Some pid -> record (pid_slot t pid) cat ~n cycles
+  let c = current_counters t in
+  if c != unset then record c cat ~n cycles
 
 (* IPI observer (tracked-TLB mode): [dsts] are the remote CPUs actually
    interrupted (the sender is never among them), [n] pages per dst
@@ -315,7 +339,11 @@ let on_stdio_flush t ~bytes ~inherited =
       c.stdio_double_flushed_bytes <- c.stdio_double_flushed_bytes + inherited)
 
 let kinds c =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) c.by_kind []
+  let counted = ref [] in
+  Array.iteri
+    (fun i n -> if n > 0 then counted := (c.kind_names.(i), n) :: !counted)
+    c.by_kind;
+  !counted
   |> List.sort (fun (ka, na) (kb, nb) ->
          match compare nb na with 0 -> compare ka kb | d -> d)
 

@@ -5,7 +5,8 @@
 
     - syscall dispatch calls {!on_syscall} with the request, and
       {!set_current} just before so memory-subsystem work is attributed
-      to the calling process;
+      to the calling process; the pid's record is looked up once per
+      dispatch, at the first update that needs it;
     - the shared {!Vmem.Cost} meter's observer hook calls {!on_cost}
       with every (category, event count, cycles) charge, which lands in
       [by_cost] and moves the typed counters that mirror a category
@@ -18,8 +19,13 @@
 
 type counters = {
   mutable syscalls : int;  (** every dispatched request *)
-  by_kind : (string, int ref) Hashtbl.t;
-      (** per syscall name (the [name] of its {!Sysreq.info}) *)
+  by_kind : int array;
+      (** syscalls per kind, at the [idx] of each request's
+          {!Sysreq.info}. Only the global record counts kinds: a pid's
+          record has an empty array. Read it through {!kinds}. *)
+  kind_names : string array;
+      (** the {!Sysreq.info} [name] of each [by_kind] slot, recorded at
+          the slot's first count ([""] before it) *)
   mutable forks : int;  (** fork + fork_eager *)
   mutable vforks : int;
   mutable spawns : int;
@@ -106,7 +112,9 @@ val enable_smp : t -> cpus:int -> unit
 val smp : t -> smp option
 
 val set_current : t -> Types.pid option -> unit
-(** Attribute subsequent updates to this pid (as well as globally). *)
+(** Attribute subsequent updates to this pid (as well as globally). The
+    pid's record is made, or found, at the first update after this
+    call, so a pid none of whose updates arrive gets no record. *)
 
 val pid_counters : t -> Types.pid -> counters option
 (** [None] when the pid never had anything attributed to it. *)
@@ -115,9 +123,10 @@ val pids : t -> Types.pid list
 (** Sorted pids with per-pid counters. *)
 
 val on_syscall : t -> 'a Sysreq.t -> unit
-(** Count one dispatched request: [syscalls], its [by_kind] entry (keyed
-    by its {!Sysreq.info} name) and, for a creation or exec, the typed
-    counter its constructor names. *)
+(** Count one dispatched request: [syscalls] and, for a creation or
+    exec, the typed counter its constructor names, globally and for the
+    current pid; and its kind, in the global [by_kind] slot of its
+    {!Sysreq.info} [idx]. *)
 
 val on_cost : t -> Vmem.Cost.cat -> n:int -> float -> unit
 (** Shaped to plug directly into {!Vmem.Cost.set_observer}. Adds the
@@ -170,7 +179,8 @@ val on_template_spawn : t -> subtrees:int -> pages:int -> unit
     covering [pages] resident pages. *)
 
 val kinds : counters -> (string * int) list
-(** Syscall counts by kind, most frequent first. *)
+(** Syscall counts by kind name, most frequent first, ties by name.
+    [[]] on a pid's record, which counts no kinds. *)
 
 val snapshot : counters -> (string * int) list
 (** Every integer counter as a (name, value) list with stable names
@@ -178,3 +188,4 @@ val snapshot : counters -> (string * int) list
     pointwise gives the counter activity between them. *)
 
 val to_json : counters -> Metrics.Json.t
+(** {!snapshot}, the total cycles and the {!kinds} table. *)

@@ -78,24 +78,26 @@ type _ reply =
   | Total : 'a reply
 
 type cost = Syscall | Memory | Accounting
-type 'a info = { name : string; reply : 'a reply; cost : cost }
+type 'a info = { idx : int; name : string; reply : 'a reply; cost : cost }
 
 (* Every arm is a record of constants, allocated once at compile time,
    and there is no wildcard arm: a new request does not compile until it
-   has a descriptor. The errno lists hold what each syscall's handler
-   (in the module [Kernel.attempt] routes it to) can reply; the kernel
-   rejects any errno outside [admits]. *)
+   has a descriptor. [idx] is the declaration position. The errno lists
+   hold what each syscall's handler (in the module [Kernel.attempt]
+   routes it to) can reply; the kernel rejects any errno outside
+   [admits]. *)
 let info : type a. a t -> a info =
   let open Errno in
   function
-  | Getpid -> { name = "getpid"; reply = Total; cost = Syscall }
-  | Getppid -> { name = "getppid"; reply = Total; cost = Syscall }
-  | Gettid -> { name = "gettid"; reply = Total; cost = Syscall }
-  | Fork _ -> { name = "fork"; reply = Fallible []; cost = Syscall }
-  | Fork_eager _ -> { name = "fork_eager"; reply = Fallible []; cost = Syscall }
-  | Vfork _ -> { name = "vfork"; reply = Fallible []; cost = Syscall }
+  | Getpid -> { idx = 0; name = "getpid"; reply = Total; cost = Syscall }
+  | Getppid -> { idx = 1; name = "getppid"; reply = Total; cost = Syscall }
+  | Gettid -> { idx = 2; name = "gettid"; reply = Total; cost = Syscall }
+  | Fork _ -> { idx = 3; name = "fork"; reply = Fallible []; cost = Syscall }
+  | Fork_eager _ -> { idx = 4; name = "fork_eager"; reply = Fallible []; cost = Syscall }
+  | Vfork _ -> { idx = 5; name = "vfork"; reply = Fallible []; cost = Syscall }
   | Spawn _ ->
     {
+      idx = 6;
       name = "posix_spawn";
       reply =
         Fallible
@@ -104,111 +106,139 @@ let info : type a. a t -> a info =
     }
   | Exec _ ->
     {
+      idx = 7;
       name = "execve";
       reply = Fallible [ ENOENT; ENOTDIR; EISDIR; EACCES; EINVAL ];
       cost = Syscall;
     }
-  | Exit _ -> { name = "exit"; reply = Total; cost = Syscall }
-  | Waitpid _ -> { name = "waitpid"; reply = Fallible [ ECHILD ]; cost = Syscall }
-  | Kill _ -> { name = "kill"; reply = Fallible [ ESRCH ]; cost = Syscall }
+  | Exit _ -> { idx = 8; name = "exit"; reply = Total; cost = Syscall }
+  | Waitpid _ ->
+    { idx = 9; name = "waitpid"; reply = Fallible [ ECHILD ]; cost = Syscall }
+  | Kill _ -> { idx = 10; name = "kill"; reply = Fallible [ ESRCH ]; cost = Syscall }
   | Sigaction _ ->
-    { name = "sigaction"; reply = Fallible [ EINVAL ]; cost = Syscall }
-  | Sigprocmask _ -> { name = "sigprocmask"; reply = Total; cost = Syscall }
-  | Alarm _ -> { name = "alarm"; reply = Total; cost = Syscall }
+    { idx = 11; name = "sigaction"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Sigprocmask _ -> { idx = 12; name = "sigprocmask"; reply = Total; cost = Syscall }
+  | Alarm _ -> { idx = 13; name = "alarm"; reply = Total; cost = Syscall }
   | Open _ ->
     {
+      idx = 14;
       name = "open";
       reply =
         Fallible [ ENOENT; ENOTDIR; EISDIR; EACCES; EEXIST; EINVAL; EMFILE ];
       cost = Syscall;
     }
-  | Close _ -> { name = "close"; reply = Fallible [ EBADF ]; cost = Syscall }
-  | Read _ -> { name = "read"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
+  | Close _ -> { idx = 15; name = "close"; reply = Fallible [ EBADF ]; cost = Syscall }
+  | Read _ ->
+    { idx = 16; name = "read"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
   | Write _ ->
-    { name = "write"; reply = Fallible [ EBADF; EPIPE; EINVAL ]; cost = Syscall }
-  | Dup _ -> { name = "dup"; reply = Fallible [ EBADF; EMFILE ]; cost = Syscall }
+    { idx = 17; name = "write"; reply = Fallible [ EBADF; EPIPE; EINVAL ];
+      cost = Syscall }
+  | Dup _ ->
+    { idx = 18; name = "dup"; reply = Fallible [ EBADF; EMFILE ]; cost = Syscall }
   | Dup2 _ ->
-    { name = "dup2"; reply = Fallible [ EBADF; EMFILE; EINVAL ]; cost = Syscall }
+    { idx = 19; name = "dup2"; reply = Fallible [ EBADF; EMFILE; EINVAL ];
+      cost = Syscall }
   | Set_cloexec _ ->
-    { name = "set_cloexec"; reply = Fallible [ EBADF ]; cost = Syscall }
-  | Pipe -> { name = "pipe"; reply = Fallible [ EMFILE ]; cost = Syscall }
+    { idx = 20; name = "set_cloexec"; reply = Fallible [ EBADF ]; cost = Syscall }
+  | Pipe -> { idx = 21; name = "pipe"; reply = Fallible [ EMFILE ]; cost = Syscall }
   | Try_lock _ ->
-    { name = "try_lock"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
+    { idx = 22; name = "try_lock"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
   | Unlock _ ->
-    { name = "unlock"; reply = Fallible [ EBADF; EINVAL; EPERM ]; cost = Syscall }
-  | Mmap _ -> { name = "mmap"; reply = Fallible [ EINVAL ]; cost = Syscall }
-  | Munmap _ -> { name = "munmap"; reply = Fallible [ EINVAL ]; cost = Syscall }
-  | Brk _ -> { name = "brk"; reply = Fallible [ EINVAL ]; cost = Syscall }
+    { idx = 23; name = "unlock"; reply = Fallible [ EBADF; EINVAL; EPERM ];
+      cost = Syscall }
+  | Mmap _ -> { idx = 24; name = "mmap"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Munmap _ -> { idx = 25; name = "munmap"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Brk _ -> { idx = 26; name = "brk"; reply = Fallible [ EINVAL ]; cost = Syscall }
   | Mem_read _ ->
-    { name = "mem_read"; reply = Fallible [ EFAULT; EACCES; EINVAL ]; cost = Memory }
+    { idx = 27; name = "mem_read"; reply = Fallible [ EFAULT; EACCES; EINVAL ];
+      cost = Memory }
   | Mem_write _ ->
-    { name = "mem_write"; reply = Fallible [ EFAULT; EACCES ]; cost = Memory }
-  | Touch _ -> { name = "touch"; reply = Fallible [ EFAULT; EACCES ]; cost = Memory }
+    { idx = 28; name = "mem_write"; reply = Fallible [ EFAULT; EACCES ]; cost = Memory }
+  | Touch _ ->
+    { idx = 29; name = "touch"; reply = Fallible [ EFAULT; EACCES ]; cost = Memory }
   | Thread_create _ ->
-    { name = "thread_create"; reply = Fallible []; cost = Syscall }
-  | Mutex_create -> { name = "mutex_create"; reply = Total; cost = Syscall }
+    { idx = 30; name = "thread_create"; reply = Fallible []; cost = Syscall }
+  | Mutex_create -> { idx = 31; name = "mutex_create"; reply = Total; cost = Syscall }
   | Mutex_lock _ ->
-    { name = "mutex_lock"; reply = Fallible [ EINVAL; EDEADLK ]; cost = Syscall }
+    { idx = 32; name = "mutex_lock"; reply = Fallible [ EINVAL; EDEADLK ];
+      cost = Syscall }
   | Mutex_unlock _ ->
-    { name = "mutex_unlock"; reply = Fallible [ EINVAL; EPERM ]; cost = Syscall }
+    { idx = 33; name = "mutex_unlock"; reply = Fallible [ EINVAL; EPERM ];
+      cost = Syscall }
   | Mutex_trylock _ ->
-    { name = "mutex_trylock"; reply = Fallible [ EINVAL ]; cost = Syscall }
+    { idx = 34; name = "mutex_trylock"; reply = Fallible [ EINVAL ]; cost = Syscall }
   | Mutex_reinit _ ->
-    { name = "mutex_reinit"; reply = Fallible [ EINVAL ]; cost = Syscall }
-  | Yield -> { name = "yield"; reply = Total; cost = Syscall }
-  | Handled_signals _ -> { name = "handled_signals"; reply = Total; cost = Syscall }
+    { idx = 35; name = "mutex_reinit"; reply = Fallible [ EINVAL ]; cost = Syscall }
+  | Yield -> { idx = 36; name = "yield"; reply = Total; cost = Syscall }
+  | Handled_signals _ ->
+    { idx = 37; name = "handled_signals"; reply = Total; cost = Syscall }
   | Chdir _ ->
-    { name = "chdir"; reply = Fallible [ ENOENT; ENOTDIR; EACCES ]; cost = Syscall }
-  | Getcwd -> { name = "getcwd"; reply = Total; cost = Syscall }
-  | Atfork_register _ -> { name = "atfork_register"; reply = Total; cost = Syscall }
-  | Atfork_list -> { name = "atfork_list"; reply = Total; cost = Syscall }
-  | Pb_create -> { name = "pb_create"; reply = Fallible []; cost = Syscall }
+    { idx = 38; name = "chdir"; reply = Fallible [ ENOENT; ENOTDIR; EACCES ];
+      cost = Syscall }
+  | Getcwd -> { idx = 39; name = "getcwd"; reply = Total; cost = Syscall }
+  | Atfork_register _ ->
+    { idx = 40; name = "atfork_register"; reply = Total; cost = Syscall }
+  | Atfork_list -> { idx = 41; name = "atfork_list"; reply = Total; cost = Syscall }
+  | Pb_create -> { idx = 42; name = "pb_create"; reply = Fallible []; cost = Syscall }
   | Pb_map _ ->
-    { name = "pb_map"; reply = Fallible [ ESRCH; EPERM; EINVAL ]; cost = Syscall }
+    { idx = 43; name = "pb_map"; reply = Fallible [ ESRCH; EPERM; EINVAL ];
+      cost = Syscall }
   | Pb_write _ ->
     {
+      idx = 44;
       name = "pb_write";
       reply = Fallible [ ESRCH; EPERM; EINVAL; EFAULT; EACCES ];
       cost = Syscall;
     }
   | Pb_copy_fd _ ->
     {
+      idx = 45;
       name = "pb_copy_fd";
       reply = Fallible [ ESRCH; EPERM; EINVAL; EBADF; EMFILE ];
       cost = Syscall;
     }
   | Pb_start _ ->
     {
+      idx = 46;
       name = "pb_start";
       reply =
         Fallible [ ESRCH; EPERM; ENOENT; ENOTDIR; EISDIR; EACCES; EINVAL ];
       cost = Syscall;
     }
-  | Stdio_flushed _ -> { name = "stdio_flushed"; reply = Total; cost = Accounting }
+  | Stdio_flushed _ ->
+    { idx = 47; name = "stdio_flushed"; reply = Total; cost = Accounting }
   | Template_freeze _ ->
     {
+      idx = 48;
       name = "template_freeze";
       reply = Fallible [ ESRCH; EPERM; EINVAL; EBUSY ];
       cost = Syscall;
     }
   | Template_spawn _ ->
-    { name = "template_spawn"; reply = Fallible [ EINVAL ]; cost = Syscall }
+    { idx = 49; name = "template_spawn"; reply = Fallible [ EINVAL ]; cost = Syscall }
   | Template_discard _ ->
-    { name = "template_discard"; reply = Fallible [ EINVAL; EBUSY ]; cost = Syscall }
-  | Socket -> { name = "socket"; reply = Fallible [ EMFILE ]; cost = Syscall }
+    { idx = 50; name = "template_discard"; reply = Fallible [ EINVAL; EBUSY ];
+      cost = Syscall }
+  | Socket -> { idx = 51; name = "socket"; reply = Fallible [ EMFILE ]; cost = Syscall }
   | Bind _ ->
-    { name = "bind"; reply = Fallible [ EBADF; EINVAL; EADDRINUSE ]; cost = Syscall }
+    { idx = 52; name = "bind"; reply = Fallible [ EBADF; EINVAL; EADDRINUSE ];
+      cost = Syscall }
   | Listen _ ->
-    { name = "listen"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
+    { idx = 53; name = "listen"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
   | Accept _ ->
-    { name = "accept"; reply = Fallible [ EBADF; EINVAL; EMFILE ]; cost = Syscall }
+    { idx = 54; name = "accept"; reply = Fallible [ EBADF; EINVAL; EMFILE ];
+      cost = Syscall }
   | Connect _ ->
     {
+      idx = 55;
       name = "connect";
       reply = Fallible [ EBADF; EINVAL; ECONNREFUSED ];
       cost = Syscall;
     }
-  | Poll _ -> { name = "poll"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
+  | Poll _ ->
+    { idx = 56; name = "poll"; reply = Fallible [ EBADF; EINVAL ]; cost = Syscall }
+
+let nkinds = 57
 
 let admits : type a. a info -> Errno.t -> bool =
  fun info e ->

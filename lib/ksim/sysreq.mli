@@ -191,6 +191,9 @@ type cost =
           ones *)
 
 type 'a info = {
+  idx : int;
+      (** declaration position: the syscall's slot in {!Kstat}'s
+          per-kind counts, below {!nkinds} *)
   name : string;
       (** e.g. ["fork"]: the name in traces, {!Kstat} and fault
           triggers *)
@@ -200,6 +203,10 @@ type 'a info = {
 
 val info : 'a t -> 'a info
 (** The descriptor of a request's syscall. Allocates nothing. *)
+
+val nkinds : int
+(** The number of syscall kinds, one per constructor of {!t}: every
+    [idx] lies in [0, nkinds). *)
 
 val admits : 'a info -> Errno.t -> bool
 (** Whether the errno lies in the syscall's errno domain. Always

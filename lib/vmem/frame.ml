@@ -238,12 +238,17 @@ let decref t f =
     else false
   end
 
+(* [incref_many] and [decref_many] test coverage inline, as
+   [unshare_many] does: [covered] is not inlined, and these loops run at
+   every privatise and every teardown. An uncovered frame reads as
+   count 0, which [check_frame] rejects. *)
 let incref_many t fs n =
   if n < 0 || n > Array.length fs then invalid_arg "Frame.incref_many";
   for i = 0 to n - 1 do
     let f = Array.unsafe_get fs i in
-    if not (covered t f) then check_frame t f "Frame.incref";
-    let c = rc_get t f in
+    let c =
+      if f >= 0 && f < Bytes.length t.refcounts then rc_get t f else 0
+    in
     if c = 0 then check_frame t f "Frame.incref"
     else if c < immortal - 1 then rc_set t f (c + 1)
     else if c = immortal then ()
@@ -254,8 +259,9 @@ let decref_many t fs n =
   if n < 0 || n > Array.length fs then invalid_arg "Frame.decref_many";
   for i = 0 to n - 1 do
     let f = Array.unsafe_get fs i in
-    if not (covered t f) then check_frame t f "Frame.decref";
-    let c = rc_get t f in
+    let c =
+      if f >= 0 && f < Bytes.length t.refcounts then rc_get t f else 0
+    in
     if c = 1 then begin
       rc_set t f 0;
       if f <= t.data_max then Hashtbl.remove t.data f;

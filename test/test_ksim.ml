@@ -169,6 +169,233 @@ let test_fdt_clone_shares () =
   | _ -> Alcotest.fail "write");
   check_int "offset via parent" 2 (Ksim.Ofd.offset (ok (Ksim.Fd_table.get t 0)))
 
+(* Fd_table against a model: the flat table it replaced, [max_fds]
+   slots from creation and every walk over all of them. The model's
+   slots hold description numbers: description [i] is the one the
+   run's [i]th alloc op made. *)
+module Flat_fdt = struct
+  type t = { slots : (int * bool) option array; mutable next_fd : int }
+
+  let create limit = { slots = Array.make limit None; next_fd = 0 }
+  let limit t = Array.length t.slots
+
+  let free t fd =
+    t.slots.(fd) <- None;
+    if fd < t.next_fd then t.next_fd <- fd
+
+  let alloc t ~at_least ~cloexec id =
+    if at_least < 0 || at_least >= limit t then Error Ksim.Errno.EINVAL
+    else begin
+      let rec find fd =
+        if fd >= limit t then Error Ksim.Errno.EMFILE
+        else if t.slots.(fd) = None then begin
+          t.slots.(fd) <- Some (id, cloexec);
+          Ok fd
+        end
+        else find (fd + 1)
+      in
+      let r = find (max at_least t.next_fd) in
+      (match r with
+      | Ok fd when at_least <= t.next_fd -> t.next_fd <- fd + 1
+      | Ok _ | Error _ -> ());
+      r
+    end
+
+  let entry t fd =
+    if fd < 0 || fd >= limit t then Error Ksim.Errno.EBADF
+    else match t.slots.(fd) with None -> Error Ksim.Errno.EBADF | Some e -> Ok e
+
+  let close t fd = Result.map (fun _ -> free t fd) (entry t fd)
+
+  let dup t fd =
+    match entry t fd with
+    | Error e -> Error e
+    | Ok (id, _) -> alloc t ~at_least:0 ~cloexec:false id
+
+  let dup2 t ~src ~dst =
+    match entry t src with
+    | Error e -> Error e
+    | Ok (id, _) ->
+      if dst < 0 || dst >= limit t then Error Ksim.Errno.EBADF
+      else if src = dst then Ok dst
+      else begin
+        t.slots.(dst) <- Some (id, false);
+        Ok dst
+      end
+
+  let set_cloexec t fd v =
+    Result.map (fun (id, _) -> t.slots.(fd) <- Some (id, v)) (entry t fd)
+
+  let clone t = { slots = Array.copy t.slots; next_fd = t.next_fd }
+
+  let close_cloexec t =
+    Array.iteri
+      (fun fd -> function Some (_, true) -> free t fd | Some _ | None -> ())
+      t.slots
+
+  let close_all t =
+    Array.iteri (fun fd -> function Some _ -> free t fd | None -> ()) t.slots
+
+  let opened t =
+    List.filter_map
+      (fun fd -> Option.map (fun (id, cx) -> (fd, id, cx)) t.slots.(fd))
+      (List.init (limit t) Fun.id)
+end
+
+(* Each op names a table by its index among the live ones, modulo
+   their number; [F_clone] adds one. *)
+type fdt_op =
+  | F_alloc of int * int option * bool  (* table, at_least, cloexec *)
+  | F_close of int * int
+  | F_dup of int * int
+  | F_dup2 of int * int * int  (* table, src, dst *)
+  | F_set_cloexec of int * int * bool
+  | F_clone of int
+  | F_close_cloexec of int
+  | F_close_all of int
+
+let show_fdt_op = function
+  | F_alloc (k, a, cx) ->
+    Printf.sprintf "alloc t%d at_least=%s cloexec=%b" k
+      (match a with Some n -> string_of_int n | None -> "-")
+      cx
+  | F_close (k, fd) -> Printf.sprintf "close t%d %d" k fd
+  | F_dup (k, fd) -> Printf.sprintf "dup t%d %d" k fd
+  | F_dup2 (k, src, dst) -> Printf.sprintf "dup2 t%d %d->%d" k src dst
+  | F_set_cloexec (k, fd, v) -> Printf.sprintf "set_cloexec t%d %d %b" k fd v
+  | F_clone k -> Printf.sprintf "clone t%d" k
+  | F_close_cloexec k -> Printf.sprintf "close_cloexec t%d" k
+  | F_close_all k -> Printf.sprintf "close_all t%d" k
+
+(* Limits up to 40 cross the 8, 16 and 32 slot doublings. Fds lean
+   toward the low ones a lowest-free table hands out, and also take
+   -1, any value up to the limit, and the limit's two edges. *)
+let gen_fdt_scenario =
+  QCheck.Gen.(
+    1 -- 40 >>= fun limit ->
+    let fd =
+      frequency
+        [
+          (6, int_bound 11);
+          (2, -1 -- limit);
+          (1, return (limit - 1));
+          (1, return limit);
+        ]
+    in
+    let tbl = int_bound 3 in
+    let op =
+      frequency
+        [
+          ( 8,
+            map3
+              (fun k a cx -> F_alloc (k, a, cx))
+              tbl
+              (frequency [ (3, return None); (1, map Option.some fd) ])
+              bool );
+          (3, map2 (fun k f -> F_close (k, f)) tbl fd);
+          (3, map2 (fun k f -> F_dup (k, f)) tbl fd);
+          (3, map3 (fun k s d -> F_dup2 (k, s, d)) tbl fd fd);
+          (2, map3 (fun k f v -> F_set_cloexec (k, f, v)) tbl fd bool);
+          (1, map (fun k -> F_clone k) tbl);
+          (1, map (fun k -> F_close_cloexec k) tbl);
+          (1, map (fun k -> F_close_all k) tbl);
+        ]
+    in
+    pair (return limit) (list_size (0 -- 60) op))
+
+let prop_fdt_model =
+  QCheck.Test.make ~count:300 ~long_factor:20
+    ~name:"fd table: matches the flat max_fds table"
+    (QCheck.make gen_fdt_scenario ~print:(fun (limit, ops) ->
+         Printf.sprintf "max_fds %d: %s" limit
+           (String.concat "; " (List.map show_fdt_op ops))))
+    (fun (limit, ops) ->
+      let tables = ref [ (Ksim.Fd_table.create ~max_fds:limit (), Flat_fdt.create limit) ] in
+      let ofds = ref [] (* newest first: description i is the (i+1)th from the end *) in
+      let id_of ofd =
+        let rec find i = function
+          | [] -> QCheck.Test.fail_report "unknown description"
+          | o :: rest -> if o == ofd then i else find (i - 1) rest
+        in
+        find (List.length !ofds - 1) !ofds
+      in
+      let pick k = List.nth !tables (k mod List.length !tables) in
+      let same what real model =
+        if real <> model then QCheck.Test.fail_reportf "%s differs" what
+      in
+      let step op =
+        match op with
+        | F_alloc (k, at_least, cloexec) ->
+          let t, m = pick k in
+          let id = List.length !ofds in
+          let ofd = Ksim.Ofd.make Ksim.Ofd.Null ~flags:Ksim.Types.o_rdwr in
+          ofds := ofd :: !ofds;
+          let r = Ksim.Fd_table.alloc t ?at_least ~cloexec ofd in
+          (* a failed install leaves the caller's reference to drop *)
+          if Result.is_error r then Ksim.Ofd.close ofd;
+          same "alloc" r
+            (Flat_fdt.alloc m ~at_least:(Option.value at_least ~default:0) ~cloexec id)
+        | F_close (k, fd) ->
+          let t, m = pick k in
+          same "close" (Ksim.Fd_table.close t fd) (Flat_fdt.close m fd)
+        | F_dup (k, fd) ->
+          let t, m = pick k in
+          same "dup" (Ksim.Fd_table.dup t fd) (Flat_fdt.dup m fd)
+        | F_dup2 (k, src, dst) ->
+          let t, m = pick k in
+          same "dup2" (Ksim.Fd_table.dup2 t ~src ~dst) (Flat_fdt.dup2 m ~src ~dst)
+        | F_set_cloexec (k, fd, v) ->
+          let t, m = pick k in
+          same "set_cloexec" (Ksim.Fd_table.set_cloexec t fd v)
+            (Flat_fdt.set_cloexec m fd v)
+        | F_clone k ->
+          let t, m = pick k in
+          tables := !tables @ [ (Ksim.Fd_table.clone t, Flat_fdt.clone m) ]
+        | F_close_cloexec k ->
+          let t, m = pick k in
+          Ksim.Fd_table.close_cloexec t;
+          Flat_fdt.close_cloexec m
+        | F_close_all k ->
+          let t, m = pick k in
+          Ksim.Fd_table.close_all t;
+          Flat_fdt.close_all m
+      in
+      let agree () =
+        List.iter
+          (fun (t, m) ->
+            let opened = ref [] in
+            Ksim.Fd_table.iter t (fun fd ofd ~cloexec ->
+                opened := (fd, id_of ofd, cloexec) :: !opened);
+            same "iter" (List.rev !opened) (Flat_fdt.opened m);
+            same "count" (Ksim.Fd_table.count t) (List.length (Flat_fdt.opened m));
+            for fd = -1 to limit do
+              same "get"
+                (Result.map id_of (Ksim.Fd_table.get t fd))
+                (Result.map fst (Flat_fdt.entry m fd));
+              same "cloexec" (Ksim.Fd_table.cloexec t fd)
+                (Result.map snd (Flat_fdt.entry m fd))
+            done)
+          !tables;
+        (* every description's references are the slots naming it *)
+        List.iteri
+          (fun i ofd ->
+            let id = List.length !ofds - 1 - i in
+            let slots =
+              List.fold_left
+                (fun n (_, m) ->
+                  n + List.length (List.filter (fun (_, d, _) -> d = id) (Flat_fdt.opened m)))
+                0 !tables
+            in
+            same "refs" (Ksim.Ofd.refs ofd) slots)
+          !ofds
+      in
+      List.iter
+        (fun op ->
+          step op;
+          agree ())
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Sync *)
 
@@ -1896,7 +2123,11 @@ let test_kstat_per_pid () =
     check_int "child cow breaks" pages (counter child "cow-breaks");
     let parent = Option.get (Ksim.Kstat.pid_counters ks 1) in
     check_int "parent cow breaks" 0 (counter parent "cow-breaks");
-    check_bool "parent zero-fills" true (counter parent "frames-zeroed" >= pages)
+    check_bool "parent zero-fills" true (counter parent "frames-zeroed" >= pages);
+    (* a pid's record counts its syscalls, but only the global record
+       counts them by kind *)
+    check_int "child syscalls" 2 (counter child "syscalls");
+    check_bool "a pid's record has no kinds" true (Ksim.Kstat.kinds child = [])
 
 (* A charge through the kernel's observer chain (the meter, Kstat's
    global and per-pid ledgers, the blame bucket the context picked)
@@ -1929,6 +2160,72 @@ let test_kstat_charge_allocates_nothing () =
   let ev = Option.get (Vmem.Blame.find blame id) in
   check_int "blamed faults" 10_000
     (Vmem.Cost.count ev.Vmem.Blame.deferred Fault_base)
+
+(* One request of every [Sysreq.t] constructor, in declaration order. *)
+type any_req = Req : 'a Ksim.Sysreq.t -> any_req
+
+let every_request =
+  let body () = () and fd = 3 and pid = 2 in
+  let open Ksim.Sysreq in
+  [
+    Req Getpid; Req Getppid; Req Gettid; Req (Fork body);
+    Req (Fork_eager body); Req (Vfork body);
+    Req
+      (Spawn
+         {
+           Ksim.Types.path = "/bin/true";
+           argv = [];
+           file_actions = [];
+           attr = Ksim.Types.default_attr;
+         });
+    Req (Exec { path = "/bin/true"; argv = [] }); Req (Exit 0);
+    Req (Waitpid Ksim.Types.Any_child); Req (Kill (pid, Ksim.Usignal.SIGTERM));
+    Req (Sigaction (Ksim.Usignal.SIGTERM, Ksim.Usignal.Default));
+    Req (Sigprocmask (Ksim.Types.Block, Ksim.Usignal.Set.empty)); Req (Alarm 1);
+    Req (Open ("/tmp/f", Ksim.Types.o_rdwr)); Req (Close fd); Req (Read (fd, 1));
+    Req (Write (fd, "x")); Req (Dup fd); Req (Dup2 { src = fd; dst = 4 });
+    Req (Set_cloexec (fd, true)); Req Pipe; Req (Try_lock fd); Req (Unlock fd);
+    Req (Mmap { len = page; perm = Vmem.Perm.rw });
+    Req (Munmap { addr = 0; len = page }); Req (Brk None);
+    Req (Mem_read { addr = 0; len = 1 }); Req (Mem_write { addr = 0; data = "x" });
+    Req (Touch { addr = 0; len = page }); Req (Thread_create body);
+    Req Mutex_create; Req (Mutex_lock 0); Req (Mutex_unlock 0);
+    Req (Mutex_trylock 0); Req (Mutex_reinit 0); Req Yield;
+    Req (Handled_signals "h"); Req (Chdir "/"); Req Getcwd;
+    Req
+      (Atfork_register
+         { Ksim.Types.prepare = None; in_parent = None; in_child = None });
+    Req Atfork_list; Req Pb_create;
+    Req (Pb_map { pid; len = page; perm = Vmem.Perm.rw });
+    Req (Pb_write { pid; addr = 0; data = "x" });
+    Req (Pb_copy_fd { pid; src = fd; dst = fd });
+    Req (Pb_start { pid; path = "/bin/true"; argv = [] });
+    Req (Stdio_flushed { bytes = 1; inherited = 0 });
+    Req (Template_freeze { pid = None }); Req (Template_spawn { tpl = 0; body });
+    Req (Template_discard 0); Req Socket; Req (Bind (fd, 80));
+    Req (Listen { fd; backlog = 1 }); Req (Accept fd); Req (Connect (fd, 80));
+    Req (Poll { interests = []; timeout = 0 });
+  ]
+
+(* Kstat counts a kind at its descriptor's [idx]: one slot per
+   constructor, each below the kind count, so no two kinds share a
+   count. *)
+let test_sysreq_kind_slots () =
+  let slots =
+    List.map (fun (Req r) -> (Ksim.Sysreq.info r).Ksim.Sysreq.idx) every_request
+  in
+  check_int "one request per kind" Ksim.Sysreq.nkinds (List.length slots);
+  List.iteri
+    (fun i idx ->
+      check_bool (Printf.sprintf "request %d: idx %d in range" i idx) true
+        (idx >= 0 && idx < Ksim.Sysreq.nkinds))
+    slots;
+  check_int "distinct slots" Ksim.Sysreq.nkinds
+    (List.length (List.sort_uniq compare slots));
+  check_int "distinct names" Ksim.Sysreq.nkinds
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (Req r) -> (Ksim.Sysreq.info r).Ksim.Sysreq.name) every_request)))
 
 let test_kstat_stdio_double_flush () =
   let buffered = 512 in
@@ -2555,6 +2852,7 @@ let () =
           tc "dup2/cloexec" test_fdt_dup2_cloexec;
           tc "clone shares" test_fdt_clone_shares;
         ] );
+      qsuite "fd-table-props" [ prop_fdt_model ];
       ("sync", [ tc "clone copies state" test_sync_clone ]);
       ( "trace",
         [
@@ -2571,6 +2869,7 @@ let () =
           tc "per-pid" test_kstat_per_pid;
           tc "stdio double flush" test_kstat_stdio_double_flush;
           tc "charge allocates nothing" test_kstat_charge_allocates_nothing;
+          tc "one slot per syscall kind" test_sysreq_kind_slots;
         ] );
       ( "kernel-basics",
         [

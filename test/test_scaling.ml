@@ -6,7 +6,10 @@
    and compiler, so tier-1 can bound the growth tightly: a boot at 2n
    may allocate at most 2.2x the words of a boot at n. A cost that is
    linear in n, plus a fixed part, stays under 2; one that visits every
-   parked thread after every scheduling round grows about 4x.
+   parked thread after every scheduling round grows about 4x. One more
+   row scales a limit, not a count: 16 forks under an fd limit of n
+   must cost the same at every n, within 1.1x per doubling, counting
+   the words that skip the minor heap too.
 
    [test_scaling.exe wall] is the CI perf job's wall-clock check of the
    parked axes and the lazy-page axis: for each, it doubles n until the
@@ -83,6 +86,17 @@ let lazy_worker ~stride n =
 
 let lazy_strides = [ 1; 4 ]
 
+(* init forks 16 children that exit at once, reaping each before the
+   next. Here n is the machine's fd limit, not a count of anything the
+   processes hold: each table holds init's three console fds. *)
+let forked_under_limit _ () =
+  for _ = 1 to 16 do
+    let pid = ok "fork" (Ksim.Api.fork ~child:(fun () -> Ksim.Api.exit 0)) in
+    match ok "wait" (Ksim.Api.wait_for pid) with
+    | Ksim.Types.Exited 0 -> ()
+    | st -> failwith (Format.asprintf "child: %a" Ksim.Types.pp_status st)
+  done
+
 (* init spawns each lazy worker in turn and waits for it. *)
 let lazy_pages _ () =
   List.iter
@@ -113,6 +127,19 @@ let words f =
   f ();
   Gc.minor_words () -. w0
 
+(* Every word allocated, including the blocks above 256 words that skip
+   the minor heap: minor plus major words, less the promoted ones that
+   both count. *)
+let all_words f =
+  let total () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = total () in
+  f ();
+  total () -. w0
+
 (* Demand paging with the pager readahead of the demand-warm workload,
    and memory for both workers' images. *)
 let lazy_image n =
@@ -127,6 +154,10 @@ let lazy_image n =
     ~programs:(List.map (fun stride -> lazy_worker ~stride n) lazy_strides)
     lazy_pages n
 
+(* 16 forks under an fd limit of n. *)
+let fd_limit n =
+  boot ~tune:(fun c -> { c with Ksim.Kernel.max_fds = n }) forked_under_limit n
+
 (* (name, boot at size n, whether the CI wall check times it) *)
 let rows =
   [
@@ -138,11 +169,11 @@ let rows =
 
 let n = 1000
 
-let test_words run () =
-  let w1 = words (fun () -> run n) in
-  let w2 = words (fun () -> run (2 * n)) in
+let test_words ?(count = words) ?(bound = 2.2) run () =
+  let w1 = count (fun () -> run n) in
+  let w2 = count (fun () -> run (2 * n)) in
   let ratio = w2 /. w1 in
-  if ratio > 2.2 then
+  if ratio > bound then
     Alcotest.failf "words grew %.2fx from n=%d (%.0f) to 2n (%.0f)" ratio n w1 w2
 
 (* Median of 3 boots' wall time, each from a compacted heap. *)
@@ -182,5 +213,11 @@ let () =
     Alcotest.run "scaling"
       [
         ( "words per doubling",
-          List.map (fun (name, run, _) -> Alcotest.test_case name `Quick (test_words run)) rows );
+          List.map (fun (name, run, _) -> Alcotest.test_case name `Quick (test_words run)) rows
+          (* a table sized by the limit would give each fork an n-slot
+             array, which skips the minor heap *)
+          @ [
+              Alcotest.test_case "children forked and reaped under an fd limit of n" `Quick
+                (test_words ~count:all_words ~bound:1.1 fd_limit);
+            ] );
       ]
